@@ -45,6 +45,17 @@ from .tables import apply as table_apply, compose as table_compose, invert as ta
 from .functions import constant, equal
 
 
+def _positive_int(text: str) -> int:
+    """Argument type for budgets and case counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftgroups",
@@ -94,16 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjugacy", help="decide shift commutation of a chain map")
     p.add_argument("coe")
-    p.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--max-level", type=_positive_int, default=DEFAULT_MAX_LEVEL)
+    p.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
 
     p = sub.add_parser("commutant", help="find a table not commuting with a self map")
     p.add_argument("coe")
-    p.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
+    p.add_argument("--max-level", type=_positive_int, default=DEFAULT_MAX_LEVEL)
 
     p = sub.add_parser("selftest", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_positive_int, default=100)
     return parser
 
 

@@ -24,7 +24,7 @@ from collections import deque
 
 from .cocycles import in_cocycle_group, rho
 from .codes import higher_block_codes
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, VerificationFailed
 from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on
 from .orbit import CoeMap, _stage_transducer, coe_apply, coe_from_chain, coe_invert, pullback_map
 from .sft import (
@@ -196,7 +196,8 @@ def witness_non_conjugacy(h: CoeMap, max_level: int = DEFAULT_MAX_LEVEL,
             "no cylinder depth separates the image point", max_depth=max_depth)
 
     witness = Witness(level, z_level, pair, g, prefix_swap(h_level.source, *pair))
-    assert check_witness(h, witness)
+    if not check_witness(h, witness):
+        raise VerificationFailed("non-conjugacy witness failed its exact check")
     return witness
 
 

@@ -63,21 +63,27 @@ class LocFun:
 
 
 def _merge_siblings(matrix: TransitionMatrix, table: dict[Word, int]) -> dict[Word, int]:
-    """Collapse full sibling families sharing one value, bottom up."""
-    changed = True
-    while changed:
-        changed = False
-        for word in sorted(table, key=len, reverse=True):
-            if word not in table or not word:
+    """Collapse full sibling families sharing one value, bottom up.
+
+    One pass over the words bucketed by length, longest first: a family
+    only gains members from merges one level deeper, and families are
+    disjoint, so the result is the unique fully merged form.
+    """
+    by_length: dict[int, list[Word]] = {}
+    for word in table:
+        by_length.setdefault(len(word), []).append(word)
+    for length in range(max(by_length, default=0), 0, -1):
+        for word in by_length.get(length, ()):
+            if word not in table:
                 continue
             parent = word[:-1]
             family = matrix.extensions(parent)
-            if all(table.get(c) == table[word] for c in family):
-                value = table[word]
+            value = table[word]
+            if all(table.get(c) == value for c in family):
                 for c in family:
                     del table[c]
                 table[parent] = value
-                changed = True
+                by_length.setdefault(length - 1, []).append(parent)
     return table
 
 

@@ -57,7 +57,7 @@ from .orbit import (
     psi,
     pullback_map,
 )
-from .sft import TransitionMatrix, representative, refine_words, shift_point, validate_matrix
+from .sft import TransitionMatrix, representative, refine_words, shift_point_n, validate_matrix
 from .tables import (
     TableElement,
     apply as table_apply,
@@ -308,8 +308,8 @@ def _conjugation_exponent_transport(h: CoeMap, tau: TableElement) -> bool:
     for part in parts:
         z = representative(matrix, part)
         hz = coe_apply(h, z)
-        lhs_point = _shift_n(table_apply(xi, hz), eval_at(rhs_k, z))
-        rhs_point = _shift_n(hz, eval_at(rhs_l, z))
+        lhs_point = shift_point_n(table_apply(xi, hz), eval_at(rhs_k, z))
+        rhs_point = shift_point_n(hz, eval_at(rhs_l, z))
         if lhs_point != rhs_point:
             return False
     return True
@@ -317,12 +317,6 @@ def _conjugation_exponent_transport(h: CoeMap, tau: TableElement) -> bool:
 
 def _conjugated(h: CoeMap, tau: TableElement) -> TableElement:
     return conjugate_table(h, tau)
-
-
-def _shift_n(point, n):
-    for _ in range(n):
-        point = shift_point(point)
-    return point
 
 
 def suite_transfer(seed: int, cases: int) -> SuiteResult:

@@ -38,6 +38,15 @@ class TransitionMatrix:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        # Successor and predecessor rows, built once; they are not fields,
+        # so ``==``, ``hash`` and ``repr`` still see only ``n`` and ``rows``.
+        symbols = range(1, self.n + 1)
+        object.__setattr__(self, "_successors", tuple(
+            tuple(j for j in symbols if row[j - 1]) for row in self.rows))
+        object.__setattr__(self, "_predecessors", tuple(
+            tuple(i for i in symbols if self.rows[i - 1][a - 1]) for a in symbols))
+
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
 
@@ -45,16 +54,17 @@ class TransitionMatrix:
         return range(1, self.n + 1)
 
     def successors(self, a: int) -> tuple[int, ...]:
-        return tuple(j for j in self.symbols() if self.entry(a, j))
+        return self._successors[a - 1]
 
     def predecessors(self, a: int) -> tuple[int, ...]:
-        return tuple(i for i in self.symbols() if self.entry(i, a))
+        return self._predecessors[a - 1]
 
     def is_admissible(self, word: Iterable[int]) -> bool:
         word = tuple(word)
         if any(a < 1 or a > self.n for a in word):
             return False
-        return all(self.entry(a, b) for a, b in zip(word, word[1:]))
+        successors = self._successors
+        return all(b in successors[a - 1] for a, b in zip(word, word[1:]))
 
     def check_admissible(self, word: Word) -> None:
         if not self.is_admissible(word):
@@ -64,7 +74,7 @@ class TransitionMatrix:
         """All one-symbol extensions ``word + (a,)`` that stay admissible."""
         if not word:
             return tuple((a,) for a in self.symbols())
-        return tuple(word + (a,) for a in self.successors(word[-1]))
+        return tuple(word + (a,) for a in self._successors[word[-1] - 1])
 
 
 def validate_matrix(grid) -> TransitionMatrix:
@@ -246,6 +256,7 @@ def _check_antichain(parts: Iterable[Word]) -> None:
 
 
 def _check_complete(matrix: TransitionMatrix, parts: frozenset[Word]) -> None:
+    prefixes = {p[:i] for p in parts for i in range(len(p))}
     stack: list[Word] = [EMPTY]
     while stack:
         node = stack.pop()
@@ -255,7 +266,7 @@ def _check_complete(matrix: TransitionMatrix, parts: frozenset[Word]) -> None:
         for child in children:
             if child in parts:
                 continue
-            if not any(p[: len(child)] == child for p in parts):
+            if child not in prefixes:
                 raise BadPartition(f"no part covers sequences through {child}")
             stack.append(child)
 
@@ -280,21 +291,29 @@ def full_partition(matrix: TransitionMatrix, depth: int) -> CylinderPartition:
 
 
 def refine(p: CylinderPartition, q: CylinderPartition) -> CylinderPartition:
-    """Coarsest common refinement of two partitions over the same matrix."""
+    """Coarsest common refinement of two partitions over the same matrix.
+
+    Both arguments must be complete prefix-free families, as every
+    :class:`CylinderPartition` is.  Then each part of one meets the other
+    in its own cylinder or in a finer one, so the refinement is the union
+    of both families without the words that are prefixes of others.  In
+    sorted order every word's extensions follow it directly, so a word is
+    dropped exactly when it is a prefix of the next one.  For families
+    that do not cover the space the result is not a refinement.
+    """
     if p.matrix != q.matrix:
         raise ValueError("partitions live over different matrices")
-    out = set()
-    for a in p.parts:
-        for b in q.parts:
-            if b[: len(a)] == a:
-                out.add(b)
-            elif a[: len(b)] == b:
-                out.add(a)
-    return CylinderPartition(p.matrix, tuple(sorted(out)))
+    words = sorted(set(p.parts).union(q.parts))
+    out = [a for a, b in zip(words, words[1:]) if b[: len(a)] != a]
+    out.append(words[-1])
+    return CylinderPartition(p.matrix, tuple(out))
 
 
 def refine_words(matrix: TransitionMatrix, families: Iterable[Iterable[Word]]) -> tuple[Word, ...]:
-    """Common refinement of several partitions, given as raw word families."""
+    """Common refinement of several partitions, given as raw word families.
+
+    Each family must be complete and prefix-free (see :func:`refine`).
+    """
     acc = partition(matrix, (EMPTY,))
     for family in families:
         acc = refine(acc, CylinderPartition(matrix, tuple(sorted(family))))

@@ -59,12 +59,17 @@ class TableElement:
 
 
 def _merge_entries(matrix: TransitionMatrix, entries: dict[Word, Word]) -> dict[Word, Word]:
-    """Collapse full sibling families; never produces empty words."""
-    changed = True
-    while changed:
-        changed = False
-        for nu in sorted(entries, key=len, reverse=True):
-            if nu not in entries or len(nu) < 2:
+    """Collapse full sibling families; never produces empty words.
+
+    One bottom-up pass over the source words bucketed by length, as in
+    :func:`functions._merge_siblings`.
+    """
+    by_length: dict[int, list[Word]] = {}
+    for nu in entries:
+        by_length.setdefault(len(nu), []).append(nu)
+    for length in range(max(by_length, default=0), 1, -1):
+        for nu in by_length.get(length, ()):
+            if nu not in entries:
                 continue
             mu = entries[nu]
             if len(mu) < 2 or nu[-1] != mu[-1]:
@@ -78,7 +83,7 @@ def _merge_entries(matrix: TransitionMatrix, entries: dict[Word, Word]) -> dict[
                 for src, _ in family:
                     del entries[src]
                 entries[p_nu] = p_mu
-                changed = True
+                by_length.setdefault(length - 1, []).append(p_nu)
     return entries
 
 

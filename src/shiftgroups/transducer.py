@@ -275,6 +275,19 @@ def _entries_agree_on(matrix: TransitionMatrix, core1: BlockCode, core2: BlockCo
     return True
 
 
+def _parts_under(t1: Transducer, t2: Transducer, under: Word) -> list[Word]:
+    """Common refinement of both source partitions, restricted to the
+    cylinder of ``under`` as ``functions.restrict`` does: a part that
+    contains the cylinder is replaced by ``under`` itself."""
+    parts = []
+    for part in refine_words(t1.source, [t1.parts, t2.parts]):
+        if part[: len(under)] == under:
+            parts.append(part)
+        elif under[: len(part)] == part:
+            parts.append(under)
+    return parts
+
+
 def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[Word, ...]:
     """Cylinders (within ``under``) where the two maps provably differ.
 
@@ -284,10 +297,8 @@ def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[
     if not cores_semantically_equal(t1.core, t2.core):
         raise ValueError("transducers have different cores; not comparable")
     matrix = t1.source
-    parts = refine_words(matrix, [t1.parts, t2.parts, [under]])
-    parts = [p for p in parts if p[: len(under)] == under]
     diffs = []
-    for part in parts:
+    for part in _parts_under(t1, t2, under):
         a1, r1 = _restriction(t1, part)
         a2, r2 = _restriction(t2, part)
         if not _entries_agree_on(matrix, t1.core, t2.core, part, a1, r1, a2, r2):

@@ -131,9 +131,24 @@ def test_conjugacy_command(workdir):
 
 
 def test_conjugacy_budget_exit_code(workdir):
-    result = run_cli("conjugacy", "tau0.coe", "--max-level", "0", cwd=workdir)
+    result = run_cli("conjugacy", "tau0.coe", "--max-level", "1", cwd=workdir)
     assert result.returncode == 3
     assert result.stdout.startswith("SEARCH-BUDGET")
+
+
+@pytest.mark.parametrize("args", [
+    ("selftest", "--cases", "-5"),
+    ("selftest", "--cases", "0"),
+    ("conjugacy", "tau0.coe", "--max-level", "-1"),
+    ("conjugacy", "tau0.coe", "--max-level", "0"),
+    ("conjugacy", "tau0.coe", "--max-depth", "-3"),
+    ("commutant", "tau0.coe", "--max-level", "0"),
+])
+def test_non_positive_budget_is_usage_error(workdir, args):
+    result = run_cli(*args, cwd=workdir)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "must be at least 1" in result.stderr
 
 
 def test_commutant_command(workdir):

@@ -15,7 +15,7 @@ from shiftgroups.conjugacy import (
     recode_source,
     witness_non_conjugacy,
 )
-from shiftgroups.errors import SearchBudgetExceeded
+from shiftgroups.errors import SearchBudgetExceeded, VerificationFailed
 from shiftgroups.functions import compose_shift, zero
 from shiftgroups.orbit import (
     _stage_transducer,
@@ -144,6 +144,14 @@ def test_witness_for_random_twists():
 def test_witness_search_budget_is_loud():
     with pytest.raises(SearchBudgetExceeded):
         witness_non_conjugacy(TAU0_CHAIN, max_level=0)
+
+
+def test_unverified_witness_is_never_returned(monkeypatch):
+    import shiftgroups.conjugacy as conjugacy
+
+    monkeypatch.setattr(conjugacy, "check_witness", lambda h, witness: False)
+    with pytest.raises(VerificationFailed):
+        witness_non_conjugacy(TAU0_CHAIN)
 
 
 def test_witness_deterministic():
