@@ -10,6 +10,7 @@ validation checks exactly that the two maps invert each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
 from .sft import Point, TransitionMatrix, Word, canonicalize_point, enumerate_words, higher_block
@@ -31,29 +32,26 @@ class BlockCode:
     inverse_window: int
     inverse_mapping: tuple[tuple[Word, int], ...]
 
-    def symbol_map(self) -> dict[Word, int]:
-        return dict(self.mapping)
+    def __post_init__(self) -> None:
+        # The window-to-symbol dict, built once; it is not a field, so
+        # ``==``, ``hash`` and ``repr`` still see only the fields above.
+        object.__setattr__(self, "_symbols", dict(self.mapping))
+
+    def symbol_map(self) -> MappingProxyType:
+        """Read-only view of the window-to-symbol map."""
+        return MappingProxyType(self._symbols)
 
     def apply_word(self, word: Word) -> Word:
         """Target word read off a source word (one symbol per full window)."""
-        table = self.symbol_map()
+        table = self._symbols
         m = self.window
         return tuple(table[word[i: i + m]] for i in range(len(word) - m + 1))
 
     def encode(self, point: Point) -> Point:
         """Image of an eventually periodic point."""
-        u, w = point.transient, point.cycle
-        m = self.window
-        table = self.symbol_map()
-        new_u = tuple(
-            table[tuple(point.symbol(j) for j in range(i, i + m))]
-            for i in range(1, len(u) + 1)
-        )
-        new_w = tuple(
-            table[tuple(point.symbol(j) for j in range(i, i + m))]
-            for i in range(len(u) + 1, len(u) + len(w) + 1)
-        )
-        return canonicalize_point(self.target, new_u, new_w)
+        n_u = len(point.transient)
+        image = self.apply_word(point.prefix(n_u + len(point.cycle) + self.window - 1))
+        return canonicalize_point(self.target, image[:n_u], image[n_u:])
 
     def inverse(self) -> "BlockCode":
         return BlockCode(
@@ -97,10 +95,14 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
     transitions, and compose to the identity in both directions (checked
     exactly on all windows of the composite length).
     """
+    for name, value in (("window", window), ("inverse window", inverse_window)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     code = _raw_code(source, target, window, mapping, inverse_window, inverse_mapping)
+    inverse = code.inverse()
     _check_block_map(source, target, window, code.symbol_map())
-    _check_block_map(target, source, inverse_window, dict(code.inverse_mapping))
-    for composite in (compose_codes(code.inverse(), code), compose_codes(code, code.inverse())):
+    _check_block_map(target, source, inverse_window, inverse.symbol_map())
+    for composite in (compose_codes(inverse, code), compose_codes(code, inverse)):
         for word, symbol in composite.mapping:
             if symbol != word[0]:
                 raise NotInverse(
@@ -133,9 +135,10 @@ def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
         word: outer.apply_word(inner.apply_word(word))[0]
         for word in enumerate_words(inner.source, window)
     }
+    inner_inverse, outer_inverse = inner.inverse(), outer.inverse()
     inv_window = outer.inverse_window + inner.inverse_window - 1
     inv_table = {
-        word: inner.inverse().apply_word(outer.inverse().apply_word(word))[0]
+        word: inner_inverse.apply_word(outer_inverse.apply_word(word))[0]
         for word in enumerate_words(outer.target, inv_window)
     }
     return _raw_code(inner.source, outer.target, window, table, inv_window, inv_table)

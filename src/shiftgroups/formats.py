@@ -170,13 +170,13 @@ class _TokenStream:
         return self.at >= len(self.tokens)
 
     def peek(self):
-        return self.tokens[self.at]
-
-    def take(self, expect: str | None = None) -> str:
         if self.done():
             last = self.tokens[-1][0] if self.tokens else None
             raise FormatError("unexpected end of file", last)
-        number, token = self.tokens[self.at]
+        return self.tokens[self.at]
+
+    def take(self, expect: str | None = None) -> str:
+        number, token = self.peek()
         self.at += 1
         if expect is not None and token != expect:
             raise FormatError(f"expected {expect!r}, got {token!r}", number)
@@ -202,6 +202,8 @@ def _parse_block_map(stream: _TokenStream) -> dict[Word, int]:
             stream.take()
             return mapping
         word = parse_word(stream.take(), number)
+        if word in mapping:
+            raise FormatError(f"window {token} repeats", number)
         stream.take("->")
         mapping[word] = stream.take_int()
 

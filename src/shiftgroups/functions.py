@@ -18,8 +18,11 @@ from .sft import (
     Point,
     TransitionMatrix,
     Word,
+    part_of,
     partition,
+    prefix_in,
     refine_words,
+    restrict_words,
     shift_point,
 )
 
@@ -124,21 +127,14 @@ def indicator(matrix: TransitionMatrix, word: Word) -> LocFun:
 
 def eval_at(f: LocFun, point: Point) -> int:
     """Value of the function at a point."""
-    for word, value in f.pieces:
-        if point.starts_with(word):
-            return value
-    raise AssertionError("canonical partition failed to cover a point")
+    values = dict(f.pieces)
+    return values[part_of(values, point)]
 
 
 def restrict(f: LocFun, word: Word) -> list[tuple[Word, int]]:
     """Pieces of ``f`` covering exactly the cylinder of ``word``."""
-    out = []
-    for w, v in f.pieces:
-        if w[: len(word)] == word:
-            out.append((w, v))
-        elif word[: len(w)] == w:
-            out.append((word, v))
-    return out
+    values = dict(f.pieces)
+    return [(w, values[prefix_in(values, w)]) for w in restrict_words(values, word)]
 
 
 def is_zero_on(f: LocFun, word: Word) -> bool:
@@ -149,18 +145,8 @@ def on_refinement(*fs: LocFun):
     """Common refinement parts with the value tuple each function takes."""
     matrix = fs[0].matrix
     parts = refine_words(matrix, [f.parts for f in fs])
-    lookup = []
-    for f in fs:
-        table = dict(f.pieces)
-        lookup.append(table)
-
-    def value_on(table: dict[Word, int], part: Word) -> int:
-        for i in range(len(part), -1, -1):
-            if part[:i] in table:
-                return table[part[:i]]
-        raise AssertionError("refinement part not covered")
-
-    return [(part, tuple(value_on(t, part) for t in lookup)) for part in parts]
+    lookup = [dict(f.pieces) for f in fs]
+    return [(part, tuple(t[prefix_in(t, part)] for t in lookup)) for part in parts]
 
 
 def linear(a: int, f: LocFun, b: int, g: LocFun) -> LocFun:

@@ -228,6 +228,40 @@ def representative(matrix: TransitionMatrix, word: Word) -> Point:
 # -- cylinder partitions ---------------------------------------------------
 
 
+def prefix_in(family, word: Word) -> Word | None:
+    """The member of a prefix-free word family that is a prefix of ``word``.
+
+    ``family`` is any container of words answering ``in`` (a set or dict
+    answers in constant time).  At most one member can match, so the
+    search order does not matter; it runs from the empty prefix up.
+    Returns None when no member is a prefix of ``word``.
+    """
+    for i in range(len(word) + 1):
+        if word[:i] in family:
+            return word[:i]
+    return None
+
+
+def part_of(family, point: Point) -> Word:
+    """The member of a complete prefix-free family whose cylinder holds
+    the point (see :func:`prefix_in`)."""
+    part = prefix_in(family, point.prefix(max(map(len, family))))
+    if part is None:
+        raise AssertionError("complete partition failed to cover a point")
+    return part
+
+
+def restrict_words(family, word: Word) -> list[Word]:
+    """A prefix-free family cut down to the cylinder of ``word``.
+
+    The members inside the cylinder, in family order; or ``[word]`` when a
+    member contains the whole cylinder.
+    """
+    if prefix_in(family, word) is not None:
+        return [word]
+    return [w for w in family if w[: len(word)] == word]
+
+
 @dataclass(frozen=True)
 class CylinderPartition:
     """Complete prefix-free family of admissible words.
@@ -242,10 +276,7 @@ class CylinderPartition:
 
     def locate(self, point: Point) -> Word:
         """The unique part whose cylinder contains the point."""
-        for part in self.parts:
-            if point.starts_with(part):
-                return part
-        raise AssertionError("complete partition failed to cover a point")
+        return part_of(frozenset(self.parts), point)
 
 
 def _check_antichain(parts: Iterable[Word]) -> None:

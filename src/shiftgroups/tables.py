@@ -28,7 +28,8 @@ from .errors import (
     InadmissibleWord,
 )
 from .functions import LocFun, _canonical as _canonical_fun
-from .sft import BadPartition, Point, TransitionMatrix, Word, partition, prepend_point, shift_point_n
+from .sft import (BadPartition, Point, TransitionMatrix, Word, part_of, partition,
+                  prefix_in, prepend_point, shift_point_n)
 
 Entry = tuple[Word, Word]
 
@@ -49,10 +50,9 @@ class TableElement:
         return tuple(mu for _, mu in self.entries)
 
     def entry_for(self, point: Point) -> Entry:
-        for nu, mu in self.entries:
-            if point.starts_with(nu):
-                return nu, mu
-        raise AssertionError("table domain failed to cover a point")
+        images = dict(self.entries)
+        nu = part_of(images, point)
+        return nu, images[nu]
 
     def is_identity(self) -> bool:
         return all(nu == mu for nu, mu in self.entries)
@@ -139,10 +139,10 @@ def compose(outer: TableElement, inner: TableElement) -> TableElement:
     out: list[Entry] = []
 
     def emit(nu: Word, mu: Word) -> None:
-        for o_nu in outer_map:
-            if mu[: len(o_nu)] == o_nu:
-                out.append((nu, outer_map[o_nu] + mu[len(o_nu):]))
-                return
+        o_nu = prefix_in(outer_map, mu)
+        if o_nu is not None:
+            out.append((nu, outer_map[o_nu] + mu[len(o_nu):]))
+            return
         for a in matrix.successors(nu[-1]):
             emit(nu + (a,), mu + (a,))
 
@@ -202,10 +202,10 @@ def pullback_table(f: LocFun, table: TableElement) -> LocFun:
     out: dict[Word, int] = {}
 
     def emit(nu: Word, image: Word) -> None:
-        for i in range(len(image), -1, -1):
-            if image[:i] in values:
-                out[nu] = values[image[:i]]
-                return
+        piece = prefix_in(values, image)
+        if piece is not None:
+            out[nu] = values[piece]
+            return
         for a in matrix.successors(nu[-1]):
             emit(nu + (a,), image + (a,))
 

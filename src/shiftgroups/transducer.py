@@ -21,14 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import BlockCode, compose_codes, identity_code
-from .functions import LocFun, _canonical as _canonical_fun
+from .functions import LocFun, restrict, _canonical as _canonical_fun
 from .sft import (
     Point,
     TransitionMatrix,
     Word,
     enumerate_words,
+    part_of,
+    prefix_in,
     prepend_point,
     refine_words,
+    restrict_words,
     shift_point_n,
 )
 from .tables import TableElement, validate_table
@@ -55,19 +58,17 @@ class Transducer:
 
     def known_prefix(self, mu: Word, alpha: Word, r: int) -> Word:
         """Target symbols determined by ``mu``: alpha plus streamed ones."""
-        m = self.core.window
-        table = self.core.symbol_map()
-        streamed = tuple(
-            table[mu[r + j: r + j + m]]
-            for j in range(max(0, len(mu) - r - m + 1))
-        )
-        return alpha + streamed
+        return alpha + self.core.apply_word(mu[r:])
 
     def entry_for(self, point: Point) -> Entry:
-        for mu, alpha, r in self.entries:
-            if point.starts_with(mu):
-                return mu, alpha, r
-        raise AssertionError("transducer parts failed to cover a point")
+        outputs = _outputs(self)
+        mu = part_of(outputs, point)
+        return (mu, *outputs[mu])
+
+
+def _outputs(t: Transducer) -> dict[Word, tuple[Word, int]]:
+    """The entries keyed by source word: ``{mu: (alpha, r)}``."""
+    return {mu: (alpha, r) for mu, alpha, r in t.entries}
 
 
 def _sorted(entries) -> tuple[Entry, ...]:
@@ -88,17 +89,17 @@ def apply_table_stage(t: Transducer, table: TableElement) -> Transducer:
     if table.matrix != t.target:
         raise ValueError("table acts on the wrong shift space")
     matrix = t.source
+    images = dict(table.entries)
     out: list[Entry] = []
 
     def emit(mu: Word, alpha: Word, r: int) -> None:
-        known = t.known_prefix(mu, alpha, r)
-        for nu, image in table.entries:
-            if known[: len(nu)] == nu:
-                if len(nu) <= len(alpha):
-                    out.append((mu, image + alpha[len(nu):], r))
-                else:
-                    out.append((mu, image, r + len(nu) - len(alpha)))
-                return
+        nu = prefix_in(images, t.known_prefix(mu, alpha, r))
+        if nu is not None:
+            if len(nu) <= len(alpha):
+                out.append((mu, images[nu] + alpha[len(nu):], r))
+            else:
+                out.append((mu, images[nu], r + len(nu) - len(alpha)))
+            return
         for child in matrix.extensions(mu):
             emit(child, alpha, r)
 
@@ -145,20 +146,9 @@ def post_shift(t: Transducer, n: LocFun) -> Transducer:
         raise ValueError("exponent lives over the wrong shift space")
     if n.min_value() < 0:
         raise ValueError("shift exponent must be nonnegative")
-    values = dict(n.pieces)
-
-    def value_on(part: Word) -> int:
-        for i in range(len(part), -1, -1):
-            if part[:i] in values:
-                return values[part[:i]]
-        raise AssertionError("exponent partition does not cover a part")
-
     out: list[Entry] = []
     for mu, alpha, r in t.entries:
-        pieces = [p for p in values if p[: len(mu)] == mu] or [mu]
-        for piece in pieces:
-            word = piece if len(piece) >= len(mu) else mu
-            n0 = value_on(word)
+        for word, n0 in restrict(n, mu):
             if n0 <= len(alpha):
                 out.append((word, alpha[n0:], r))
             else:
@@ -183,11 +173,10 @@ def pullback(g: LocFun, t: Transducer) -> LocFun:
     pieces = dict(g.pieces)
 
     def emit(mu: Word, alpha: Word, r: int) -> None:
-        known = t.known_prefix(mu, alpha, r)
-        for i in range(len(known), -1, -1):
-            if known[:i] in pieces:
-                out[mu] = pieces[known[:i]]
-                return
+        piece = prefix_in(pieces, t.known_prefix(mu, alpha, r))
+        if piece is not None:
+            out[mu] = pieces[piece]
+            return
         for child in matrix.extensions(mu):
             emit(child, alpha, r)
 
@@ -211,13 +200,6 @@ def cores_semantically_equal(c1: BlockCode, c2: BlockCode) -> bool:
         t1[w[: c1.window]] == t2[w[: c2.window]]
         for w in enumerate_words(c1.source, length)
     )
-
-
-def _restriction(t: Transducer, part: Word) -> tuple[Word, int]:
-    for mu, alpha, r in t.entries:
-        if part[: len(mu)] == mu:
-            return alpha, r
-    raise AssertionError("no entry covers the part")
 
 
 def _window_sets(matrix: TransitionMatrix, window: int, mu: Word, upto: int):
@@ -275,19 +257,6 @@ def _entries_agree_on(matrix: TransitionMatrix, core1: BlockCode, core2: BlockCo
     return True
 
 
-def _parts_under(t1: Transducer, t2: Transducer, under: Word) -> list[Word]:
-    """Common refinement of both source partitions, restricted to the
-    cylinder of ``under`` as ``functions.restrict`` does: a part that
-    contains the cylinder is replaced by ``under`` itself."""
-    parts = []
-    for part in refine_words(t1.source, [t1.parts, t2.parts]):
-        if part[: len(under)] == under:
-            parts.append(part)
-        elif under[: len(part)] == part:
-            parts.append(under)
-    return parts
-
-
 def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[Word, ...]:
     """Cylinders (within ``under``) where the two maps provably differ.
 
@@ -297,10 +266,11 @@ def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[
     if not cores_semantically_equal(t1.core, t2.core):
         raise ValueError("transducers have different cores; not comparable")
     matrix = t1.source
+    out1, out2 = _outputs(t1), _outputs(t2)
     diffs = []
-    for part in _parts_under(t1, t2, under):
-        a1, r1 = _restriction(t1, part)
-        a2, r2 = _restriction(t2, part)
+    for part in restrict_words(refine_words(matrix, [t1.parts, t2.parts]), under):
+        a1, r1 = out1[prefix_in(out1, part)]
+        a2, r2 = out2[prefix_in(out2, part)]
         if not _entries_agree_on(matrix, t1.core, t2.core, part, a1, r1, a2, r2):
             diffs.append(part)
     return tuple(sorted(diffs))

@@ -6,6 +6,7 @@ import pytest
 
 import shiftgroups
 from conftest import run_cli, run_python
+from shiftgroups import cli
 from shiftgroups.formats import format_function, format_matrix, format_table
 from shiftgroups.functions import constant, indicator, make
 from shiftgroups.sft import validate_matrix
@@ -149,6 +150,46 @@ def test_non_positive_budget_is_usage_error(workdir, args):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "must be at least 1" in result.stderr
+
+
+README_COE = (
+    "coe G.mks G.mks\n"
+    "pre-table tau0.tbl\n"
+    "code 1 { 1 -> 1 2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n")
+
+
+def truncations(text):
+    """The text cut after each of its tokens but the last, lines kept."""
+    tokens = [(n, token) for n, line in enumerate(text.splitlines()) for token in line.split()]
+    for k in range(len(tokens)):
+        lines = {}
+        for n, token in tokens[:k]:
+            lines.setdefault(n, []).append(token)
+        text = "".join(" ".join(line) + "\n" for line in lines.values())
+        yield pytest.param(text, id=f"cut-after-{k}-tokens")
+
+
+MALFORMED_COE = [
+    *truncations(README_COE),
+    pytest.param("coe G.mks G.mks\ncode 0 { - -> 1 } inverse 1 { 1 -> 1 2 -> 2 }\n",
+                 id="window-0"),
+    pytest.param("coe G.mks G.mks\ncode 1 { 1 -> 1 2 -> 2 } inverse 0 { - -> 1 }\n",
+                 id="inverse-window-0"),
+    pytest.param("coe G.mks G.mks\ncode 1 { 1 -> 2 1 -> 1 2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n",
+                 id="repeated-window"),
+    pytest.param("coe G.mks G.mks\ncode 1 { 1 -> 1 2 -> 2 } inverse 1 { 2 -> 2 1 -> 2 1 -> 1 }\n",
+                 id="repeated-inverse-window"),
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_COE)
+def test_malformed_chain_file_is_input_error(workdir, capsys, text):
+    """In process, so an uncaught exception fails the test."""
+    (workdir / "bad.coe").write_text(text, encoding="utf-8")
+    assert cli.main(["conjugacy", str(workdir / "bad.coe")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_commutant_command(workdir):

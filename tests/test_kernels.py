@@ -2,9 +2,11 @@
 
 The reference functions below are the pairwise ``refine``, the
 ``any()``-scan completeness check and the fixpoint merge loops that the
-library used before its linear kernels.  Each kernel must return exactly
-what its reference returns on seeded random inputs over every matrix of
-``selftest.MATRICES``.
+library used before its linear kernels, and the hand-rolled prefix scans
+and per-window code loops that ``sft.prefix_in``, ``sft.part_of``,
+``sft.restrict_words`` and ``BlockCode.apply_word`` replaced.  Each kernel
+must return exactly what its reference returns on seeded random inputs
+over every matrix of ``selftest.MATRICES`` and over the chain corpora.
 """
 
 import random
@@ -15,25 +17,34 @@ import pytest
 from shiftgroups import functions as fn
 from shiftgroups import tables
 from shiftgroups.errors import BadPartition
-from shiftgroups.functions import on_refinement
+from shiftgroups.codes import higher_block_codes
+from shiftgroups.functions import eval_at, on_refinement, restrict
 from shiftgroups.selftest import (
     MATRICES,
     commutant_corpus,
     conjugacy_corpus,
     random_chain,
+    random_function,
+    random_point,
+    random_table,
     twisted_corpus,
 )
 from shiftgroups.sft import (
     EMPTY,
     CylinderPartition,
     _check_complete,
+    canonicalize_point,
     enumerate_words,
+    part_of,
     partition,
+    prefix_in,
     refine,
     refine_words,
+    representative,
+    restrict_words,
 )
 from shiftgroups.tables import pad_entry, random_element
-from shiftgroups.transducer import _parts_under, post_shift, precompose_shift
+from shiftgroups.transducer import post_shift, precompose_shift
 
 MATRIX_IDS = [name for name, _ in MATRICES]
 
@@ -115,6 +126,84 @@ def reference_merge_entries(matrix, entries):
     return entries
 
 
+def reference_starts_with_scan(members, point):
+    """The first member whose cylinder holds the point, scanning them all."""
+    for member in members:
+        if point.starts_with(member):
+            return member
+    raise AssertionError("complete partition failed to cover a point")
+
+
+def reference_longest_prefix(family, word):
+    """The backwards loop over the prefixes of ``word``."""
+    for i in range(len(word), -1, -1):
+        if word[:i] in family:
+            return word[:i]
+    return None
+
+
+def reference_forward_scan(family, word):
+    """The forward scan over the members, as ``tables.compose`` did."""
+    for member in family:
+        if word[: len(member)] == member:
+            return member
+    return None
+
+
+def reference_restrict(f, word):
+    out = []
+    for w, v in f.pieces:
+        if w[: len(word)] == word:
+            out.append((w, v))
+        elif word[: len(w)] == w:
+            out.append((word, v))
+    return out
+
+
+def reference_exponent_pieces(n, mu):
+    """The pieces ``post_shift`` cut each part ``mu`` into, with their values."""
+    values = dict(n.pieces)
+    pieces = [p for p in values if p[: len(mu)] == mu] or [mu]
+    out = []
+    for piece in pieces:
+        word = piece if len(piece) >= len(mu) else mu
+        out.append((word, values[reference_longest_prefix(values, word)]))
+    return out
+
+
+def reference_restriction(t, part):
+    for mu, alpha, r in t.entries:
+        if part[: len(mu)] == mu:
+            return alpha, r
+    raise AssertionError("no entry covers the part")
+
+
+def reference_encode(code, point):
+    """Every window of the transient and of one cycle, read symbol by symbol."""
+    u, w = point.transient, point.cycle
+    m = code.window
+    table = dict(code.mapping)
+    new_u = tuple(
+        table[tuple(point.symbol(j) for j in range(i, i + m))]
+        for i in range(1, len(u) + 1)
+    )
+    new_w = tuple(
+        table[tuple(point.symbol(j) for j in range(i, i + m))]
+        for i in range(len(u) + 1, len(u) + len(w) + 1)
+    )
+    return canonicalize_point(code.target, new_u, new_w)
+
+
+def reference_known_prefix(t, mu, alpha, r):
+    m = t.core.window
+    table = dict(t.core.mapping)
+    streamed = tuple(
+        table[mu[r + j: r + j + m]]
+        for j in range(max(0, len(mu) - r - m + 1))
+    )
+    return alpha + streamed
+
+
 # -- seeded inputs ----------------------------------------------------------------
 
 
@@ -153,6 +242,22 @@ def shuffled(table, rng):
     items = list(table.items())
     rng.shuffle(items)
     return dict(items)
+
+
+def random_word(matrix, rng, depth=7):
+    word = ()
+    for _ in range(rng.randint(0, depth)):
+        extensions = matrix.extensions(word)
+        word = extensions[rng.randrange(len(extensions))]
+    return word
+
+
+def chain_maps():
+    maps = conjugacy_corpus() + twisted_corpus() + commutant_corpus()
+    rng = random.Random(23)
+    for _, matrix in MATRICES:
+        maps.extend(random_chain(matrix, rng) for _ in range(4))
+    return maps
 
 
 # -- refine -----------------------------------------------------------------------
@@ -231,21 +336,144 @@ def test_merge_entries_matches_fixpoint_reference(matrix):
         assert sorted(expected.items()) == list(tau.entries)
 
 
-# -- restriction of a refinement to a cylinder ------------------------------------
+# -- prefix lookups --------------------------------------------------------------
 
 
-def chain_maps():
-    maps = conjugacy_corpus() + twisted_corpus() + commutant_corpus()
-    rng = random.Random(23)
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_part_of_matches_starts_with_scans(matrix):
+    """``locate``, ``eval_at`` and ``TableElement.entry_for``."""
+    rng = random.Random(29)
+    for _ in range(100):
+        p = partition(matrix, random_parts(matrix, rng))
+        f = random_function(matrix, rng)
+        tau = random_table(matrix, rng)
+        images = dict(tau.entries)
+        for _ in range(10):
+            x = random_point(matrix, rng, depth=6)
+            assert p.locate(x) == reference_starts_with_scan(p.parts, x)
+            assert eval_at(f, x) == dict(f.pieces)[reference_starts_with_scan(f.parts, x)]
+            nu = reference_starts_with_scan(tau.domain_words, x)
+            assert tau.entry_for(x) == (nu, images[nu])
+
+
+def test_part_of_raises_on_an_uncovered_point():
+    matrix = MATRICES[0][1]
+    with pytest.raises(AssertionError, match="failed to cover a point"):
+        part_of({(1,)}, representative(matrix, (2,)))
+
+
+def test_transducer_entry_for_matches_starts_with_scan():
+    rng = random.Random(31)
+    for h in chain_maps():
+        t = h.transducer
+        outputs = {mu: (alpha, r) for mu, alpha, r in t.entries}
+        for _ in range(20):
+            x = random_point(t.source, rng, depth=6)
+            mu = reference_starts_with_scan(t.parts, x)
+            assert t.entry_for(x) == (mu, *outputs[mu])
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_prefix_in_matches_prefix_loops(matrix):
+    """Complete families, and families with a member dropped, against
+    the backwards longest-prefix loop and the forward member scan."""
+    rng = random.Random(37)
+    misses = 0
+    for _ in range(200):
+        family = sorted(random_parts(matrix, rng))
+        if len(family) > 1 and rng.random() < 0.5:
+            family.pop(rng.randrange(len(family)))
+        for _ in range(10):
+            word = random_word(matrix, rng)
+            expected = reference_longest_prefix(set(family), word)
+            assert reference_forward_scan(family, word) == expected
+            assert prefix_in(set(family), word) == expected
+            assert prefix_in(family, word) == expected
+            misses += expected is None
+    assert misses > 100
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_restrict_matches_piece_filters(matrix):
+    """``functions.restrict`` against its old loop and against the piece
+    filter ``post_shift`` used before it called ``restrict``."""
+    rng = random.Random(41)
+    for _ in range(200):
+        f = random_function(matrix, rng, depth=4)
+        for _ in range(10):
+            word = random_word(matrix, rng, depth=5)
+            expected = reference_restrict(f, word)
+            assert restrict(f, word) == expected
+            assert reference_exponent_pieces(f, word) == expected
+            assert restrict_words(dict(f.pieces), word) == [w for w, _ in expected]
+
+
+def test_difference_parts_lookup_matches_restriction():
+    """The ``{mu: (alpha, r)}`` lookup of ``difference_parts`` against the
+    old ``_restriction`` scan, on every part of the two-side refinement."""
+    cases = 0
+    for h in chain_maps():
+        lhs = post_shift(precompose_shift(h.transducer), h.k1)
+        rhs = post_shift(h.transducer, h.l1)
+        for t in (lhs, rhs):
+            outputs = {mu: (alpha, r) for mu, alpha, r in t.entries}
+            for part in refine_words(t.source, [lhs.parts, rhs.parts]):
+                assert outputs[prefix_in(outputs, part)] == reference_restriction(t, part)
+                cases += 1
+    assert cases > 1000
+
+
+# -- the window stream ------------------------------------------------------------
+
+
+def codes_under_test():
+    codes = [h.core for h in chain_maps()]
     for _, matrix in MATRICES:
-        maps.extend(random_chain(matrix, rng) for _ in range(4))
-    return maps
+        for m in (2, 3):
+            _, encode, decode = higher_block_codes(matrix, m)
+            codes += [encode, decode]
+    return codes
+
+
+def test_encode_matches_per_window_reference():
+    rng = random.Random(43)
+    for code in codes_under_test():
+        for _ in range(20):
+            x = random_point(code.source, rng, depth=6)
+            assert code.encode(x) == reference_encode(code, x)
+            assert code.decode(code.encode(x)) == x
+
+
+def test_known_prefix_matches_streamed_reference():
+    """Entries of the chain transducers, and of their shifted forms, whose
+    shifts may exceed the part depth."""
+    cases = 0
+    for h in chain_maps():
+        t = h.transducer
+        for u in (t, post_shift(t, h.k1), post_shift(precompose_shift(t), h.l1)):
+            for mu, alpha, r in u.entries:
+                for part in [mu, *u.source.extensions(mu)]:
+                    expected = reference_known_prefix(u, part, alpha, r)
+                    assert u.known_prefix(part, alpha, r) == expected
+                    cases += 1
+    assert cases > 1000
+
+
+def test_symbol_map_is_read_only():
+    _, encode, _ = higher_block_codes(MATRICES[0][1], 2)
+    with pytest.raises(TypeError):
+        encode.symbol_map()[(1, 1)] = 2
+    assert dict(encode.symbol_map()) == dict(encode.mapping)
+
+
+# -- restriction of a refinement to a cylinder ------------------------------------
 
 
 def test_parts_under_matches_three_family_refinement():
     """``difference_parts`` refines two transducer partitions and then
-    restricts to ``under``; the reference refines with ``[under]`` as a
-    third family and keeps the words inside its cylinder."""
+    restricts to ``under`` with ``restrict_words``; the reference refines
+    with ``[under]`` as a third family and keeps the words inside its
+    cylinder."""
     cases = 0
     for h in chain_maps():
         t = h.transducer
@@ -258,6 +486,6 @@ def test_parts_under_matches_three_family_refinement():
         for under in sorted(unders):
             expected = [p for p in reference_refine_words(matrix, [lhs.parts, rhs.parts, [under]])
                         if p[: len(under)] == under]
-            assert _parts_under(lhs, rhs, under) == expected
+            assert restrict_words(refine_words(matrix, [lhs.parts, rhs.parts]), under) == expected
             cases += 1
     assert cases > 1000
