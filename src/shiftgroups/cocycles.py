@@ -12,20 +12,27 @@ independent of that choice.  The elements on which the cocycle vanishes
 identically form a subgroup; with weight 1 the cocycle degenerates to the
 exponent difference ``d``, whose vanishing picks out the exchanges that
 never shift the tape.
+
+With ``(k, l) = (|mu|, |nu|)`` on the cylinder of an entry ``nu -> mu``
+the cocycle is entrywise.  For ``f`` of depth ``D`` and each admissible
+word ``e`` of ``D - 1`` symbols that can follow ``nu``, on the cylinder
+of ``nu e``:
+
+    rho = sum_{i < |nu|} f((nu e)[i:i+D]) - sum_{i < |mu|} f((mu e)[i:i+D])
+
+(``mu e`` is admissible: ``nu`` and ``mu`` end in symbols with the same
+successors).  Both sums are ``transducer.orbit_sum`` walks over the
+entries, so the cost follows the table's words, not ``max(k)`` shifted
+copies of ``f``.
 """
 
 from __future__ import annotations
 
+from .codes import identity_code
 from .functions import LocFun, birkhoff, constant, eval_at
 from .sft import Point, Word, shift_point
-from .tables import (
-    TableElement,
-    apply,
-    cocycle_data,
-    cocycle_data_from_entries,
-    invert,
-    pullback_table,
-)
+from .tables import TableElement, apply, cocycle_data, cocycle_data_from_entries, invert
+from .transducer import Transducer, orbit_sum
 
 
 def rho(f: LocFun, table: TableElement) -> LocFun:
@@ -40,8 +47,9 @@ def rho_from_entries(f: LocFun, table: TableElement, entries) -> LocFun:
     the same function.
     """
     k, l, _ = cocycle_data_from_entries(table.matrix, entries)
-    k_on_image = pullback_table(k, invert(table))
-    return birkhoff(f, l) - pullback_table(birkhoff(f, k_on_image), table)
+    image = Transducer(identity_code(table.matrix), tuple(sorted(
+        (tuple(nu), tuple(mu), len(nu)) for nu, mu in entries)))
+    return birkhoff(f, l) - orbit_sum(f, k, image)
 
 
 def rho_at(f: LocFun, table: TableElement, point: Point, inclusive: bool = False) -> int:

@@ -26,15 +26,15 @@ from .cocycles import in_cocycle_group, rho
 from .codes import higher_block_codes
 from .errors import SearchBudgetExceeded, VerificationFailed
 from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on
-from .orbit import CoeMap, _stage_transducer, coe_apply, coe_from_chain, coe_invert, pullback_map
+from .orbit import CoeMap, coe_apply, coe_from_chain, coe_invert, pullback_map, stage_transducer
 from .sft import (
     Point,
     TransitionMatrix,
     Word,
-    _primitive_root,
     canonicalize_point,
     enumerate_words,
     expand_to_depth,
+    primitive_root,
     representative,
     shift_point,
 )
@@ -99,7 +99,7 @@ def _least_long_cycle(matrix: TransitionMatrix) -> Word:
     """Least primitive cycle word visiting at least two symbols."""
     for length in range(2, matrix.n + 2):
         for word in enumerate_words(matrix, length):
-            if matrix.entry(word[-1], word[0]) and _primitive_root(word) == word:
+            if matrix.entry(word[-1], word[0]) and primitive_root(word) == word:
                 return word
     raise AssertionError("an irreducible non-permutation graph has a long cycle")
 
@@ -220,7 +220,7 @@ def check_witness(h: CoeMap, witness: Witness) -> bool:
 # -- commuting tables --------------------------------------------------------
 
 
-def _pointwise_difference(t1: Transducer, t2: Transducer, extra_depth: int = 4):
+def pointwise_difference(t1: Transducer, t2: Transducer, extra_depth: int = 4):
     """A representative where two same-core maps visibly differ, or None."""
     matrix = t1.source
     for part in difference_parts(t1, t2):
@@ -256,11 +256,11 @@ def commutant_witness(h0: CoeMap, max_level: int = DEFAULT_MAX_LEVEL) -> TableEl
                 swap = prefix_swap(block_matrix, z1, z2)
                 table = (swap if level == 1 else
                          conjugate_table_by_code(encode_code, swap, forward=False))
-                after = _stage_transducer(matrix, (table,) + h0.stages())
-                before = _stage_transducer(matrix, h0.stages() + (table,))
+                after = stage_transducer(matrix, (table,) + h0.stages())
+                before = stage_transducer(matrix, h0.stages() + (table,))
                 if transducer_equal(after, before):
                     continue
-                if _pointwise_difference(after, before) is not None:
+                if pointwise_difference(after, before) is not None:
                     return table
     raise SearchBudgetExceeded(
         "no prefix swap separates the compositions", max_level=max_level)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NegativeExponent
 from .sft import (
     Point,
     TransitionMatrix,
@@ -90,7 +89,9 @@ def _merge_siblings(matrix: TransitionMatrix, table: dict[Word, int]) -> dict[Wo
     return table
 
 
-def _canonical(matrix: TransitionMatrix, table: dict[Word, int]) -> LocFun:
+def canonical(matrix: TransitionMatrix, table: dict[Word, int]) -> LocFun:
+    """The canonical function of a ``{word: value}`` table whose words
+    already form a cylinder partition (not re-validated; see :func:`make`)."""
     table = _merge_siblings(matrix, dict(table))
     return LocFun(matrix, tuple(sorted(table.items())))
 
@@ -99,7 +100,7 @@ def make(matrix: TransitionMatrix, pieces) -> LocFun:
     """Validate (partition completeness included) and canonicalize."""
     table = {tuple(w): int(v) for w, v in dict(pieces).items()}
     partition(matrix, table.keys())
-    return _canonical(matrix, table)
+    return canonical(matrix, table)
 
 
 def constant(matrix: TransitionMatrix, value: int) -> LocFun:
@@ -122,7 +123,7 @@ def indicator(matrix: TransitionMatrix, word: Word) -> LocFun:
         for sibling in matrix.extensions(word[:i]):
             if sibling != word[: i + 1]:
                 table[sibling] = 0
-    return _canonical(matrix, table)
+    return canonical(matrix, table)
 
 
 def eval_at(f: LocFun, point: Point) -> int:
@@ -154,11 +155,11 @@ def linear(a: int, f: LocFun, b: int, g: LocFun) -> LocFun:
     if f.matrix != g.matrix:
         raise ValueError("functions live over different matrices")
     table = {part: a * u + b * v for part, (u, v) in on_refinement(f, g)}
-    return _canonical(f.matrix, table)
+    return canonical(f.matrix, table)
 
 
 def scale(a: int, f: LocFun) -> LocFun:
-    return _canonical(f.matrix, {w: a * v for w, v in f.pieces})
+    return canonical(f.matrix, {w: a * v for w, v in f.pieces})
 
 
 def equal(f: LocFun, g: LocFun) -> bool:
@@ -179,7 +180,7 @@ def compose_shift(f: LocFun, times: int = 1) -> LocFun:
                 continue
             for a in out.matrix.predecessors(w[0]):
                 table[(a,) + w] = v
-        out = _canonical(out.matrix, table)
+        out = canonical(out.matrix, table)
     return out
 
 
@@ -194,7 +195,7 @@ def piecewise(matrix: TransitionMatrix, chunks) -> LocFun:
         for w, v in pieces:
             table[w] = v
     partition(matrix, table.keys())
-    return _canonical(matrix, table)
+    return canonical(matrix, table)
 
 
 def birkhoff(f: LocFun, exponent: LocFun) -> LocFun:
@@ -203,19 +204,12 @@ def birkhoff(f: LocFun, exponent: LocFun) -> LocFun:
     The exponent is itself locally constant and must be nonnegative; a
     zero exponent contributes the empty sum.
     """
+    # The transducer module builds on this one, so import it on use.
+    from .transducer import identity_transducer, orbit_sum
+
     if f.matrix != exponent.matrix:
         raise ValueError("functions live over different matrices")
-    if exponent.min_value() < 0:
-        raise NegativeExponent("iterated-sum exponent takes a negative value")
-    top = exponent.max_value()
-    shifted = [f]
-    for _ in range(1, top):
-        shifted.append(compose_shift(shifted[-1]))
-    table: dict[Word, int] = {}
-    for part, values in on_refinement(exponent, *shifted):
-        n = values[0]
-        table[part] = sum(values[1: n + 1])
-    return _canonical(f.matrix, table)
+    return orbit_sum(f, exponent, identity_transducer(f.matrix))
 
 
 def birkhoff_at(f: LocFun, n: int, point: Point) -> int:

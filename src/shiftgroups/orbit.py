@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .codes import BlockCode, compose_codes, identity_code
 from .cocycles import rho
 from .errors import IncompatibleChain, VerificationFailed
-from .functions import LocFun, compose_shift, constant, equal, on_refinement, _canonical as _canonical_fun
+from .functions import LocFun, canonical, compose_shift, constant, equal, on_refinement
 from .sft import Point, TransitionMatrix
 from .tables import (
     TableElement,
@@ -38,6 +38,7 @@ from .transducer import (
     apply_table_stage,
     extract_table,
     identity_transducer,
+    orbit_sum,
     point_apply,
     post_shift,
     precompose_shift,
@@ -75,7 +76,8 @@ class CoeMap:
         return (self.pre, self.core, self.post)
 
 
-def _stage_transducer(source: TransitionMatrix, stages) -> Transducer:
+def stage_transducer(source: TransitionMatrix, stages) -> Transducer:
+    """The transducer of tables and codes applied in the given order."""
     t = identity_transducer(source)
     for stage in stages:
         if isinstance(stage, TableElement):
@@ -136,35 +138,18 @@ def _table_stage_data(table: TableElement) -> tuple[LocFun, LocFun]:
         pad = max(0, -sv)
         k_table[part] = shifted_k + pad
         l_table[part] = plain_k + sv + pad
-    return (_canonical_fun(table.matrix, k_table),
-            _canonical_fun(table.matrix, l_table))
-
-
-def _sum_along(f: LocFun, exponent: LocFun, t: Transducer, behind_shift: bool) -> LocFun:
-    """The function ``x -> sum of f over the first exponent(x) target
-    shifts of h(x)`` (or of ``h(shift x)`` when ``behind_shift``)."""
-    top = max(0, exponent.max_value())
-    terms = []
-    g = f
-    for _ in range(top):
-        term = pullback(g, t)
-        if behind_shift:
-            term = compose_shift(term)
-        terms.append(term)
-        g = compose_shift(g)
-    table = {}
-    for part, values in on_refinement(exponent, *terms):
-        n = values[0]
-        table[part] = sum(values[1: n + 1])
-    return _canonical_fun(exponent.matrix, table)
+    return (canonical(table.matrix, k_table),
+            canonical(table.matrix, l_table))
 
 
 def _fold_stage_data(k: LocFun, l: LocFun, stage_k: LocFun, stage_l: LocFun,
                      t: Transducer) -> tuple[LocFun, LocFun]:
     """Exponents of ``stage . h`` from h's pair, the stage's pair, and
-    h's transducer; sums run along the intermediate shift."""
-    k_new = _sum_along(stage_l, k, t, True) + _sum_along(stage_k, l, t, False)
-    l_new = _sum_along(stage_k, k, t, True) + _sum_along(stage_l, l, t, False)
+    h's transducer; sums run along the intermediate shift, from ``h(x)``
+    or from ``h(shift x)``."""
+    shifted = precompose_shift(t)
+    k_new = orbit_sum(stage_l, k, shifted) + orbit_sum(stage_k, l, t)
+    l_new = orbit_sum(stage_k, k, shifted) + orbit_sum(stage_l, l, t)
     return k_new, l_new
 
 
@@ -187,7 +172,7 @@ def _minimize_pair(t: Transducer, k: LocFun, l: LocFun) -> tuple[LocFun, LocFun]
                 best = drop
                 break
         k_table[part], l_table[part] = kv - best, lv - best
-    return _canonical_fun(k.matrix, k_table), _canonical_fun(k.matrix, l_table)
+    return canonical(k.matrix, k_table), canonical(k.matrix, l_table)
 
 
 # -- construction ------------------------------------------------------------
@@ -210,7 +195,7 @@ def coe_from_chain(stages, source: TransitionMatrix | None = None) -> CoeMap:
         source = first.matrix if isinstance(first, TableElement) else first.source
     pre, core, post = _normalize_chain(source, stages)
 
-    t = _stage_transducer(source, (pre, core, post))
+    t = stage_transducer(source, (pre, core, post))
     # Codes contribute the pair (0, 1), which folds to a no-op, so only
     # nontrivial table stages move the exponents.
     k, l = constant(source, 0), constant(source, 1)
@@ -219,7 +204,7 @@ def coe_from_chain(stages, source: TransitionMatrix | None = None) -> CoeMap:
         k, l = _fold_stage_data(k, l, stage_k, stage_l, identity_transducer(source))
     if not post.is_identity():
         stage_k, stage_l = _table_stage_data(post)
-        partial = _stage_transducer(source, (pre, core))
+        partial = stage_transducer(source, (pre, core))
         k, l = _fold_stage_data(k, l, stage_k, stage_l, partial)
     k, l = _minimize_pair(t, k, l)
     if not _verify_pair(t, k, l):
@@ -264,7 +249,7 @@ def compose_cocycles(outer: CoeMap, inner: CoeMap) -> tuple[LocFun, LocFun]:
     if inner.target != outer.source:
         raise IncompatibleChain("chain maps do not compose")
     k, l = _fold_stage_data(inner.k1, inner.l1, outer.k1, outer.l1, inner.transducer)
-    composite = _stage_transducer(inner.source, inner.stages() + outer.stages())
+    composite = stage_transducer(inner.source, inner.stages() + outer.stages())
     if not _verify_pair(composite, k, l):
         raise VerificationFailed("composed exponents failed their exact check")
     return k, l
@@ -289,7 +274,7 @@ def psi(h: CoeMap, g: LocFun) -> LocFun:
     if g.matrix != h.target:
         raise ValueError("potential lives over the wrong shift space")
     t = h.transducer
-    return _sum_along(g, h.l1, t, False) - _sum_along(g, h.k1, t, True)
+    return orbit_sum(g, h.l1, t) - orbit_sum(g, h.k1, precompose_shift(t))
 
 
 def conjugate_table(h: CoeMap, table: TableElement) -> TableElement:

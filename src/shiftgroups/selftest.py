@@ -27,10 +27,10 @@ from .cocycles import (
 )
 from .codes import higher_block_codes, relabel_code
 from .conjugacy import (
-    _pointwise_difference,
     check_witness,
     commutant_witness,
     is_conjugacy,
+    pointwise_difference,
     recode_source,
     witness_non_conjugacy,
 )
@@ -48,7 +48,6 @@ from .functions import (
 )
 from .orbit import (
     CoeMap,
-    _stage_transducer,
     check_xihg,
     coe_apply,
     coe_from_chain,
@@ -56,6 +55,7 @@ from .orbit import (
     identity_coe,
     psi,
     pullback_map,
+    stage_transducer,
 )
 from .sft import TransitionMatrix, representative, refine_words, shift_point_n, validate_matrix
 from .tables import (
@@ -453,9 +453,9 @@ def suite_commutant(seed: int, cases: int) -> SuiteResult:
         table = commutant_witness(h0)
         if table is None:
             return SuiteResult("commutant", False, f"self map {i} got no witness")
-        after = _stage_transducer(h0.source, (table,) + h0.stages())
-        before = _stage_transducer(h0.source, h0.stages() + (table,))
-        z = _pointwise_difference(after, before)
+        after = stage_transducer(h0.source, (table,) + h0.stages())
+        before = stage_transducer(h0.source, h0.stages() + (table,))
+        z = pointwise_difference(after, before)
         if z is None or point_apply(after, z) == point_apply(before, z):
             return SuiteResult("commutant", False, f"self map {i} not separated")
     if commutant_witness(identity_coe(GOLDEN_MEAN)) is not None:

@@ -125,7 +125,7 @@ def enumerate_words(matrix: TransitionMatrix, m: int) -> list[Word]:
 # -- eventually periodic points ------------------------------------------
 
 
-def _primitive_root(word: Word) -> Word:
+def primitive_root(word: Word) -> Word:
     """Shortest word whose repetition gives ``word``."""
     n = len(word)
     for p in range(1, n + 1):
@@ -176,7 +176,7 @@ def canonicalize_point(matrix: TransitionMatrix, transient: Word, cycle: Word) -
         raise Inadmissible("cycle word must be nonempty")
     if not matrix.is_admissible(u + w + w):
         raise Inadmissible(f"point {u}|{w} is not admissible")
-    w = _primitive_root(w)
+    w = primitive_root(w)
     u = list(u)
     while u and u[-1] == w[-1]:
         u.pop()
@@ -260,6 +260,26 @@ def restrict_words(family, word: Word) -> list[Word]:
     if prefix_in(family, word) is not None:
         return [word]
     return [w for w in family if w[: len(word)] == word]
+
+
+def refine_until(matrix: TransitionMatrix, roots, decide):
+    """Refine words until ``decide`` settles each cylinder.
+
+    ``roots`` holds ``(word, state)`` pairs, ``state`` a tuple.
+    ``decide(word, *state)`` returns None while the cylinder of ``word`` is
+    undecided; the walk then tries every admissible one-symbol extension
+    with the same state.  Yields ``(word, answer)`` for each settled
+    cylinder, depth first, from an explicit stack, so word depth is not
+    bounded by the interpreter's recursion limit.
+    """
+    stack = list(reversed(roots))
+    while stack:
+        word, state = stack.pop()
+        answer = decide(word, *state)
+        if answer is None:
+            stack.extend((child, state) for child in reversed(matrix.extensions(word)))
+        else:
+            yield word, answer
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from .errors import (
     InadmissiblePair,
     InadmissibleWord,
 )
-from .functions import LocFun, _canonical as _canonical_fun
+from .functions import LocFun, canonical
 from .sft import (BadPartition, Point, TransitionMatrix, Word, part_of, partition,
-                  prefix_in, prepend_point, shift_point_n)
+                  prefix_in, prepend_point, refine_until, shift_point_n)
 
 Entry = tuple[Word, Word]
 
@@ -134,21 +134,15 @@ def compose(outer: TableElement, inner: TableElement) -> TableElement:
     """
     if outer.matrix != inner.matrix:
         raise ValueError("tables live over different matrices")
-    matrix = inner.matrix
     outer_map = dict(outer.entries)
-    out: list[Entry] = []
 
-    def emit(nu: Word, mu: Word) -> None:
-        o_nu = prefix_in(outer_map, mu)
-        if o_nu is not None:
-            out.append((nu, outer_map[o_nu] + mu[len(o_nu):]))
-            return
-        for a in matrix.successors(nu[-1]):
-            emit(nu + (a,), mu + (a,))
+    def splice(word: Word, nu: Word, mu: Word):
+        image = mu + word[len(nu):]
+        o_nu = prefix_in(outer_map, image)
+        return None if o_nu is None else outer_map[o_nu] + image[len(o_nu):]
 
-    for nu, mu in inner.entries:
-        emit(nu, mu)
-    return validate_table(matrix, out)
+    roots = [(nu, (nu, mu)) for nu, mu in inner.entries]
+    return validate_table(inner.matrix, list(refine_until(inner.matrix, roots, splice)))
 
 
 def invert(table: TableElement) -> TableElement:
@@ -163,8 +157,8 @@ def cocycle_data_from_entries(matrix: TransitionMatrix, entries) -> tuple[LocFun
     ``shift^k(tau(x)) = shift^l(x)``; ``d = l - k`` is the same for every
     valid entry presentation of the same map.
     """
-    k = _canonical_fun(matrix, {tuple(nu): len(mu) for nu, mu in entries})
-    l = _canonical_fun(matrix, {tuple(nu): len(nu) for nu, mu in entries})
+    k = canonical(matrix, {tuple(nu): len(mu) for nu, mu in entries})
+    l = canonical(matrix, {tuple(nu): len(nu) for nu, mu in entries})
     return k, l, l - k
 
 
@@ -195,23 +189,11 @@ def prefix_swap(matrix: TransitionMatrix, z1: int, z2: int) -> TableElement:
 
 def pullback_table(f: LocFun, table: TableElement) -> LocFun:
     """The function ``x -> f(tau(x))``."""
+    from .transducer import from_table, pullback
+
     if f.matrix != table.matrix:
         raise ValueError("function and table live over different matrices")
-    matrix = table.matrix
-    values = dict(f.pieces)
-    out: dict[Word, int] = {}
-
-    def emit(nu: Word, image: Word) -> None:
-        piece = prefix_in(values, image)
-        if piece is not None:
-            out[nu] = values[piece]
-            return
-        for a in matrix.successors(nu[-1]):
-            emit(nu + (a,), image + (a,))
-
-    for nu, mu in table.entries:
-        emit(nu, mu)
-    return _canonical_fun(matrix, out)
+    return pullback(f, from_table(table))
 
 
 def pad_entry(matrix: TransitionMatrix, entry: Entry, depth: int) -> list[Entry]:

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import BlockCode, compose_codes, identity_code
-from .functions import LocFun, restrict, _canonical as _canonical_fun
+from .errors import NegativeExponent
+from .functions import LocFun, canonical, constant, restrict
 from .sft import (
     Point,
     TransitionMatrix,
@@ -30,6 +31,7 @@ from .sft import (
     part_of,
     prefix_in,
     prepend_point,
+    refine_until,
     refine_words,
     restrict_words,
     shift_point_n,
@@ -75,6 +77,11 @@ def _sorted(entries) -> tuple[Entry, ...]:
     return tuple(sorted(entries))
 
 
+def _refine_entries(t: Transducer, decide):
+    """:func:`sft.refine_until` from the entries, with state ``(alpha, r)``."""
+    return refine_until(t.source, [(mu, (alpha, r)) for mu, alpha, r in t.entries], decide)
+
+
 def identity_transducer(matrix: TransitionMatrix) -> Transducer:
     return Transducer(identity_code(matrix), (((), (), 0),))
 
@@ -88,46 +95,35 @@ def apply_table_stage(t: Transducer, table: TableElement) -> Transducer:
     """The transducer of ``table after t``."""
     if table.matrix != t.target:
         raise ValueError("table acts on the wrong shift space")
-    matrix = t.source
     images = dict(table.entries)
-    out: list[Entry] = []
 
-    def emit(mu: Word, alpha: Word, r: int) -> None:
+    def rewrite(mu: Word, alpha: Word, r: int):
         nu = prefix_in(images, t.known_prefix(mu, alpha, r))
-        if nu is not None:
-            if len(nu) <= len(alpha):
-                out.append((mu, images[nu] + alpha[len(nu):], r))
-            else:
-                out.append((mu, images[nu], r + len(nu) - len(alpha)))
-            return
-        for child in matrix.extensions(mu):
-            emit(child, alpha, r)
+        if nu is None:
+            return None
+        if len(nu) <= len(alpha):
+            return images[nu] + alpha[len(nu):], r
+        return images[nu], r + len(nu) - len(alpha)
 
-    for mu, alpha, r in t.entries:
-        emit(mu, alpha, r)
-    return Transducer(t.core, _sorted(out))
+    return Transducer(t.core, _sorted(
+        (mu, *output) for mu, output in _refine_entries(t, rewrite)))
 
 
 def apply_code_stage(t: Transducer, code: BlockCode) -> Transducer:
     """The transducer of ``code after t``; cores compose."""
     if code.source != t.target:
         raise ValueError("code reads the wrong shift space")
-    matrix = t.source
     new_core = compose_codes(code, t.core)
-    out: list[Entry] = []
 
-    def emit(mu: Word, alpha: Word, r: int) -> None:
+    def recode(mu: Word, alpha: Word, r: int):
         needed = len(alpha) + code.window - 1 if alpha else 0
         known = t.known_prefix(mu, alpha, r)
-        if len(known) >= needed:
-            out.append((mu, code.apply_word(known[:needed]), r))
-            return
-        for child in matrix.extensions(mu):
-            emit(child, alpha, r)
+        if len(known) < needed:
+            return None
+        return code.apply_word(known[:needed]), r
 
-    for mu, alpha, r in t.entries:
-        emit(mu, alpha, r)
-    return Transducer(new_core, _sorted(out))
+    return Transducer(new_core, _sorted(
+        (mu, *output) for mu, output in _refine_entries(t, recode)))
 
 
 def precompose_shift(t: Transducer) -> Transducer:
@@ -164,25 +160,42 @@ def point_apply(t: Transducer, point: Point) -> Point:
     return prepend_point(alpha, t.core.encode(shift_point_n(point, r)))
 
 
-def pullback(g: LocFun, t: Transducer) -> LocFun:
-    """The function ``x -> g(h(x))`` for the map ``h`` of the transducer."""
+def orbit_sum(g: LocFun, n: LocFun, t: Transducer) -> LocFun:
+    """The function ``x -> sum of g over the first n(x) shifts of h(x)``
+    for the map ``h`` of the transducer and locally constant ``n >= 0``.
+
+    Each cylinder is refined until the symbols it determines fix ``g``'s
+    piece at every one of the ``n`` positions; each position reads a
+    window of ``g.depth()`` symbols.
+    """
     if g.matrix != t.target:
         raise ValueError("function lives over the wrong shift space")
-    matrix = t.source
-    out: dict[Word, int] = {}
+    if n.matrix != t.source:
+        raise ValueError("exponent lives over the wrong shift space")
+    if n.min_value() < 0:
+        raise NegativeExponent("iterated-sum exponent takes a negative value")
     pieces = dict(g.pieces)
+    depth = g.depth()
 
-    def emit(mu: Word, alpha: Word, r: int) -> None:
-        piece = prefix_in(pieces, t.known_prefix(mu, alpha, r))
-        if piece is not None:
-            out[mu] = pieces[piece]
-            return
-        for child in matrix.extensions(mu):
-            emit(child, alpha, r)
+    def total(word: Word, alpha: Word, r: int, count: int):
+        known = t.known_prefix(word, alpha, r)
+        out = 0
+        for i in range(count):
+            piece = prefix_in(pieces, known[i: i + depth])
+            if piece is None:
+                return None
+            out += pieces[piece]
+        return out
 
-    for mu, alpha, r in t.entries:
-        emit(mu, alpha, r)
-    return _canonical_fun(matrix, out)
+    roots = [(word, (alpha, r, count))
+             for mu, alpha, r in t.entries
+             for word, count in restrict(n, mu)]
+    return canonical(t.source, dict(refine_until(t.source, roots, total)))
+
+
+def pullback(g: LocFun, t: Transducer) -> LocFun:
+    """The function ``x -> g(h(x))`` for the map ``h`` of the transducer."""
+    return orbit_sum(g, constant(t.source, 1), t)
 
 
 # -- exact equality ---------------------------------------------------------
@@ -290,18 +303,18 @@ def is_identity_transducer(t: Transducer) -> bool:
     def projects_to(offset: int) -> bool:
         return all(table[v] == v[offset] for v in enumerate_words(t.source, m))
 
-    def entry_ok(mu: Word, alpha: Word, r: int) -> bool:
+    def entry_ok(mu: Word, alpha: Word, r: int):
         common = min(len(mu), len(alpha))
         if mu[:common] != alpha[:common]:
             return False
         if len(mu) < len(alpha):
-            return all(entry_ok(child, alpha, r) for child in t.source.extensions(mu))
+            return None
         offset = len(alpha) - r
         if offset < 0 or offset >= m:
             return False
         return projects_to(offset)
 
-    return all(entry_ok(mu, alpha, r) for mu, alpha, r in t.entries)
+    return all(ok for _, ok in _refine_entries(t, entry_ok))
 
 
 # -- table extraction -------------------------------------------------------
@@ -313,19 +326,13 @@ def extract_table(t: Transducer) -> TableElement:
     probe = identity_code(t.source)
     if not (t.source == t.target and cores_semantically_equal(t.core, probe)):
         raise ValueError("core is not the identity; the map is not a table")
-    entries = []
-    stack = list(t.entries)
-    while stack:
-        mu, alpha, r = stack.pop()
+
+    def image(mu: Word, alpha: Word, r: int):
         if r > len(mu):
             raise AssertionError("shift exceeds the part depth in a table map")
-        image = alpha + mu[r:]
-        if image:
-            entries.append((mu, image))
-        else:
-            for child in t.source.extensions(mu):
-                stack.append((child, alpha, r))
-    return validate_table(t.source, entries)
+        return alpha + mu[r:] or None
+
+    return validate_table(t.source, list(_refine_entries(t, image)))
 
 
 def conjugate_table_by_code(code: BlockCode, table: TableElement, forward: bool = True) -> TableElement:

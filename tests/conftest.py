@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import shiftgroups
+from shiftgroups.selftest import FULL_TWO
+from shiftgroups.tables import validate_table
 
 # The directory holding the ``shiftgroups`` package this process imported.
 # A child started from another cwd cannot resolve a relative PYTHONPATH
@@ -24,3 +26,12 @@ def run_python(*args, cwd=None):
 def run_cli(*args, cwd=None):
     """Run ``python -m shiftgroups *args`` on the package under test."""
     return run_python("-m", "shiftgroups", *args, cwd=cwd)
+
+
+def deep_exchange(k):
+    """The table on the full 2-shift swapping ``2`` with ``1^k 2``: k+2
+    entries, the deepest ``k + 1`` symbols long."""
+    ones = (1,) * k
+    entries = [((2,), ones + (2,)), (ones + (2,), (2,)), (ones + (1,), ones + (1,))]
+    entries += [((1,) * j + (2,), (1,) * j + (2,)) for j in range(1, k)]
+    return validate_table(FULL_TWO, entries)

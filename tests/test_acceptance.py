@@ -2,9 +2,9 @@
 
 Every check is an exact integer or structural equality (tolerance zero).
 Each criterion prints one PASS line on success; run with ``pytest -s``
-to see them live.  The module took 38 s on a 2-vCPU x86-64 virtual
+to see them live.  The module took 27 s on a 2-vCPU x86-64 virtual
 machine with Python 3.11.7 (``pytest tests/test_acceptance.py
---durations=4``), 26 s of it in criterion 10, which runs ``selftest``
+--durations=4``), 18 s of it in criterion 10, which runs ``selftest``
 twice in child processes.
 """
 

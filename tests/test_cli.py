@@ -1,16 +1,18 @@
 """End-to-end command line checks, including exit codes."""
 
+import inspect
 import os
+import sys
 
 import pytest
 
 import shiftgroups
-from conftest import run_cli, run_python
+from conftest import deep_exchange, run_cli, run_python
 from shiftgroups import cli
 from shiftgroups.formats import format_function, format_matrix, format_table
 from shiftgroups.functions import constant, indicator, make
 from shiftgroups.sft import validate_matrix
-from shiftgroups.tables import prefix_swap
+from shiftgroups.tables import identity_table, prefix_swap
 
 G = validate_matrix([[1, 1], [1, 0]])
 
@@ -218,3 +220,33 @@ def test_selftest_deterministic_small(workdir):
     assert first.stdout.endswith("ALL PASS\n")
     other = run_cli("selftest", "--seed", "4", "--cases", "2", cwd=workdir)
     assert other.stdout.splitlines()[0] != first.stdout.splitlines()[0]
+
+
+def test_table_compose_of_words_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """The table and transducer walks keep their own stack, so a table
+    word longer than the interpreter's recursion limit still composes.
+    The limit is lowered for the call so that a short word suffices."""
+    deep = deep_exchange(300)
+    (tmp_path / "F2.mks").write_text(format_matrix(deep.matrix), encoding="utf-8")
+    (tmp_path / "deep.tbl").write_text(format_table(deep), encoding="utf-8")
+    (tmp_path / "id.tbl").write_text(
+        format_table(identity_table(deep.matrix)), encoding="utf-8")
+    argv = ["table", "compose"] + [str(tmp_path / name) for name in ("F2.mks", "deep.tbl", "id.tbl")]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert capsys.readouterr().out == format_table(deep)
+
+
+def test_selftest_report_is_the_same_under_python_O():
+    """Self-checks raise instead of asserting, so ``-O`` changes nothing."""
+    args = ("-m", "shiftgroups", "selftest", "--seed", "7", "--cases", "10")
+    plain = run_python(*args)
+    optimized = run_python("-O", *args)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout

@@ -2,6 +2,7 @@
 
 import random
 
+from conftest import deep_exchange
 from shiftgroups.cocycles import (
     ck_word_weight,
     gauge_weight,
@@ -87,6 +88,18 @@ def test_rho_matches_orbit_sum_oracle():
             value = eval_at(rho(f, tau), x)
             assert value == rho_at(f, tau, x)
             assert value == rho_at(f, tau, x, inclusive=True)
+
+
+def test_rho_of_the_deep_exchange_has_one_piece_per_entry():
+    """Swapping ``2`` with ``1^k 2`` at k = 200: the tower form needed
+    about ``k`` shifted copies of the weight, the entrywise sums do not."""
+    k = 200
+    tau = deep_exchange(k)
+    f = indicator(tau.matrix, (1,))
+    cocycle = rho(f, tau)
+    assert len(cocycle.pieces) == k + 2
+    for part, value in cocycle.pieces:
+        assert value == rho_at(f, tau, representative(tau.matrix, part))
 
 
 def test_rho_is_linear_in_the_weight():

@@ -167,9 +167,9 @@ def test_equality_and_difference_parts():
     parts = difference_parts(lhs, rhs)
     assert parts
     # every reported difference part is genuine: some point inside differs
-    from shiftgroups.conjugacy import _pointwise_difference
+    from shiftgroups.conjugacy import pointwise_difference
 
-    assert _pointwise_difference(lhs, rhs) is not None
+    assert pointwise_difference(lhs, rhs) is not None
 
 
 def test_is_identity_transducer():

@@ -18,12 +18,12 @@ from shiftgroups.conjugacy import (
 from shiftgroups.errors import SearchBudgetExceeded, VerificationFailed
 from shiftgroups.functions import compose_shift, zero
 from shiftgroups.orbit import (
-    _stage_transducer,
     coe_apply,
     coe_from_chain,
     identity_coe,
     psi,
     pullback_map,
+    stage_transducer,
 )
 from shiftgroups.sft import representative, shift_point, validate_matrix
 from shiftgroups.tables import identity_table, prefix_swap, random_element
@@ -212,11 +212,11 @@ def test_commutant_identity_gives_none():
 def test_commutant_witness_for_swap_chain():
     table = commutant_witness(TAU0_CHAIN)
     assert table is not None
-    after = _stage_transducer(G, (table,) + TAU0_CHAIN.stages())
-    before = _stage_transducer(G, TAU0_CHAIN.stages() + (table,))
-    from shiftgroups.conjugacy import _pointwise_difference
+    after = stage_transducer(G, (table,) + TAU0_CHAIN.stages())
+    before = stage_transducer(G, TAU0_CHAIN.stages() + (table,))
+    from shiftgroups.conjugacy import pointwise_difference
 
-    z = _pointwise_difference(after, before)
+    z = pointwise_difference(after, before)
     assert z is not None
     assert point_apply(after, z) != point_apply(before, z)
 

@@ -2,11 +2,14 @@
 
 The reference functions below are the pairwise ``refine``, the
 ``any()``-scan completeness check and the fixpoint merge loops that the
-library used before its linear kernels, and the hand-rolled prefix scans
+library used before its linear kernels, the hand-rolled prefix scans
 and per-window code loops that ``sft.prefix_in``, ``sft.part_of``,
-``sft.restrict_words`` and ``BlockCode.apply_word`` replaced.  Each kernel
-must return exactly what its reference returns on seeded random inputs
-over every matrix of ``selftest.MATRICES`` and over the chain corpora.
+``sft.restrict_words`` and ``BlockCode.apply_word`` replaced, and the
+``compose_shift`` towers that ``transducer.orbit_sum`` replaced under
+``birkhoff``, ``rho``, ``psi``, ``pullback`` and the exponent fold.  Each
+kernel must return exactly what its reference returns on seeded random
+inputs over every matrix of ``selftest.MATRICES`` and over the chain
+corpora.
 """
 
 import random
@@ -15,10 +18,13 @@ import re
 import pytest
 
 from shiftgroups import functions as fn
+from shiftgroups import orbit
 from shiftgroups import tables
+from shiftgroups.cocycles import rho, rho_from_entries
 from shiftgroups.errors import BadPartition
 from shiftgroups.codes import higher_block_codes
 from shiftgroups.functions import eval_at, on_refinement, restrict
+from shiftgroups.orbit import psi, pullback_map
 from shiftgroups.selftest import (
     MATRICES,
     commutant_corpus,
@@ -204,6 +210,60 @@ def reference_known_prefix(t, mu, alpha, r):
     return alpha + streamed
 
 
+def reference_birkhoff(f, exponent):
+    """The tower: ``max(exponent)`` shifted copies of ``f``, refined together."""
+    shifted = [f]
+    for _ in range(1, exponent.max_value()):
+        shifted.append(fn.compose_shift(shifted[-1]))
+    table = {}
+    for part, values in on_refinement(exponent, *shifted):
+        table[part] = sum(values[1: values[0] + 1])
+    return fn.canonical(f.matrix, table)
+
+
+def reference_pullback(g, t):
+    """The recursive single-position walk of the old ``pullback``."""
+    pieces = dict(g.pieces)
+    out = {}
+
+    def emit(mu, alpha, r):
+        piece = prefix_in(pieces, t.known_prefix(mu, alpha, r))
+        if piece is not None:
+            out[mu] = pieces[piece]
+            return
+        for child in t.source.extensions(mu):
+            emit(child, alpha, r)
+
+    for mu, alpha, r in t.entries:
+        emit(mu, alpha, r)
+    return fn.canonical(t.source, out)
+
+
+def reference_sum_along(f, exponent, t, behind_shift):
+    """The tower of ``orbit._sum_along``: one pullback and one or two
+    ``compose_shift`` per step; ``behind_shift`` sums from ``h(shift x)``."""
+    terms = []
+    g = f
+    for _ in range(max(0, exponent.max_value())):
+        term = reference_pullback(g, t)
+        if behind_shift:
+            term = fn.compose_shift(term)
+        terms.append(term)
+        g = fn.compose_shift(g)
+    table = {}
+    for part, values in on_refinement(exponent, *terms):
+        table[part] = sum(values[1: values[0] + 1])
+    return fn.canonical(exponent.matrix, table)
+
+
+def reference_rho_from_entries(f, table, entries):
+    """Two birkhoff towers, an inverse and two ``pullback_table`` round trips."""
+    k, l, _ = tables.cocycle_data_from_entries(table.matrix, entries)
+    k_on_image = tables.pullback_table(k, tables.invert(table))
+    return reference_birkhoff(f, l) - tables.pullback_table(
+        reference_birkhoff(f, k_on_image), table)
+
+
 # -- seeded inputs ----------------------------------------------------------------
 
 
@@ -236,6 +296,12 @@ def random_piece_table(matrix, rng):
     for _ in range(rng.randint(0, 2)):
         table[words[rng.randrange(len(words))]] = rng.randint(-1, 1)
     return shuffled(table, rng)
+
+
+def random_exponent(matrix, rng, top=4):
+    """A nonnegative function on a random partition."""
+    return fn.make(matrix, {w: rng.randint(0, top)
+                            for w in random_parts(matrix, rng, depth=3, splits=4)})
 
 
 def shuffled(table, rng):
@@ -489,3 +555,49 @@ def test_parts_under_matches_three_family_refinement():
             assert restrict_words(refine_words(matrix, [lhs.parts, rhs.parts]), under) == expected
             cases += 1
     assert cases > 1000
+
+
+# -- orbit sums -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_birkhoff_matches_tower_reference(matrix):
+    rng = random.Random(47)
+    for _ in range(100):
+        f = random_function(matrix, rng)
+        n = random_exponent(matrix, rng)
+        assert fn.birkhoff(f, n) == reference_birkhoff(f, n)
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_rho_matches_two_birkhoff_reference(matrix):
+    """Plain and ``pad_entry``-padded presentations of seeded tables."""
+    rng = random.Random(53)
+    for _ in range(40):
+        tau = random_table(matrix, rng)
+        f = random_function(matrix, rng)
+        padded = [e for entry in tau.entries
+                  for e in pad_entry(matrix, entry, rng.randint(0, 2))]
+        expected = reference_rho_from_entries(f, tau, tau.entries)
+        assert rho(f, tau) == expected
+        assert rho_from_entries(f, tau, padded) == expected
+
+
+def test_orbit_sums_match_tower_references():
+    """``psi``, ``pullback_map`` and the exponent fold on the chain
+    corpora and ``random_chain`` draws."""
+    rng = random.Random(59)
+    for h in chain_maps():
+        t = h.transducer
+        for _ in range(3):
+            g = random_function(h.target, rng)
+            expected = (reference_sum_along(g, h.l1, t, False)
+                        - reference_sum_along(g, h.k1, t, True))
+            assert psi(h, g) == expected
+            assert pullback_map(g, h) == reference_pullback(g, t)
+        stage_k, stage_l = random_exponent(h.target, rng), random_exponent(h.target, rng)
+        expected = (
+            reference_sum_along(stage_l, h.k1, t, True) + reference_sum_along(stage_k, h.l1, t, False),
+            reference_sum_along(stage_k, h.k1, t, True) + reference_sum_along(stage_l, h.l1, t, False),
+        )
+        assert orbit._fold_stage_data(h.k1, h.l1, stage_k, stage_l, t) == expected
