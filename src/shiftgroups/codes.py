@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
-from .sft import Point, TransitionMatrix, Word, canonicalize_point, enumerate_words, higher_block
+from .sft import Point, TransitionMatrix, Word, canonicalize_point, enumerate_words
 
 
 @dataclass(frozen=True)
@@ -144,23 +144,27 @@ def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
     return _raw_code(inner.source, outer.target, window, table, inv_window, inv_table)
 
 
-def is_first_symbol_code(code: BlockCode) -> bool:
-    """True when the symbol map just projects each window to its head."""
-    return code.source == code.target and all(
-        symbol == word[0] for word, symbol in code.mapping)
-
-
 def higher_block_codes(matrix: TransitionMatrix, m: int):
-    """Encode / decode conjugacies of the m-block presentation, as codes.
+    """The m-block presentation with its encode / decode conjugacies, as codes.
 
-    Returns ``(block_matrix, encode_code, decode_code)`` where the encode
-    code reads windows of length ``m`` and the decode code projects each
-    block symbol to its first letter.
+    New symbols are the admissible length-``m`` words in lexicographic
+    order; block ``w`` is followed by ``w[1:] + (a,)`` for each successor
+    ``a`` of its last symbol.  Returns ``(block_matrix, encode_code,
+    decode_code)`` where the encode code reads windows of length ``m`` and
+    the decode code projects each block symbol to its first letter.  The
+    pair is a conjugacy by construction, so it is not re-validated.
     """
-    block_matrix, _, _ = higher_block(matrix, m)
+    if m < 1:
+        raise ValueError("block length must be >= 1")
     blocks = enumerate_words(matrix, m)
     index = {w: i + 1 for i, w in enumerate(blocks)}
-    encode_table = {w: index[w] for w in blocks}
-    decode_table = {(index[w],): w[0] for w in blocks}
-    encode = make_code(matrix, block_matrix, m, encode_table, 1, decode_table)
+    rows = []
+    for w in blocks:
+        row = [0] * len(blocks)
+        for a in matrix.successors(w[-1]):
+            row[index[w[1:] + (a,)] - 1] = 1
+        rows.append(tuple(row))
+    block_matrix = TransitionMatrix(len(blocks), tuple(rows))
+    decode_table = {(i,): w[0] for w, i in index.items()}
+    encode = _raw_code(matrix, block_matrix, m, index, 1, decode_table)
     return block_matrix, encode, encode.inverse()

@@ -16,6 +16,7 @@ operations are pure, so everything is safe to share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -306,18 +307,22 @@ def _check_antichain(parts: Iterable[Word]) -> None:
             raise BadPartition(f"{a} is a prefix of {b}")
 
 
-def _check_complete(matrix: TransitionMatrix, parts: frozenset[Word]) -> None:
-    prefixes = {p[:i] for p in parts for i in range(len(p))}
+def _check_complete(matrix: TransitionMatrix, parts: Iterable[Word]) -> None:
+    # In sorted order the words with prefix ``child`` directly follow it,
+    # so some part extends ``child`` exactly when the first part at or
+    # after it does.
+    ordered = sorted(parts)
+    parts = frozenset(ordered)
     stack: list[Word] = [EMPTY]
     while stack:
         node = stack.pop()
         if node in parts:
             continue
-        children = matrix.extensions(node)
-        for child in children:
+        for child in matrix.extensions(node):
             if child in parts:
                 continue
-            if child not in prefixes:
+            i = bisect_left(ordered, child)
+            if i == len(ordered) or ordered[i][: len(child)] != child:
                 raise BadPartition(f"no part covers sequences through {child}")
             stack.append(child)
 
@@ -330,7 +335,7 @@ def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartit
     for p in parts:
         matrix.check_admissible(p)
     _check_antichain(parts)
-    _check_complete(matrix, frozenset(parts))
+    _check_complete(matrix, parts)
     return CylinderPartition(matrix, parts)
 
 
@@ -385,36 +390,11 @@ def expand_to_depth(matrix: TransitionMatrix, word: Word, depth: int) -> list[Wo
 def higher_block(matrix: TransitionMatrix, m: int):
     """The m-block presentation with its encode / decode conjugacies.
 
-    New symbols are the admissible length-``m`` words in lexicographic
-    order; blocks are joined when they overlap in ``m - 1`` symbols and
-    the joined word is admissible.  Returns ``(block_matrix, encode,
-    decode)`` where encode and decode map points and are mutually
-    inverse.
+    Returns ``(block_matrix, encode, decode)`` where encode and decode map
+    points and are mutually inverse; see :func:`codes.higher_block_codes`,
+    which builds the presentation.
     """
-    if m < 1:
-        raise ValueError("block length must be >= 1")
-    blocks = enumerate_words(matrix, m)
-    index = {w: i + 1 for i, w in enumerate(blocks)}
-    rows = tuple(
-        tuple(1 if v[: m - 1] == w[1:] and matrix.entry(w[-1], v[-1]) else 0
-              for v in blocks)
-        for w in blocks
-    )
-    block_matrix = TransitionMatrix(len(blocks), rows)
+    from .codes import higher_block_codes
 
-    def encode(point: Point) -> Point:
-        u, w = point.transient, point.cycle
-        n_u, n_w = len(u), len(w)
-        new_u = tuple(index[point.prefix(i + m - 1)[i - 1:]] for i in range(1, n_u + 1))
-        new_w = tuple(
-            index[tuple(point.symbol(j) for j in range(i, i + m))]
-            for i in range(n_u + 1, n_u + n_w + 1)
-        )
-        return canonicalize_point(block_matrix, new_u, new_w)
-
-    def decode(point: Point) -> Point:
-        new_u = tuple(blocks[a - 1][0] for a in point.transient)
-        new_w = tuple(blocks[a - 1][0] for a in point.cycle)
-        return canonicalize_point(matrix, new_u, new_w)
-
-    return block_matrix, encode, decode
+    block_matrix, encode, decode = higher_block_codes(matrix, m)
+    return block_matrix, encode.encode, decode.encode

@@ -28,15 +28,20 @@ from .errors import (
     InadmissibleWord,
 )
 from .functions import LocFun, canonical
-from .sft import (BadPartition, Point, TransitionMatrix, Word, part_of, partition,
-                  prefix_in, prepend_point, refine_until, shift_point_n)
+from .sft import (BadPartition, Point, TransitionMatrix, Word, enumerate_words, part_of,
+                  partition, prefix_in, prepend_point, refine_until, shift_point_n)
 
 Entry = tuple[Word, Word]
 
 
 @dataclass(frozen=True)
 class TableElement:
-    """Element of the continuous full group, as a canonical table."""
+    """Element of the continuous full group, as a canonical table.
+
+    Build instances with :func:`validate_table` (validating) or
+    :func:`canonical_table` (trusting entries the library built), not
+    directly.
+    """
 
     matrix: TransitionMatrix
     entries: tuple[Entry, ...]
@@ -44,10 +49,6 @@ class TableElement:
     @property
     def domain_words(self) -> tuple[Word, ...]:
         return tuple(nu for nu, _ in self.entries)
-
-    @property
-    def image_words(self) -> tuple[Word, ...]:
-        return tuple(mu for _, mu in self.entries)
 
     def entry_for(self, point: Point) -> Entry:
         images = dict(self.entries)
@@ -112,8 +113,17 @@ def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
     for nu, mu in table.items():
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
             raise FollowerMismatch(f"entry {nu} -> {mu} pairs different follower rows")
-    table = _merge_entries(matrix, table)
-    return TableElement(matrix, tuple(sorted(table.items())))
+    return canonical_table(matrix, table)
+
+
+def canonical_table(matrix: TransitionMatrix, entries) -> TableElement:
+    """Canonical table of ``(nu, mu)`` entries that already form a valid
+    table, without re-checking them.
+
+    For tables the library built itself; input goes through
+    :func:`validate_table`.
+    """
+    return TableElement(matrix, tuple(sorted(_merge_entries(matrix, dict(entries)).items())))
 
 
 def identity_table(matrix: TransitionMatrix) -> TableElement:
@@ -142,12 +152,12 @@ def compose(outer: TableElement, inner: TableElement) -> TableElement:
         return None if o_nu is None else outer_map[o_nu] + image[len(o_nu):]
 
     roots = [(nu, (nu, mu)) for nu, mu in inner.entries]
-    return validate_table(inner.matrix, list(refine_until(inner.matrix, roots, splice)))
+    return canonical_table(inner.matrix, refine_until(inner.matrix, roots, splice))
 
 
 def invert(table: TableElement) -> TableElement:
     """Swap source and target words; the group inverse."""
-    return validate_table(table.matrix, tuple((mu, nu) for nu, mu in table.entries))
+    return canonical_table(table.matrix, ((mu, nu) for nu, mu in table.entries))
 
 
 def cocycle_data_from_entries(matrix: TransitionMatrix, entries) -> tuple[LocFun, LocFun, LocFun]:
@@ -184,7 +194,7 @@ def prefix_swap(matrix: TransitionMatrix, z1: int, z2: int) -> TableElement:
     for c in matrix.symbols():
         if c not in (z1, z2):
             entries.append(((c,), (c,)))
-    return validate_table(matrix, entries)
+    return canonical_table(matrix, entries)
 
 
 def pullback_table(f: LocFun, table: TableElement) -> LocFun:
@@ -245,8 +255,6 @@ def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> Ta
 
 def _pair_exchange(matrix: TransitionMatrix, depth_budget: int, rng) -> TableElement:
     """Exchange two same-length incomparable cylinders, identity elsewhere."""
-    from .sft import enumerate_words
-
     length = rng.randint(2, depth_budget)
     words = enumerate_words(matrix, length)
     pairs = [
@@ -260,4 +268,4 @@ def _pair_exchange(matrix: TransitionMatrix, depth_budget: int, rng) -> TableEle
     a, b = pairs[rng.randrange(len(pairs))]
     entries = [(w, w) for w in words if w not in (a, b)]
     entries += [(a, b), (b, a)]
-    return validate_table(matrix, entries)
+    return canonical_table(matrix, entries)

@@ -36,7 +36,7 @@ from .sft import (
     restrict_words,
     shift_point_n,
 )
-from .tables import TableElement, validate_table
+from .tables import TableElement, canonical_table
 
 Entry = tuple[Word, Word, int]
 
@@ -332,7 +332,7 @@ def extract_table(t: Transducer) -> TableElement:
             raise AssertionError("shift exceeds the part depth in a table map")
         return alpha + mu[r:] or None
 
-    return validate_table(t.source, list(_refine_entries(t, image)))
+    return canonical_table(t.source, _refine_entries(t, image))
 
 
 def conjugate_table_by_code(code: BlockCode, table: TableElement, forward: bool = True) -> TableElement:

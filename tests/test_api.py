@@ -1,0 +1,40 @@
+"""Guards for what stays stable: the public names, and no private
+cross-module imports inside the package."""
+
+import ast
+import pathlib
+
+import shiftgroups
+
+PUBLIC_NAMES = [
+    "BlockCode", "CoeMap", "CylinderPartition", "LocFun", "Point",
+    "TableElement", "TransitionMatrix", "Witness", "apply", "birkhoff",
+    "canonicalize_point", "check_witness", "check_xihg", "ck_word_weight",
+    "cocycle_data", "cocycles", "codes", "coe_apply", "coe_compose",
+    "coe_from_chain", "coe_invert", "commutant_witness", "compose",
+    "compose_cocycles", "compose_shift", "conjugacy", "conjugate_table",
+    "constant", "difference_locus", "enumerate_words", "equal", "errors",
+    "eval_at", "functions", "gauge_weight", "higher_block",
+    "higher_block_codes", "identity_code", "identity_coe", "identity_table",
+    "in_af_group", "in_cocycle_group", "indicator", "invert",
+    "is_conjugacy", "linear", "make", "make_code", "orbit", "partition",
+    "prefix_swap", "psi", "pullback_map", "pullback_table",
+    "random_element", "refine", "relabel_code", "representative", "rho",
+    "sft", "shift_point", "tables", "transducer", "validate_matrix",
+    "validate_table", "witness_non_conjugacy",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(shiftgroups.__all__) == PUBLIC_NAMES
+
+
+def test_no_private_cross_module_imports():
+    package = pathlib.Path(shiftgroups.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -3,15 +3,16 @@
 import inspect
 import os
 import sys
+import tracemalloc
 
 import pytest
 
 import shiftgroups
 from conftest import deep_exchange, run_cli, run_python
 from shiftgroups import cli
-from shiftgroups.formats import format_function, format_matrix, format_table
+from shiftgroups.formats import format_function, format_matrix, format_table, format_word
 from shiftgroups.functions import constant, indicator, make
-from shiftgroups.sft import validate_matrix
+from shiftgroups.sft import enumerate_words, validate_matrix
 from shiftgroups.tables import identity_table, prefix_swap
 
 G = validate_matrix([[1, 1], [1, 0]])
@@ -68,6 +69,48 @@ def test_words(workdir):
     result = run_cli("words", "G.mks", "2", cwd=workdir)
     assert result.returncode == 0
     assert result.stdout.splitlines() == ["1.1", "1.2", "2.1"]
+
+
+class LineChecker:
+    """A stdout that compares each line with the next expected one and
+    keeps only a count, so it holds no output."""
+
+    def __init__(self, expected):
+        self.expected = iter(expected)
+        self.pending = ""
+        self.lines = 0
+        self.mismatches = 0
+
+    def write(self, text):
+        *lines, self.pending = (self.pending + text).split("\n")
+        for line in lines:
+            self.mismatches += line != next(self.expected, None)
+            self.lines += 1
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_words_streams_its_output(tmp_path, monkeypatch):
+    """Full 2-shift at length 16: the same 65536 lines as
+    ``enumerate_words``, in order, without building the word list
+    (which alone takes several megabytes)."""
+    (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
+    full2 = validate_matrix([[1, 1], [1, 1]])
+    expected = [format_word(w) for w in enumerate_words(full2, 16)]
+    out = LineChecker(expected)
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = cli.main(["words", str(tmp_path / "F2.mks"), "16"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert code == 0
+    assert (out.lines, out.mismatches, out.pending) == (len(expected), 0, "")
+    assert peak < 1_000_000
 
 
 def test_table_commands(workdir):

@@ -10,8 +10,15 @@ and per-window code loops that ``sft.prefix_in``, ``sft.part_of``,
 kernel must return exactly what its reference returns on seeded random
 inputs over every matrix of ``selftest.MATRICES`` and over the chain
 corpora.
+
+The trusted constructors are checked against the boundary ones: every
+table the group operations build through ``tables.canonical_table`` is
+what ``validate_table`` returns for its entries, with no sibling family
+left to merge, and every ``higher_block_codes`` result passes
+``make_code`` and has the block rows of the blocks x blocks scan.
 """
 
+import itertools
 import random
 import re
 
@@ -21,8 +28,8 @@ from shiftgroups import functions as fn
 from shiftgroups import orbit
 from shiftgroups import tables
 from shiftgroups.cocycles import rho, rho_from_entries
-from shiftgroups.errors import BadPartition
-from shiftgroups.codes import higher_block_codes
+from shiftgroups.errors import BadPartition, ShiftError
+from shiftgroups.codes import higher_block_codes, make_code
 from shiftgroups.functions import eval_at, on_refinement, restrict
 from shiftgroups.orbit import psi, pullback_map
 from shiftgroups.selftest import (
@@ -41,6 +48,7 @@ from shiftgroups.sft import (
     _check_complete,
     canonicalize_point,
     enumerate_words,
+    higher_block,
     part_of,
     partition,
     prefix_in,
@@ -48,9 +56,19 @@ from shiftgroups.sft import (
     refine_words,
     representative,
     restrict_words,
+    validate_matrix,
 )
-from shiftgroups.tables import pad_entry, random_element
-from shiftgroups.transducer import post_shift, precompose_shift
+from shiftgroups.tables import (
+    TableElement,
+    compose,
+    identity_table,
+    invert,
+    pad_entry,
+    prefix_swap,
+    random_element,
+    validate_table,
+)
+from shiftgroups.transducer import conjugate_table_by_code, post_shift, precompose_shift
 
 MATRIX_IDS = [name for name, _ in MATRICES]
 
@@ -256,6 +274,17 @@ def reference_sum_along(f, exponent, t, behind_shift):
     return fn.canonical(exponent.matrix, table)
 
 
+def reference_block_rows(matrix, m):
+    """The blocks x blocks scan: ``w`` is followed by ``v`` when they
+    overlap in ``m - 1`` symbols and the joined word is admissible."""
+    blocks = enumerate_words(matrix, m)
+    return tuple(
+        tuple(1 if v[: m - 1] == w[1:] and matrix.entry(w[-1], v[-1]) else 0
+              for v in blocks)
+        for w in blocks
+    )
+
+
 def reference_rho_from_entries(f, table, entries):
     """Two birkhoff towers, an inverse and two ``pullback_table`` round trips."""
     k, l, _ = tables.cocycle_data_from_entries(table.matrix, entries)
@@ -318,6 +347,31 @@ def random_word(matrix, rng, depth=7):
     return word
 
 
+def comb(matrix, k):
+    """The complete family of the deep swap's domain, over any matrix: the
+    siblings along the k-symbol path of least successors, then the
+    path's own extensions (on the full 2-shift, ``2``, ``1^j 2`` and
+    ``1^k 1``, ``1^k 2``)."""
+    path, family = (), []
+    for _ in range(k):
+        first, *others = matrix.extensions(path)
+        family += others
+        path = first
+    return family + list(matrix.extensions(path))
+
+
+def small_matrices():
+    """Every irreducible non-permutation 0/1 matrix on up to three symbols."""
+    out = []
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=n * n):
+            try:
+                out.append(validate_matrix([bits[i * n: (i + 1) * n] for i in range(n)]))
+            except ShiftError:
+                pass
+    return out
+
+
 def chain_maps():
     maps = conjugacy_corpus() + twisted_corpus() + commutant_corpus()
     rng = random.Random(23)
@@ -370,6 +424,14 @@ def test_completeness_check_matches_reference(matrix):
             with pytest.raises(BadPartition, match=re.escape(expected)):
                 partition(matrix, parts)
     assert incomplete > 100
+    deep = comb(matrix, 300)
+    assert check_message(_check_complete, matrix, deep) is None
+    assert check_message(reference_check_complete, matrix, deep) is None
+    for gone in (deep[0], deep[len(deep) // 2], deep[-1]):
+        parts = [w for w in deep if w != gone]
+        expected = check_message(reference_check_complete, matrix, parts)
+        assert expected is not None
+        assert check_message(_check_complete, matrix, parts) == expected
 
 
 # -- canonical merges -------------------------------------------------------------
@@ -601,3 +663,97 @@ def test_orbit_sums_match_tower_references():
             reference_sum_along(stage_k, h.k1, t, True) + reference_sum_along(stage_l, h.l1, t, False),
         )
         assert orbit._fold_stage_data(h.k1, h.l1, stage_k, stage_l, t) == expected
+
+
+# -- trusted constructors ---------------------------------------------------------
+
+
+def assert_canonical(table):
+    """``table`` is what ``validate_table`` returns for its entries, and the
+    fixpoint merge finds no sibling family left in it."""
+    matrix = table.matrix
+    assert validate_table(matrix, table.entries) == table
+    merged = reference_merge_entries(matrix, dict(table.entries))
+    assert sorted(merged.items()) == list(table.entries)
+
+
+def padded(table, rng):
+    """A valid, non-canonical presentation of ``table``."""
+    entries = [e for entry in table.entries
+               for e in pad_entry(table.matrix, entry, rng.randint(0, 2))]
+    return TableElement(table.matrix, tuple(sorted(entries)))
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_group_operations_build_canonical_tables(matrix):
+    """``compose`` and ``invert`` on plain and ``pad_entry``-padded tables."""
+    rng = random.Random(61)
+    identity = identity_table(matrix)
+    for seed in range(40):
+        tau = random_element(matrix, 3, seed)
+        sigma = random_element(matrix, 3, seed + 1000)
+        assert_canonical(tau)
+        for a in (tau, padded(tau, rng)):
+            for b in (sigma, padded(sigma, rng)):
+                product = compose(a, b)
+                assert_canonical(product)
+                assert product == compose(tau, sigma)
+            inverse = invert(a)
+            assert_canonical(inverse)
+            assert inverse == invert(tau)
+            assert compose(inverse, a) == identity
+            assert compose(a, inverse) == identity
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_swaps_and_exchanges_build_canonical_tables(matrix):
+    """``prefix_swap`` and ``_pair_exchange`` on the matrix and its block
+    presentations, and ``extract_table`` through ``conjugate_table_by_code``
+    in both directions."""
+    rng = random.Random(67)
+    for level in (1, 2, 3):
+        block, encode, _ = higher_block_codes(matrix, level)
+        for z1 in block.symbols():
+            for z2 in block.successors(z1):
+                if z1 == z2:
+                    continue
+                swap = prefix_swap(block, z1, z2)
+                assert_canonical(swap)
+                back = conjugate_table_by_code(encode, swap, forward=False)
+                assert_canonical(back)
+                assert conjugate_table_by_code(encode, back, forward=True) == swap
+    _, encode, _ = higher_block_codes(matrix, 2)
+    for depth in (2, 3, 4):
+        for _ in range(10):
+            exchange = tables._pair_exchange(matrix, depth, rng)
+            assert_canonical(exchange)
+            assert_canonical(conjugate_table_by_code(encode, exchange, forward=True))
+
+
+def test_higher_block_codes_pass_make_code():
+    """Every matrix on up to three symbols, levels 1 to 4: ``make_code``
+    accepts the trusted code and rebuilds an equal one."""
+    for matrix in small_matrices():
+        for m in range(1, 5):
+            block, encode, decode = higher_block_codes(matrix, m)
+            assert decode == encode.inverse()
+            checked = make_code(matrix, block, m, dict(encode.mapping),
+                                1, dict(encode.inverse_mapping))
+            assert checked == encode
+
+
+def test_block_rows_match_overlap_scan():
+    for matrix in small_matrices():
+        for m in range(1, 5):
+            block, _, _ = higher_block_codes(matrix, m)
+            assert block.rows == reference_block_rows(matrix, m)
+            assert higher_block(matrix, m)[0] == block
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_block_level_below_one_is_rejected(m):
+    matrix = MATRICES[0][1]
+    with pytest.raises(ValueError, match="block length must be >= 1"):
+        higher_block_codes(matrix, m)
+    with pytest.raises(ValueError, match="block length must be >= 1"):
+        higher_block(matrix, m)
