@@ -8,10 +8,12 @@ locally constant exponents ``(k1, l1)``:
 
 and topological conjugacy is exactly the case where ``(0, 1)`` works.
 Chains are normalized to ``post-table . code . pre-table``; the cached
-transducer makes map equality decidable and the cached ``(k1, l1)`` is
-the smallest pointwise valid pair.  The derived exponent formulas are
-always re-verified exactly after construction, so a formula bug cannot
-produce a silently wrong map.
+transducer makes map equality decidable, and the cached ``(k1, l1)`` is
+read off its entries: the least valid pair on each part of the common
+refinement of the transducer and its precomposition with the shift
+(:func:`transducer.shift_exponents`).  The exponents are always
+re-verified exactly after construction, so a formula bug cannot produce
+a silently wrong map.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from dataclasses import dataclass
 from .codes import BlockCode, compose_codes, identity_code
 from .cocycles import rho
 from .errors import IncompatibleChain, VerificationFailed
-from .functions import LocFun, canonical, compose_shift, constant, equal, on_refinement
+from .functions import LocFun, equal
 from .sft import Point, TransitionMatrix
 from .tables import (
     TableElement,
     apply as table_apply,
-    cocycle_data,
     compose as table_compose,
     identity_table,
     invert as table_invert,
@@ -43,6 +44,7 @@ from .transducer import (
     post_shift,
     precompose_shift,
     pullback,
+    shift_exponents,
     transducer_equal,
 )
 
@@ -53,8 +55,9 @@ class CoeMap:
 
     ``pre`` acts on the source shift, then ``core`` recodes, then
     ``post`` acts on the target shift.  ``transducer`` is the cached
-    normal form of the composite and ``(k1, l1)`` its verified,
-    pointwise-minimal shift-matching exponents.
+    normal form of the composite and ``(k1, l1)`` its verified
+    shift-matching exponents, least on each part of the common refinement
+    of ``transducer`` and ``transducer after shift``.
     """
 
     pre: TableElement
@@ -120,28 +123,6 @@ def _normalize_chain(source: TransitionMatrix, stages):
 # -- exponent bookkeeping ----------------------------------------------------
 
 
-def _table_stage_data(table: TableElement) -> tuple[LocFun, LocFun]:
-    """A valid exponent pair for a table viewed as a self chain map.
-
-    From the table's own pair ``(k, l)``: take ``k1 = k . shift`` and
-    ``l1 = k + s`` with ``s = l . shift + 1 - l``, padding both per part
-    so ``s`` stays nonnegative; the matching relation only survives
-    extra shifts in the forward direction, so a negative ``s`` would not
-    factor through it.
-    """
-    k_tau, l_tau, _ = cocycle_data(table)
-    one = constant(table.matrix, 1)
-    s = compose_shift(l_tau) + one - l_tau
-    k_table, l_table = {}, {}
-    for part, (shifted_k, plain_k, sv) in on_refinement(
-            compose_shift(k_tau), k_tau, s):
-        pad = max(0, -sv)
-        k_table[part] = shifted_k + pad
-        l_table[part] = plain_k + sv + pad
-    return (canonical(table.matrix, k_table),
-            canonical(table.matrix, l_table))
-
-
 def _fold_stage_data(k: LocFun, l: LocFun, stage_k: LocFun, stage_l: LocFun,
                      t: Transducer) -> tuple[LocFun, LocFun]:
     """Exponents of ``stage . h`` from h's pair, the stage's pair, and
@@ -157,22 +138,6 @@ def _verify_pair(t: Transducer, k: LocFun, l: LocFun) -> bool:
     lhs = post_shift(precompose_shift(t), k)
     rhs = post_shift(t, l)
     return transducer_equal(lhs, rhs)
-
-
-def _minimize_pair(t: Transducer, k: LocFun, l: LocFun) -> tuple[LocFun, LocFun]:
-    """Largest per-part common reduction that keeps the pair valid."""
-    shifted = precompose_shift(t)
-    k_table, l_table = {}, {}
-    for part, (kv, lv) in on_refinement(k, l):
-        best = 0
-        for drop in range(min(kv, lv), 0, -1):
-            lhs = post_shift(shifted, constant(k.matrix, kv - drop))
-            rhs = post_shift(t, constant(k.matrix, lv - drop))
-            if transducer_equal(lhs, rhs, under=part):
-                best = drop
-                break
-        k_table[part], l_table[part] = kv - best, lv - best
-    return canonical(k.matrix, k_table), canonical(k.matrix, l_table)
 
 
 # -- construction ------------------------------------------------------------
@@ -196,17 +161,7 @@ def coe_from_chain(stages, source: TransitionMatrix | None = None) -> CoeMap:
     pre, core, post = _normalize_chain(source, stages)
 
     t = stage_transducer(source, (pre, core, post))
-    # Codes contribute the pair (0, 1), which folds to a no-op, so only
-    # nontrivial table stages move the exponents.
-    k, l = constant(source, 0), constant(source, 1)
-    if not pre.is_identity():
-        stage_k, stage_l = _table_stage_data(pre)
-        k, l = _fold_stage_data(k, l, stage_k, stage_l, identity_transducer(source))
-    if not post.is_identity():
-        stage_k, stage_l = _table_stage_data(post)
-        partial = stage_transducer(source, (pre, core))
-        k, l = _fold_stage_data(k, l, stage_k, stage_l, partial)
-    k, l = _minimize_pair(t, k, l)
+    k, l = shift_exponents(t)
     if not _verify_pair(t, k, l):
         raise VerificationFailed("shift-matching exponents failed their exact check")
     return CoeMap(pre, core, post, t, k, l)

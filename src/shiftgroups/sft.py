@@ -42,11 +42,16 @@ class TransitionMatrix:
     def __post_init__(self) -> None:
         # Successor and predecessor rows, built once; they are not fields,
         # so ``==``, ``hash`` and ``repr`` still see only ``n`` and ``rows``.
-        symbols = range(1, self.n + 1)
-        object.__setattr__(self, "_successors", tuple(
-            tuple(j for j in symbols if row[j - 1]) for row in self.rows))
-        object.__setattr__(self, "_predecessors", tuple(
-            tuple(i for i in symbols if self.rows[i - 1][a - 1]) for a in symbols))
+        # The predecessor rows transpose the successor lists, so the
+        # n x n cells are read once, row by row.
+        successors = tuple(
+            tuple(j for j, bit in enumerate(row, 1) if bit) for row in self.rows)
+        predecessors: list[list[int]] = [[] for _ in self.rows]
+        for i, row in enumerate(successors, 1):
+            for j in row:
+                predecessors[j - 1].append(i)
+        object.__setattr__(self, "_successors", successors)
+        object.__setattr__(self, "_predecessors", tuple(map(tuple, predecessors)))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -347,33 +352,30 @@ def full_partition(matrix: TransitionMatrix, depth: int) -> CylinderPartition:
 
 
 def refine(p: CylinderPartition, q: CylinderPartition) -> CylinderPartition:
-    """Coarsest common refinement of two partitions over the same matrix.
-
-    Both arguments must be complete prefix-free families, as every
-    :class:`CylinderPartition` is.  Then each part of one meets the other
-    in its own cylinder or in a finer one, so the refinement is the union
-    of both families without the words that are prefixes of others.  In
-    sorted order every word's extensions follow it directly, so a word is
-    dropped exactly when it is a prefix of the next one.  For families
-    that do not cover the space the result is not a refinement.
-    """
+    """Coarsest common refinement of two partitions over the same matrix
+    (see :func:`refine_words`)."""
     if p.matrix != q.matrix:
         raise ValueError("partitions live over different matrices")
-    words = sorted(set(p.parts).union(q.parts))
-    out = [a for a, b in zip(words, words[1:]) if b[: len(a)] != a]
-    out.append(words[-1])
-    return CylinderPartition(p.matrix, tuple(out))
+    return CylinderPartition(p.matrix, refine_words(p.matrix, [p.parts, q.parts]))
 
 
 def refine_words(matrix: TransitionMatrix, families: Iterable[Iterable[Word]]) -> tuple[Word, ...]:
     """Common refinement of several partitions, given as raw word families.
 
-    Each family must be complete and prefix-free (see :func:`refine`).
+    Each family must be complete and prefix-free, as every
+    :class:`CylinderPartition` is.  Then each part of one family meets
+    another in its own cylinder or in a finer one, so the refinement is
+    the union of all families without the words that are prefixes of
+    others.  In sorted order every word's extensions follow it directly,
+    so a word is dropped exactly when it is a prefix of the next one.
+    For families that do not cover the space the result is not a
+    refinement.  The empty word stands for the trivial partition, so no
+    families refine to it.
     """
-    acc = partition(matrix, (EMPTY,))
-    for family in families:
-        acc = refine(acc, CylinderPartition(matrix, tuple(sorted(family))))
-    return acc.parts
+    words = sorted({EMPTY}.union(*families))
+    out = [a for a, b in zip(words, words[1:]) if b[: len(a)] != a]
+    out.append(words[-1])
+    return tuple(out)
 
 
 def expand_to_depth(matrix: TransitionMatrix, word: Word, depth: int) -> list[Word]:

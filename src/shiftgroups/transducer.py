@@ -18,6 +18,7 @@ instead of a cylinder expansion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .codes import BlockCode, compose_codes, identity_code
@@ -142,17 +143,21 @@ def post_shift(t: Transducer, n: LocFun) -> Transducer:
         raise ValueError("exponent lives over the wrong shift space")
     if n.min_value() < 0:
         raise ValueError("shift exponent must be nonnegative")
-    out: list[Entry] = []
-    for mu, alpha, r in t.entries:
-        for word, n0 in restrict(n, mu):
-            if n0 <= len(alpha):
-                out.append((word, alpha[n0:], r))
-            else:
-                # The shift may exceed the part depth here; only the
-                # equality machinery consumes such entries, and it does
-                # not rely on r <= len(word).
-                out.append((word, (), r + n0 - len(alpha)))
-    return Transducer(t.core, _sorted(out))
+    return Transducer(t.core, _sorted(
+        (word, *_shift_entry(alpha, r, n0))
+        for mu, alpha, r in t.entries
+        for word, n0 in restrict(n, mu)))
+
+
+def _shift_entry(alpha: Word, r: int, n: int) -> tuple[Word, int]:
+    """The output ``(alpha, r)`` of one entry after ``shift^n``.
+
+    The shift may exceed the part depth; only the equality machinery
+    consumes such entries, and it does not rely on ``r <= len(word)``.
+    """
+    if n <= len(alpha):
+        return alpha[n:], r
+    return (), r + n - len(alpha)
 
 
 def point_apply(t: Transducer, point: Point) -> Point:
@@ -270,6 +275,14 @@ def _entries_agree_on(matrix: TransitionMatrix, core1: BlockCode, core2: BlockCo
     return True
 
 
+def _aligned(t1: Transducer, t2: Transducer, under: Word = ()):
+    """Each part of the common refinement of two transducers within
+    ``under``, with the output ``(alpha, r)`` of each side there."""
+    out1, out2 = _outputs(t1), _outputs(t2)
+    for part in restrict_words(refine_words(t1.source, [t1.parts, t2.parts]), under):
+        yield part, out1[prefix_in(out1, part)], out2[prefix_in(out2, part)]
+
+
 def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[Word, ...]:
     """Cylinders (within ``under``) where the two maps provably differ.
 
@@ -278,15 +291,36 @@ def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[
     """
     if not cores_semantically_equal(t1.core, t2.core):
         raise ValueError("transducers have different cores; not comparable")
-    matrix = t1.source
-    out1, out2 = _outputs(t1), _outputs(t2)
-    diffs = []
-    for part in restrict_words(refine_words(matrix, [t1.parts, t2.parts]), under):
-        a1, r1 = out1[prefix_in(out1, part)]
-        a2, r2 = out2[prefix_in(out2, part)]
-        if not _entries_agree_on(matrix, t1.core, t2.core, part, a1, r1, a2, r2):
-            diffs.append(part)
-    return tuple(sorted(diffs))
+    return tuple(sorted(
+        part for part, (a1, r1), (a2, r2) in _aligned(t1, t2, under)
+        if not _entries_agree_on(t1.source, t1.core, t2.core, part, a1, r1, a2, r2)))
+
+
+def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
+    """The least exponents ``(k, l)`` with ``shift^k(h(shift x)) =
+    shift^l(h(x))`` on each part of the common refinement of ``t`` and
+    ``t after shift``.
+
+    There ``h(x) = a . S(shift^r x)`` and ``h(shift x) = b . S(shift^q x)``
+    for the core stream ``S``.  Both sides must stream from the same
+    offset, so ``l - k = (q - |b|) - (r - |a|)`` for every valid pair.
+    Valid ``k`` are closed upward (shift both sides once more), and once
+    ``k >= |b|`` and ``l >= |a|`` both sides are the bare stream from one
+    offset, so bisection finds the least valid ``k`` below that bound.
+    """
+    k_table, l_table = {}, {}
+    for part, (a, r), (b, q) in _aligned(t, precompose_shift(t)):
+        d = (q - len(b)) - (r - len(a))
+
+        def valid(k: int) -> bool:
+            return _entries_agree_on(t.source, t.core, t.core, part,
+                                     *_shift_entry(b, q, k), *_shift_entry(a, r, k + d))
+
+        low = max(0, -d)
+        candidates = range(low, max(len(b), len(a) - d, low) + 1)
+        k = candidates[bisect_left(candidates, True, key=valid)]
+        k_table[part], l_table[part] = k, k + d
+    return canonical(t.source, k_table), canonical(t.source, l_table)
 
 
 def transducer_equal(t1: Transducer, t2: Transducer, under: Word = ()) -> bool:

@@ -16,7 +16,7 @@ from shiftgroups.conjugacy import (
     witness_non_conjugacy,
 )
 from shiftgroups.errors import SearchBudgetExceeded, VerificationFailed
-from shiftgroups.functions import compose_shift, zero
+from shiftgroups.functions import compose_shift, constant, zero
 from shiftgroups.orbit import (
     coe_apply,
     coe_from_chain,
@@ -241,6 +241,23 @@ def test_corpus_verdicts_match_pointwise_behaviour():
         assert not is_conjugacy(h)
         assert any(not commutes_at(h, representative(h.source, word))
                    for word in enumerate_words(h.source, 6))
+
+
+def test_conjugacy_is_the_trivial_exponent_pair():
+    """A chain map commutes with the shift exactly when ``(k1, l1)`` is
+    ``(0, 1)``, over the three corpora and seeded draws."""
+    from shiftgroups.selftest import (
+        MATRICES, commutant_corpus, conjugacy_corpus, random_chain, twisted_corpus)
+
+    rng = random.Random(3)
+    maps = conjugacy_corpus() + twisted_corpus() + commutant_corpus()
+    maps += [random_chain(matrix, rng) for _, matrix in MATRICES for _ in range(50)]
+    conjugacies = 0
+    for h in maps:
+        trivial = h.k1 == constant(h.source, 0) and h.l1 == constant(h.source, 1)
+        assert is_conjugacy(h) == trivial
+        conjugacies += trivial
+    assert 0 < conjugacies < len(maps)
 
 
 def test_identity_through_nontrivial_stages():

@@ -15,7 +15,13 @@ The trusted constructors are checked against the boundary ones: every
 table the group operations build through ``tables.canonical_table`` is
 what ``validate_table`` returns for its entries, with no sibling family
 left to merge, and every ``higher_block_codes`` result passes
-``make_code`` and has the block rows of the blocks x blocks scan.
+``make_code`` and has the block rows of the blocks x blocks scan, with
+successor and predecessor lists equal to the row and column scans.
+
+``transducer.shift_exponents`` is checked against the exponent fold and
+per-part minimization that ``orbit.coe_from_chain`` ran before it: the
+same ``l1 - k1``, a ``k1`` never larger, and one that is least on every
+part of its refinement.
 """
 
 import itertools
@@ -68,7 +74,13 @@ from shiftgroups.tables import (
     random_element,
     validate_table,
 )
-from shiftgroups.transducer import conjugate_table_by_code, post_shift, precompose_shift
+from shiftgroups.transducer import (
+    conjugate_table_by_code,
+    identity_transducer,
+    post_shift,
+    precompose_shift,
+    transducer_equal,
+)
 
 MATRIX_IDS = [name for name, _ in MATRICES]
 
@@ -272,6 +284,51 @@ def reference_sum_along(f, exponent, t, behind_shift):
     for part, values in on_refinement(exponent, *terms):
         table[part] = sum(values[1: values[0] + 1])
     return fn.canonical(exponent.matrix, table)
+
+
+def reference_table_stage_data(table):
+    """A table's pair as a self chain map, from its own ``(k, l)``:
+    ``k1 = k . shift`` and ``l1 = k + s`` with ``s = l . shift + 1 - l``,
+    padded per part so ``s`` stays nonnegative."""
+    k_tau, l_tau, _ = tables.cocycle_data(table)
+    s = fn.compose_shift(l_tau) + fn.constant(table.matrix, 1) - l_tau
+    k_table, l_table = {}, {}
+    for part, (shifted_k, plain_k, sv) in on_refinement(fn.compose_shift(k_tau), k_tau, s):
+        pad = max(0, -sv)
+        k_table[part] = shifted_k + pad
+        l_table[part] = plain_k + sv + pad
+    return fn.canonical(table.matrix, k_table), fn.canonical(table.matrix, l_table)
+
+
+def reference_minimize_pair(t, k, l):
+    """The largest common drop on each part of ``on_refinement(k, l)``,
+    every candidate tested with two whole-map ``post_shift`` transducers."""
+    shifted = precompose_shift(t)
+    k_table, l_table = {}, {}
+    for part, (kv, lv) in on_refinement(k, l):
+        best = 0
+        for drop in range(min(kv, lv), 0, -1):
+            lhs = post_shift(shifted, fn.constant(k.matrix, kv - drop))
+            rhs = post_shift(t, fn.constant(k.matrix, lv - drop))
+            if transducer_equal(lhs, rhs, under=part):
+                best = drop
+                break
+        k_table[part], l_table[part] = kv - best, lv - best
+    return fn.canonical(k.matrix, k_table), fn.canonical(k.matrix, l_table)
+
+
+def reference_shift_exponents(h):
+    """Each table stage's pair folded along the chain, then minimized,
+    as ``coe_from_chain`` derived ``(k1, l1)`` before ``shift_exponents``."""
+    source = h.source
+    k, l = fn.constant(source, 0), fn.constant(source, 1)
+    if not h.pre.is_identity():
+        k, l = orbit._fold_stage_data(k, l, *reference_table_stage_data(h.pre),
+                                      identity_transducer(source))
+    if not h.post.is_identity():
+        partial = orbit.stage_transducer(source, (h.pre, h.core))
+        k, l = orbit._fold_stage_data(k, l, *reference_table_stage_data(h.post), partial)
+    return reference_minimize_pair(h.transducer, k, l)
 
 
 def reference_block_rows(matrix, m):
@@ -665,6 +722,50 @@ def test_orbit_sums_match_tower_references():
         assert orbit._fold_stage_data(h.k1, h.l1, stage_k, stage_l, t) == expected
 
 
+# -- shift exponents --------------------------------------------------------------
+
+
+def exponent_chains():
+    """The chain corpora and ``random_chain`` draws of :func:`chain_maps`,
+    plus 20 more draws per matrix."""
+    rng = random.Random(1)
+    return chain_maps() + [random_chain(matrix, rng)
+                           for _, matrix in MATRICES for _ in range(20)]
+
+
+def test_shift_exponents_match_fold_and_minimize_reference():
+    """Same ``l1 - k1`` as the folded and minimized pair, and ``k1`` never
+    larger; on some chains it is smaller, since the reference drops one
+    amount over a whole part of ``on_refinement(k, l)``."""
+    smaller = 0
+    for h in exponent_chains():
+        k, l = reference_shift_exponents(h)
+        assert h.l1 - h.k1 == l - k
+        assert (k - h.k1).min_value() >= 0
+        smaller += (k - h.k1).max_value() > 0
+    assert smaller > 0
+
+
+def test_shift_exponents_are_least_per_part():
+    """On each part of the refinement of ``t`` and ``t after shift``, the
+    pair one lower fails the whole-map comparison wherever both
+    exponents stay nonnegative."""
+    lowered = 0
+    for h in exponent_chains():
+        t = h.transducer
+        shifted = precompose_shift(t)
+        for part in refine_words(t.source, [t.parts, shifted.parts]):
+            [(_, k)], [(_, l)] = restrict(h.k1, part), restrict(h.l1, part)
+            assert transducer_equal(post_shift(shifted, fn.constant(t.source, k)),
+                                    post_shift(t, fn.constant(t.source, l)), under=part)
+            if min(k, l) > 0:
+                lhs = post_shift(shifted, fn.constant(t.source, k - 1))
+                rhs = post_shift(t, fn.constant(t.source, l - 1))
+                assert not transducer_equal(lhs, rhs, under=part)
+                lowered += 1
+    assert lowered > 100
+
+
 # -- trusted constructors ---------------------------------------------------------
 
 
@@ -748,6 +849,11 @@ def test_block_rows_match_overlap_scan():
             block, _, _ = higher_block_codes(matrix, m)
             assert block.rows == reference_block_rows(matrix, m)
             assert higher_block(matrix, m)[0] == block
+            for a in block.symbols():
+                assert block.successors(a) == tuple(
+                    b for b in block.symbols() if block.entry(a, b))
+                assert block.predecessors(a) == tuple(
+                    b for b in block.symbols() if block.entry(b, a))
 
 
 @pytest.mark.parametrize("m", [0, -1])
