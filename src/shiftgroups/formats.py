@@ -37,7 +37,7 @@ def parse_word(text: str, line: int | None = None) -> Word:
     if text == "-":
         return ()
     try:
-        return tuple(int(part) for part in text.split("."))
+        return tuple(map(int, text.split(".")))
     except ValueError:
         raise FormatError(f"bad word literal {text!r}", line)
 

@@ -20,7 +20,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible
+from .errors import (BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible,
+                     VerificationFailed)
 
 Word = tuple[int, ...]
 
@@ -199,9 +200,19 @@ def shift_point(point: Point) -> Point:
 
 
 def shift_point_n(point: Point, n: int) -> Point:
-    for _ in range(n):
-        point = shift_point(point)
-    return point
+    """The shift applied ``n`` times, in one step.
+
+    A canonical point stays canonical: the shift either cuts a prefix off
+    its transient, whose last symbol still differs from the cycle's, or
+    rotates its primitive cycle.  ``n <= 0`` returns the point.
+    """
+    if n <= 0:
+        return point
+    u, w = point.transient, point.cycle
+    if n <= len(u):
+        return Point(point.matrix, u[n:], w)
+    r = (n - len(u)) % len(w)
+    return Point(point.matrix, EMPTY, w[r:] + w[:r])
 
 
 def prepend_point(word: Word, point: Point) -> Point:
@@ -332,15 +343,54 @@ def _check_complete(matrix: TransitionMatrix, parts: Iterable[Word]) -> None:
             stack.append(child)
 
 
+def _is_partition(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> bool:
+    """Whether sorted, duplicate-free ``parts`` are admissible, prefix-free
+    and complete, in one scan.
+
+    The members below a node of depth ``d`` form a contiguous run.  A member
+    equal to the node must be the whole run; otherwise the run splits, in
+    order, into one nonempty run per admissible next letter and nothing
+    else.  An explicit stack keeps deep words off the recursion limit.
+    """
+    stack = [(0, len(parts), 0)]
+    while stack:
+        lo, hi, d = stack.pop()
+        if len(parts[lo]) == d:
+            if hi - lo != 1:
+                return False
+            continue
+        i = lo
+        for a in matrix.successors(parts[lo][d - 1]) if d else matrix.symbols():
+            j = i
+            while j < hi and parts[j][d] == a:
+                j += 1
+            if j == i:
+                return False
+            stack.append((i, j, d + 1))
+            i = j
+        if i != hi:
+            return False
+    return True
+
+
 def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
-    """Validate a word family as a cylinder partition."""
+    """Validate a word family as a cylinder partition.
+
+    One scan of the sorted family decides.  Only when it rejects do the
+    ordered checks run, to name the first failure: :class:`Inadmissible`
+    for the first inadmissible part in sorted order, then
+    :class:`BadPartition` for the first part that is a prefix of the next,
+    then for the first uncovered extension.
+    """
     parts = tuple(sorted(set(tuple(p) for p in parts)))
     if not parts:
         raise BadPartition("a partition needs at least one part")
-    for p in parts:
-        matrix.check_admissible(p)
-    _check_antichain(parts)
-    _check_complete(matrix, parts)
+    if not _is_partition(matrix, parts):
+        for p in parts:
+            matrix.check_admissible(p)
+        _check_antichain(parts)
+        _check_complete(matrix, parts)
+        raise VerificationFailed("partition scan rejected a family the checks accept")
     return CylinderPartition(matrix, parts)
 
 

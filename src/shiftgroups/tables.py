@@ -26,9 +26,10 @@ from .errors import (
     ImageNotPartition,
     InadmissiblePair,
     InadmissibleWord,
+    ShiftError,
 )
 from .functions import LocFun, canonical
-from .sft import (BadPartition, Point, TransitionMatrix, Word, enumerate_words, part_of,
+from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words, part_of,
                   partition, prefix_in, prepend_point, refine_until, shift_point_n)
 
 Entry = tuple[Word, Word]
@@ -88,28 +89,51 @@ def _merge_entries(matrix: TransitionMatrix, entries: dict[Word, Word]) -> dict[
     return entries
 
 
-def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
-    """Validate raw ``(nu, mu)`` pairs and return the canonical table."""
-    raw = [(tuple(nu), tuple(mu)) for nu, mu in entries]
+def _check_words(matrix: TransitionMatrix, raw: list[Entry]) -> None:
+    """Raise :class:`InadmissibleWord` for the first empty or inadmissible
+    word, in entry order."""
     for nu, mu in raw:
         for word in (nu, mu):
             if not word:
                 raise InadmissibleWord("table words must be nonempty")
             if not matrix.is_admissible(word):
                 raise InadmissibleWord(f"word {word} is not admissible")
+
+
+def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
+    """Validate raw ``(nu, mu)`` pairs and return the canonical table.
+
+    Raises the first failure in this order: :class:`InadmissibleWord` for
+    the first empty or inadmissible word in entry order (source before
+    target), :class:`DomainNotPartition` for a repeated source word and
+    then for the source words, :class:`ImageNotPartition` for the target
+    words, :class:`FollowerMismatch` for the first entry whose words allow
+    different successors.
+
+    On valid input each word is checked once, by :func:`sft.partition`;
+    the entry-order word scan runs only after a check has failed.
+    """
+    raw = [(tuple(nu), tuple(mu)) for nu, mu in entries]
     table = {}
-    for nu, mu in raw:
-        if nu in table:
-            raise DomainNotPartition(f"source word {nu} repeats")
-        table[nu] = mu
     try:
-        partition(matrix, table.keys())
-    except BadPartition as exc:
-        raise DomainNotPartition(str(exc)) from exc
-    try:
-        partition(matrix, table.values())
-    except BadPartition as exc:
-        raise ImageNotPartition(str(exc)) from exc
+        for nu, mu in raw:
+            if nu in table:
+                raise DomainNotPartition(f"source word {nu} repeats")
+            table[nu] = mu
+        try:
+            partition(matrix, table.keys())
+        except BadPartition as exc:
+            raise DomainNotPartition(str(exc)) from exc
+        try:
+            partition(matrix, table.values())
+        except BadPartition as exc:
+            raise ImageNotPartition(str(exc)) from exc
+    except ShiftError:
+        _check_words(matrix, raw)
+        raise
+    if EMPTY in table:
+        # The one table both checks pass with an empty word: () -> ().
+        raise InadmissibleWord("table words must be nonempty")
     for nu, mu in table.items():
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
             raise FollowerMismatch(f"entry {nu} -> {mu} pairs different follower rows")

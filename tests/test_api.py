@@ -1,5 +1,6 @@
-"""Guards for what stays stable: the public names, and no private
-cross-module imports inside the package."""
+"""Guards for what stays stable: the public names, no private
+cross-module imports inside the package, and table validation only at
+the input boundary."""
 
 import ast
 import pathlib
@@ -59,3 +60,26 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_only_parse_table_validates_tables():
+    """Tables the library builds itself go through ``canonical_table``;
+    only parsing input calls ``validate_table``."""
+    package = pathlib.Path(shiftgroups.__file__).parent
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "validate_table":
+                    callers.append(scope)
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == ["formats.parse_table"]

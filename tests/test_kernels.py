@@ -22,6 +22,13 @@ successor and predecessor lists equal to the row and column scans.
 per-part minimization that ``orbit.coe_from_chain`` ran before it: the
 same ``l1 - k1``, a ``k1`` never larger, and one that is least on every
 part of its refinement.
+
+The one-scan ``partition`` and the ``validate_table`` that leaves its word
+checks to it are checked against the three ordered checks and the
+word-first body they replaced, on perturbed families and mutated tables:
+the same result, or an exception of the same type and message.  The
+one-step ``shift_point_n`` is checked against ``n`` calls of
+``shift_point``.
 """
 
 import itertools
@@ -34,7 +41,15 @@ from shiftgroups import functions as fn
 from shiftgroups import orbit
 from shiftgroups import tables
 from shiftgroups.cocycles import rho, rho_from_entries
-from shiftgroups.errors import BadPartition, ShiftError
+from shiftgroups.errors import (
+    BadPartition,
+    DomainNotPartition,
+    FollowerMismatch,
+    ImageNotPartition,
+    Inadmissible,
+    InadmissibleWord,
+    ShiftError,
+)
 from shiftgroups.codes import higher_block_codes, make_code
 from shiftgroups.functions import eval_at, on_refinement, restrict
 from shiftgroups.orbit import psi, pullback_map
@@ -51,6 +66,7 @@ from shiftgroups.selftest import (
 from shiftgroups.sft import (
     EMPTY,
     CylinderPartition,
+    _check_antichain,
     _check_complete,
     canonicalize_point,
     enumerate_words,
@@ -62,6 +78,8 @@ from shiftgroups.sft import (
     refine_words,
     representative,
     restrict_words,
+    shift_point,
+    shift_point_n,
     validate_matrix,
 )
 from shiftgroups.tables import (
@@ -119,6 +137,53 @@ def reference_check_complete(matrix, parts):
             if not any(p[: len(child)] == child for p in parts):
                 raise BadPartition(f"no part covers sequences through {child}")
             stack.append(child)
+
+
+def reference_partition(matrix, parts):
+    """The three ordered checks ``partition`` ran before its one scan."""
+    parts = tuple(sorted(set(tuple(p) for p in parts)))
+    if not parts:
+        raise BadPartition("a partition needs at least one part")
+    for p in parts:
+        matrix.check_admissible(p)
+    _check_antichain(parts)
+    _check_complete(matrix, parts)
+    return CylinderPartition(matrix, parts)
+
+
+def reference_validate_table(matrix, entries):
+    """``validate_table`` as it was: every word checked in entry order
+    first, then again by each ``partition`` call."""
+    raw = [(tuple(nu), tuple(mu)) for nu, mu in entries]
+    for nu, mu in raw:
+        for word in (nu, mu):
+            if not word:
+                raise InadmissibleWord("table words must be nonempty")
+            if not matrix.is_admissible(word):
+                raise InadmissibleWord(f"word {word} is not admissible")
+    table = {}
+    for nu, mu in raw:
+        if nu in table:
+            raise DomainNotPartition(f"source word {nu} repeats")
+        table[nu] = mu
+    try:
+        reference_partition(matrix, table.keys())
+    except BadPartition as exc:
+        raise DomainNotPartition(str(exc)) from exc
+    try:
+        reference_partition(matrix, table.values())
+    except BadPartition as exc:
+        raise ImageNotPartition(str(exc)) from exc
+    for nu, mu in table.items():
+        if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
+            raise FollowerMismatch(f"entry {nu} -> {mu} pairs different follower rows")
+    return tables.canonical_table(matrix, table)
+
+
+def reference_shift_point_n(point, n):
+    for _ in range(n):
+        point = shift_point(point)
+    return point
 
 
 def reference_merge_siblings(matrix, table):
@@ -417,6 +482,93 @@ def comb(matrix, k):
     return family + list(matrix.extensions(path))
 
 
+def bad_letters(matrix, word):
+    """Letters that cannot follow ``word``: 0, ``n + 1`` and the forbidden
+    symbols."""
+    allowed = set(matrix.successors(word[-1])) if word else set(matrix.symbols())
+    return [b for b in range(matrix.n + 2) if b not in allowed]
+
+
+def perturbed(matrix, family, rng):
+    """A complete family after one to three random edits at its members,
+    most of which break it."""
+    members = sorted(family)
+    family = list(members)
+    for _ in range(rng.randint(1, 3)):
+        word = rng.choice(members)
+        kind = rng.randrange(8)
+        if kind in (0, 4, 5, 6) and word in family:
+            family.remove(word)
+        if kind == 1:
+            longer = word
+            for _ in range(rng.randint(1, 3)):
+                longer = rng.choice(matrix.extensions(longer))
+            family.append(longer)
+        elif kind == 2 and word:
+            family.append(word[:-1])
+        elif kind == 3 and word:
+            family.append(word[:-1] + (rng.choice(bad_letters(matrix, word[:-1])),))
+        elif kind == 4:
+            family.append(word + (rng.choice(bad_letters(matrix, word)),))
+        elif kind == 5:
+            family.extend(matrix.extensions(word))
+        elif kind == 6 and word:
+            family.append(word[:-1] + (rng.randint(0, matrix.n + 1),))
+        elif kind == 7:
+            family.append(word)
+    rng.shuffle(family)
+    return family
+
+
+def mutated(matrix, entries, rng):
+    """Table entries after one or two random edits, most of which break
+    the table."""
+    entries = list(entries)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(entries))
+        nu, mu = entries[i]
+        kind = rng.randrange(7)
+        if kind == 0:
+            j = rng.randrange(len(entries))
+            entries[i], entries[j] = (nu, entries[j][1]), (entries[j][0], mu)
+        elif kind == 1 and len(entries) > 1:
+            del entries[i]
+        elif kind == 2:
+            entries.append((nu, entries[rng.randrange(len(entries))][1]))
+        elif kind == 3:
+            entries[i] = (EMPTY, mu) if rng.random() < 0.5 else (nu, EMPTY)
+        elif kind == 4:
+            if rng.random() < 0.5:
+                entries[i] = (nu + (rng.choice(bad_letters(matrix, nu)),), mu)
+            else:
+                entries[i] = (nu, mu[:-1] + (rng.choice(bad_letters(matrix, mu[:-1])),))
+        elif kind == 5:
+            entries[i] = (nu, mu[:-1] + (rng.randint(1, matrix.n),))
+        else:
+            entries[i:i + 1] = pad_entry(matrix, (nu, mu), 1)
+    rng.shuffle(entries)
+    return entries
+
+
+def outcome(check, matrix, arg):
+    """The value ``check`` returns, or the type and message it raises."""
+    try:
+        return check(matrix, arg)
+    except ShiftError as exc:
+        return type(exc), str(exc)
+
+
+def random_cycle_point(matrix, rng):
+    """A point with a random transient and a random, maybe repeated, cycle
+    closed on the walk, made canonical."""
+    walk = random_word(matrix, rng, depth=12)
+    starts = [i for i, a in enumerate(walk) if matrix.entry(walk[-1], a)]
+    if not starts:
+        return representative(matrix, walk)
+    i = rng.choice(starts)
+    return canonicalize_point(matrix, walk[:i], walk[i:] * rng.randint(1, 2))
+
+
 def small_matrices():
     """Every irreducible non-permutation 0/1 matrix on up to three symbols."""
     out = []
@@ -489,6 +641,63 @@ def test_completeness_check_matches_reference(matrix):
         expected = check_message(reference_check_complete, matrix, parts)
         assert expected is not None
         assert check_message(_check_complete, matrix, parts) == expected
+
+
+# -- one-scan validation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_partition_scan_matches_ordered_checks(matrix):
+    """Perturbed random families and the perturbed 300-deep comb: the
+    same partition, or the same first error."""
+    rng = random.Random(73)
+    families = [[], [EMPTY], [EMPTY, (1,)], [(0,)], [(matrix.n + 1,)]]
+    for _ in range(400):
+        family = random_parts(matrix, rng)
+        families += [family, perturbed(matrix, family, rng)]
+    deep = comb(matrix, 300)
+    families += [deep] + [perturbed(matrix, deep, rng) for _ in range(30)]
+    seen = set()
+    for family in families:
+        expected = outcome(reference_partition, matrix, family)
+        assert outcome(partition, matrix, family) == expected
+        seen.add(expected[0] if isinstance(expected, tuple) else "valid")
+    assert seen == {"valid", BadPartition, Inadmissible}
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_validate_table_matches_word_first_reference(matrix):
+    """Mutated padded random tables and mutated comb tables: the same
+    table, or the same first error."""
+    rng = random.Random(79)
+    deep = comb(matrix, 300)
+    cases = [[(EMPTY, EMPTY)], [(EMPTY, EMPTY), ((1,), EMPTY)],
+             [(w, w) for w in deep], [(w, v) for w, v in zip(deep, reversed(deep))]]
+    for seed in range(150):
+        entries = padded(random_element(matrix, 3, seed), rng).entries
+        cases += [list(entries), mutated(matrix, entries, rng)]
+    cases += [mutated(matrix, cases[2 + i % 2], rng) for i in range(20)]
+    seen = set()
+    for entries in cases:
+        expected = outcome(reference_validate_table, matrix, entries)
+        assert outcome(validate_table, matrix, entries) == expected
+        seen.add(expected[0] if isinstance(expected, tuple) else "valid")
+    assert seen >= {"valid", InadmissibleWord, DomainNotPartition, ImageNotPartition}
+    if len(set(map(matrix.successors, matrix.symbols()))) > 1:
+        assert FollowerMismatch in seen
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_shift_point_n_matches_repeated_shift(matrix):
+    rng = random.Random(83)
+    transients, cycles = set(), set()
+    for _ in range(300):
+        x = random_cycle_point(matrix, rng)
+        transients.add(len(x.transient))
+        cycles.add(len(x.cycle))
+        for n in range(21):
+            assert shift_point_n(x, n) == reference_shift_point_n(x, n)
+    assert min(transients) == 0 and max(transients) > 5 and max(cycles) > 5
 
 
 # -- canonical merges -------------------------------------------------------------
