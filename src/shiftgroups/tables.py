@@ -131,8 +131,9 @@ def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
     except ShiftError:
         _check_words(matrix, raw)
         raise
-    if EMPTY in table:
-        # The one table both checks pass with an empty word: () -> ().
+    if EMPTY in table or EMPTY in table.values():
+        # A partition holds an empty word only as its sole member, so both
+        # checks pass when the only source or every target is empty.
         raise InadmissibleWord("table words must be nonempty")
     for nu, mu in table.items():
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):

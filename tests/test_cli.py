@@ -129,6 +129,10 @@ def test_table_check_rejects(workdir):
     result = run_cli("table", "check", "G.mks", "bad.tbl", cwd=workdir)
     assert result.returncode == 1
     assert result.stdout.startswith("REJECTED FollowerMismatch")
+    (workdir / "empty.tbl").write_text("table\n1 -> -\n2 -> -\n", encoding="utf-8")
+    result = run_cli("table", "check", "G.mks", "empty.tbl", cwd=workdir)
+    assert result.returncode == 1
+    assert result.stdout.startswith("REJECTED InadmissibleWord")
 
 
 def test_rho_golden_output(workdir):

@@ -672,11 +672,12 @@ def test_validate_table_matches_word_first_reference(matrix):
     rng = random.Random(79)
     deep = comb(matrix, 300)
     cases = [[(EMPTY, EMPTY)], [(EMPTY, EMPTY), ((1,), EMPTY)],
+             [((a,), EMPTY) for a in matrix.symbols()],
              [(w, w) for w in deep], [(w, v) for w, v in zip(deep, reversed(deep))]]
     for seed in range(150):
         entries = padded(random_element(matrix, 3, seed), rng).entries
         cases += [list(entries), mutated(matrix, entries, rng)]
-    cases += [mutated(matrix, cases[2 + i % 2], rng) for i in range(20)]
+    cases += [mutated(matrix, cases[3 + i % 2], rng) for i in range(20)]
     seen = set()
     for entries in cases:
         expected = outcome(reference_validate_table, matrix, entries)
