@@ -29,7 +29,7 @@ def _content_lines(text: str):
 
 
 def format_word(word: Word) -> str:
-    return ".".join(str(a) for a in word) if word else "-"
+    return ".".join(map(str, word)) if word else "-"
 
 
 def parse_word(text: str, line: int | None = None) -> Word:

@@ -47,14 +47,18 @@ class TableElement:
     matrix: TransitionMatrix
     entries: tuple[Entry, ...]
 
+    def __post_init__(self) -> None:
+        # The source-to-target dict, built once; it is not a field, so
+        # ``==``, ``hash`` and ``repr`` still see only the fields above.
+        object.__setattr__(self, "_images", dict(self.entries))
+
     @property
     def domain_words(self) -> tuple[Word, ...]:
         return tuple(nu for nu, _ in self.entries)
 
     def entry_for(self, point: Point) -> Entry:
-        images = dict(self.entries)
-        nu = part_of(images, point)
-        return nu, images[nu]
+        nu = part_of(self._images, point)
+        return nu, self._images[nu]
 
     def is_identity(self) -> bool:
         return all(nu == mu for nu, mu in self.entries)

@@ -14,6 +14,12 @@ stays in this class, and equality of two maps with the same core is
 decidable by refining to a common partition and aligning the shifts of
 each pair of entries, which costs linear work in the shift exponent
 instead of a cylinder expansion.
+
+Each such check reads the core stream over one cylinder: position ``p``
+holds the symbol the core writes at ``p`` on every point of the
+cylinder, or None where its points disagree.  The stream is computed
+once per cylinder, each position when first read, and every check on
+that cylinder (each bisection step of :func:`shift_exponents`) reads it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .sft import (
     TransitionMatrix,
     Word,
     enumerate_words,
+    expand_to_depth,
     part_of,
     prefix_in,
     prepend_point,
@@ -47,6 +54,12 @@ class Transducer:
     core: BlockCode
     entries: tuple[Entry, ...]
 
+    def __post_init__(self) -> None:
+        # The entries keyed by source word, ``{mu: (alpha, r)}``, built
+        # once; it is not a field, so ``==``, ``hash`` and ``repr`` still
+        # see only the fields above.
+        object.__setattr__(self, "_outputs", {mu: (alpha, r) for mu, alpha, r in self.entries})
+
     @property
     def source(self) -> TransitionMatrix:
         return self.core.source
@@ -64,14 +77,8 @@ class Transducer:
         return alpha + self.core.apply_word(mu[r:])
 
     def entry_for(self, point: Point) -> Entry:
-        outputs = _outputs(self)
-        mu = part_of(outputs, point)
-        return (mu, *outputs[mu])
-
-
-def _outputs(t: Transducer) -> dict[Word, tuple[Word, int]]:
-    """The entries keyed by source word: ``{mu: (alpha, r)}``."""
-    return {mu: (alpha, r) for mu, alpha, r in t.entries}
+        mu = part_of(self._outputs, point)
+        return (mu, *self._outputs[mu])
 
 
 def _sorted(entries) -> tuple[Entry, ...]:
@@ -220,65 +227,57 @@ def cores_semantically_equal(c1: BlockCode, c2: BlockCode) -> bool:
     )
 
 
-def _window_sets(matrix: TransitionMatrix, window: int, mu: Word, upto: int):
-    """Possible code windows at positions 1..upto for points of ``mu``.
+class _CylinderStream:
+    """The core stream over the cylinder of ``mu``, read by position.
 
-    Yields, per position ``p``, the set of admissible ``window``-words
-    that can occupy coordinates ``p .. p + window - 1`` of a point in the
-    cylinder, a set that stabilizes instead of branching, so deep shift
-    exponents stay cheap to analyze.
+    Position ``p`` (from 1) holds the symbol the core writes at ``p`` on
+    every point of the cylinder, or None where its points disagree.
+    Positions whose window lies inside ``mu`` are read off
+    ``core.apply_word(mu)``.  Each later position is computed once, when
+    first read, from the set of windows the cylinder's points show there:
+    the windows of ``mu``'s extensions at the first such position, then
+    the follower step ``w -> w[1:] + (a,)``.  No later window overlaps
+    ``mu``, so no step needs to check it against ``mu``.
     """
-    def compatible(word: Word, offset: int) -> bool:
-        for i, symbol in enumerate(word):
-            position = offset + i
-            if position < len(mu) and mu[position] != symbol:
-                return False
-        return True
 
-    current = {w for w in enumerate_words(matrix, window) if compatible(w, 0)}
-    for p in range(1, upto + 1):
-        yield current
-        current = {
-            w[1:] + (a,)
-            for w in current
-            for a in matrix.successors(w[-1])
-            if compatible(w[1:] + (a,), p)
-        }
+    def __init__(self, matrix: TransitionMatrix, core: BlockCode, mu: Word) -> None:
+        self._successors = matrix.successors
+        self._table = core.symbol_map()
+        self._symbols: list[int | None] = list(core.apply_word(mu))
+        start = len(self._symbols)
+        # The windows at position start + 1, the first one past ``mu``.
+        self._windows = {w[start:] for w in expand_to_depth(matrix, mu, start + core.window)}
+
+    def read(self, start: int, stop: int) -> tuple[int | None, ...]:
+        """The symbols at positions ``start + 1 .. stop``."""
+        symbols = self._symbols
+        while len(symbols) < stop:
+            windows = self._windows
+            written = {self._table[w] for w in windows}
+            symbols.append(written.pop() if len(written) == 1 else None)
+            self._windows = {w[1:] + (a,) for w in windows for a in self._successors(w[-1])}
+        return tuple(symbols[start:stop])
 
 
-def _entries_agree_on(matrix: TransitionMatrix, core1: BlockCode, core2: BlockCode,
-                      part: Word, a1: Word, r1: int, a2: Word, r2: int) -> bool:
+def _entries_agree_on(stream: _CylinderStream, a1: Word, r1: int, a2: Word, r2: int) -> bool:
     """Exact equality of two same-core entry maps on one cylinder.
 
     Aligned up to the larger shift, the shorter side's output must spell
     the longer side's extra symbols, which happens exactly when the
-    intervening stream symbols are constant over the cylinder with the
-    right values.
+    cylinder's core ``stream`` holds them at the positions between the
+    two shifts: constant over the cylinder, with the right values.
     """
     if r1 > r2:
         a1, r1, a2, r2 = a2, r2, a1, r1
-        core1, core2 = core2, core1
-    gap = r2 - r1
-    if len(a1) + gap != len(a2) or a2[: len(a1)] != a1:
+    if len(a1) + r2 - r1 != len(a2) or a2[: len(a1)] != a1:
         return False
-    if gap == 0:
-        return True
-    needed = a2[len(a1):]
-    table = core1.symbol_map()
-    window_sets = _window_sets(matrix, core1.window, part, r2)
-    for p, windows in enumerate(window_sets, start=1):
-        if p <= r1:
-            continue
-        symbols = {table[w] for w in windows}
-        if symbols != {needed[p - r1 - 1]}:
-            return False
-    return True
+    return stream.read(r1, r2) == a2[len(a1):]
 
 
 def _aligned(t1: Transducer, t2: Transducer, under: Word = ()):
     """Each part of the common refinement of two transducers within
     ``under``, with the output ``(alpha, r)`` of each side there."""
-    out1, out2 = _outputs(t1), _outputs(t2)
+    out1, out2 = t1._outputs, t2._outputs
     for part in restrict_words(refine_words(t1.source, [t1.parts, t2.parts]), under):
         yield part, out1[prefix_in(out1, part)], out2[prefix_in(out2, part)]
 
@@ -291,9 +290,14 @@ def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[
     """
     if not cores_semantically_equal(t1.core, t2.core):
         raise ValueError("transducers have different cores; not comparable")
+    # One stream per part, from t1's core alone.  That is exact: the cores
+    # are semantically equal, and on an irreducible SFT every window in the
+    # stream's window set occurs on some point of the cylinder, so the
+    # symbols the stream reports are what the map writes there, whichever
+    # of the two equal cores built it.
     return tuple(sorted(
         part for part, (a1, r1), (a2, r2) in _aligned(t1, t2, under)
-        if not _entries_agree_on(t1.source, t1.core, t2.core, part, a1, r1, a2, r2)))
+        if not _entries_agree_on(_CylinderStream(t1.source, t1.core, part), a1, r1, a2, r2)))
 
 
 def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
@@ -311,10 +315,10 @@ def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
     k_table, l_table = {}, {}
     for part, (a, r), (b, q) in _aligned(t, precompose_shift(t)):
         d = (q - len(b)) - (r - len(a))
+        stream = _CylinderStream(t.source, t.core, part)
 
         def valid(k: int) -> bool:
-            return _entries_agree_on(t.source, t.core, t.core, part,
-                                     *_shift_entry(b, q, k), *_shift_entry(a, r, k + d))
+            return _entries_agree_on(stream, *_shift_entry(b, q, k), *_shift_entry(a, r, k + d))
 
         low = max(0, -d)
         candidates = range(low, max(len(b), len(a) - d, low) + 1)

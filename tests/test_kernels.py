@@ -21,7 +21,10 @@ successor and predecessor lists equal to the row and column scans.
 ``transducer.shift_exponents`` is checked against the exponent fold and
 per-part minimization that ``orbit.coe_from_chain`` ran before it: the
 same ``l1 - k1``, a ``k1`` never larger, and one that is least on every
-part of its refinement.
+part of its refinement.  Its agreement checks, which read one core stream
+per cylinder, are checked against the window sets the old
+``_entries_agree_on`` rebuilt from position 1 on every call, and so is
+``difference_parts`` on cores that are equal maps with different windows.
 
 The one-scan ``partition`` and the ``validate_table`` that leaves its word
 checks to it are checked against the three ordered checks and the
@@ -36,6 +39,7 @@ import random
 import re
 
 import pytest
+from conftest import deep_exchange
 
 from shiftgroups import functions as fn
 from shiftgroups import orbit
@@ -50,9 +54,9 @@ from shiftgroups.errors import (
     InadmissibleWord,
     ShiftError,
 )
-from shiftgroups.codes import higher_block_codes, make_code
+from shiftgroups.codes import compose_codes, higher_block_codes, make_code
 from shiftgroups.functions import eval_at, on_refinement, restrict
-from shiftgroups.orbit import psi, pullback_map
+from shiftgroups.orbit import coe_from_chain, psi, pullback_map
 from shiftgroups.selftest import (
     MATRICES,
     commutant_corpus,
@@ -93,7 +97,13 @@ from shiftgroups.tables import (
     validate_table,
 )
 from shiftgroups.transducer import (
+    Transducer,
+    _aligned,
+    _CylinderStream,
+    _entries_agree_on,
+    _shift_entry,
     conjugate_table_by_code,
+    difference_parts,
     identity_transducer,
     post_shift,
     precompose_shift,
@@ -394,6 +404,56 @@ def reference_shift_exponents(h):
         partial = orbit.stage_transducer(source, (h.pre, h.core))
         k, l = orbit._fold_stage_data(k, l, *reference_table_stage_data(h.post), partial)
     return reference_minimize_pair(h.transducer, k, l)
+
+
+def reference_window_sets(matrix, window, mu, upto):
+    """Possible code windows at positions 1..upto for points of ``mu``,
+    every window of the shift listed and scanned against ``mu``."""
+    def compatible(word, offset):
+        for i, symbol in enumerate(word):
+            position = offset + i
+            if position < len(mu) and mu[position] != symbol:
+                return False
+        return True
+
+    current = {w for w in enumerate_words(matrix, window) if compatible(w, 0)}
+    for p in range(1, upto + 1):
+        yield current
+        current = {
+            w[1:] + (a,)
+            for w in current
+            for a in matrix.successors(w[-1])
+            if compatible(w[1:] + (a,), p)
+        }
+
+
+def reference_entries_agree_on(matrix, core1, core2, part, a1, r1, a2, r2):
+    """Entry agreement from window sets rebuilt from position 1, read
+    with the core of the side with the smaller shift."""
+    if r1 > r2:
+        a1, r1, a2, r2 = a2, r2, a1, r1
+        core1, core2 = core2, core1
+    gap = r2 - r1
+    if len(a1) + gap != len(a2) or a2[: len(a1)] != a1:
+        return False
+    if gap == 0:
+        return True
+    needed = a2[len(a1):]
+    table = core1.symbol_map()
+    for p, windows in enumerate(reference_window_sets(matrix, core1.window, part, r2), start=1):
+        if p <= r1:
+            continue
+        if {table[w] for w in windows} != {needed[p - r1 - 1]}:
+            return False
+    return True
+
+
+def reference_difference_parts(t1, t2):
+    """``difference_parts`` over the whole shift, each part checked with
+    :func:`reference_entries_agree_on` and both cores."""
+    return tuple(sorted(
+        part for part, (a1, r1), (a2, r2) in _aligned(t1, t2)
+        if not reference_entries_agree_on(t1.source, t1.core, t2.core, part, a1, r1, a2, r2)))
 
 
 def reference_block_rows(matrix, m):
@@ -749,6 +809,9 @@ def test_part_of_matches_starts_with_scans(matrix):
             assert eval_at(f, x) == dict(f.pieces)[reference_starts_with_scan(f.parts, x)]
             nu = reference_starts_with_scan(tau.domain_words, x)
             assert tau.entry_for(x) == (nu, images[nu])
+        copy = TableElement(matrix, tau.entries)
+        assert (copy, hash(copy), repr(copy)) == (
+            tau, hash(tau), f"TableElement(matrix={matrix!r}, entries={tau.entries!r})")
 
 
 def test_part_of_raises_on_an_uncovered_point():
@@ -766,6 +829,9 @@ def test_transducer_entry_for_matches_starts_with_scan():
             x = random_point(t.source, rng, depth=6)
             mu = reference_starts_with_scan(t.parts, x)
             assert t.entry_for(x) == (mu, *outputs[mu])
+        copy = Transducer(t.core, t.entries)
+        assert (copy, hash(copy), repr(copy)) == (
+            t, hash(t), f"Transducer(core={t.core!r}, entries={t.entries!r})")
 
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
@@ -974,6 +1040,58 @@ def test_shift_exponents_are_least_per_part():
                 assert not transducer_equal(lhs, rhs, under=part)
                 lowered += 1
     assert lowered > 100
+
+
+def test_cylinder_stream_verdicts_match_window_set_reference():
+    """Every candidate ``k`` of the bisection, up to 2 past its top, on
+    every part of the refinement of ``t`` and ``t after shift``, read in
+    a shuffled order from one stream per part, on the exponent chains
+    and deep-swap pre-tables."""
+    rng = random.Random(89)
+    chains = exponent_chains() + [coe_from_chain([deep_exchange(k)]) for k in (3, 10, 30)]
+    verdicts = {True: 0, False: 0}
+    for h in chains:
+        t = h.transducer
+        for part, (a, r), (b, q) in _aligned(t, precompose_shift(t)):
+            d = (q - len(b)) - (r - len(a))
+            low = max(0, -d)
+            candidates = list(range(low, max(len(b), len(a) - d, low) + 3))
+            rng.shuffle(candidates)
+            stream = _CylinderStream(t.source, t.core, part)
+            for k in candidates:
+                sides = (*_shift_entry(b, q, k), *_shift_entry(a, r, k + d))
+                verdict = _entries_agree_on(stream, *sides)
+                assert verdict == reference_entries_agree_on(t.source, t.core, t.core, part, *sides)
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) > 500
+
+
+def test_difference_parts_on_equal_cores_with_other_windows():
+    """One side's core is widened by the 3-block round trip
+    ``compose_codes(decode, encode)``, a window-3 code equal to the
+    identity, so the two cores are one map with different windows; each
+    side builds the streams in turn, and the pair's exponents are also
+    moved off by one so that parts differ, on either side of the shift."""
+    cases = {"agree": 0, "differ": 0, "r1 > r2": 0}
+    for h in chain_maps():
+        t = h.transducer
+        _, encode, decode = higher_block_codes(t.source, 3)
+        widened = Transducer(compose_codes(t.core, compose_codes(decode, encode)), t.entries)
+        assert widened.core.window == t.core.window + 2
+        one = fn.constant(t.source, 1)
+        for k, l in ((h.k1, h.l1), (h.k1 + one, h.l1), (h.k1, h.l1 + one)):
+            for inner in (t, widened):
+                outer = widened if inner is t else t
+                lhs = post_shift(precompose_shift(inner), k)
+                rhs = post_shift(outer, l)
+                for t1, t2 in ((lhs, rhs), (rhs, lhs)):
+                    expected = reference_difference_parts(t1, t2)
+                    assert difference_parts(t1, t2) == expected
+                    cases["differ" if expected else "agree"] += 1
+                    cases["r1 > r2"] += sum(
+                        r1 > r2 and len(a1) > len(a2)
+                        for _, (a1, r1), (a2, r2) in _aligned(t1, t2))
+    assert min(cases.values()) > 100
 
 
 # -- trusted constructors ---------------------------------------------------------
