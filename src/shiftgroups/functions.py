@@ -3,25 +3,27 @@
 A function that only depends on a finite prefix of its argument is stored
 as a cylinder partition together with one integer per part.  The stored
 form is canonical: whenever every admissible one-symbol extension of a
-word carries the same value, those siblings are merged into their parent.
-Canonical forms are unique, so ``==`` is function equality.
+word carries the same value, those siblings are merged into their parent
+(:func:`sft.merge_siblings` with the same-value rule).  Canonical forms
+are unique, so ``==`` is function equality.
 
 Values are Python ints, hence unbounded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .sft import (
     Point,
     TransitionMatrix,
     Word,
+    merge_siblings,
     part_of,
     partition,
     prefix_in,
     refine_words,
-    restrict_words,
     shift_point,
 )
 
@@ -64,36 +66,18 @@ class LocFun:
         return scale(-1, self)
 
 
-def _merge_siblings(matrix: TransitionMatrix, table: dict[Word, int]) -> dict[Word, int]:
-    """Collapse full sibling families sharing one value, bottom up.
-
-    One pass over the words bucketed by length, longest first: a family
-    only gains members from merges one level deeper, and families are
-    disjoint, so the result is the unique fully merged form.
-    """
-    by_length: dict[int, list[Word]] = {}
-    for word in table:
-        by_length.setdefault(len(word), []).append(word)
-    for length in range(max(by_length, default=0), 0, -1):
-        for word in by_length.get(length, ()):
-            if word not in table:
-                continue
-            parent = word[:-1]
-            family = matrix.extensions(parent)
-            value = table[word]
-            if all(table.get(c) == value for c in family):
-                for c in family:
-                    del table[c]
-                table[parent] = value
-                by_length.setdefault(length - 1, []).append(parent)
-    return table
+def _same_value(word: Word, value: int) -> int:
+    return value
 
 
 def canonical(matrix: TransitionMatrix, table: dict[Word, int]) -> LocFun:
     """The canonical function of a ``{word: value}`` table whose words
-    already form a cylinder partition (not re-validated; see :func:`make`)."""
-    table = _merge_siblings(matrix, dict(table))
-    return LocFun(matrix, tuple(sorted(table.items())))
+    already form a cylinder partition (not re-validated; see :func:`make`).
+
+    A family merges when its members carry one value, which the parent
+    takes (:func:`sft.merge_siblings`).
+    """
+    return LocFun(matrix, merge_siblings(matrix, table.items(), _same_value))
 
 
 def make(matrix: TransitionMatrix, pieces) -> LocFun:
@@ -133,9 +117,20 @@ def eval_at(f: LocFun, point: Point) -> int:
 
 
 def restrict(f: LocFun, word: Word) -> list[tuple[Word, int]]:
-    """Pieces of ``f`` covering exactly the cylinder of ``word``."""
-    values = dict(f.pieces)
-    return [(w, values[prefix_in(values, w)]) for w in restrict_words(values, word)]
+    """Pieces of ``f`` covering exactly the cylinder of ``word``.
+
+    In the sorted pieces, one that holds the whole cylinder is the last
+    one before ``word``; otherwise the pieces under ``word`` are one run
+    from there.
+    """
+    pieces = f.pieces
+    i = bisect_left(pieces, (word,))
+    if i and word[: len(pieces[i - 1][0])] == pieces[i - 1][0]:
+        return [(word, pieces[i - 1][1])]
+    j = i
+    while j < len(pieces) and pieces[j][0][: len(word)] == word:
+        j += 1
+    return list(pieces[i:j])
 
 
 def is_zero_on(f: LocFun, word: Word) -> bool:

@@ -32,19 +32,17 @@ from .tables import (
     identity_table,
     invert as table_invert,
 )
-from .transducer import conjugate_table_by_code
 from .transducer import (
     Transducer,
-    apply_code_stage,
-    apply_table_stage,
+    conjugate_table_by_code,
     extract_table,
-    identity_transducer,
     orbit_sum,
     point_apply,
     post_shift,
     precompose_shift,
     pullback,
     shift_exponents,
+    stage_transducer,
     transducer_equal,
 )
 
@@ -77,17 +75,6 @@ class CoeMap:
 
     def stages(self) -> tuple:
         return (self.pre, self.core, self.post)
-
-
-def stage_transducer(source: TransitionMatrix, stages) -> Transducer:
-    """The transducer of tables and codes applied in the given order."""
-    t = identity_transducer(source)
-    for stage in stages:
-        if isinstance(stage, TableElement):
-            t = apply_table_stage(t, stage)
-        else:
-            t = apply_code_stage(t, stage)
-    return t
 
 
 def _normalize_chain(source: TransitionMatrix, stages):
@@ -236,13 +223,9 @@ def conjugate_table(h: CoeMap, table: TableElement) -> TableElement:
     """The table of ``h . table . h^{-1}`` over the target shift."""
     if table.matrix != h.source:
         raise ValueError("table lives over the wrong shift space")
-    t = identity_transducer(h.target)
-    t = apply_table_stage(t, table_invert(h.post))
-    t = apply_code_stage(t, h.core.inverse())
-    t = apply_table_stage(t, table_compose(h.pre, table_compose(table, table_invert(h.pre))))
-    t = apply_code_stage(t, h.core)
-    t = apply_table_stage(t, h.post)
-    return extract_table(t)
+    middle = table_compose(h.pre, table_compose(table, table_invert(h.pre)))
+    return extract_table(stage_transducer(
+        h.target, (table_invert(h.post), h.core.inverse(), middle, h.core, h.post)))
 
 
 def check_xihg(h: CoeMap, table: TableElement, g: LocFun) -> bool:

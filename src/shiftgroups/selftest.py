@@ -293,7 +293,7 @@ def _conjugation_exponent_transport(h: CoeMap, tau: TableElement) -> bool:
     """
     matrix = h.source
     k_t, l_t, _ = cocycle_data(tau)
-    xi = _conjugated(h, tau)
+    xi = conjugate_table(h, tau)
     _, _, d_xi = cocycle_data(xi)
     inverse = invert(tau)
 
@@ -313,10 +313,6 @@ def _conjugation_exponent_transport(h: CoeMap, tau: TableElement) -> bool:
         if lhs_point != rhs_point:
             return False
     return True
-
-
-def _conjugated(h: CoeMap, tau: TableElement) -> TableElement:
-    return conjugate_table(h, tau)
 
 
 def suite_transfer(seed: int, cases: int) -> SuiteResult:
@@ -340,12 +336,12 @@ def suite_transfer(seed: int, cases: int) -> SuiteResult:
             return SuiteResult("transfer", False, "conjugation exponents")
         if not check_xihg(h, tau, g):
             return SuiteResult("transfer", False, "transported cocycle")
-        xi = _conjugated(h, tau)
+        xi = conjugate_table(h, tau)
         if in_cocycle_group(tau, psi(h, g)) != in_cocycle_group(xi, g):
             return SuiteResult("transfer", False, "group transport")
         tau2 = random_table(matrix, rng)
-        if _conjugated(h, compose(tau2, tau)) != compose(_conjugated(h, tau2),
-                                                         _conjugated(h, tau)):
+        if conjugate_table(h, compose(tau2, tau)) != compose(conjugate_table(h, tau2),
+                                                             conjugate_table(h, tau)):
             return SuiteResult("transfer", False, "conjugation homomorphism")
     return SuiteResult("transfer", True, f"{cases} chain/table/potential draws")
 
@@ -395,12 +391,9 @@ def twisted_corpus() -> list[CoeMap]:
                                prefix_swap(TRIANGLE, 2, 3)]))
     out.append(coe_from_chain([prefix_swap(FULL_TWO, 1, 2),
                                prefix_swap(FULL_TWO, 2, 1)]))
-    out.append(coe_from_chain([prefix_swap(TRIANGLE, 3, 1), rotate_triangle()]))
+    rotate = relabel_code(TRIANGLE, TRIANGLE, {1: 2, 2: 3, 3: 1})
+    out.append(coe_from_chain([prefix_swap(TRIANGLE, 3, 1), rotate]))
     return out
-
-
-def rotate_triangle():
-    return relabel_code(TRIANGLE, TRIANGLE, {1: 2, 2: 3, 3: 1})
 
 
 def suite_conjugacy_detection(seed: int, cases: int) -> SuiteResult:

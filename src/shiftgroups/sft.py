@@ -9,6 +9,10 @@ stand-ins for that space:
 * complete prefix-free families of words, which partition the space into
   cylinders.
 
+Values attached to the parts of a partition are brought to canonical form
+by one sibling merge, :func:`merge_siblings`, whose caller says when a
+family may collapse into its parent.
+
 Symbols are the integers ``1..n``.  Words are plain tuples of symbols; the
 empty tuple is the empty word.  All values here are immutable and all
 operations are pure, so everything is safe to share between threads.
@@ -123,10 +127,7 @@ def enumerate_words(matrix: TransitionMatrix, m: int) -> list[Word]:
     """All admissible words of length ``m`` in lexicographic order."""
     if m < 0:
         raise ValueError("length must be >= 0")
-    words: list[Word] = [EMPTY]
-    for _ in range(m):
-        words = [ext for w in words for ext in matrix.extensions(w)]
-    return words
+    return expand_to_depth(matrix, EMPTY, m)
 
 
 # -- eventually periodic points ------------------------------------------
@@ -394,11 +395,40 @@ def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartit
     return CylinderPartition(matrix, parts)
 
 
-def full_partition(matrix: TransitionMatrix, depth: int) -> CylinderPartition:
-    """The partition into all cylinders of the given depth."""
-    if depth == 0:
-        return CylinderPartition(matrix, (EMPTY,))
-    return CylinderPartition(matrix, tuple(enumerate_words(matrix, depth)))
+def merge_siblings(matrix: TransitionMatrix, items, lift) -> tuple:
+    """Canonical form of ``(word, value)`` items whose words partition the
+    space: every full sibling family that lifts to one value collapses
+    into its parent, bottom up.
+
+    ``lift(word, value)`` is the value the parent of ``word`` would carry,
+    or None when that member cannot merge.  A family merges when every
+    member lifts to the same value.  One stack pass over the sorted items
+    decides.  Everything under a word sorts directly after it, so once a
+    family's greatest member is on top, after its own subtree merged, the
+    family can only be the top items.  Each push checks the family it
+    completes, and each merge checks the family its parent completes.
+    Returns the sorted items of the merged form.
+    """
+    stack: list = []
+    for item in sorted(items):
+        stack.append(item)
+        while True:
+            word, value = stack[-1]
+            if not word:
+                break
+            letters = matrix.successors(word[-2]) if len(word) > 1 else matrix.symbols()
+            size = len(letters)
+            if word[-1] != letters[-1] or len(stack) < size:
+                break
+            up = lift(word, value)
+            if up is None:
+                break
+            parent = word[:-1]
+            if not all(w[:-1] == parent and lift(w, v) == up for w, v in stack[-size:-1]):
+                break
+            del stack[-size:]
+            stack.append((parent, up))
+    return tuple(stack)
 
 
 def refine(p: CylinderPartition, q: CylinderPartition) -> CylinderPartition:

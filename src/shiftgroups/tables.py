@@ -10,8 +10,9 @@ under composition.
 
 Tables are kept in canonical form -- entries sorted by source word, with
 every full sibling family ``(nu a -> mu a)`` over all admissible letters
-``a`` collapsed to ``(nu -> mu)`` -- so ``==`` decides equality in the
-group.
+``a`` collapsed to ``(nu -> mu)`` whenever ``nu`` and ``mu`` are nonempty
+and allow the same successors (:func:`sft.merge_siblings`) -- so ``==``
+decides equality in the group.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .errors import (
     ShiftError,
 )
 from .functions import LocFun, canonical
-from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words, part_of,
-                  partition, prefix_in, prepend_point, refine_until, shift_point_n)
+from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words,
+                  merge_siblings, part_of, partition, prefix_in, prepend_point, refine_until,
+                  shift_point_n)
 
 Entry = tuple[Word, Word]
 
@@ -62,35 +64,6 @@ class TableElement:
 
     def is_identity(self) -> bool:
         return all(nu == mu for nu, mu in self.entries)
-
-
-def _merge_entries(matrix: TransitionMatrix, entries: dict[Word, Word]) -> dict[Word, Word]:
-    """Collapse full sibling families; never produces empty words.
-
-    One bottom-up pass over the source words bucketed by length, as in
-    :func:`functions._merge_siblings`.
-    """
-    by_length: dict[int, list[Word]] = {}
-    for nu in entries:
-        by_length.setdefault(len(nu), []).append(nu)
-    for length in range(max(by_length, default=0), 1, -1):
-        for nu in by_length.get(length, ()):
-            if nu not in entries:
-                continue
-            mu = entries[nu]
-            if len(mu) < 2 or nu[-1] != mu[-1]:
-                continue
-            p_nu, p_mu = nu[:-1], mu[:-1]
-            letters = matrix.successors(p_nu[-1])
-            if matrix.successors(p_mu[-1]) != letters:
-                continue
-            family = [(p_nu + (a,), p_mu + (a,)) for a in letters]
-            if all(entries.get(src) == dst for src, dst in family):
-                for src, _ in family:
-                    del entries[src]
-                entries[p_nu] = p_mu
-                by_length.setdefault(length - 1, []).append(p_nu)
-    return entries
 
 
 def _check_words(matrix: TransitionMatrix, raw: list[Entry]) -> None:
@@ -150,9 +123,19 @@ def canonical_table(matrix: TransitionMatrix, entries) -> TableElement:
     table, without re-checking them.
 
     For tables the library built itself; input goes through
-    :func:`validate_table`.
+    :func:`validate_table`.  A family ``nu a -> mu a`` over all letters
+    ``a`` that follow ``nu`` merges into ``nu -> mu`` when ``nu`` and
+    ``mu`` are nonempty and allow the same successors
+    (:func:`sft.merge_siblings`), so no entry word is ever empty.
     """
-    return TableElement(matrix, tuple(sorted(_merge_entries(matrix, dict(entries)).items())))
+    def lift(nu: Word, mu: Word) -> Word | None:
+        if len(mu) < 2 or len(nu) < 2 or nu[-1] != mu[-1]:
+            return None
+        if matrix.successors(nu[-2]) != matrix.successors(mu[-2]):
+            return None
+        return mu[:-1]
+
+    return TableElement(matrix, merge_siblings(matrix, dict(entries).items(), lift))
 
 
 def identity_table(matrix: TransitionMatrix) -> TableElement:

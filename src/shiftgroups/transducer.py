@@ -134,6 +134,17 @@ def apply_code_stage(t: Transducer, code: BlockCode) -> Transducer:
         (mu, *output) for mu, output in _refine_entries(t, recode)))
 
 
+def stage_transducer(source: TransitionMatrix, stages) -> Transducer:
+    """The transducer of tables and codes applied in the given order."""
+    t = identity_transducer(source)
+    for stage in stages:
+        if isinstance(stage, TableElement):
+            t = apply_table_stage(t, stage)
+        else:
+            t = apply_code_stage(t, stage)
+    return t
+
+
 def precompose_shift(t: Transducer) -> Transducer:
     """The transducer of ``t after shift``."""
     out: list[Entry] = []
@@ -383,8 +394,4 @@ def conjugate_table_by_code(code: BlockCode, table: TableElement, forward: bool 
         first, last = code.inverse(), code
     else:
         first, last = code, code.inverse()
-    t = identity_transducer(first.source)
-    t = apply_code_stage(t, first)
-    t = apply_table_stage(t, table)
-    t = apply_code_stage(t, last)
-    return extract_table(t)
+    return extract_table(stage_transducer(first.source, (first, table, last)))

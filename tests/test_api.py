@@ -1,6 +1,6 @@
 """Guards for what stays stable: the public names, no private
-cross-module imports inside the package, and table validation only at
-the input boundary."""
+cross-module imports inside the package, table validation only at the
+input boundary, and one sibling merge under both canonical forms."""
 
 import ast
 import pathlib
@@ -62,9 +62,9 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_only_parse_table_validates_tables():
-    """Tables the library builds itself go through ``canonical_table``;
-    only parsing input calls ``validate_table``."""
+def callers_of(function):
+    """The ``module.function`` scopes inside the package that call
+    ``function`` by name or as an attribute."""
     package = pathlib.Path(shiftgroups.__file__).parent
     callers = []
 
@@ -76,10 +76,22 @@ def test_only_parse_table_validates_tables():
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "validate_table":
+                if name == function:
                     callers.append(scope)
             visit(child, inner)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert callers == ["formats.parse_table"]
+    return callers
+
+
+def test_only_parse_table_validates_tables():
+    """Tables the library builds itself go through ``canonical_table``;
+    only parsing input calls ``validate_table``."""
+    assert callers_of("validate_table") == ["formats.parse_table"]
+
+
+def test_only_canonicalizers_merge():
+    """One sibling merge builds both canonical forms: functions with the
+    same-value rule, tables with the entry rule."""
+    assert callers_of("merge_siblings") == ["functions.canonical", "tables.canonical_table"]

@@ -58,6 +58,8 @@ from shiftgroups.codes import compose_codes, higher_block_codes, make_code
 from shiftgroups.functions import eval_at, on_refinement, restrict
 from shiftgroups.orbit import coe_from_chain, psi, pullback_map
 from shiftgroups.selftest import (
+    FULL_TWO,
+    GOLDEN_MEAN,
     MATRICES,
     commutant_corpus,
     conjugacy_corpus,
@@ -74,6 +76,7 @@ from shiftgroups.sft import (
     _check_complete,
     canonicalize_point,
     enumerate_words,
+    expand_to_depth,
     higher_block,
     part_of,
     partition,
@@ -766,18 +769,20 @@ def test_shift_point_n_matches_repeated_shift(matrix):
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_merge_siblings_matches_fixpoint_reference(matrix):
+    """``functions.canonical`` against the fixpoint loop."""
     rng = random.Random(17)
     merged = 0
     for _ in range(300):
         table = random_piece_table(matrix, rng)
         expected = reference_merge_siblings(matrix, dict(table))
-        assert fn._merge_siblings(matrix, dict(table)) == expected
+        assert fn.canonical(matrix, table).pieces == tuple(sorted(expected.items()))
         merged += len(expected) < len(table)
     assert merged > 100
 
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_merge_entries_matches_fixpoint_reference(matrix):
+    """``tables.canonical_table`` against the fixpoint loop."""
     rng = random.Random(19)
     for seed in range(60):
         tau = random_element(matrix, 3, seed)
@@ -787,8 +792,47 @@ def test_merge_entries_matches_fixpoint_reference(matrix):
                 entries[nu] = mu
         entries = shuffled(entries, rng)
         expected = reference_merge_entries(matrix, dict(entries))
-        assert tables._merge_entries(matrix, dict(entries)) == expected
+        assert tables.canonical_table(matrix, entries).entries == tuple(sorted(expected.items()))
         assert sorted(expected.items()) == list(tau.entries)
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_merges_match_fixpoint_reference_on_deep_combs(matrix):
+    """The 300-deep comb with one value merges up every level to the
+    constant; with its last word apart, or with one value per length, the
+    merges stop at the bottom.  As an identity table it merges to the
+    one-symbol identity."""
+    deep = comb(matrix, 300)
+    for values in ({w: 1 for w in deep},
+                   {w: int(w == deep[-1]) for w in deep},
+                   {w: len(w) for w in deep}):
+        expected = reference_merge_siblings(matrix, dict(values))
+        assert fn.canonical(matrix, values).pieces == tuple(sorted(expected.items()))
+    assert fn.canonical(matrix, {w: 1 for w in deep}) == fn.constant(matrix, 1)
+    assert len(fn.canonical(matrix, {w: int(w == deep[-1]) for w in deep}).pieces) == len(deep)
+    entries = {w: w for w in deep}
+    assert sorted(reference_merge_entries(matrix, dict(entries)).items()) == list(
+        identity_table(matrix).entries)
+    assert tables.canonical_table(matrix, entries) == identity_table(matrix)
+
+
+def test_merges_match_fixpoint_reference_on_single_letter_families():
+    """On the golden mean every family below a word ending in 2 has the one
+    letter 1, so it merges: the cylinder of 2 cut to each depth merges
+    back to 2, in functions and in identity tables.  The exchange of 11
+    and 21 keeps ``21 -> 11``, whose parents 2 and 1 have different
+    follower rows."""
+    for depth in range(2, 10):
+        under = expand_to_depth(GOLDEN_MEAN, (2,), depth)
+        values = {(1,): 0, **{w: 1 for w in under}}
+        assert reference_merge_siblings(GOLDEN_MEAN, dict(values)) == {(1,): 0, (2,): 1}
+        assert fn.canonical(GOLDEN_MEAN, values).pieces == (((1,), 0), ((2,), 1))
+        entries = {(1,): (1,), **{w: w for w in under}}
+        assert reference_merge_entries(GOLDEN_MEAN, dict(entries)) == {(1,): (1,), (2,): (2,)}
+        assert tables.canonical_table(GOLDEN_MEAN, entries) == identity_table(GOLDEN_MEAN)
+    exchange = {(1, 1): (2, 1), (1, 2): (1, 2), (2, 1): (1, 1)}
+    assert reference_merge_entries(GOLDEN_MEAN, dict(exchange)) == exchange
+    assert tables.canonical_table(GOLDEN_MEAN, exchange).entries == tuple(exchange.items())
 
 
 # -- prefix lookups --------------------------------------------------------------
@@ -854,19 +898,31 @@ def test_prefix_in_matches_prefix_loops(matrix):
     assert misses > 100
 
 
+def assert_restrict_matches(f, word):
+    expected = reference_restrict(f, word)
+    assert restrict(f, word) == expected
+    assert reference_exponent_pieces(f, word) == expected
+    assert restrict_words(dict(f.pieces), word) == [w for w, _ in expected]
+
+
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_restrict_matches_piece_filters(matrix):
     """``functions.restrict`` against its old loop and against the piece
-    filter ``post_shift`` used before it called ``restrict``."""
+    filter ``post_shift`` used before it called ``restrict``; on the full
+    2-shift also the exponent functions of the 300-deep swap, probed with
+    words shorter and longer than their pieces."""
     rng = random.Random(41)
     for _ in range(200):
         f = random_function(matrix, rng, depth=4)
         for _ in range(10):
-            word = random_word(matrix, rng, depth=5)
-            expected = reference_restrict(f, word)
-            assert restrict(f, word) == expected
-            assert reference_exponent_pieces(f, word) == expected
-            assert restrict_words(dict(f.pieces), word) == [w for w, _ in expected]
+            assert_restrict_matches(f, random_word(matrix, rng, depth=5))
+    if matrix != FULL_TWO:
+        return
+    for f in tables.cocycle_data(deep_exchange(300)):
+        for j in range(0, 303, 7):
+            ones = (1,) * j
+            for word in (ones, ones + (2,), ones + (2, 1, 2), ones + (1, 2, 2, 1)):
+                assert_restrict_matches(f, word)
 
 
 def test_difference_parts_lookup_matches_restriction():

@@ -9,7 +9,6 @@ from shiftgroups.errors import BadPartition, Inadmissible, NotZeroOne, Permutati
 from shiftgroups.sft import (
     canonicalize_point,
     enumerate_words,
-    full_partition,
     higher_block,
     partition,
     refine,
@@ -280,8 +279,3 @@ def test_higher_block_conjugacy_laws(matrix, m):
         x = representative(matrix, word)
         assert decode(encode(x)) == x
         assert encode(shift_point(x)) == shift_point(encode(x))
-
-
-def test_full_partition_roundtrip():
-    assert full_partition(G, 0).parts == ((),)
-    assert full_partition(G, 2).parts == ((1, 1), (1, 2), (2, 1))
