@@ -12,20 +12,22 @@ Values are Python ints, hence unbounded.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .sft import (
     Point,
     TransitionMatrix,
     Word,
+    cylinder_run,
     merge_siblings,
-    part_of,
     partition,
-    prefix_in,
+    prefix_of,
     refine_words,
     shift_point,
 )
+
+_word = itemgetter(0)  # the word of a piece, which pieces sort by
 
 
 @dataclass(frozen=True)
@@ -111,26 +113,21 @@ def indicator(matrix: TransitionMatrix, word: Word) -> LocFun:
 
 
 def eval_at(f: LocFun, point: Point) -> int:
-    """Value of the function at a point."""
+    """Value at a point by its own lookup, for the oracles ``rho_at`` and ``birkhoff_at``."""
     values = dict(f.pieces)
-    return values[part_of(values, point)]
+    word = point.prefix(f.depth())
+    while word and word not in values:
+        word = word[:-1]
+    return values[word]
 
 
 def restrict(f: LocFun, word: Word) -> list[tuple[Word, int]]:
-    """Pieces of ``f`` covering exactly the cylinder of ``word``.
-
-    In the sorted pieces, one that holds the whole cylinder is the last
-    one before ``word``; otherwise the pieces under ``word`` are one run
-    from there.
-    """
-    pieces = f.pieces
-    i = bisect_left(pieces, (word,))
-    if i and word[: len(pieces[i - 1][0])] == pieces[i - 1][0]:
-        return [(word, pieces[i - 1][1])]
-    j = i
-    while j < len(pieces) and pieces[j][0][: len(word)] == word:
-        j += 1
-    return list(pieces[i:j])
+    """Pieces of ``f`` covering exactly the cylinder of ``word``: the piece
+    holding all of it, cut down to it, or else the pieces inside it."""
+    above = prefix_of(f.pieces, word, _word)
+    if above is not None:
+        return [(word, above[1])]
+    return list(cylinder_run(f.pieces, word, _word))
 
 
 def is_zero_on(f: LocFun, word: Word) -> bool:
@@ -139,10 +136,8 @@ def is_zero_on(f: LocFun, word: Word) -> bool:
 
 def on_refinement(*fs: LocFun):
     """Common refinement parts with the value tuple each function takes."""
-    matrix = fs[0].matrix
-    parts = refine_words(matrix, [f.parts for f in fs])
-    lookup = [dict(f.pieces) for f in fs]
-    return [(part, tuple(t[prefix_in(t, part)] for t in lookup)) for part in parts]
+    parts = refine_words(fs[0].matrix, [f.parts for f in fs])
+    return [(part, tuple(prefix_of(f.pieces, part, _word)[1] for f in fs)) for part in parts]
 
 
 def linear(a: int, f: LocFun, b: int, g: LocFun) -> LocFun:

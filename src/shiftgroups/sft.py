@@ -11,7 +11,8 @@ stand-ins for that space:
 
 Values attached to the parts of a partition are brought to canonical form
 by one sibling merge, :func:`merge_siblings`, whose caller says when a
-family may collapse into its parent.
+family may collapse into its parent.  Families are kept sorted, so a
+longest-prefix lookup is one bisection, :func:`prefix_of`.
 
 Symbols are the integers ``1..n``.  Words are plain tuples of symbols; the
 empty tuple is the empty word.  All values here are immutable and all
@@ -20,8 +21,9 @@ operations are pure, so everything is safe to share between threads.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable
 
 from .errors import (BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible,
@@ -246,38 +248,36 @@ def representative(matrix: TransitionMatrix, word: Word) -> Point:
 # -- cylinder partitions ---------------------------------------------------
 
 
-def prefix_in(family, word: Word) -> Word | None:
-    """The member of a prefix-free word family that is a prefix of ``word``.
+def prefix_of(items, word: Word, key=None):
+    """The item of a sorted prefix-free family whose word (``key(item)``,
+    or the item itself) is a prefix of ``word``; None when there is none.
 
-    ``family`` is any container of words answering ``in`` (a set or dict
-    answers in constant time).  At most one member can match, so the
-    search order does not matter; it runs from the empty prefix up.
-    Returns None when no member is a prefix of ``word``.
+    Every word sorting between a prefix of ``word`` and ``word`` extends
+    that prefix, so only the greatest member at most ``word`` can match.
     """
-    for i in range(len(word) + 1):
-        if word[:i] in family:
-            return word[:i]
+    i = bisect_right(items, word, key=key)
+    if i:
+        item = items[i - 1]
+        member = item if key is None else key(item)
+        if word[: len(member)] == member:
+            return item
     return None
 
 
-def part_of(family, point: Point) -> Word:
-    """The member of a complete prefix-free family whose cylinder holds
-    the point (see :func:`prefix_in`)."""
-    part = prefix_in(family, point.prefix(max(map(len, family))))
-    if part is None:
+def part_at(items, point: Point, depth: int, key=None):
+    """The item of a complete sorted prefix-free family whose cylinder
+    holds the point; ``depth`` is the family's longest word length."""
+    item = prefix_of(items, point.prefix(depth), key)
+    if item is None:
         raise AssertionError("complete partition failed to cover a point")
-    return part
+    return item
 
 
-def restrict_words(family, word: Word) -> list[Word]:
-    """A prefix-free family cut down to the cylinder of ``word``.
-
-    The members inside the cylinder, in family order; or ``[word]`` when a
-    member contains the whole cylinder.
-    """
-    if prefix_in(family, word) is not None:
-        return [word]
-    return [w for w in family if w[: len(word)] == word]
+def cylinder_run(items, word: Word, key=None):
+    """The items of a sorted family whose words extend ``word``: one run,
+    from ``word`` up to ``word + (inf,)``, which sorts after them all."""
+    i = bisect_left(items, word, key=key)
+    return items[i: bisect_left(items, word + (inf,), i, key=key)]
 
 
 def refine_until(matrix: TransitionMatrix, roots, decide):
@@ -302,7 +302,7 @@ def refine_until(matrix: TransitionMatrix, roots, decide):
 
 @dataclass(frozen=True)
 class CylinderPartition:
-    """Complete prefix-free family of admissible words.
+    """Complete prefix-free family of admissible words, sorted.
 
     Every allowed infinite sequence starts with exactly one member, so
     the member cylinders partition the shift space.  The empty word is
@@ -314,7 +314,7 @@ class CylinderPartition:
 
     def locate(self, point: Point) -> Word:
         """The unique part whose cylinder contains the point."""
-        return part_of(frozenset(self.parts), point)
+        return part_at(self.parts, point, max(map(len, self.parts)))
 
 
 def _check_antichain(parts: Iterable[Word]) -> None:

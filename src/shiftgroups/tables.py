@@ -12,13 +12,15 @@ Tables are kept in canonical form -- entries sorted by source word, with
 every full sibling family ``(nu a -> mu a)`` over all admissible letters
 ``a`` collapsed to ``(nu -> mu)`` whenever ``nu`` and ``mu`` are nonempty
 and allow the same successors (:func:`sft.merge_siblings`) -- so ``==``
-decides equality in the group.
+decides equality in the group.  Sorted sources also make the entry above
+a word one bisection (:func:`sft.prefix_of`), for applying and composing.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     DomainNotPartition,
@@ -31,10 +33,11 @@ from .errors import (
 )
 from .functions import LocFun, canonical
 from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words,
-                  merge_siblings, part_of, partition, prefix_in, prepend_point, refine_until,
+                  merge_siblings, part_at, partition, prefix_of, prepend_point, refine_until,
                   shift_point_n)
 
 Entry = tuple[Word, Word]
+_source = itemgetter(0)  # the source word of an entry, which entries sort by
 
 
 @dataclass(frozen=True)
@@ -43,24 +46,28 @@ class TableElement:
 
     Build instances with :func:`validate_table` (validating) or
     :func:`canonical_table` (trusting entries the library built), not
-    directly.
+    directly.  Lookups bisect a source-sorted copy of the entries (a linear
+    sort when they are sorted already), so unsorted entries work too.
     """
 
     matrix: TransitionMatrix
     entries: tuple[Entry, ...]
 
     def __post_init__(self) -> None:
-        # The source-to-target dict, built once; it is not a field, so
-        # ``==``, ``hash`` and ``repr`` still see only the fields above.
-        object.__setattr__(self, "_images", dict(self.entries))
+        # Not fields, so ``==``, ``hash`` and ``repr`` see only the fields above.
+        object.__setattr__(self, "_by_source", tuple(sorted(self.entries)))
+        object.__setattr__(self, "_depth", max(len(nu) for nu, _ in self.entries))
 
     @property
     def domain_words(self) -> tuple[Word, ...]:
         return tuple(nu for nu, _ in self.entries)
 
     def entry_for(self, point: Point) -> Entry:
-        nu = part_of(self._images, point)
-        return nu, self._images[nu]
+        return part_at(self._by_source, point, self._depth, _source)
+
+    def entry_at(self, word: Word) -> Entry | None:
+        """The entry whose source is a prefix of ``word``, or None."""
+        return prefix_of(self._by_source, word, _source)
 
     def is_identity(self) -> bool:
         return all(nu == mu for nu, mu in self.entries)
@@ -156,12 +163,11 @@ def compose(outer: TableElement, inner: TableElement) -> TableElement:
     """
     if outer.matrix != inner.matrix:
         raise ValueError("tables live over different matrices")
-    outer_map = dict(outer.entries)
 
     def splice(word: Word, nu: Word, mu: Word):
         image = mu + word[len(nu):]
-        o_nu = prefix_in(outer_map, image)
-        return None if o_nu is None else outer_map[o_nu] + image[len(o_nu):]
+        entry = outer.entry_at(image)
+        return None if entry is None else entry[1] + image[len(entry[0]):]
 
     roots = [(nu, (nu, mu)) for nu, mu in inner.entries]
     return canonical_table(inner.matrix, refine_until(inner.matrix, roots, splice))

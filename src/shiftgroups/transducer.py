@@ -7,13 +7,13 @@ exactly that: a core code plus entries ``(mu, alpha, r)`` meaning
 
     on the cylinder of ``mu``:  h(x) = alpha . code-stream(shift^r(x))
 
-with the source words forming a complete prefix-free partition (and
-``r <= len(mu)`` until a shift is appended on the output side).  Stage
-application (one more table, one more code, a shift on either side)
-stays in this class, and equality of two maps with the same core is
-decidable by refining to a common partition and aligning the shifts of
-each pair of entries, which costs linear work in the shift exponent
-instead of a cylinder expansion.
+with the source words forming a complete prefix-free partition, sorted,
+so the entry above a word is one bisection (and ``r <= len(mu)`` until a
+shift is appended on the output side).  Stage application (one more
+table, one more code, a shift on either side) stays in this class, and
+equality of two maps with the same core is decidable by refining to a
+common partition and aligning the shifts of each pair of entries, which
+costs linear work in the shift exponent instead of a cylinder expansion.
 
 Each such check reads the core stream over one cylinder: position ``p``
 holds the symbol the core writes at ``p`` on every point of the
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .codes import BlockCode, compose_codes, identity_code
 from .errors import NegativeExponent
@@ -34,31 +35,32 @@ from .sft import (
     Point,
     TransitionMatrix,
     Word,
+    cylinder_run,
     enumerate_words,
     expand_to_depth,
-    part_of,
-    prefix_in,
+    part_at,
+    prefix_of,
     prepend_point,
     refine_until,
     refine_words,
-    restrict_words,
     shift_point_n,
 )
 from .tables import TableElement, canonical_table
 
 Entry = tuple[Word, Word, int]
+_word = itemgetter(0)  # the leading word of an entry or a piece, which both sort by
 
 
 @dataclass(frozen=True)
 class Transducer:
+    """A chain map in normal form; every constructor sorts its entries by ``mu``."""
+
     core: BlockCode
     entries: tuple[Entry, ...]
 
     def __post_init__(self) -> None:
-        # The entries keyed by source word, ``{mu: (alpha, r)}``, built
-        # once; it is not a field, so ``==``, ``hash`` and ``repr`` still
-        # see only the fields above.
-        object.__setattr__(self, "_outputs", {mu: (alpha, r) for mu, alpha, r in self.entries})
+        # Not a field, so ``==``, ``hash`` and ``repr`` see only the fields.
+        object.__setattr__(self, "_depth", max(len(mu) for mu, _, _ in self.entries))
 
     @property
     def source(self) -> TransitionMatrix:
@@ -77,12 +79,7 @@ class Transducer:
         return alpha + self.core.apply_word(mu[r:])
 
     def entry_for(self, point: Point) -> Entry:
-        mu = part_of(self._outputs, point)
-        return (mu, *self._outputs[mu])
-
-
-def _sorted(entries) -> tuple[Entry, ...]:
-    return tuple(sorted(entries))
+        return part_at(self.entries, point, self._depth, _word)
 
 
 def _refine_entries(t: Transducer, decide):
@@ -96,25 +93,25 @@ def identity_transducer(matrix: TransitionMatrix) -> Transducer:
 
 def from_table(table: TableElement) -> Transducer:
     entries = tuple((nu, mu, len(nu)) for nu, mu in table.entries)
-    return Transducer(identity_code(table.matrix), _sorted(entries))
+    return Transducer(identity_code(table.matrix), tuple(sorted(entries)))
 
 
 def apply_table_stage(t: Transducer, table: TableElement) -> Transducer:
     """The transducer of ``table after t``."""
     if table.matrix != t.target:
         raise ValueError("table acts on the wrong shift space")
-    images = dict(table.entries)
 
     def rewrite(mu: Word, alpha: Word, r: int):
-        nu = prefix_in(images, t.known_prefix(mu, alpha, r))
-        if nu is None:
+        entry = table.entry_at(t.known_prefix(mu, alpha, r))
+        if entry is None:
             return None
+        nu, image = entry
         if len(nu) <= len(alpha):
-            return images[nu] + alpha[len(nu):], r
-        return images[nu], r + len(nu) - len(alpha)
+            return image + alpha[len(nu):], r
+        return image, r + len(nu) - len(alpha)
 
-    return Transducer(t.core, _sorted(
-        (mu, *output) for mu, output in _refine_entries(t, rewrite)))
+    return Transducer(t.core, tuple(sorted(
+        (mu, *output) for mu, output in _refine_entries(t, rewrite))))
 
 
 def apply_code_stage(t: Transducer, code: BlockCode) -> Transducer:
@@ -130,8 +127,8 @@ def apply_code_stage(t: Transducer, code: BlockCode) -> Transducer:
             return None
         return code.apply_word(known[:needed]), r
 
-    return Transducer(new_core, _sorted(
-        (mu, *output) for mu, output in _refine_entries(t, recode)))
+    return Transducer(new_core, tuple(sorted(
+        (mu, *output) for mu, output in _refine_entries(t, recode))))
 
 
 def stage_transducer(source: TransitionMatrix, stages) -> Transducer:
@@ -152,7 +149,7 @@ def precompose_shift(t: Transducer) -> Transducer:
         heads = t.source.predecessors(mu[0]) if mu else t.source.symbols()
         for a in heads:
             out.append(((a,) + mu, alpha, r + 1))
-    return Transducer(t.core, _sorted(out))
+    return Transducer(t.core, tuple(sorted(out)))
 
 
 def post_shift(t: Transducer, n: LocFun) -> Transducer:
@@ -161,10 +158,10 @@ def post_shift(t: Transducer, n: LocFun) -> Transducer:
         raise ValueError("exponent lives over the wrong shift space")
     if n.min_value() < 0:
         raise ValueError("shift exponent must be nonnegative")
-    return Transducer(t.core, _sorted(
+    return Transducer(t.core, tuple(sorted(
         (word, *_shift_entry(alpha, r, n0))
         for mu, alpha, r in t.entries
-        for word, n0 in restrict(n, mu)))
+        for word, n0 in restrict(n, mu))))
 
 
 def _shift_entry(alpha: Word, r: int, n: int) -> tuple[Word, int]:
@@ -197,17 +194,16 @@ def orbit_sum(g: LocFun, n: LocFun, t: Transducer) -> LocFun:
         raise ValueError("exponent lives over the wrong shift space")
     if n.min_value() < 0:
         raise NegativeExponent("iterated-sum exponent takes a negative value")
-    pieces = dict(g.pieces)
     depth = g.depth()
 
     def total(word: Word, alpha: Word, r: int, count: int):
         known = t.known_prefix(word, alpha, r)
         out = 0
         for i in range(count):
-            piece = prefix_in(pieces, known[i: i + depth])
+            piece = prefix_of(g.pieces, known[i: i + depth], _word)
             if piece is None:
                 return None
-            out += pieces[piece]
+            out += piece[1]
         return out
 
     roots = [(word, (alpha, r, count))
@@ -287,10 +283,12 @@ def _entries_agree_on(stream: _CylinderStream, a1: Word, r1: int, a2: Word, r2: 
 
 def _aligned(t1: Transducer, t2: Transducer, under: Word = ()):
     """Each part of the common refinement of two transducers within
-    ``under``, with the output ``(alpha, r)`` of each side there."""
-    out1, out2 = t1._outputs, t2._outputs
-    for part in restrict_words(refine_words(t1.source, [t1.parts, t2.parts]), under):
-        yield part, out1[prefix_in(out1, part)], out2[prefix_in(out2, part)]
+    ``under`` (``under`` itself when one part holds all of it), with the
+    entry of each side there."""
+    parts = refine_words(t1.source, [t1.parts, t2.parts])
+    inside = (under,) if prefix_of(parts, under) is not None else cylinder_run(parts, under)
+    for part in inside:
+        yield part, prefix_of(t1.entries, part, _word), prefix_of(t2.entries, part, _word)
 
 
 def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[Word, ...]:
@@ -307,7 +305,7 @@ def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[
     # symbols the stream reports are what the map writes there, whichever
     # of the two equal cores built it.
     return tuple(sorted(
-        part for part, (a1, r1), (a2, r2) in _aligned(t1, t2, under)
+        part for part, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2, under)
         if not _entries_agree_on(_CylinderStream(t1.source, t1.core, part), a1, r1, a2, r2)))
 
 
@@ -324,7 +322,7 @@ def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
     offset, so bisection finds the least valid ``k`` below that bound.
     """
     k_table, l_table = {}, {}
-    for part, (a, r), (b, q) in _aligned(t, precompose_shift(t)):
+    for part, (_, a, r), (_, b, q) in _aligned(t, precompose_shift(t)):
         d = (q - len(b)) - (r - len(a))
         stream = _CylinderStream(t.source, t.core, part)
 

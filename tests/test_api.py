@@ -1,6 +1,7 @@
 """Guards for what stays stable: the public names, no private
 cross-module imports inside the package, table validation only at the
-input boundary, and one sibling merge under both canonical forms."""
+input boundary, one sibling merge under both canonical forms, and
+pointwise oracles that share no lookup kernel with what they check."""
 
 import ast
 import pathlib
@@ -95,3 +96,15 @@ def test_only_canonicalizers_merge():
     """One sibling merge builds both canonical forms: functions with the
     same-value rule, tables with the entry rule."""
     assert callers_of("merge_siblings") == ["functions.canonical", "tables.canonical_table"]
+
+
+def test_pointwise_oracles_share_no_lookup_kernel():
+    """``eval_at``, ``birkhoff_at`` and ``rho_at`` are the oracles the
+    sorted-order lookups are checked against, so none of them calls
+    ``prefix_of`` or ``part_at`` itself."""
+    oracles = ("functions.eval_at", "functions.birkhoff_at", "cocycles.rho_at")
+    for kernel in ("prefix_of", "part_at"):
+        callers = callers_of(kernel)
+        assert callers
+        assert [scope for scope in callers
+                if any(scope == o or scope.startswith(o + ".") for o in oracles)] == []

@@ -3,13 +3,15 @@
 The reference functions below are the pairwise ``refine``, the
 ``any()``-scan completeness check and the fixpoint merge loops that the
 library used before its linear kernels, the hand-rolled prefix scans
-and per-window code loops that ``sft.prefix_in``, ``sft.part_of``,
-``sft.restrict_words`` and ``BlockCode.apply_word`` replaced, and the
-``compose_shift`` towers that ``transducer.orbit_sum`` replaced under
-``birkhoff``, ``rho``, ``psi``, ``pullback`` and the exponent fold.  Each
-kernel must return exactly what its reference returns on seeded random
-inputs over every matrix of ``selftest.MATRICES`` and over the chain
-corpora.
+that the sorted-order lookups ``sft.prefix_of``, ``sft.part_at`` and
+``sft.cylinder_run`` replaced, the per-window code loops that
+``BlockCode.apply_word`` replaced, and the ``compose_shift`` towers that
+``transducer.orbit_sum`` replaced under ``birkhoff``, ``rho``, ``psi``,
+``pullback`` and the exponent fold.  Each kernel must return exactly what
+its reference returns on seeded random inputs over every matrix of
+``selftest.MATRICES`` and over the chain corpora.  A table built from
+entries not sorted by source, as the benchmark's weight oracle builds
+one, must look up exactly like its canonical form.
 
 The trusted constructors are checked against the boundary ones: every
 table the group operations build through ``tables.canonical_table`` is
@@ -37,14 +39,15 @@ one-step ``shift_point_n`` is checked against ``n`` calls of
 import itertools
 import random
 import re
+from operator import itemgetter
 
 import pytest
-from conftest import deep_exchange
+from conftest import deep_exchange, run_python
 
 from shiftgroups import functions as fn
 from shiftgroups import orbit
 from shiftgroups import tables
-from shiftgroups.cocycles import rho, rho_from_entries
+from shiftgroups.cocycles import rho, rho_at, rho_from_entries
 from shiftgroups.errors import (
     BadPartition,
     DomainNotPartition,
@@ -77,14 +80,14 @@ from shiftgroups.sft import (
     canonicalize_point,
     enumerate_words,
     expand_to_depth,
+    cylinder_run,
     higher_block,
-    part_of,
+    part_at,
     partition,
-    prefix_in,
+    prefix_of,
     refine,
     refine_words,
     representative,
-    restrict_words,
     shift_point,
     shift_point_n,
     validate_matrix,
@@ -335,7 +338,7 @@ def reference_pullback(g, t):
     out = {}
 
     def emit(mu, alpha, r):
-        piece = prefix_in(pieces, t.known_prefix(mu, alpha, r))
+        piece = reference_longest_prefix(pieces, t.known_prefix(mu, alpha, r))
         if piece is not None:
             out[mu] = pieces[piece]
             return
@@ -455,7 +458,7 @@ def reference_difference_parts(t1, t2):
     """``difference_parts`` over the whole shift, each part checked with
     :func:`reference_entries_agree_on` and both cores."""
     return tuple(sorted(
-        part for part, (a1, r1), (a2, r2) in _aligned(t1, t2)
+        part for part, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2)
         if not reference_entries_agree_on(t1.source, t1.core, t2.core, part, a1, r1, a2, r2)))
 
 
@@ -840,7 +843,9 @@ def test_merges_match_fixpoint_reference_on_single_letter_families():
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_part_of_matches_starts_with_scans(matrix):
-    """``locate``, ``eval_at`` and ``TableElement.entry_for``."""
+    """``part_at`` under ``locate`` and ``TableElement.entry_for``,
+    ``prefix_of`` under ``TableElement.entry_at``, and ``eval_at``'s own
+    lookup."""
     rng = random.Random(29)
     for _ in range(100):
         p = partition(matrix, random_parts(matrix, rng))
@@ -853,15 +858,37 @@ def test_part_of_matches_starts_with_scans(matrix):
             assert eval_at(f, x) == dict(f.pieces)[reference_starts_with_scan(f.parts, x)]
             nu = reference_starts_with_scan(tau.domain_words, x)
             assert tau.entry_for(x) == (nu, images[nu])
+            word = x.prefix(rng.randint(0, 6))
+            nu = reference_longest_prefix(images, word)
+            assert tau.entry_at(word) == (None if nu is None else (nu, images[nu]))
         copy = TableElement(matrix, tau.entries)
         assert (copy, hash(copy), repr(copy)) == (
             tau, hash(tau), f"TableElement(matrix={matrix!r}, entries={tau.entries!r})")
 
 
+UNCOVERED_POINT = """
+from operator import itemgetter
+from shiftgroups.selftest import MATRICES
+from shiftgroups.sft import part_at, representative
+x = representative(MATRICES[0][1], (2,))
+for items, key in ((((1,),), None), ((((1,), 0),), itemgetter(0))):
+    try:
+        part_at(items, x, 1, key)
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
 def test_part_of_raises_on_an_uncovered_point():
+    """``part_at`` on plain and keyed items, in process and in a
+    ``python -O`` child, which strips ``assert`` statements but must keep
+    this check."""
     matrix = MATRICES[0][1]
     with pytest.raises(AssertionError, match="failed to cover a point"):
-        part_of({(1,)}, representative(matrix, (2,)))
+        part_at(((1,),), representative(matrix, (2,)), 1)
+    child = run_python("-O", "-c", UNCOVERED_POINT)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "complete partition failed to cover a point\n" * 2
 
 
 def test_transducer_entry_for_matches_starts_with_scan():
@@ -878,39 +905,71 @@ def test_transducer_entry_for_matches_starts_with_scan():
             t, hash(t), f"Transducer(core={t.core!r}, entries={t.entries!r})")
 
 
+def assert_prefix_of_matches(family, word):
+    """``prefix_of`` on the sorted family, plain and keyed, against the
+    backwards longest-prefix loop and the forward member scan; True on a
+    miss."""
+    expected = reference_longest_prefix(set(family), word)
+    assert reference_forward_scan(family, word) == expected
+    assert prefix_of(family, word) == expected
+    keyed = [(member, i) for i, member in enumerate(family)]
+    found = prefix_of(keyed, word, itemgetter(0))
+    assert found == (None if expected is None else (expected, family.index(expected)))
+    return expected is None
+
+
+def near_words(matrix, member, rng):
+    """A member, a shorter prefix of it and an admissible extension."""
+    longer = member
+    for _ in range(rng.randint(1, 3)):
+        extensions = matrix.extensions(longer)
+        longer = extensions[rng.randrange(len(extensions))]
+    return [member, member[: rng.randrange(len(member))] if member else member, longer]
+
+
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_prefix_in_matches_prefix_loops(matrix):
-    """Complete families, and families with a member dropped, against
-    the backwards longest-prefix loop and the forward member scan."""
+    """``prefix_of`` over sorted families: complete ones and ones with a
+    member dropped, probed with random words and with words equal to,
+    shorter than and longer than members; then the 300-deep comb, probed
+    at every seventh member and every seventh depth of its path, and with
+    each probed member dropped."""
     rng = random.Random(37)
     misses = 0
     for _ in range(200):
         family = sorted(random_parts(matrix, rng))
         if len(family) > 1 and rng.random() < 0.5:
             family.pop(rng.randrange(len(family)))
-        for _ in range(10):
-            word = random_word(matrix, rng)
-            expected = reference_longest_prefix(set(family), word)
-            assert reference_forward_scan(family, word) == expected
-            assert prefix_in(set(family), word) == expected
-            assert prefix_in(family, word) == expected
-            misses += expected is None
+        words = [random_word(matrix, rng) for _ in range(10)]
+        words += near_words(matrix, family[rng.randrange(len(family))], rng)
+        for word in words:
+            misses += assert_prefix_of_matches(family, word)
     assert misses > 100
+    family = sorted(comb(matrix, 300))
+    deep = max(family, key=len)
+    for i in range(0, len(family), 7):
+        member = family[i]
+        for word in near_words(matrix, member, rng) + [deep[:i]]:
+            assert_prefix_of_matches(family, word)
+        assert assert_prefix_of_matches(family[:i] + family[i + 1:], member)
 
 
 def assert_restrict_matches(f, word):
     expected = reference_restrict(f, word)
     assert restrict(f, word) == expected
     assert reference_exponent_pieces(f, word) == expected
-    assert restrict_words(dict(f.pieces), word) == [w for w, _ in expected]
+    inside = [(w, v) for w, v in f.pieces if w[: len(word)] == word]
+    assert list(cylinder_run(f.pieces, word, itemgetter(0))) == inside
+    assert list(cylinder_run(f.parts, word)) == [w for w, _ in inside]
 
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_restrict_matches_piece_filters(matrix):
-    """``functions.restrict`` against its old loop and against the piece
-    filter ``post_shift`` used before it called ``restrict``; on the full
-    2-shift also the exponent functions of the 300-deep swap, probed with
-    words shorter and longer than their pieces."""
+    """``functions.restrict`` and the ``cylinder_run`` under it against
+    their old loops and against the piece filter ``post_shift`` used
+    before it called ``restrict``; on the full 2-shift also the exponent
+    functions of the 300-deep swap, probed with words shorter and longer
+    than their pieces."""
     rng = random.Random(41)
     for _ in range(200):
         f = random_function(matrix, rng, depth=4)
@@ -926,18 +985,46 @@ def test_restrict_matches_piece_filters(matrix):
 
 
 def test_difference_parts_lookup_matches_restriction():
-    """The ``{mu: (alpha, r)}`` lookup of ``difference_parts`` against the
-    old ``_restriction`` scan, on every part of the two-side refinement."""
+    """The per-part entry lookups of ``_aligned`` against the old
+    ``_restriction`` scan, on every part of the two-side refinement."""
     cases = 0
     for h in chain_maps():
         lhs = post_shift(precompose_shift(h.transducer), h.k1)
         rhs = post_shift(h.transducer, h.l1)
-        for t in (lhs, rhs):
-            outputs = {mu: (alpha, r) for mu, alpha, r in t.entries}
-            for part in refine_words(t.source, [lhs.parts, rhs.parts]):
-                assert outputs[prefix_in(outputs, part)] == reference_restriction(t, part)
+        aligned = list(_aligned(lhs, rhs))
+        assert [part for part, _, _ in aligned] == list(
+            refine_words(lhs.source, [lhs.parts, rhs.parts]))
+        for part, *entries in aligned:
+            for t, (mu, alpha, r) in zip((lhs, rhs), entries):
+                assert part[: len(mu)] == mu
+                assert (alpha, r) == reference_restriction(t, part)
                 cases += 1
     assert cases > 1000
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_unsorted_table_looks_up_like_its_inverse(matrix):
+    """A table built from the swapped entries of another, as the
+    benchmark's weight oracle builds it, is not sorted by source; its
+    lookups must still match ``invert``, on random points and, on the
+    full 2-shift, on the 300-deep swap at its deep cylinders."""
+    rng = random.Random(53)
+    cases = [random_table(matrix, rng) for _ in range(40)]
+    if matrix == FULL_TWO:
+        cases.append(deep_exchange(300))
+    unsorted = 0
+    for table in cases:
+        swapped = TableElement(table.matrix, tuple((mu, nu) for nu, mu in table.entries))
+        inverse = invert(table)
+        unsorted += list(swapped.entries) != sorted(swapped.entries)
+        f = random_function(matrix, rng)
+        points = [random_point(matrix, rng, depth=8) for _ in range(10)]
+        points += [representative(matrix, nu) for nu, _ in inverse.entries[::7]]
+        for x in points:
+            assert swapped.entry_for(x) == inverse.entry_for(x)
+            assert tables.apply(swapped, x) == tables.apply(inverse, x)
+            assert rho_at(f, swapped, x) == rho_at(f, inverse, x)
+    assert unsorted > 10
 
 
 # -- the window stream ------------------------------------------------------------
@@ -987,10 +1074,10 @@ def test_symbol_map_is_read_only():
 
 
 def test_parts_under_matches_three_family_refinement():
-    """``difference_parts`` refines two transducer partitions and then
-    restricts to ``under`` with ``restrict_words``; the reference refines
-    with ``[under]`` as a third family and keeps the words inside its
-    cylinder."""
+    """``_aligned``, under ``difference_parts``, refines two transducer
+    partitions and then restricts to ``under`` with one ``cylinder_run``;
+    the reference refines with ``[under]`` as a third family and keeps the
+    words inside its cylinder."""
     cases = 0
     for h in chain_maps():
         t = h.transducer
@@ -1000,10 +1087,13 @@ def test_parts_under_matches_three_family_refinement():
         unders = {part for part, _ in on_refinement(h.k1, h.l1)}
         unders.update(w for depth in range(4) for w in enumerate_words(matrix, depth))
         unders.update(lhs.parts[:20])
+        refined = refine_words(matrix, [lhs.parts, rhs.parts])
         for under in sorted(unders):
             expected = [p for p in reference_refine_words(matrix, [lhs.parts, rhs.parts, [under]])
                         if p[: len(under)] == under]
-            assert restrict_words(refine_words(matrix, [lhs.parts, rhs.parts]), under) == expected
+            assert [part for part, _, _ in _aligned(lhs, rhs, under)] == expected
+            assert list(cylinder_run(refined, under)) == [
+                p for p in refined if p[: len(under)] == under]
             cases += 1
     assert cases > 1000
 
@@ -1108,7 +1198,7 @@ def test_cylinder_stream_verdicts_match_window_set_reference():
     verdicts = {True: 0, False: 0}
     for h in chains:
         t = h.transducer
-        for part, (a, r), (b, q) in _aligned(t, precompose_shift(t)):
+        for part, (_, a, r), (_, b, q) in _aligned(t, precompose_shift(t)):
             d = (q - len(b)) - (r - len(a))
             low = max(0, -d)
             candidates = list(range(low, max(len(b), len(a) - d, low) + 3))
@@ -1146,7 +1236,7 @@ def test_difference_parts_on_equal_cores_with_other_windows():
                     cases["differ" if expected else "agree"] += 1
                     cases["r1 > r2"] += sum(
                         r1 > r2 and len(a1) > len(a2)
-                        for _, (a1, r1), (a2, r2) in _aligned(t1, t2))
+                        for _, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2))
     assert min(cases.values()) > 100
 
 
