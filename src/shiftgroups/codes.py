@@ -92,8 +92,10 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
     """Validate a block map plus inverse as a conjugacy.
 
     Both maps must be total on admissible windows, produce admissible
-    transitions, and compose to the identity in both directions (checked
-    exactly on all windows of the composite length).
+    transitions, and compose to the identity in both directions: one scan
+    per direction, in lexicographic order, checks that each window of the
+    composite length ``window + inverse_window - 1`` goes round to its
+    first symbol.
     """
     for name, value in (("window", window), ("inverse window", inverse_window)):
         if value < 1:
@@ -102,8 +104,9 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
     inverse = code.inverse()
     _check_block_map(source, target, window, code.symbol_map())
     _check_block_map(target, source, inverse_window, inverse.symbol_map())
-    for composite in (compose_codes(inverse, code), compose_codes(code, inverse)):
-        for word, symbol in composite.mapping:
+    for first, second in ((code, inverse), (inverse, code)):
+        for word in enumerate_words(first.source, window + inverse_window - 1):
+            symbol = second.apply_word(first.apply_word(word))[0]
             if symbol != word[0]:
                 raise NotInverse(
                     f"round trip sends the window {word} to {symbol}, not {word[0]}")
@@ -125,11 +128,15 @@ def relabel_code(matrix: TransitionMatrix, target: TransitionMatrix, perm: dict[
 def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
     """The code ``outer after inner``; windows add up (minus one).
 
-    Not validated as a conjugacy: used internally, including on pairs
-    that compose to the identity during validation itself.
+    Not validated as a conjugacy.  When one side is the identity code the
+    result is the other code, as it is.
     """
     if inner.target != outer.source:
         raise ValueError("codes do not chain")
+    if outer == identity_code(outer.source):
+        return inner
+    if inner == identity_code(inner.source):
+        return outer
     window = inner.window + outer.window - 1
     table = {
         word: outer.apply_word(inner.apply_word(word))[0]

@@ -211,11 +211,15 @@ def _parse_block_map(stream: _TokenStream) -> dict[Word, int]:
 def parse_coe(text: str, directory: str = ".") -> CoeMap:
     """Parse a chain file: header ``coe A-file B-file`` then stage lines
     ``pre-table file``, one ``code m { .. } inverse m' { .. }``, and
-    ``post-table file``, in application order."""
+    ``post-table file``, in application order.  A matrix file named for
+    both A and B is read once."""
     stream = _TokenStream(_tokenize(text))
     stream.take("coe")
-    source = _load(parse_matrix, directory, stream.take(), stream.line())
-    target = _load(parse_matrix, directory, stream.take(), stream.line())
+    source_name = stream.take()
+    source = _load(parse_matrix, directory, source_name, stream.line())
+    target_name = stream.take()
+    target = (source if target_name == source_name
+              else _load(parse_matrix, directory, target_name, stream.line()))
     stages = []
     saw_code = False
     while not stream.done():

@@ -78,33 +78,34 @@ class CoeMap:
 
 
 def _normalize_chain(source: TransitionMatrix, stages):
-    """Fold arbitrary compatible stages into (pre, core, post)."""
-    pre = identity_table(source)
-    core: BlockCode | None = None
-    post: TableElement | None = None
+    """Fold arbitrary compatible stages into (pre, core, post).
+
+    A lone table on either side is taken as it is (so it must be
+    canonical, as parsed and library-built tables are); a missing side is
+    the identity."""
+    pre = core = post = None
     current = source
     for stage in stages:
         if isinstance(stage, TableElement):
             if stage.matrix != current:
                 raise IncompatibleChain("table stage acts on the wrong shift space")
             if core is None:
-                pre = table_compose(stage, pre)
+                pre = stage if pre is None else table_compose(stage, pre)
             else:
-                post = table_compose(stage, post)
+                post = stage if post is None else table_compose(stage, post)
         elif isinstance(stage, BlockCode):
             if stage.source != current:
                 raise IncompatibleChain("code stage reads the wrong shift space")
-            if core is None:
-                core, post = stage, identity_table(stage.target)
-            else:
+            if post is not None:
                 post = conjugate_table_by_code(stage, post, forward=True)
-                core = compose_codes(stage, core)
+            core = stage if core is None else compose_codes(stage, core)
             current = stage.target
         else:
             raise TypeError(f"not a chain stage: {stage!r}")
     if core is None:
-        core, post = identity_code(current), identity_table(current)
-    return pre, core, post
+        core = identity_code(current)
+    return (identity_table(source) if pre is None else pre, core,
+            identity_table(current) if post is None else post)
 
 
 # -- exponent bookkeeping ----------------------------------------------------

@@ -18,8 +18,9 @@ costs linear work in the shift exponent instead of a cylinder expansion.
 Each such check reads the core stream over one cylinder: position ``p``
 holds the symbol the core writes at ``p`` on every point of the
 cylinder, or None where its points disagree.  The stream is computed
-once per cylinder, each position when first read, and every check on
-that cylinder (each bisection step of :func:`shift_exponents`) reads it.
+once per cylinder, each position only once a read reaches it, and every
+check on that cylinder (each bisection step of :func:`shift_exponents`)
+reads it.
 """
 
 from __future__ import annotations
@@ -238,31 +239,40 @@ class _CylinderStream:
     """The core stream over the cylinder of ``mu``, read by position.
 
     Position ``p`` (from 1) holds the symbol the core writes at ``p`` on
-    every point of the cylinder, or None where its points disagree.
-    Positions whose window lies inside ``mu`` are read off
-    ``core.apply_word(mu)``.  Each later position is computed once, when
-    first read, from the set of windows the cylinder's points show there:
-    the windows of ``mu``'s extensions at the first such position, then
-    the follower step ``w -> w[1:] + (a,)``.  No later window overlaps
-    ``mu``, so no step needs to check it against ``mu``.
+    every point of the cylinder, or None where its points disagree.  A
+    nonempty read computes each position up to its ``stop`` that no
+    earlier read reached.  A window inside ``mu`` is one lookup.  The
+    first read past those builds the set of windows the cylinder's points
+    show next, from the extensions of ``mu``'s last ``window`` symbols
+    (or all of a shorter ``mu``), then takes the follower step
+    ``w -> w[1:] + (a,)``, which never needs to check ``mu`` again.
     """
 
     def __init__(self, matrix: TransitionMatrix, core: BlockCode, mu: Word) -> None:
-        self._successors = matrix.successors
+        self._matrix = matrix
         self._table = core.symbol_map()
-        self._symbols: list[int | None] = list(core.apply_word(mu))
-        start = len(self._symbols)
-        # The windows at position start + 1, the first one past ``mu``.
-        self._windows = {w[start:] for w in expand_to_depth(matrix, mu, start + core.window)}
+        self._window = core.window
+        self._mu = mu
+        self._inside = max(len(mu) - core.window + 1, 0)  # positions read off ``mu``
+        self._symbols: list[int | None] = []
+        self._windows: set[Word] | None = None
 
     def read(self, start: int, stop: int) -> tuple[int | None, ...]:
         """The symbols at positions ``start + 1 .. stop``."""
-        symbols = self._symbols
+        if stop <= start:
+            return ()
+        symbols, table, m, mu = self._symbols, self._table, self._window, self._mu
+        symbols.extend(table[mu[p: p + m]] for p in range(len(symbols), min(stop, self._inside)))
+        if len(symbols) < stop and self._windows is None:
+            lead = min(self._inside, 1)
+            tail = mu[self._inside - lead:]
+            self._windows = {w[lead:] for w in expand_to_depth(self._matrix, tail, lead + m)}
+        successors = self._matrix.successors
         while len(symbols) < stop:
             windows = self._windows
-            written = {self._table[w] for w in windows}
+            written = {table[w] for w in windows}
             symbols.append(written.pop() if len(written) == 1 else None)
-            self._windows = {w[1:] + (a,) for w in windows for a in self._successors(w[-1])}
+            self._windows = {w[1:] + (a,) for w in windows for a in successors(w[-1])}
         return tuple(symbols[start:stop])
 
 

@@ -124,6 +124,31 @@ def test_coe_block_code_stage(tmp_path):
     assert coe_apply(chain, z) == encode.encode(z)
 
 
+def test_coe_reads_a_matrix_named_twice_once(tmp_path, monkeypatch):
+    """The header's two names are one file: one parse, and the errors of a
+    missing or malformed file carry the same message and line as the
+    first read of it did."""
+    from shiftgroups import formats
+
+    (tmp_path / "G.mks").write_text(format_matrix(G), encoding="utf-8")
+    (tmp_path / "F.mks").write_text(format_matrix(FULL2), encoding="utf-8")
+    (tmp_path / "bad.mks").write_text("matrix 2\n1 1\n1 oops\n", encoding="utf-8")
+    parsed = []
+    monkeypatch.setattr(formats, "parse_matrix",
+                        lambda text: parsed.append(text) or parse_matrix(text))
+    code = "code 1 { 1 -> 1 2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n"
+    chain = parse_coe("coe G.mks G.mks\n" + code, str(tmp_path))
+    assert chain.source == chain.target == G and len(parsed) == 1
+    with pytest.raises(FormatError, match="needs exactly one code stage"):
+        parse_coe("coe G.mks F.mks\n", str(tmp_path))
+    assert len(parsed) == 3
+    for name, message in (("gone.mks", "line 3: cannot read 'gone.mks'"),
+                          ("bad.mks", "line 3: bad matrix row '1 oops'")):
+        with pytest.raises(FormatError) as info:
+            parse_coe(f"coe\n{name}\n{name}\n" + code, str(tmp_path))
+        assert str(info.value).startswith(message)
+
+
 def test_coe_stage_order_enforced(tmp_path):
     (tmp_path / "G.mks").write_text(format_matrix(G), encoding="utf-8")
     (tmp_path / "t.tbl").write_text(format_table(prefix_swap(G, 1, 2)),

@@ -25,8 +25,16 @@ per-part minimization that ``orbit.coe_from_chain`` ran before it: the
 same ``l1 - k1``, a ``k1`` never larger, and one that is least on every
 part of its refinement.  Its agreement checks, which read one core stream
 per cylinder, are checked against the window sets the old
-``_entries_agree_on`` rebuilt from position 1 on every call, and so is
+``_entries_agree_on`` rebuilt from position 1 on every call, and so are
+the stream's reads inside a part, across its end and past it, and
 ``difference_parts`` on cores that are equal maps with different windows.
+
+The chain-map builds are checked against the bodies they replaced:
+``make_code`` against the one that read its round trips off two composite
+codes (the same code, or the same exception type and message),
+``compose_codes`` against the window-by-window build with and without an
+identity side, and ``orbit._normalize_chain`` against the fold that
+composed every table stage with an identity table.
 
 The one-scan ``partition`` and the ``validate_table`` that leaves its word
 checks to it are checked against the three ordered checks and the
@@ -55,11 +63,21 @@ from shiftgroups.errors import (
     ImageNotPartition,
     Inadmissible,
     InadmissibleWord,
+    IncompatibleChain,
+    NotAdmissibleImage,
+    NotInverse,
     ShiftError,
 )
-from shiftgroups.codes import compose_codes, higher_block_codes, make_code
+from shiftgroups.codes import (
+    _check_block_map,
+    _raw_code,
+    compose_codes,
+    higher_block_codes,
+    identity_code,
+    make_code,
+)
 from shiftgroups.functions import eval_at, on_refinement, restrict
-from shiftgroups.orbit import coe_from_chain, psi, pullback_map
+from shiftgroups.orbit import _normalize_chain, coe_from_chain, psi, pullback_map
 from shiftgroups.selftest import (
     FULL_TWO,
     GOLDEN_MEAN,
@@ -460,6 +478,70 @@ def reference_difference_parts(t1, t2):
     return tuple(sorted(
         part for part, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2)
         if not reference_entries_agree_on(t1.source, t1.core, t2.core, part, a1, r1, a2, r2)))
+
+
+def reference_compose_codes(outer, inner):
+    """Both tables of ``outer after inner`` rebuilt window by window, as
+    ``compose_codes`` did before it returned the other side of an
+    identity code as it is."""
+    if inner.target != outer.source:
+        raise ValueError("codes do not chain")
+    window = inner.window + outer.window - 1
+    table = {word: outer.apply_word(inner.apply_word(word))[0]
+             for word in enumerate_words(inner.source, window)}
+    inner_inverse, outer_inverse = inner.inverse(), outer.inverse()
+    inv_window = outer.inverse_window + inner.inverse_window - 1
+    inv_table = {word: inner_inverse.apply_word(outer_inverse.apply_word(word))[0]
+                 for word in enumerate_words(outer.target, inv_window)}
+    return _raw_code(inner.source, outer.target, window, table, inv_window, inv_table)
+
+
+def reference_make_code(source, target, window, mapping, inverse_window, inverse_mapping):
+    """``make_code`` reading the round trips off the sorted mappings of the
+    two composites :func:`reference_compose_codes` builds."""
+    for name, value in (("window", window), ("inverse window", inverse_window)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    code = _raw_code(source, target, window, mapping, inverse_window, inverse_mapping)
+    inverse = code.inverse()
+    _check_block_map(source, target, window, code.symbol_map())
+    _check_block_map(target, source, inverse_window, inverse.symbol_map())
+    for composite in (reference_compose_codes(inverse, code),
+                      reference_compose_codes(code, inverse)):
+        for word, symbol in composite.mapping:
+            if symbol != word[0]:
+                raise NotInverse(
+                    f"round trip sends the window {word} to {symbol}, not {word[0]}")
+    return code
+
+
+def reference_normalize_chain(source, stages):
+    """``orbit._normalize_chain`` starting both sides from the identity
+    table, so every table stage is composed with one, and folding codes
+    with :func:`reference_compose_codes`."""
+    pre = identity_table(source)
+    core = post = None
+    current = source
+    for stage in stages:
+        if isinstance(stage, TableElement):
+            if stage.matrix != current:
+                raise IncompatibleChain("table stage acts on the wrong shift space")
+            if core is None:
+                pre = compose(stage, pre)
+            else:
+                post = compose(stage, post)
+        else:
+            if stage.source != current:
+                raise IncompatibleChain("code stage reads the wrong shift space")
+            if core is None:
+                core, post = stage, identity_table(stage.target)
+            else:
+                post = conjugate_table_by_code(stage, post, forward=True)
+                core = reference_compose_codes(stage, core)
+            current = stage.target
+    if core is None:
+        core, post = identity_code(current), identity_table(current)
+    return pre, core, post
 
 
 def reference_block_rows(matrix, m):
@@ -1070,6 +1152,105 @@ def test_symbol_map_is_read_only():
     assert dict(encode.symbol_map()) == dict(encode.mapping)
 
 
+# -- chain-map builds -------------------------------------------------------------
+
+
+def code_outcome(*args):
+    """What ``make_code`` and its reference give for the same arguments: the
+    code, or the type and message of what they raise."""
+    out = []
+    for check in (make_code, reference_make_code):
+        try:
+            out.append(check(*args))
+        except (ShiftError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_make_code_matches_composite_reference():
+    """The codes under test as given, with windows below 1, and with one
+    or two inverse windows sent to another symbol or left out."""
+    rng = random.Random(97)
+    seen = {"accepted": 0, NotInverse: 0, NotAdmissibleImage: 0, ValueError: 0}
+    for code in codes_under_test():
+        inverses = [dict(code.inverse_mapping)]
+        for _ in range(12):
+            inverse = dict(code.inverse_mapping)
+            for word in rng.sample(sorted(inverse), min(len(inverse), rng.randint(1, 2))):
+                if rng.random() < 0.15:
+                    del inverse[word]
+                else:
+                    inverse[word] = rng.randint(1, code.source.n)
+            inverses.append(inverse)
+        cases = [(code.window, 0, inverses[0]), (0, code.inverse_window, inverses[0])]
+        cases += [(code.window, code.inverse_window, inverse) for inverse in inverses]
+        for window, inverse_window, inverse in cases:
+            got, expected = code_outcome(code.source, code.target, window,
+                                         dict(code.mapping), inverse_window, inverse)
+            assert got == expected
+            seen["accepted" if got == code else got[0]] += 1
+    assert min(seen.values()) > 10
+
+
+def test_compose_codes_matches_window_by_window_reference():
+    """The identity code on either side, which returns the other code as
+    it is, and pairs the shortcut must not take: codes and their
+    inverses, the block round trip (the identity map with window 2), and
+    window-1 codes on the full 2-shift where only one of the two symbol
+    maps is the identity."""
+    one_sided = _raw_code(FULL_TWO, FULL_TWO, 1, {(1,): 1, (2,): 2}, 1, {(1,): 2, (2,): 1})
+    pairs = [(one_sided, one_sided), (one_sided.inverse(), one_sided.inverse())]
+    for code in codes_under_test():
+        pairs += [(code, identity_code(code.source)), (identity_code(code.target), code),
+                  (code.inverse(), code), (code, code.inverse())]
+        if code.source == FULL_TWO:
+            pairs += [(code, one_sided), (code, one_sided.inverse())]
+        if code.target == FULL_TWO:
+            pairs += [(one_sided, code), (one_sided.inverse(), code)]
+    for _, matrix in MATRICES:
+        _, encode, decode = higher_block_codes(matrix, 2)
+        round_trip = compose_codes(decode, encode)
+        pairs += [(round_trip, round_trip), (encode, round_trip)]
+    shortcuts = 0
+    for outer, inner in pairs:
+        got = compose_codes(outer, inner)
+        assert got == reference_compose_codes(outer, inner)
+        shortcuts += got is outer or got is inner
+    assert compose_codes(one_sided, one_sided) == identity_code(FULL_TWO)
+    assert 50 < shortcuts < len(pairs) - 50
+
+
+def normalize_cases():
+    """Chains with 0, 1 or 2 tables before and after 0, 1 or 2 codes:
+    the 2-block encode, then its decode, and a self-map core of the
+    chain maps, once or twice."""
+    rng = random.Random(101)
+    cores = {h.core.source: h.core for h in chain_maps()
+             if h.core.target == h.core.source and h.core != identity_code(h.core.source)}
+    for _, matrix in MATRICES:
+        _, encode, decode = higher_block_codes(matrix, 2)
+        code_runs = [(), (encode,), (encode, decode)]
+        if matrix in cores:
+            code_runs += [(cores[matrix],), (cores[matrix], cores[matrix])]
+        for codes in code_runs:
+            target = codes[-1].target if codes else matrix
+            for before, after in itertools.product(range(3), repeat=2):
+                stages = [random_element(matrix, 3, rng.randrange(1 << 20))
+                          for _ in range(before)]
+                stages += codes
+                stages += [random_element(target, 3, rng.randrange(1 << 20))
+                           for _ in range(after)]
+                yield matrix, stages
+
+
+def test_normalize_chain_matches_identity_composing_reference():
+    codes = {0: 0, 1: 0, 2: 0}
+    for source, stages in normalize_cases():
+        assert _normalize_chain(source, stages) == reference_normalize_chain(source, stages)
+        codes[sum(not isinstance(stage, TableElement) for stage in stages)] += 1
+    assert min(codes.values()) >= 27
+
+
 # -- restriction of a refinement to a cylinder ------------------------------------
 
 
@@ -1188,28 +1369,74 @@ def test_shift_exponents_are_least_per_part():
     assert lowered > 100
 
 
+def reference_stream(matrix, core, part, upto):
+    """The core's symbols at positions 1..upto over the cylinder of
+    ``part``, each read off the reference window set there (None where
+    the windows write different symbols)."""
+    table = core.symbol_map()
+    out = []
+    for windows in reference_window_sets(matrix, core.window, part, upto):
+        written = {table[w] for w in windows}
+        out.append(written.pop() if len(written) == 1 else None)
+    return out
+
+
+def stream_ranges(inside, rng):
+    """Read ranges ``(start, stop)`` relative to the last position
+    ``inside`` whose window lies inside the part: some inside it (one of
+    them the whole run), some straddling its end, some past it."""
+    spans = []
+    if inside:
+        stop = rng.randint(max(inside - 2, 0), inside)
+        spans += [("inside", (rng.randint(max(stop - 3, 0), stop), stop)),
+                  ("inside", (0, inside)),
+                  ("straddle", (rng.randint(max(inside - 3, 0), inside - 1),
+                                rng.randint(inside + 1, inside + 3)))]
+    start = rng.randint(inside, inside + 3)
+    spans += [("past", (start, start + rng.randint(0, 4))), ("past", (inside, inside + 1))]
+    return spans
+
+
 def test_cylinder_stream_verdicts_match_window_set_reference():
     """Every candidate ``k`` of the bisection, up to 2 past its top, on
-    every part of the refinement of ``t`` and ``t after shift``, read in
-    a shuffled order from one stream per part, on the exponent chains
-    and deep-swap pre-tables."""
+    every part of the refinement of ``t`` and ``t after shift``, on the
+    exponent chains and the deep-swap pre-tables up to k = 30; on the
+    k = 300 one, three candidates on every fifth part.  Each part's one
+    stream also reads ranges inside the part, straddling its end and past
+    it, in one shuffled order with the candidates, against the symbols of
+    the reference window sets."""
     rng = random.Random(89)
-    chains = exponent_chains() + [coe_from_chain([deep_exchange(k)]) for k in (3, 10, 30)]
+    chains = [(h, False) for h in exponent_chains()]
+    chains += [(coe_from_chain([deep_exchange(k)]), k == 300) for k in (3, 10, 30, 300)]
     verdicts = {True: 0, False: 0}
-    for h in chains:
+    ranges = {"inside": 0, "straddle": 0, "past": 0}
+    for h, sampled in chains:
         t = h.transducer
-        for part, (_, a, r), (_, b, q) in _aligned(t, precompose_shift(t)):
+        for i, (part, (_, a, r), (_, b, q)) in enumerate(_aligned(t, precompose_shift(t))):
+            if sampled and i % 5:
+                continue
             d = (q - len(b)) - (r - len(a))
             low = max(0, -d)
             candidates = list(range(low, max(len(b), len(a) - d, low) + 3))
-            rng.shuffle(candidates)
+            if sampled:
+                candidates = rng.sample(candidates, min(3, len(candidates)))
+            spans = stream_ranges(max(len(part) - t.core.window + 1, 0), rng)
+            reads = [("verdict", k) for k in candidates] + spans
+            rng.shuffle(reads)
+            expected = reference_stream(t.source, t.core, part,
+                                        max(stop for _, (_, stop) in spans))
             stream = _CylinderStream(t.source, t.core, part)
-            for k in candidates:
-                sides = (*_shift_entry(b, q, k), *_shift_entry(a, r, k + d))
+            for kind, arg in reads:
+                if kind != "verdict":
+                    assert stream.read(*arg) == tuple(expected[arg[0]: arg[1]])
+                    ranges[kind] += 1
+                    continue
+                sides = (*_shift_entry(b, q, arg), *_shift_entry(a, r, arg + d))
                 verdict = _entries_agree_on(stream, *sides)
                 assert verdict == reference_entries_agree_on(t.source, t.core, t.core, part, *sides)
                 verdicts[verdict] += 1
     assert min(verdicts.values()) > 500
+    assert min(ranges.values()) > 500
 
 
 def test_difference_parts_on_equal_cores_with_other_windows():
