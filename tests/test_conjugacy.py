@@ -302,3 +302,71 @@ def test_commutant_random_self_maps():
                 assert witness is None
             else:
                 assert witness is not None
+
+
+# -- golden outputs -------------------------------------------------------------
+
+
+def format_witness(witness):
+    """The witness fields as text: level, ``z``, pair, ``g`` and ``tau0``."""
+    from shiftgroups.formats import format_function, format_point, format_table
+
+    return (f"level {witness.level}\nz {format_point(witness.z)}\n"
+            f"pair {witness.pair[0]} {witness.pair[1]}\n"
+            + format_function(witness.g) + format_table(witness.tau0))
+
+
+def sha256(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# One digest per map, in corpus order.
+TWISTED_WITNESS_DIGESTS = (
+    "13a4841882f2d2d041f198246bd07c5721e8c45365f531481c71dfbf041cc184",
+    "835f90f12f19a2a4a70efe559b8d894efb8ffdacf128ea998641064f7bc14f80",
+    "9fe29acb921149244a47994cee648dcac4ea48e0c11f4b1a36bd153b4ab83f3a",
+    "d52c78326eae6bfe31fba1b1fadc80453baeb7dc6b92f2352980c4dfef65d6b3",
+    "4fca307918971fe3bcc517ed71c59488354cc18a123d1256f0cab93d7ae8c708",
+    "b247a7cb8238ca9342b2c293a85425c669e0b4b692c3cb7c779589e8888e9925",
+    "852e577aa2560497c0b6b48d29d4bc113fb8cef0e9c7b12bd4f925ca7a6be9cf",
+    "4a7cd186d069c71cd9ddfcd6f0f1e3dc63426be3c3fbd0e1816de69b8640f0bc",
+    "ba4c618a43ff96c87f2f7930be9f0f4b4d10b27ee10b27a3773c619e316e246a",
+    "ccc3a3de223f29f89362f8c2ef466213db203a9a1b15325c523a894f2907899e",
+    "06329d61a441a4c5fa4612ff79693ce8cb801aaf296b4a1c520d2ce0da41498d",
+    "06329d61a441a4c5fa4612ff79693ce8cb801aaf296b4a1c520d2ce0da41498d",
+    "d8b809ab46af88929a831bf30b8789bef119be45359957dfc52c7efc8e71bbc0",
+    "feeda8e996a7f94b04074a88326e18e3e6e46901a87f74e72248dc05cbe6d95a",
+    "41180f326bc6375333f508560ac8bb82b1546b6e321ecca50727a91e2332c62c",
+    "58d1af9a7eaf0cdb5ab1ef8b65da0d4beec43b69f036ad936cc2d7f82c0f839a",
+    "0d0b67b26242c3dfd038438c9b6524a3284ad49b04d400f5aeec4cb77c7f2949",
+    "4a7cd186d069c71cd9ddfcd6f0f1e3dc63426be3c3fbd0e1816de69b8640f0bc",
+    "41180f326bc6375333f508560ac8bb82b1546b6e321ecca50727a91e2332c62c",
+    "ccc3a3de223f29f89362f8c2ef466213db203a9a1b15325c523a894f2907899e",
+)
+COMMUTANT_TABLE_DIGESTS = (
+    "1c0202d266d5a06583472520a4713a9aa96606d130009e83637263f77fa56054",
+    "c8c7947a9390d8e6a5bdb6cdeb85b539cafbac8454e8b3473574a8ca52586a03",
+    "a00b0664a6856148289824f8df5a686777a9546815d599d0988643aadc714f08",
+    "c8c7947a9390d8e6a5bdb6cdeb85b539cafbac8454e8b3473574a8ca52586a03",
+    "5fbdd50aecad3209000d0a32dcf2b1ac84bb048d0497c2d82d9bf647b39e90fb",
+    "5fbdd50aecad3209000d0a32dcf2b1ac84bb048d0497c2d82d9bf647b39e90fb",
+    "1d48a1f80783aec61160f3fa97b004eb5fdd3d8f309f1bf064877e93e617dc5b",
+    "1d48a1f80783aec61160f3fa97b004eb5fdd3d8f309f1bf064877e93e617dc5b",
+    "1c0202d266d5a06583472520a4713a9aa96606d130009e83637263f77fa56054",
+    "c8c7947a9390d8e6a5bdb6cdeb85b539cafbac8454e8b3473574a8ca52586a03",
+)
+
+
+def test_witness_outputs_match_golden_digests():
+    """Every twisted-corpus witness and every commutant-corpus table is
+    the one pinned here, field for field."""
+    from shiftgroups.formats import format_table
+    from shiftgroups.selftest import commutant_corpus, twisted_corpus
+
+    witnesses = tuple(sha256(format_witness(witness_non_conjugacy(h)))
+                      for h in twisted_corpus())
+    tables = tuple(sha256(format_table(commutant_witness(h0))) for h0 in commutant_corpus())
+    assert witnesses == TWISTED_WITNESS_DIGESTS
+    assert tables == COMMUTANT_TABLE_DIGESTS
