@@ -31,7 +31,7 @@ from __future__ import annotations
 from .codes import identity_code
 from .functions import LocFun, birkhoff, constant, eval_at
 from .sft import Point, Word, shift_point
-from .tables import TableElement, apply, cocycle_data, cocycle_data_from_entries, invert
+from .tables import TableElement, apply, cocycle_data, entry_exponents, invert
 from .transducer import Transducer, orbit_sum
 
 
@@ -46,7 +46,7 @@ def rho_from_entries(f: LocFun, table: TableElement, entries) -> LocFun:
     Exposed so refined presentations of one map can be checked to give
     the same function.
     """
-    k, l, _ = cocycle_data_from_entries(table.matrix, entries)
+    k, l = entry_exponents(table.matrix, entries)
     image = Transducer(identity_code(table.matrix), tuple(sorted(
         (tuple(nu), tuple(mu), len(nu)) for nu, mu in entries)))
     return birkhoff(f, l) - orbit_sum(f, k, image)

@@ -75,11 +75,15 @@ def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) 
 
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
                      window: int, table: dict[Word, int]) -> None:
-    for word in enumerate_words(source, window):
+    windows = enumerate_words(source, window)
+    for word in windows:
         if word not in table:
             raise NotAdmissibleImage(f"no image declared for window {word}")
         if not 1 <= table[word] <= target.n:
             raise NotAdmissibleImage(f"image of {word} is not a target symbol")
+    if len(table) > len(windows):
+        stray = min(set(table).difference(windows))
+        raise NotAdmissibleImage(f"{stray} is not an admissible window of {window} symbols")
     for word in enumerate_words(source, window + 1):
         a, b = table[word[:-1]], table[word[1:]]
         if not target.entry(a, b):
@@ -91,11 +95,11 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
               mapping, inverse_window: int, inverse_mapping) -> BlockCode:
     """Validate a block map plus inverse as a conjugacy.
 
-    Both maps must be total on admissible windows, produce admissible
-    transitions, and compose to the identity in both directions: one scan
-    per direction, in lexicographic order, checks that each window of the
-    composite length ``window + inverse_window - 1`` goes round to its
-    first symbol.
+    Both maps must be defined on exactly the admissible windows, produce
+    admissible transitions, and compose to the identity in both
+    directions: one scan per direction, in lexicographic order, checks
+    that each window of the composite length ``window + inverse_window -
+    1`` goes round to its first symbol.
     """
     for name, value in (("window", window), ("inverse window", inverse_window)):
         if value < 1:

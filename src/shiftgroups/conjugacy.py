@@ -1,11 +1,14 @@
 """Deciding shift-commutation and certifying its failure.
 
 A chain map either commutes with the two shifts (so the shifts are
-topologically conjugate) or it does not; both outcomes are decided
-exactly on the cached normal forms.  In the failing case this module
-builds a checkable certificate: after recoding the source to a suitable
-block level, a point ``z``, a cylinder indicator ``g`` on the target,
-and a prefix swap ``tau0`` such that
+topologically conjugate) or it does not.  Both outcomes are read off the
+verified least exponents ``(k1, l1)`` of the chain map: on each part of
+their refinement ``l1 - k1`` is forced (the core is injective and every
+cylinder holds non-periodic points) and valid ``k1`` are closed upward,
+so ``(0, 1)`` is valid there exactly when it is the least pair.  In the
+failing case this module builds a checkable certificate: after recoding
+the source to a suitable block level, a point ``z``, a cylinder indicator
+``g`` on the target, and a prefix swap ``tau0`` such that
 
 * ``tau0`` preserves the level sets of ``g . h`` (so the cocycle of
   ``g . h - g . h . shift`` vanishes on it), yet
@@ -25,7 +28,7 @@ from collections import deque
 from .cocycles import in_cocycle_group, rho
 from .codes import higher_block_codes
 from .errors import SearchBudgetExceeded, VerificationFailed
-from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on
+from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on, restrict
 from .orbit import CoeMap, coe_apply, coe_from_chain, coe_invert, pullback_map, stage_transducer
 from .sft import (
     Point,
@@ -35,23 +38,25 @@ from .sft import (
     enumerate_words,
     expand_to_depth,
     primitive_root,
+    refine_words,
     representative,
     shift_point,
 )
 from .tables import TableElement, prefix_swap
 from .transducer import (
     Transducer,
+    apply_table_stage,
     conjugate_table_by_code,
     difference_parts,
     is_identity_transducer,
     point_apply,
-    post_shift,
     precompose_shift,
     transducer_equal,
 )
 
 DEFAULT_MAX_LEVEL = 6
 DEFAULT_MAX_DEPTH = 12
+_EXTRA_DEPTH = 4  # levels below a difference cylinder that pointwise_difference probes
 
 
 @dataclass(frozen=True)
@@ -69,20 +74,19 @@ class Witness:
     tau0: TableElement
 
 
-def _shift_pair(t: Transducer):
-    return precompose_shift(t), post_shift(t, constant(t.source, 1))
-
-
 def is_conjugacy(h: CoeMap) -> bool:
-    """Exact decision of ``h . shift == shift . h``."""
-    lhs, rhs = _shift_pair(h.transducer)
-    return transducer_equal(lhs, rhs)
+    """Exact decision of ``h . shift == shift . h``: ``(k1, l1) == (0, 1)``."""
+    return h.k1 == constant(h.source, 0) and h.l1 == constant(h.source, 1)
 
 
 def difference_locus(h: CoeMap) -> tuple[Word, ...]:
-    """Cylinders on which the two sides of the commutation differ."""
-    lhs, rhs = _shift_pair(h.transducer)
-    return difference_parts(lhs, rhs)
+    """Cylinders on which the two sides of the commutation differ: the
+    parts of the refinement of ``t`` and ``t after shift`` where the least
+    exponent pair is not ``(0, 1)``, in sorted order."""
+    t = h.transducer
+    parts = refine_words(t.source, [t.parts, precompose_shift(t).parts])
+    return tuple(part for part in parts
+                 if restrict(h.k1, part) != [(part, 0)] or restrict(h.l1, part) != [(part, 1)])
 
 
 def recode_source(h: CoeMap, level: int):
@@ -156,6 +160,22 @@ def _find_difference_point(h: CoeMap, seeds, max_depth: int) -> Point:
         "no usable difference point found", max_depth=max_depth)
 
 
+def _isolating_level(h: CoeMap, z: Point, w0: Point, max_level: int):
+    """The least block level where the first two symbols of ``z`` differ
+    and the preimage ``x_star`` of ``w0`` (taken once, on the base shift)
+    starts with neither that pair nor its second symbol, as ``(level,
+    z_level, x_star)``."""
+    x = coe_apply(coe_invert(h), w0)
+    for level in range(1, max_level + 1):
+        _, encode_code, _ = higher_block_codes(h.source, level)
+        z_level, x_star = encode_code.encode(z), encode_code.encode(x)
+        pair = z_level.prefix(2)
+        if pair[0] != pair[1] and x_star.prefix(2) != pair and x_star.symbol(1) != pair[1]:
+            return level, z_level, x_star
+    raise SearchBudgetExceeded(
+        "no block level isolates the difference point", max_level=max_level)
+
+
 def witness_non_conjugacy(h: CoeMap, max_level: int = DEFAULT_MAX_LEVEL,
                           max_depth: int = DEFAULT_MAX_DEPTH) -> Witness | None:
     """Build a certificate of non-commutation, or None when ``h`` commutes.
@@ -171,20 +191,9 @@ def witness_non_conjugacy(h: CoeMap, max_level: int = DEFAULT_MAX_LEVEL,
         return None
     z = _find_difference_point(h, seeds, max_depth)
     w0 = shift_point(coe_apply(h, z))
-
-    for level in range(1, max_level + 1):
-        h_level, encode_code = recode_source(h, level)
-        z_level = encode_code.encode(z)
-        pair = (z_level.symbol(1), z_level.symbol(2))
-        if pair[0] == pair[1]:
-            continue
-        x_star = coe_apply(coe_invert(h_level), w0)
-        if x_star.prefix(2) == pair or x_star.symbol(1) == pair[1]:
-            continue
-        break
-    else:
-        raise SearchBudgetExceeded(
-            "no block level isolates the difference point", max_level=max_level)
+    level, z_level, _ = _isolating_level(h, z, w0, max_level)
+    pair = z_level.prefix(2)
+    h_level, _ = recode_source(h, level)
 
     for depth in range(1, max_depth + 1):
         g = indicator(h.target, w0.prefix(depth))
@@ -220,11 +229,11 @@ def check_witness(h: CoeMap, witness: Witness) -> bool:
 # -- commuting tables --------------------------------------------------------
 
 
-def pointwise_difference(t1: Transducer, t2: Transducer, extra_depth: int = 4):
+def pointwise_difference(t1: Transducer, t2: Transducer):
     """A representative where two same-core maps visibly differ, or None."""
     matrix = t1.source
     for part in difference_parts(t1, t2):
-        for depth in range(len(part), len(part) + extra_depth + 1):
+        for depth in range(len(part), len(part) + _EXTRA_DEPTH + 1):
             for word in expand_to_depth(matrix, part, depth):
                 z = representative(matrix, word)
                 if point_apply(t1, z) != point_apply(t2, z):
@@ -240,7 +249,8 @@ def commutant_witness(h0: CoeMap, max_level: int = DEFAULT_MAX_LEVEL) -> TableEl
     levels, carried back to the base shift, in a fixed deterministic
     order, and returns the first one whose two compositions with ``h0``
     differ; the difference is re-verified at a concrete representative
-    before returning.
+    before returning.  ``table after h0`` is one more table stage on the
+    cached normal form of ``h0``.
     """
     if h0.source != h0.target:
         raise ValueError("commutant search needs a self map")
@@ -257,7 +267,7 @@ def commutant_witness(h0: CoeMap, max_level: int = DEFAULT_MAX_LEVEL) -> TableEl
                 table = (swap if level == 1 else
                          conjugate_table_by_code(encode_code, swap, forward=False))
                 after = stage_transducer(matrix, (table,) + h0.stages())
-                before = stage_transducer(matrix, h0.stages() + (table,))
+                before = apply_table_stage(h0.transducer, table)
                 if transducer_equal(after, before):
                     continue
                 if pointwise_difference(after, before) is not None:

@@ -37,7 +37,6 @@ from .transducer import (
     conjugate_table_by_code,
     extract_table,
     orbit_sum,
-    point_apply,
     post_shift,
     precompose_shift,
     pullback,
@@ -162,11 +161,6 @@ def identity_coe(matrix: TransitionMatrix) -> CoeMap:
 def coe_apply(h: CoeMap, point: Point) -> Point:
     """Stage-by-stage image of a point."""
     return table_apply(h.post, h.core.encode(table_apply(h.pre, point)))
-
-
-def coe_apply_normal(h: CoeMap, point: Point) -> Point:
-    """Image through the cached transducer (cross-check path)."""
-    return point_apply(h.transducer, point)
 
 
 def coe_invert(h: CoeMap) -> CoeMap:

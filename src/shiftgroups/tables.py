@@ -178,15 +178,18 @@ def invert(table: TableElement) -> TableElement:
     return canonical_table(table.matrix, ((mu, nu) for nu, mu in table.entries))
 
 
-def cocycle_data_from_entries(matrix: TransitionMatrix, entries) -> tuple[LocFun, LocFun, LocFun]:
-    """Orbit-matching exponents read off raw entries, without merging.
-
-    On the cylinder of ``nu`` the pair ``(k, l) = (|mu|, |nu|)`` satisfies
-    ``shift^k(tau(x)) = shift^l(x)``; ``d = l - k`` is the same for every
-    valid entry presentation of the same map.
-    """
+def entry_exponents(matrix: TransitionMatrix, entries) -> tuple[LocFun, LocFun]:
+    """Exponents ``(k, l) = (|mu|, |nu|)`` on the cylinder of each raw
+    entry ``nu -> mu``, where ``shift^k(tau(x)) = shift^l(x)``."""
     k = canonical(matrix, {tuple(nu): len(mu) for nu, mu in entries})
     l = canonical(matrix, {tuple(nu): len(nu) for nu, mu in entries})
+    return k, l
+
+
+def cocycle_data_from_entries(matrix: TransitionMatrix, entries) -> tuple[LocFun, LocFun, LocFun]:
+    """:func:`entry_exponents` and ``d = l - k``, which is the same for
+    every valid entry presentation of the same map."""
+    k, l = entry_exponents(matrix, entries)
     return k, l, l - k
 
 

@@ -351,27 +351,12 @@ def transducer_equal(t1: Transducer, t2: Transducer, under: Word = ()) -> bool:
 
 
 def is_identity_transducer(t: Transducer) -> bool:
-    """Exact decision of whether the map is the identity."""
-    if t.source != t.target:
-        return False
-    m = t.core.window
-    table = t.core.symbol_map()
-
-    def projects_to(offset: int) -> bool:
-        return all(table[v] == v[offset] for v in enumerate_words(t.source, m))
-
-    def entry_ok(mu: Word, alpha: Word, r: int):
-        common = min(len(mu), len(alpha))
-        if mu[:common] != alpha[:common]:
-            return False
-        if len(mu) < len(alpha):
-            return None
-        offset = len(alpha) - r
-        if offset < 0 or offset >= m:
-            return False
-        return projects_to(offset)
-
-    return all(ok for _, ok in _refine_entries(t, entry_ok))
+    """Exact decision of whether the map is the identity.  Its core would
+    then write each window's symbol at one offset, a shift power; only
+    the power 0 is injective on a non-permutation shift."""
+    return (t.source == t.target
+            and cores_semantically_equal(t.core, identity_code(t.source))
+            and transducer_equal(t, identity_transducer(t.source)))
 
 
 # -- table extraction -------------------------------------------------------

@@ -228,6 +228,8 @@ MALFORMED_COE = [
                  id="repeated-window"),
     pytest.param("coe G.mks G.mks\ncode 1 { 1 -> 1 2 -> 2 } inverse 1 { 2 -> 2 1 -> 2 1 -> 1 }\n",
                  id="repeated-inverse-window"),
+    pytest.param("coe G.mks G.mks\ncode 2 { 1.1 -> 1 1.2 -> 1 2.1 -> 2 2.2 -> 2 }"
+                 " inverse 1 { 1 -> 1 2 -> 2 }\n", id="stray-window"),
 ]
 
 
@@ -239,6 +241,20 @@ def test_malformed_chain_file_is_input_error(workdir, capsys, text):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_stray_code_window_is_input_error(workdir):
+    """A code declaring the inadmissible window 2.2 is refused by name."""
+    (workdir / "stray.coe").write_text(
+        "coe G.mks G.mks\n"
+        "code 2 { 1.1 -> 1 1.2 -> 1 2.1 -> 2 2.2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n",
+        encoding="utf-8")
+    result = run_cli("conjugacy", "stray.coe", cwd=workdir)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "(2, 2) is not an admissible window" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_commutant_command(workdir):

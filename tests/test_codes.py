@@ -1,6 +1,7 @@
 """Block codes and the transducer normal form machinery."""
 
 import random
+import re
 
 import pytest
 
@@ -79,6 +80,23 @@ def test_make_code_rejects_forbidden_transitions():
         make_code(G, G, 1, {(1,): 2, (2,): 1}, 1, {(1,): 2, (2,): 1})
     with pytest.raises(NotAdmissibleImage):
         make_code(FULL2, FULL2, 1, {(1,): 1}, 1, {(1,): 1, (2,): 2})
+
+
+IDENTITY_1 = {(1,): 1, (2,): 2}
+
+
+@pytest.mark.parametrize("window, mapping, inverse, stray", [
+    (1, {**IDENTITY_1, (3,): 1}, IDENTITY_1, "(3,)"),
+    (2, {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 2}, IDENTITY_1, "(2, 2)"),
+    (1, IDENTITY_1, {**IDENTITY_1, (2, 1): 2}, "(2, 1)"),
+    (1, {**IDENTITY_1, (3,): 1, (0,): 2, (1, 1): 1}, IDENTITY_1, "(0,)"),
+], ids=["unknown-symbol", "inadmissible-window", "inverse-side", "first-in-sorted-order"])
+def test_make_code_rejects_stray_windows(window, mapping, inverse, stray):
+    """A key that is not an admissible window of the declared length, on
+    either side, is named: the first such key in sorted order."""
+    message = re.escape(f"{stray} is not an admissible window")
+    with pytest.raises(NotAdmissibleImage, match=message):
+        make_code(G, G, window, mapping, 1, inverse)
 
 
 def test_make_code_rejects_wrong_inverse():

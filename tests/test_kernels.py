@@ -36,6 +36,15 @@ codes (the same code, or the same exception type and message),
 identity side, and ``orbit._normalize_chain`` against the fold that
 composed every table stage with an identity table.
 
+The commutation answers read off the verified exponents are checked
+against the walks they replaced, on the three chain corpora and 60
+seeded ``random_chain`` draws: ``is_conjugacy`` and ``difference_locus``
+against the equality of ``t after shift`` and ``shift after t``,
+``is_identity_transducer`` against the walk that settled each entry's
+output word, and the witness level search against the loop that recoded
+and inverted the map at every level it tried.  One table stage on a
+cached normal form is checked against the rebuild of all the stages.
+
 The one-scan ``partition`` and the ``validate_table`` that leaves its word
 checks to it are checked against the three ordered checks and the
 word-first body they replaced, on perturbed families and mutated tables:
@@ -66,6 +75,7 @@ from shiftgroups.errors import (
     IncompatibleChain,
     NotAdmissibleImage,
     NotInverse,
+    SearchBudgetExceeded,
     ShiftError,
 )
 from shiftgroups.codes import (
@@ -77,7 +87,24 @@ from shiftgroups.codes import (
     make_code,
 )
 from shiftgroups.functions import eval_at, on_refinement, restrict
-from shiftgroups.orbit import _normalize_chain, coe_from_chain, psi, pullback_map
+from shiftgroups.conjugacy import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_LEVEL,
+    _find_difference_point,
+    _isolating_level,
+    difference_locus,
+    is_conjugacy,
+    recode_source,
+)
+from shiftgroups.orbit import (
+    _normalize_chain,
+    coe_apply,
+    coe_from_chain,
+    coe_invert,
+    psi,
+    pullback_map,
+    stage_transducer,
+)
 from shiftgroups.selftest import (
     FULL_TWO,
     GOLDEN_MEAN,
@@ -104,6 +131,7 @@ from shiftgroups.sft import (
     partition,
     prefix_of,
     refine,
+    refine_until,
     refine_words,
     representative,
     shift_point,
@@ -126,9 +154,11 @@ from shiftgroups.transducer import (
     _CylinderStream,
     _entries_agree_on,
     _shift_entry,
+    apply_table_stage,
     conjugate_table_by_code,
     difference_parts,
     identity_transducer,
+    is_identity_transducer,
     post_shift,
     precompose_shift,
     transducer_equal,
@@ -561,6 +591,66 @@ def reference_rho_from_entries(f, table, entries):
     k_on_image = tables.pullback_table(k, tables.invert(table))
     return reference_birkhoff(f, l) - tables.pullback_table(
         reference_birkhoff(f, k_on_image), table)
+
+
+def reference_shift_pair(t):
+    """``t after shift`` and ``shift after t``, as two transducers."""
+    return precompose_shift(t), post_shift(t, fn.constant(t.source, 1))
+
+
+def reference_is_conjugacy(h):
+    """``is_conjugacy`` as the equality of the two sides of the commutation."""
+    return transducer_equal(*reference_shift_pair(h.transducer))
+
+
+def reference_difference_locus(h):
+    """``difference_locus`` as the parts where the two sides differ."""
+    return difference_parts(*reference_shift_pair(h.transducer))
+
+
+def reference_is_identity_transducer(t):
+    """The walk that settled each entry's cylinder until its output word
+    was decided against ``mu``, then accepted a core that writes each
+    window's symbol at offset ``|alpha| - r``."""
+    if t.source != t.target:
+        return False
+    m = t.core.window
+    table = t.core.symbol_map()
+
+    def projects_to(offset):
+        return all(table[v] == v[offset] for v in enumerate_words(t.source, m))
+
+    def entry_ok(mu, alpha, r):
+        common = min(len(mu), len(alpha))
+        if mu[:common] != alpha[:common]:
+            return False
+        if len(mu) < len(alpha):
+            return None
+        offset = len(alpha) - r
+        if offset < 0 or offset >= m:
+            return False
+        return projects_to(offset)
+
+    roots = [(mu, (alpha, r)) for mu, alpha, r in t.entries]
+    return all(ok for _, ok in refine_until(t.source, roots, entry_ok))
+
+
+def reference_witness_level(h, z, max_level=DEFAULT_MAX_LEVEL):
+    """The witness level loop that recoded ``h`` and inverted the recoded
+    map at every level it tried, as ``(level, pair, x_star)``, or None
+    when no level up to ``max_level`` isolates ``z``."""
+    w0 = shift_point(coe_apply(h, z))
+    for level in range(1, max_level + 1):
+        h_level, encode_code = recode_source(h, level)
+        z_level = encode_code.encode(z)
+        pair = (z_level.symbol(1), z_level.symbol(2))
+        if pair[0] == pair[1]:
+            continue
+        x_star = coe_apply(coe_invert(h_level), w0)
+        if x_star.prefix(2) == pair or x_star.symbol(1) == pair[1]:
+            continue
+        return level, pair, x_star
+    return None
 
 
 # -- seeded inputs ----------------------------------------------------------------
@@ -1465,6 +1555,90 @@ def test_difference_parts_on_equal_cores_with_other_windows():
                         r1 > r2 and len(a1) > len(a2)
                         for _, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2))
     assert min(cases.values()) > 100
+
+
+# -- commutation read off the exponents -------------------------------------------
+
+
+def commutation_chains():
+    """The three chain corpora and 60 seeded ``random_chain`` draws."""
+    rng = random.Random(41)
+    return (conjugacy_corpus() + twisted_corpus() + commutant_corpus()
+            + [random_chain(matrix, rng) for _, matrix in MATRICES for _ in range(20)])
+
+
+def test_commutation_matches_shift_pair_reference():
+    """``is_conjugacy`` and ``difference_locus``, read off ``(k1, l1)``,
+    against the equality walk of the two sides of the commutation."""
+    verdicts = {True: 0, False: 0}
+    for h in commutation_chains():
+        assert is_conjugacy(h) == reference_is_conjugacy(h)
+        assert difference_locus(h) == reference_difference_locus(h)
+        verdicts[is_conjugacy(h)] += 1
+    assert min(verdicts.values()) > 10
+
+
+def test_is_identity_transducer_matches_walk_reference():
+    """Each chain's transducer, the same map through a widened identity
+    core, and three identity maps: the bare one, a 2-block encode and
+    decode, and the chain's pre-table followed by its inverse."""
+    verdicts = {True: 0, False: 0}
+    for h in commutation_chains():
+        t = h.transducer
+        _, encode, decode = higher_block_codes(t.source, 2)
+        widened = Transducer(compose_codes(t.core, compose_codes(decode, encode)), t.entries)
+        cases = [t, widened, identity_transducer(t.source),
+                 stage_transducer(t.source, (encode, decode)),
+                 stage_transducer(t.source, (h.pre, invert(h.pre)))]
+        for case in cases:
+            verdict = is_identity_transducer(case)
+            assert verdict == reference_is_identity_transducer(case)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 10
+
+
+def test_witness_level_matches_per_level_recoding_reference():
+    """The level, pair and preimage ``x_star`` of the witness search on
+    every chain that does not commute, against the loop that recoded and
+    inverted the map at each level."""
+    found = 0
+    for h in commutation_chains():
+        seeds = difference_locus(h)
+        if not seeds:
+            continue
+        z = _find_difference_point(h, seeds, DEFAULT_MAX_DEPTH)
+        expected = reference_witness_level(h, z)
+        try:
+            level, z_level, x_star = _isolating_level(
+                h, z, shift_point(coe_apply(h, z)), DEFAULT_MAX_LEVEL)
+        except SearchBudgetExceeded:
+            assert expected is None
+            continue
+        assert (level, z_level.prefix(2), x_star) == expected
+        found += 1
+    assert found > 20
+
+
+def test_table_stage_on_the_normal_form_matches_stage_rebuild():
+    """One table stage on ``h0``'s cached transducer is the transducer of
+    ``h0``'s stages followed by the table, for every swap the commutant
+    search tries at levels 1 and 2."""
+    checked = 0
+    for h0 in commutant_corpus():
+        src = h0.source
+        for level in (1, 2):
+            block, encode, _ = higher_block_codes(src, level)
+            for z1 in block.symbols():
+                for z2 in block.successors(z1):
+                    if z1 == z2:
+                        continue
+                    swap = prefix_swap(block, z1, z2)
+                    t = (swap if level == 1 else
+                         conjugate_table_by_code(encode, swap, forward=False))
+                    assert (apply_table_stage(h0.transducer, t)
+                            == stage_transducer(src, h0.stages() + (t,)))
+                    checked += 1
+    assert checked > 50
 
 
 # -- trusted constructors ---------------------------------------------------------

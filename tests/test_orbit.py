@@ -18,7 +18,6 @@ from shiftgroups.functions import (
 from shiftgroups.orbit import (
     check_xihg,
     coe_apply,
-    coe_apply_normal,
     coe_compose,
     coe_from_chain,
     coe_invert,
@@ -30,6 +29,7 @@ from shiftgroups.orbit import (
 )
 from shiftgroups.sft import canonicalize_point, representative, shift_point, shift_point_n, validate_matrix
 from shiftgroups.tables import compose, identity_table, prefix_swap, random_element
+from shiftgroups.transducer import point_apply
 
 G = validate_matrix([[1, 1], [1, 0]])
 FULL2 = validate_matrix([[1, 1], [1, 1]])
@@ -129,7 +129,7 @@ def test_apply_agrees_with_normal_form():
             h = random_chain(matrix, rng)
             for _ in range(10):
                 x = random_point(matrix, rng)
-                assert coe_apply(h, x) == coe_apply_normal(h, x)
+                assert coe_apply(h, x) == point_apply(h.transducer, x)
 
 
 def test_invert_examples():
