@@ -17,6 +17,9 @@ the source to a suitable block level, a point ``z``, a cylinder indicator
 Those two facts together show the potential ``g - g . shift`` transfers
 to a weight whose vanishing subgroup differs from the pullback weight's,
 which is exactly the group-level obstruction to conjugacy.
+
+The search reads ``h``'s cached stages and normal form; only
+:func:`check_witness` rebuilds the recoded chain map, to re-check.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .cocycles import in_cocycle_group, rho
 from .codes import higher_block_codes
 from .errors import SearchBudgetExceeded, VerificationFailed
 from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on, restrict
-from .orbit import CoeMap, coe_apply, coe_from_chain, coe_invert, pullback_map, stage_transducer
+from .orbit import CoeMap, coe_apply, coe_from_chain, pullback_map, stage_transducer
 from .sft import (
     Point,
     TransitionMatrix,
@@ -42,7 +45,7 @@ from .sft import (
     representative,
     shift_point,
 )
-from .tables import TableElement, prefix_swap
+from .tables import TableElement, apply as table_apply, invert as table_invert, prefix_swap
 from .transducer import (
     Transducer,
     apply_table_stage,
@@ -51,6 +54,7 @@ from .transducer import (
     is_identity_transducer,
     point_apply,
     precompose_shift,
+    pullback,
     transducer_equal,
 )
 
@@ -160,18 +164,18 @@ def _find_difference_point(h: CoeMap, seeds, max_depth: int) -> Point:
         "no usable difference point found", max_depth=max_depth)
 
 
-def _isolating_level(h: CoeMap, z: Point, w0: Point, max_level: int):
-    """The least block level where the first two symbols of ``z`` differ
-    and the preimage ``x_star`` of ``w0`` (taken once, on the base shift)
-    starts with neither that pair nor its second symbol, as ``(level,
-    z_level, x_star)``."""
-    x = coe_apply(coe_invert(h), w0)
+def _isolating_level(h: CoeMap, z: Point, w0: Point, max_level: int) -> int:
+    """The least block level ``L`` where the first two ``L``-blocks of
+    ``z`` differ and the preimage ``x`` of ``w0`` starts with neither that
+    pair of blocks nor the second block.  ``x`` is taken stage by stage
+    through ``h``'s inverse stages, and the tests compare base words, so
+    no block code is built."""
+    x = table_apply(table_invert(h.pre), h.core.decode(table_apply(table_invert(h.post), w0)))
+    zs, xs = z.prefix(max_level + 1), x.prefix(max_level + 1)
     for level in range(1, max_level + 1):
-        _, encode_code, _ = higher_block_codes(h.source, level)
-        z_level, x_star = encode_code.encode(z), encode_code.encode(x)
-        pair = z_level.prefix(2)
-        if pair[0] != pair[1] and x_star.prefix(2) != pair and x_star.symbol(1) != pair[1]:
-            return level, z_level, x_star
+        pair, second = zs[:level + 1], zs[1:level + 1]
+        if zs[:level] != second and xs[:level + 1] != pair and xs[:level] != second:
+            return level
     raise SearchBudgetExceeded(
         "no block level isolates the difference point", max_level=max_level)
 
@@ -183,28 +187,31 @@ def witness_non_conjugacy(h: CoeMap, max_level: int = DEFAULT_MAX_LEVEL,
     Follows the constructive route: pick a difference point ``z``, recode
     until the two-symbol cylinder at ``z`` cleanly avoids the shifted
     image point, take ``g`` supported on a deep cylinder around that
-    image point, and swap the two leading symbols.  Raises
-    :class:`SearchBudgetExceeded` when the caps are hit.
+    image point, and swap the two leading symbols.  The recoded map is
+    ``h`` after the level's decode code, so ``g . h`` is pulled back
+    through it.  Raises :class:`SearchBudgetExceeded` at the caps.
     """
     seeds = difference_locus(h)
     if not seeds:
         return None
     z = _find_difference_point(h, seeds, max_depth)
     w0 = shift_point(coe_apply(h, z))
-    level, z_level, _ = _isolating_level(h, z, w0, max_level)
+    level = _isolating_level(h, z, w0, max_level)
+    block_matrix, encode_code, decode_code = higher_block_codes(h.source, level)
+    z_level = encode_code.encode(z)
     pair = z_level.prefix(2)
-    h_level, _ = recode_source(h, level)
+    decode = stage_transducer(block_matrix, (decode_code,))
 
     for depth in range(1, max_depth + 1):
         g = indicator(h.target, w0.prefix(depth))
-        g_h = pullback_map(g, h_level)
+        g_h = pullback(pullback_map(g, h), decode)
         if is_zero_on(g_h, pair) and is_zero_on(compose_shift(g_h), pair):
             break
     else:
         raise SearchBudgetExceeded(
             "no cylinder depth separates the image point", max_depth=max_depth)
 
-    witness = Witness(level, z_level, pair, g, prefix_swap(h_level.source, *pair))
+    witness = Witness(level, z_level, pair, g, prefix_swap(block_matrix, *pair))
     if not check_witness(h, witness):
         raise VerificationFailed("non-conjugacy witness failed its exact check")
     return witness
@@ -258,14 +265,13 @@ def commutant_witness(h0: CoeMap, max_level: int = DEFAULT_MAX_LEVEL) -> TableEl
         return None
     matrix = h0.source
     for level in range(1, max_level + 1):
-        block_matrix, encode_code, _ = higher_block_codes(matrix, level)
+        block_matrix, _, decode_code = higher_block_codes(matrix, level)
         for z1 in block_matrix.symbols():
             for z2 in block_matrix.successors(z1):
                 if z1 == z2:
                     continue
                 swap = prefix_swap(block_matrix, z1, z2)
-                table = (swap if level == 1 else
-                         conjugate_table_by_code(encode_code, swap, forward=False))
+                table = swap if level == 1 else conjugate_table_by_code(decode_code, swap)
                 after = stage_transducer(matrix, (table,) + h0.stages())
                 before = apply_table_stage(h0.transducer, table)
                 if transducer_equal(after, before):

@@ -96,7 +96,7 @@ def _normalize_chain(source: TransitionMatrix, stages):
             if stage.source != current:
                 raise IncompatibleChain("code stage reads the wrong shift space")
             if post is not None:
-                post = conjugate_table_by_code(stage, post, forward=True)
+                post = conjugate_table_by_code(stage, post)
             core = stage if core is None else compose_codes(stage, core)
             current = stage.target
         else:
@@ -218,9 +218,9 @@ def conjugate_table(h: CoeMap, table: TableElement) -> TableElement:
     """The table of ``h . table . h^{-1}`` over the target shift."""
     if table.matrix != h.source:
         raise ValueError("table lives over the wrong shift space")
-    middle = table_compose(h.pre, table_compose(table, table_invert(h.pre)))
-    return extract_table(stage_transducer(
-        h.target, (table_invert(h.post), h.core.inverse(), middle, h.core, h.post)))
+    return extract_table(stage_transducer(h.target, (
+        table_invert(h.post), h.core.inverse(), table_invert(h.pre),
+        table, h.pre, h.core, h.post)))
 
 
 def check_xihg(h: CoeMap, table: TableElement, g: LocFun) -> bool:

@@ -257,7 +257,7 @@ def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> Ta
         kind = rng.random()
         if kind < 0.6:
             level = rng.randint(1, depth_budget - 1)
-            block_matrix, encode_code, _ = higher_block_codes(matrix, level)
+            block_matrix, _, decode_code = higher_block_codes(matrix, level)
             pairs = [
                 (z1, z2)
                 for z1 in block_matrix.symbols()
@@ -267,7 +267,7 @@ def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> Ta
             z1, z2 = pairs[rng.randrange(len(pairs))]
             factor = prefix_swap(block_matrix, z1, z2)
             if level > 1:
-                factor = conjugate_table_by_code(encode_code, factor, forward=False)
+                factor = conjugate_table_by_code(decode_code, factor)
         else:
             factor = _pair_exchange(matrix, depth_budget, rng)
         result = compose(factor, result)

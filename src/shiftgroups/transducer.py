@@ -377,14 +377,7 @@ def extract_table(t: Transducer) -> TableElement:
     return canonical_table(t.source, _refine_entries(t, image))
 
 
-def conjugate_table_by_code(code: BlockCode, table: TableElement, forward: bool = True) -> TableElement:
-    """Transport a table across an invertible code.
-
-    ``forward`` conjugates a table over the code's source into one over
-    its target; otherwise the other way around.
-    """
-    if forward:
-        first, last = code.inverse(), code
-    else:
-        first, last = code, code.inverse()
-    return extract_table(stage_transducer(first.source, (first, table, last)))
+def conjugate_table_by_code(code: BlockCode, table: TableElement) -> TableElement:
+    """Transport a table over the code's source to one over its target:
+    the table of ``code . table . code^{-1}``."""
+    return extract_table(stage_transducer(code.target, (code.inverse(), table, code)))

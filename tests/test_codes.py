@@ -216,8 +216,8 @@ def test_conjugate_table_by_code_roundtrip():
         _, encode, _ = higher_block_codes(matrix, 2)
         for seed in range(5):
             tau = random_element(matrix, 3, seed)
-            moved = conjugate_table_by_code(encode, tau, forward=True)
-            back = conjugate_table_by_code(encode, moved, forward=False)
+            moved = conjugate_table_by_code(encode, tau)
+            back = conjugate_table_by_code(encode.inverse(), moved)
             assert back == tau
 
 
@@ -267,7 +267,7 @@ def test_conjugate_table_by_code_pointwise():
     matrix = G
     _, encode, _ = higher_block_codes(matrix, 2)
     tau = random_element(matrix, 3, 9)
-    moved = conjugate_table_by_code(encode, tau, forward=True)
+    moved = conjugate_table_by_code(encode, tau)
     from shiftgroups.tables import apply as table_apply
 
     for _ in range(25):

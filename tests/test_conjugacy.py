@@ -267,7 +267,7 @@ def test_identity_through_nontrivial_stages():
 
     tau = prefix_swap(G, 1, 2)
     _, encode, decode = higher_block_codes(G, 2)
-    moved_inverse = conjugate_table_by_code(encode, invert(tau), forward=True)
+    moved_inverse = conjugate_table_by_code(encode, invert(tau))
     h = coe_from_chain([tau, encode, moved_inverse, decode])
     assert is_identity_transducer(h.transducer)
     assert is_conjugacy(h)
@@ -283,8 +283,7 @@ def test_witness_needs_deeper_recoding():
     # swap two level-3 blocks, carried down to the base shift
     pair = next((z1, z2) for z1 in block3.symbols()
                 for z2 in block3.successors(z1) if z1 != z2)
-    deep_table = conjugate_table_by_code(encode3, prefix_swap(block3, *pair),
-                                         forward=False)
+    deep_table = conjugate_table_by_code(encode3.inverse(), prefix_swap(block3, *pair))
     h = coe_from_chain([deep_table])
     assert not is_conjugacy(h)
     witness = witness_non_conjugacy(h)

@@ -42,8 +42,11 @@ seeded ``random_chain`` draws: ``is_conjugacy`` and ``difference_locus``
 against the equality of ``t after shift`` and ``shift after t``,
 ``is_identity_transducer`` against the walk that settled each entry's
 output word, and the witness level search against the loop that recoded
-and inverted the map at every level it tried.  One table stage on a
-cached normal form is checked against the rebuild of all the stages.
+and inverted the map at every level it tried.  The witness search's
+pullback through the level's decode code is checked against the pullback
+through the recoded chain map, and the search is held to the one chain
+map build of its re-check.  One table stage on a cached normal form is
+checked against the rebuild of all the stages.
 
 The one-scan ``partition`` and the ``validate_table`` that leaves its word
 checks to it are checked against the three ordered checks and the
@@ -62,7 +65,7 @@ import pytest
 from conftest import deep_exchange, run_python
 
 from shiftgroups import functions as fn
-from shiftgroups import orbit
+from shiftgroups import conjugacy, orbit
 from shiftgroups import tables
 from shiftgroups.cocycles import rho, rho_at, rho_from_entries
 from shiftgroups.errors import (
@@ -95,6 +98,7 @@ from shiftgroups.conjugacy import (
     difference_locus,
     is_conjugacy,
     recode_source,
+    witness_non_conjugacy,
 )
 from shiftgroups.orbit import (
     _normalize_chain,
@@ -161,6 +165,7 @@ from shiftgroups.transducer import (
     is_identity_transducer,
     post_shift,
     precompose_shift,
+    pullback,
     transducer_equal,
 )
 
@@ -566,7 +571,7 @@ def reference_normalize_chain(source, stages):
             if core is None:
                 core, post = stage, identity_table(stage.target)
             else:
-                post = conjugate_table_by_code(stage, post, forward=True)
+                post = conjugate_table_by_code(stage, post)
                 core = reference_compose_codes(stage, core)
             current = stage.target
     if core is None:
@@ -1598,9 +1603,9 @@ def test_is_identity_transducer_matches_walk_reference():
 
 
 def test_witness_level_matches_per_level_recoding_reference():
-    """The level, pair and preimage ``x_star`` of the witness search on
-    every chain that does not commute, against the loop that recoded and
-    inverted the map at each level."""
+    """The level and the pair of blocks at ``z`` that the witness search
+    reads off base words, on every chain that does not commute, against
+    the loop that recoded and inverted the map at each level."""
     found = 0
     for h in commutation_chains():
         seeds = difference_locus(h)
@@ -1609,14 +1614,59 @@ def test_witness_level_matches_per_level_recoding_reference():
         z = _find_difference_point(h, seeds, DEFAULT_MAX_DEPTH)
         expected = reference_witness_level(h, z)
         try:
-            level, z_level, x_star = _isolating_level(
-                h, z, shift_point(coe_apply(h, z)), DEFAULT_MAX_LEVEL)
+            level = _isolating_level(h, z, shift_point(coe_apply(h, z)), DEFAULT_MAX_LEVEL)
         except SearchBudgetExceeded:
             assert expected is None
             continue
-        assert (level, z_level.prefix(2), x_star) == expected
+        _, encode, _ = higher_block_codes(h.source, level)
+        assert (level, encode.encode(z).prefix(2)) == expected[:2]
         found += 1
     assert found > 20
+
+
+def test_witness_pullback_through_decode_matches_recoded_chain():
+    """At every depth the witness search tries, ``g . h`` pulled back
+    through the level's decode code is ``g`` pulled back through the
+    recoded chain map that :func:`check_witness` builds."""
+    found = 0
+    for h in commutation_chains():
+        try:
+            witness = witness_non_conjugacy(h)
+        except SearchBudgetExceeded:
+            continue
+        if witness is None:
+            continue
+        block, _, decode_code = higher_block_codes(h.source, witness.level)
+        h_level, _ = recode_source(h, witness.level)
+        decode = stage_transducer(block, (decode_code,))
+        w0 = shift_point(coe_apply(h, _find_difference_point(
+            h, difference_locus(h), DEFAULT_MAX_DEPTH)))
+        for depth in range(1, DEFAULT_MAX_DEPTH + 1):
+            g = fn.indicator(h.target, w0.prefix(depth))
+            assert pullback(pullback_map(g, h), decode) == pullback_map(g, h_level)
+            if g == witness.g:
+                break
+        else:
+            raise AssertionError("the witness cylinder is not around the image point")
+        found += 1
+    assert found > 20
+
+
+def test_witness_search_builds_one_chain_map_per_witness(monkeypatch):
+    """On the twisted corpus the search rebuilds no chain map: the one
+    ``coe_from_chain`` call per witness is the re-check's recoding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return coe_from_chain(*args, **kwargs)
+
+    monkeypatch.setattr(orbit, "coe_from_chain", counted)
+    monkeypatch.setattr(conjugacy, "coe_from_chain", counted)
+    maps = twisted_corpus()
+    for h in maps:
+        assert witness_non_conjugacy(h) is not None
+    assert len(calls) == len(maps)
 
 
 def test_table_stage_on_the_normal_form_matches_stage_rebuild():
@@ -1634,7 +1684,7 @@ def test_table_stage_on_the_normal_form_matches_stage_rebuild():
                         continue
                     swap = prefix_swap(block, z1, z2)
                     t = (swap if level == 1 else
-                         conjugate_table_by_code(encode, swap, forward=False))
+                         conjugate_table_by_code(encode.inverse(), swap))
                     assert (apply_table_stage(h0.transducer, t)
                             == stage_transducer(src, h0.stages() + (t,)))
                     checked += 1
@@ -1695,15 +1745,15 @@ def test_swaps_and_exchanges_build_canonical_tables(matrix):
                     continue
                 swap = prefix_swap(block, z1, z2)
                 assert_canonical(swap)
-                back = conjugate_table_by_code(encode, swap, forward=False)
+                back = conjugate_table_by_code(encode.inverse(), swap)
                 assert_canonical(back)
-                assert conjugate_table_by_code(encode, back, forward=True) == swap
+                assert conjugate_table_by_code(encode, back) == swap
     _, encode, _ = higher_block_codes(matrix, 2)
     for depth in (2, 3, 4):
         for _ in range(10):
             exchange = tables._pair_exchange(matrix, depth, rng)
             assert_canonical(exchange)
-            assert_canonical(conjugate_table_by_code(encode, exchange, forward=True))
+            assert_canonical(conjugate_table_by_code(encode, exchange))
 
 
 def test_higher_block_codes_pass_make_code():
