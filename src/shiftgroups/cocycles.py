@@ -21,18 +21,17 @@ of ``nu e``:
     rho = sum_{i < |nu|} f((nu e)[i:i+D]) - sum_{i < |mu|} f((mu e)[i:i+D])
 
 (``mu e`` is admissible: ``nu`` and ``mu`` end in symbols with the same
-successors).  Both sums are ``transducer.orbit_sum`` walks over the
-entries, so the cost follows the table's words, not ``max(k)`` shifted
+successors).  Windows starting in a common suffix of ``nu`` and ``mu``
+cancel.  One walk refines each entry's cylinder until the rest are
+fixed, so the cost follows the table's words, not ``max(k)`` shifted
 copies of ``f``.
 """
 
 from __future__ import annotations
 
-from .codes import identity_code
-from .functions import LocFun, birkhoff, constant, eval_at
-from .sft import Point, Word, shift_point
-from .tables import TableElement, apply, cocycle_data, entry_exponents, invert
-from .transducer import Transducer, orbit_sum
+from .functions import LocFun, birkhoff, canonical, constant, eval_at, window_sum
+from .sft import Point, Word, refine_until, shift_point
+from .tables import TableElement, apply, cocycle_data, invert
 
 
 def rho(f: LocFun, table: TableElement) -> LocFun:
@@ -44,12 +43,24 @@ def rho_from_entries(f: LocFun, table: TableElement, entries) -> LocFun:
     """Same cocycle computed from an unmerged entry presentation.
 
     Exposed so refined presentations of one map can be checked to give
-    the same function.
+    the same function.  One walk from the entries fixes both window sums.
     """
-    k, l = entry_exponents(table.matrix, entries)
-    image = Transducer(identity_code(table.matrix), tuple(sorted(
-        (tuple(nu), tuple(mu), len(nu)) for nu, mu in entries)))
-    return birkhoff(f, l) - orbit_sum(f, k, image)
+    if f.matrix != table.matrix:
+        raise ValueError("functions live over different matrices")
+    depth = f.depth()
+
+    def decide(word: Word, n: int, mu: Word, shared: int):
+        plus = window_sum(f, depth, word, n - shared)
+        minus = None if plus is None else window_sum(f, depth, mu + word[n:], len(mu) - shared)
+        return None if minus is None else plus - minus
+
+    roots = []
+    for nu, mu in ((tuple(nu), tuple(mu)) for nu, mu in entries):
+        shared = 0
+        while shared < min(len(nu), len(mu)) and nu[-1 - shared] == mu[-1 - shared]:
+            shared += 1
+        roots.append((nu, (len(nu), mu, shared)))
+    return canonical(f.matrix, dict(refine_until(f.matrix, roots, decide)))
 
 
 def rho_at(f: LocFun, table: TableElement, point: Point, inclusive: bool = False) -> int:

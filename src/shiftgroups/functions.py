@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .errors import NegativeExponent
 from .sft import (
     Point,
     TransitionMatrix,
@@ -23,6 +24,7 @@ from .sft import (
     merge_siblings,
     partition,
     prefix_of,
+    refine_until,
     refine_words,
     shift_point,
 )
@@ -188,18 +190,33 @@ def piecewise(matrix: TransitionMatrix, chunks) -> LocFun:
     return canonical(matrix, table)
 
 
+def window_sum(f: LocFun, depth: int, word: Word, count: int):
+    """Sum of ``f`` over the first ``count`` windows of ``word``, each
+    ``depth = f.depth()`` symbols long; None while one fixes no piece.
+    Only the last windows can be cut short, so they are read first."""
+    out = 0
+    for i in reversed(range(count)):
+        piece = prefix_of(f.pieces, word[i: i + depth], _word)
+        if piece is None:
+            return None
+        out += piece[1]
+    return out
+
+
 def birkhoff(f: LocFun, exponent: LocFun) -> LocFun:
     """Sum of ``f`` along the first ``exponent(x)`` shifts of ``x``.
 
     The exponent is itself locally constant and must be nonnegative; a
-    zero exponent contributes the empty sum.
+    zero exponent contributes the empty sum.  One walk settles every window.
     """
-    # The transducer module builds on this one, so import it on use.
-    from .transducer import identity_transducer, orbit_sum
-
     if f.matrix != exponent.matrix:
         raise ValueError("functions live over different matrices")
-    return orbit_sum(f, exponent, identity_transducer(f.matrix))
+    if exponent.min_value() < 0:
+        raise NegativeExponent("iterated-sum exponent takes a negative value")
+    depth = f.depth()
+    roots = [(word, (count,)) for word, count in exponent.pieces]
+    return canonical(f.matrix, dict(refine_until(
+        f.matrix, roots, lambda word, count: window_sum(f, depth, word, count))))
 
 
 def birkhoff_at(f: LocFun, n: int, point: Point) -> int:

@@ -178,18 +178,12 @@ def invert(table: TableElement) -> TableElement:
     return canonical_table(table.matrix, ((mu, nu) for nu, mu in table.entries))
 
 
-def entry_exponents(matrix: TransitionMatrix, entries) -> tuple[LocFun, LocFun]:
-    """Exponents ``(k, l) = (|mu|, |nu|)`` on the cylinder of each raw
-    entry ``nu -> mu``, where ``shift^k(tau(x)) = shift^l(x)``."""
+def cocycle_data_from_entries(matrix: TransitionMatrix, entries) -> tuple[LocFun, LocFun, LocFun]:
+    """Exponents ``(k, l) = (|mu|, |nu|)`` on the cylinder of each raw entry
+    ``nu -> mu``, where ``shift^k(tau(x)) = shift^l(x)``, and ``d = l - k``,
+    which is the same for every valid entry presentation of the same map."""
     k = canonical(matrix, {tuple(nu): len(mu) for nu, mu in entries})
     l = canonical(matrix, {tuple(nu): len(nu) for nu, mu in entries})
-    return k, l
-
-
-def cocycle_data_from_entries(matrix: TransitionMatrix, entries) -> tuple[LocFun, LocFun, LocFun]:
-    """:func:`entry_exponents` and ``d = l - k``, which is the same for
-    every valid entry presentation of the same map."""
-    k, l = entry_exponents(matrix, entries)
     return k, l, l - k
 
 

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from .codes import BlockCode, compose_codes, identity_code
 from .errors import NegativeExponent
-from .functions import LocFun, canonical, constant, restrict
+from .functions import LocFun, canonical, constant, restrict, window_sum
 from .sft import (
     Point,
     TransitionMatrix,
@@ -198,14 +198,7 @@ def orbit_sum(g: LocFun, n: LocFun, t: Transducer) -> LocFun:
     depth = g.depth()
 
     def total(word: Word, alpha: Word, r: int, count: int):
-        known = t.known_prefix(word, alpha, r)
-        out = 0
-        for i in range(count):
-            piece = prefix_of(g.pieces, known[i: i + depth], _word)
-            if piece is None:
-                return None
-            out += piece[1]
-        return out
+        return window_sum(g, depth, t.known_prefix(word, alpha, r), count)
 
     roots = [(word, (alpha, r, count))
              for mu, alpha, r in t.entries

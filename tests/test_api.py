@@ -1,7 +1,8 @@
 """Guards for what stays stable: the public names, no private
-cross-module imports inside the package, table validation only at the
-input boundary, one sibling merge under both canonical forms, and
-pointwise oracles that share no lookup kernel with what they check."""
+cross-module imports inside the package, no chain-map imports under the
+cocycle and function layers, table validation only at the input
+boundary, one sibling merge under both canonical forms, and pointwise
+oracles that share no lookup kernel with what they check."""
 
 import ast
 import pathlib
@@ -39,6 +40,26 @@ def test_no_private_cross_module_imports():
             if isinstance(node, ast.ImportFrom) and node.level:
                 found += [f"{path.name}:{node.lineno} {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_cocycles_and_functions_build_on_no_maps():
+    """The cocycle and function layers sum windows themselves; they import
+    nothing from the chain-map layers ``transducer`` and ``codes``."""
+    package = pathlib.Path(shiftgroups.__file__).parent
+    found = []
+    for name in ("cocycles", "functions"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = ([node.module.rpartition(".")[2]] if node.module
+                           else [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                modules = [a.name.rpartition(".")[2] for a in node.names]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno} {m}" for m in modules
+                      if m in ("transducer", "codes")]
     assert found == []
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from conftest import deep_exchange
 from shiftgroups.cocycles import (
     ck_word_weight,
@@ -138,6 +139,18 @@ def test_rho_padding_invariance():
             for entry in tau.entries:
                 padded.extend(pad_entry(matrix, entry, rng.randint(0, 2)))
             assert equal(rho_from_entries(f, tau, padded), rho(f, tau))
+
+
+def test_rho_rejects_a_weight_over_another_matrix():
+    """On another matrix over the same symbols the walk would read the
+    weight's pieces as if they were the table's, so every entry point
+    raises instead."""
+    tau = prefix_swap(FULL2, 1, 2)
+    for f in (CHI1, indicator(TRIANGLE, (3,))):
+        for call in (lambda: rho(f, tau), lambda: rho_from_entries(f, tau, tau.entries),
+                     lambda: gauge_weight(tau, f)):
+            with pytest.raises(ValueError, match="different matrices"):
+                call()
 
 
 # -- subgroups ----------------------------------------------------------------

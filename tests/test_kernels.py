@@ -6,8 +6,11 @@ library used before its linear kernels, the hand-rolled prefix scans
 that the sorted-order lookups ``sft.prefix_of``, ``sft.part_at`` and
 ``sft.cylinder_run`` replaced, the per-window code loops that
 ``BlockCode.apply_word`` replaced, and the ``compose_shift`` towers that
-``transducer.orbit_sum`` replaced under ``birkhoff``, ``rho``, ``psi``,
-``pullback`` and the exponent fold.  Each kernel must return exactly what
+the window sums of ``functions.window_sum`` replaced under ``birkhoff``,
+``rho`` and, inside ``transducer.orbit_sum``, under ``psi``, ``pullback``
+and the exponent fold.  ``rho`` is also checked on the deep exchange, on
+tables with unsorted entries, on padded presentations and on entries
+given as lists.  Each kernel must return exactly what
 its reference returns on seeded random inputs over every matrix of
 ``selftest.MATRICES`` and over the chain corpora.  A table built from
 entries not sorted by source, as the benchmark's weight oracle builds
@@ -67,7 +70,7 @@ from conftest import deep_exchange, run_python
 from shiftgroups import functions as fn
 from shiftgroups import conjugacy, orbit
 from shiftgroups import tables
-from shiftgroups.cocycles import rho, rho_at, rho_from_entries
+from shiftgroups.cocycles import gauge_weight, rho, rho_at, rho_from_entries
 from shiftgroups.errors import (
     BadPartition,
     DomainNotPartition,
@@ -1398,6 +1401,70 @@ def test_rho_matches_two_birkhoff_reference(matrix):
         expected = reference_rho_from_entries(f, tau, tau.entries)
         assert rho(f, tau) == expected
         assert rho_from_entries(f, tau, padded) == expected
+
+
+def assert_rho_matches(f, table, entries, tower=True):
+    """``rho_from_entries`` against the tower reference, unless ``tower``
+    is false, and against ``rho_at`` on the representative of every part
+    of the result."""
+    got = rho_from_entries(f, table, entries)
+    if tower:
+        assert got == reference_rho_from_entries(f, table, entries)
+    for part, value in got.pieces:
+        assert rho_at(f, table, representative(table.matrix, part)) == value
+    return got
+
+
+def full_depth_weight(matrix, rng, depth):
+    """A weight that reads exactly ``depth`` symbols everywhere."""
+    return fn.make(matrix, {w: rng.randint(-3, 3) for w in enumerate_words(matrix, depth)})
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9, 40])
+def test_rho_matches_reference_on_the_deep_exchange(k):
+    """Depth-1 weights, with two values on ``1`` and ``2`` as the
+    benchmark draws them, and depth-2 and depth-3 weights, on the
+    exchange's own entries, padded, swapped and as lists.  The tower
+    reference holds about ``2**k`` pieces, so at k = 40 only ``rho_at``
+    and the agreement of the presentations check the result."""
+    rng = random.Random(61 + k)
+    tower = k < 10
+    tau = deep_exchange(k)
+    swapped = TableElement(tau.matrix, tuple((mu, nu) for nu, mu in tau.entries))
+    weights = [fn.make(FULL_TWO, {(1,): rng.randint(-3, 3), (2,): rng.randint(-3, 3)})]
+    weights += [full_depth_weight(FULL_TWO, rng, depth) for depth in (2, 3)]
+    padded = [e for entry in tau.entries for e in pad_entry(FULL_TWO, entry, 1)]
+    as_lists = [[list(nu), list(mu)] for nu, mu in tau.entries]
+    for f in weights:
+        expected = assert_rho_matches(f, tau, tau.entries, tower)
+        assert rho(f, tau) == expected
+        assert assert_rho_matches(f, tau, padded, tower) == expected
+        assert assert_rho_matches(f, tau, as_lists, tower) == expected
+        inverse = assert_rho_matches(f, swapped, swapped.entries, tower)
+        assert gauge_weight(tau, f) == inverse
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_rho_matches_reference_on_swapped_and_list_entries(matrix):
+    """Tables built from swapped entries, as the benchmark's ``weight``
+    oracle builds the inverse, are not sorted by source: ``rho`` on them
+    is ``gauge_weight`` of the original.  Padded presentations of them and
+    entries given as lists give the same function."""
+    rng = random.Random(67)
+    unsorted = 0
+    for _ in range(30):
+        tau = random_table(matrix, rng)
+        swapped = TableElement(matrix, tuple((mu, nu) for nu, mu in tau.entries))
+        unsorted += list(swapped.entries) != sorted(swapped.entries)
+        f = random_function(matrix, rng)
+        expected = assert_rho_matches(f, swapped, swapped.entries)
+        assert rho(f, swapped) == gauge_weight(tau, f) == expected
+        padded = [e for entry in swapped.entries
+                  for e in pad_entry(matrix, entry, rng.randint(0, 2))]
+        assert assert_rho_matches(f, swapped, padded) == expected
+        as_lists = [[list(nu), list(mu)] for nu, mu in swapped.entries]
+        assert assert_rho_matches(f, swapped, as_lists) == expected
+    assert unsorted > 5
 
 
 def test_orbit_sums_match_tower_references():
