@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .functions import LocFun, birkhoff, canonical, constant, eval_at, window_sum
 from .sft import Point, Word, refine_until, shift_point
-from .tables import TableElement, apply, cocycle_data, invert
+from .tables import TableElement, apply, cocycle_data
 
 
 def rho(f: LocFun, table: TableElement) -> LocFun:
@@ -99,7 +99,7 @@ def in_af_group(table: TableElement) -> bool:
 def gauge_weight(table: TableElement, f: LocFun) -> LocFun:
     """Integer phase exponent the table's unitary picks up under the
     circle action with potential ``f``: the cocycle of the inverse."""
-    return rho(f, invert(table))
+    return rho_from_entries(f, table, ((mu, nu) for nu, mu in table.entries))
 
 
 def ck_word_weight(matrix_word: Word, f: LocFun) -> LocFun:

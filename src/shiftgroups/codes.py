@@ -9,11 +9,12 @@ validation checks exactly that the two maps invert each other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
-from .sft import Point, TransitionMatrix, Word, canonicalize_point, enumerate_words
+from .sft import EMPTY, Point, TransitionMatrix, Word, canonicalize_point, enumerate_words
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,38 @@ def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) 
     return BlockCode(source, target, window, mapping, inverse_window, inverse_mapping)
 
 
+def _count_windows(matrix: TransitionMatrix, m: int) -> int:
+    """The number of admissible words of ``m >= 1`` symbols: the sum of
+    the entries of ``A^(m-1)``, in O(m n^2) integer steps."""
+    ending = [1] * matrix.n  # words of the current length, by last symbol
+    for _ in range(m - 1):
+        ending = [sum(ending[a - 1] for a in matrix.predecessors(b)) for b in matrix.symbols()]
+    return sum(ending)
+
+
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
                      window: int, table: dict[Word, int]) -> None:
-    windows = enumerate_words(source, window)
-    for word in windows:
-        if word not in table:
-            raise NotAdmissibleImage(f"no image declared for window {word}")
-        if not 1 <= table[word] <= target.n:
-            raise NotAdmissibleImage(f"image of {word} is not a target symbol")
-    if len(table) > len(windows):
-        stray = min(set(table).difference(windows))
+    # The admissible windows in lexicographic order, going down only the
+    # prefixes some declared key extends: the first prefix that none
+    # extends leads to the first missing window, its least extension.
+    # Once every window is declared, the count tells whether a key strays.
+    keys = sorted(table)
+    stack = [EMPTY]
+    while stack:
+        word = stack.pop()
+        if len(word) == window and word in table:
+            if not 1 <= table[word] <= target.n:
+                raise NotAdmissibleImage(f"image of {word} is not a target symbol")
+            continue
+        i = bisect_left(keys, word)
+        if len(word) < window and i < len(keys) and keys[i][: len(word)] == word:
+            stack.extend(reversed(source.extensions(word)))
+            continue
+        while len(word) < window:
+            word = source.extensions(word)[0]
+        raise NotAdmissibleImage(f"no image declared for window {word}")
+    if len(table) > _count_windows(source, window):
+        stray = next(w for w in keys if len(w) != window or not source.is_admissible(w))
         raise NotAdmissibleImage(f"{stray} is not an admissible window of {window} symbols")
     for word in enumerate_words(source, window + 1):
         a, b = table[word[:-1]], table[word[1:]]

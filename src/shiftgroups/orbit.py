@@ -11,9 +11,9 @@ Chains are normalized to ``post-table . code . pre-table``; the cached
 transducer makes map equality decidable, and the cached ``(k1, l1)`` is
 read off its entries: the least valid pair on each part of the common
 refinement of the transducer and its precomposition with the shift
-(:func:`transducer.shift_exponents`).  The exponents are always
-re-verified exactly after construction, so a formula bug cannot produce
-a silently wrong map.
+(:func:`transducer.shift_exponents`).  That search is also the pair's
+one exact check: it re-reads the stored ``k`` on each part, so a formula
+bug cannot produce a silently wrong map.
 """
 
 from __future__ import annotations
@@ -121,12 +121,6 @@ def _fold_stage_data(k: LocFun, l: LocFun, stage_k: LocFun, stage_l: LocFun,
     return k_new, l_new
 
 
-def _verify_pair(t: Transducer, k: LocFun, l: LocFun) -> bool:
-    lhs = post_shift(precompose_shift(t), k)
-    rhs = post_shift(t, l)
-    return transducer_equal(lhs, rhs)
-
-
 # -- construction ------------------------------------------------------------
 
 
@@ -136,8 +130,9 @@ def coe_from_chain(stages, source: TransitionMatrix | None = None) -> CoeMap:
     ``stages`` lists tables and codes in application order; any number of
     codes is allowed (they fold into one).  ``source`` is only needed for
     an empty chain.  Raises :class:`IncompatibleChain` on mismatched
-    stages and :class:`VerificationFailed` if the derived exponents fail
-    their exact re-check (which would be a library bug, not bad input).
+    stages; :class:`VerificationFailed` from :func:`shift_exponents`, where
+    the exponents get their exact check, signals a library bug, not bad
+    input.
     """
     stages = list(stages)
     if source is None:
@@ -148,10 +143,7 @@ def coe_from_chain(stages, source: TransitionMatrix | None = None) -> CoeMap:
     pre, core, post = _normalize_chain(source, stages)
 
     t = stage_transducer(source, (pre, core, post))
-    k, l = shift_exponents(t)
-    if not _verify_pair(t, k, l):
-        raise VerificationFailed("shift-matching exponents failed their exact check")
-    return CoeMap(pre, core, post, t, k, l)
+    return CoeMap(pre, core, post, t, *shift_exponents(t))
 
 
 def identity_coe(matrix: TransitionMatrix) -> CoeMap:
@@ -187,7 +179,7 @@ def compose_cocycles(outer: CoeMap, inner: CoeMap) -> tuple[LocFun, LocFun]:
         raise IncompatibleChain("chain maps do not compose")
     k, l = _fold_stage_data(inner.k1, inner.l1, outer.k1, outer.l1, inner.transducer)
     composite = stage_transducer(inner.source, inner.stages() + outer.stages())
-    if not _verify_pair(composite, k, l):
+    if not transducer_equal(post_shift(precompose_shift(composite), k), post_shift(composite, l)):
         raise VerificationFailed("composed exponents failed their exact check")
     return k, l
 

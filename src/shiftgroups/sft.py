@@ -320,6 +320,8 @@ class CylinderPartition:
 def _check_antichain(parts: Iterable[Word]) -> None:
     seen = sorted(parts)
     for a, b in zip(seen, seen[1:]):
+        if a == b:
+            raise BadPartition(f"word {a} repeats")
         if b[: len(a)] == a:
             raise BadPartition(f"{a} is a prefix of {b}")
 
@@ -345,8 +347,8 @@ def _check_complete(matrix: TransitionMatrix, parts: Iterable[Word]) -> None:
 
 
 def _is_partition(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> bool:
-    """Whether sorted, duplicate-free ``parts`` are admissible, prefix-free
-    and complete, in one scan.
+    """Whether sorted ``parts`` are distinct, admissible, prefix-free and
+    complete, in one scan.
 
     The members below a node of depth ``d`` form a contiguous run.  A member
     equal to the node must be the whole run; otherwise the run splits, in
@@ -380,10 +382,10 @@ def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartit
     One scan of the sorted family decides.  Only when it rejects do the
     ordered checks run, to name the first failure: :class:`Inadmissible`
     for the first inadmissible part in sorted order, then
-    :class:`BadPartition` for the first part that is a prefix of the next,
-    then for the first uncovered extension.
+    :class:`BadPartition` for the first part that repeats or is a prefix
+    of the next, then for the first uncovered extension.
     """
-    parts = tuple(sorted(set(tuple(p) for p in parts)))
+    parts = tuple(sorted(tuple(p) for p in parts))
     if not parts:
         raise BadPartition("a partition needs at least one part")
     if not _is_partition(matrix, parts):

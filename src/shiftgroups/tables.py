@@ -91,8 +91,8 @@ def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
     the first empty or inadmissible word in entry order (source before
     target), :class:`DomainNotPartition` for a repeated source word and
     then for the source words, :class:`ImageNotPartition` for the target
-    words, :class:`FollowerMismatch` for the first entry whose words allow
-    different successors.
+    words (a repeated one included), :class:`FollowerMismatch` for the
+    first entry whose words allow different successors.
 
     On valid input each word is checked once, by :func:`sft.partition`;
     the entry-order word scan runs only after a check has failed.

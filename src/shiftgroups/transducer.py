@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .codes import BlockCode, compose_codes, identity_code
-from .errors import NegativeExponent
+from .errors import NegativeExponent, VerificationFailed
 from .functions import LocFun, canonical, constant, restrict, window_sum
 from .sft import (
     Point,
@@ -323,6 +323,10 @@ def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
     Valid ``k`` are closed upward (shift both sides once more), and once
     ``k >= |b|`` and ``l >= |a|`` both sides are the bare stream from one
     offset, so bisection finds the least valid ``k`` below that bound.
+
+    The ``k`` kept on each part is read once more on its stream, the
+    pair's one exact check: :class:`VerificationFailed` names the part
+    when no candidate passes or the kept one fails (a library bug).
     """
     k_table, l_table = {}, {}
     for part, (_, a, r), (_, b, q) in _aligned(t, precompose_shift(t)):
@@ -334,8 +338,10 @@ def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
 
         low = max(0, -d)
         candidates = range(low, max(len(b), len(a) - d, low) + 1)
-        k = candidates[bisect_left(candidates, True, key=valid)]
-        k_table[part], l_table[part] = k, k + d
+        i = bisect_left(candidates, True, key=valid)
+        if i == len(candidates) or not valid(candidates[i]):
+            raise VerificationFailed(f"no shift-matching exponent pair checks on the part {part}")
+        k_table[part], l_table[part] = candidates[i], candidates[i] + d
     return canonical(t.source, k_table), canonical(t.source, l_table)
 
 

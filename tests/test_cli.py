@@ -257,6 +257,43 @@ def test_stray_code_window_is_input_error(workdir):
     assert "Traceback" not in result.stderr
 
 
+def test_repeated_target_table_is_rejected_everywhere(tmp_path, capsys):
+    """Both [1.2] and [2] go into [2]: ``table check`` refuses the table,
+    and every command that reads it as input stops with exit 2."""
+    (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
+    (tmp_path / "rep.tbl").write_text("table\n1.1 -> 1\n1.2 -> 2\n2 -> 2\n", encoding="utf-8")
+    (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
+    (tmp_path / "rep.coe").write_text(
+        "coe F2.mks F2.mks\n"
+        "pre-table rep.tbl\n"
+        "code 1 { 1 -> 1 2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n", encoding="utf-8")
+    mks, tbl, fn, coe = (str(tmp_path / name) for name in ("F2.mks", "rep.tbl", "chi2.fn", "rep.coe"))
+    assert cli.main(["table", "check", mks, tbl]) == 1
+    assert capsys.readouterr().out == "REJECTED ImageNotPartition: word (2,) repeats\n"
+    for argv in (["table", "invert", mks, tbl], ["rho", mks, fn, tbl], ["psi", coe, fn]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: word (2,) repeats\n")
+
+
+def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
+    """A code on a window of 26 symbols that declares one image is refused
+    by name.  The child's address space is capped at 512 MB, which a list
+    of all 2^26 windows would overrun."""
+    (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
+    (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
+    (tmp_path / "big.coe").write_text(
+        "coe F2.mks F2.mks\n"
+        "code 26 { 1 -> 1 } inverse 1 { 1 -> 1 2 -> 2 }\n", encoding="utf-8")
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+              "from shiftgroups import cli\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    result = run_python("-c", script, "psi", "big.coe", "chi2.fn", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: no image declared for window {(1,) * 26}\n"
+
+
 def test_commutant_command(workdir):
     result = run_cli("commutant", "id.coe", cwd=workdir)
     assert result.returncode == 0

@@ -26,7 +26,11 @@ successor and predecessor lists equal to the row and column scans.
 ``transducer.shift_exponents`` is checked against the exponent fold and
 per-part minimization that ``orbit.coe_from_chain`` ran before it: the
 same ``l1 - k1``, a ``k1`` never larger, and one that is least on every
-part of its refinement.  Its agreement checks, which read one core stream
+part of its refinement.  Its read of the kept ``k`` on each part is the
+pair's one exact check: a failing kernel or a bisection that hands back
+one candidate too low raises ``VerificationFailed``, also under ``-O``,
+and a chain map build makes ``t after shift`` once and no whole-map
+comparison.  Its agreement checks, which read one core stream
 per cylinder, are checked against the window sets the old
 ``_entries_agree_on`` rebuilt from position 1 on every call, and so are
 the stream's reads inside a part, across its end and past it, and
@@ -34,7 +38,9 @@ the stream's reads inside a part, across its end and past it, and
 
 The chain-map builds are checked against the bodies they replaced:
 ``make_code`` against the one that read its round trips off two composite
-codes (the same code, or the same exception type and message),
+codes (the same code, or the same exception type and message), the
+window-map check against the one that listed every admissible window
+first,
 ``compose_codes`` against the window-by-window build with and without an
 identity side, and ``orbit._normalize_chain`` against the fold that
 composed every table stage with an identity table.
@@ -61,6 +67,7 @@ one-step ``shift_point_n`` is checked against ``n`` calls of
 
 import itertools
 import random
+from bisect import bisect_left
 import re
 from operator import itemgetter
 
@@ -69,7 +76,7 @@ from conftest import deep_exchange, run_python
 
 from shiftgroups import functions as fn
 from shiftgroups import conjugacy, orbit
-from shiftgroups import tables
+from shiftgroups import tables, transducer
 from shiftgroups.cocycles import gauge_weight, rho, rho_at, rho_from_entries
 from shiftgroups.errors import (
     BadPartition,
@@ -83,6 +90,7 @@ from shiftgroups.errors import (
     NotInverse,
     SearchBudgetExceeded,
     ShiftError,
+    VerificationFailed,
 )
 from shiftgroups.codes import (
     _check_block_map,
@@ -212,8 +220,9 @@ def reference_check_complete(matrix, parts):
 
 
 def reference_partition(matrix, parts):
-    """The three ordered checks ``partition`` ran before its one scan."""
-    parts = tuple(sorted(set(tuple(p) for p in parts)))
+    """The three ordered checks ``partition`` ran before its one scan, on
+    the family as given: a repeated word fails the antichain check."""
+    parts = tuple(sorted(tuple(p) for p in parts))
     if not parts:
         raise BadPartition("a partition needs at least one part")
     for p in parts:
@@ -551,6 +560,25 @@ def reference_make_code(source, target, window, mapping, inverse_window, inverse
                 raise NotInverse(
                     f"round trip sends the window {word} to {symbol}, not {word[0]}")
     return code
+
+
+def reference_check_block_map(source, target, window, table):
+    """``codes._check_block_map`` as it was: every admissible window listed
+    before any key is compared with them."""
+    windows = enumerate_words(source, window)
+    for word in windows:
+        if word not in table:
+            raise NotAdmissibleImage(f"no image declared for window {word}")
+        if not 1 <= table[word] <= target.n:
+            raise NotAdmissibleImage(f"image of {word} is not a target symbol")
+    if len(table) > len(windows):
+        stray = min(set(table).difference(windows))
+        raise NotAdmissibleImage(f"{stray} is not an admissible window of {window} symbols")
+    for word in enumerate_words(source, window + 1):
+        a, b = table[word[:-1]], table[word[1:]]
+        if not target.entry(a, b):
+            raise NotAdmissibleImage(
+                f"windows of {word} map to the forbidden transition {a} -> {b}")
 
 
 def reference_normalize_chain(source, stages):
@@ -1290,6 +1318,60 @@ def test_make_code_matches_composite_reference():
     assert min(seen.values()) > 10
 
 
+def mutated_block_map(code, rng):
+    """The window and window map of ``code`` after one or two random edits,
+    most of which break it: a key dropped, a stray key added (shorter,
+    longer, inadmissible or out of range), an image moved, maybe out of
+    range, or the window itself changed."""
+    source, window, table = code.source, code.window, dict(code.mapping)
+    for _ in range(rng.randint(1, 2)):
+        word = rng.choice(sorted(table)) if table else (1,) * window
+        kind = rng.randrange(6)
+        if kind == 0:
+            table.pop(word, None)
+        elif kind == 1:
+            table[word[:-1]] = 1
+        elif kind == 2:
+            table[word + (rng.randint(0, source.n + 1),)] = 1
+        elif kind == 3:
+            table[word[:-1] + (rng.randint(0, source.n + 1),)] = rng.randint(1, code.target.n)
+        elif kind == 4:
+            table[word] = rng.randint(0, code.target.n + 1)
+        else:
+            window = max(1, window + rng.choice((-1, 1)))
+    return window, table
+
+
+def test_block_map_check_matches_listing_reference():
+    """Mutated window maps of the codes under test, and maps 12 symbols
+    wide on the full 2-shift with one key, all keys but one, or one stray
+    key: the same verdict, or the same message, as the check that listed
+    every admissible window first."""
+    rng = random.Random(101)
+    cases = []
+    for code in codes_under_test():
+        cases.append((code.source, code.target, code.window, dict(code.mapping)))
+        cases += [(code.source, code.target, *mutated_block_map(code, rng)) for _ in range(6)]
+    wide = {w: w[0] for w in enumerate_words(FULL_TWO, 12)}
+    cases += [(FULL_TWO, FULL_TWO, 12, {(1,): 1}),
+              (FULL_TWO, FULL_TWO, 12, {**wide, (2,) * 13: 1})]
+    for word in rng.sample(sorted(wide), 3):
+        cases.append((FULL_TWO, FULL_TWO, 12, {w: a for w, a in wide.items() if w != word}))
+    seen = {"accepted": 0, "no image": 0, "not a target symbol": 0,
+            "not an admissible window": 0, "forbidden transition": 0}
+    for source, target, window, table in cases:
+        verdicts = []
+        for check in (_check_block_map, reference_check_block_map):
+            try:
+                verdicts.append(check(source, target, window, table))
+            except NotAdmissibleImage as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        kind = next((k for k in seen if verdicts[0] and k in verdicts[0]), "accepted")
+        seen[kind] += 1
+    assert min(seen.values()) > 10
+
+
 def test_compose_codes_matches_window_by_window_reference():
     """The identity code on either side, which returns the other code as
     it is, and pairs the shortcut must not take: codes and their
@@ -1529,6 +1611,77 @@ def test_shift_exponents_are_least_per_part():
                 assert not transducer_equal(lhs, rhs, under=part)
                 lowered += 1
     assert lowered > 100
+
+
+def test_exponent_check_failure_is_named(monkeypatch):
+    """With every agreement check failing, no candidate passes on the first
+    part: the build raises ``VerificationFailed`` naming it, not
+    ``IndexError``."""
+    monkeypatch.setattr(transducer, "_entries_agree_on", lambda *args: False)
+    with pytest.raises(VerificationFailed, match=r"on the part \(1, 1, 1\)$"):
+        coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)])
+
+
+def test_exponent_check_failure_is_named_under_python_O():
+    """The check is a ``raise``, not an ``assert``, so ``-O`` keeps it."""
+    script = ("from shiftgroups import orbit, transducer\n"
+              "from shiftgroups.selftest import GOLDEN_MEAN\n"
+              "from shiftgroups.tables import prefix_swap\n"
+              "transducer._entries_agree_on = lambda *args: False\n"
+              "orbit.coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)])\n")
+    result = run_python("-O", "-c", script)
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == (
+        "shiftgroups.errors.VerificationFailed: "
+        "no shift-matching exponent pair checks on the part (1, 1, 1)")
+
+
+def test_exponent_check_reads_the_kept_candidate(monkeypatch):
+    """A bisection that hands back the candidate one below the least valid
+    one is caught by the read of the kept ``k`` on that part; where it
+    hands back the least, the map is built unchanged."""
+    maps = twisted_corpus()
+    off = []
+
+    def one_below(candidates, x, key):
+        i = bisect_left(candidates, x, key=key)
+        off.append(i > 0)
+        return max(i - 1, 0)
+
+    monkeypatch.setattr(transducer, "bisect_left", one_below)
+    caught = 0
+    for h in maps:
+        off.clear()
+        try:
+            assert coe_from_chain(h.stages()) == h
+            assert not any(off)
+        except VerificationFailed:
+            assert off[-1]
+            caught += 1
+    assert caught > 5
+
+
+def test_chain_map_build_checks_its_exponents_once(monkeypatch):
+    """Each ``coe_from_chain`` on the twisted corpus builds ``t after
+    shift`` once, in ``shift_exponents``, and builds no whole-map
+    comparison: no ``post_shift`` and no ``transducer_equal``."""
+    maps = twisted_corpus()
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("precompose_shift", "post_shift", "transducer_equal"):
+        wrapper = counted(name, getattr(transducer, name))
+        monkeypatch.setattr(transducer, name, wrapper)
+        monkeypatch.setattr(orbit, name, wrapper)
+    for h in maps:
+        calls.clear()
+        assert coe_from_chain(h.stages()) == h
+        assert calls == ["precompose_shift"]
 
 
 def reference_stream(matrix, core, part, upto):

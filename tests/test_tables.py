@@ -8,6 +8,7 @@ from shiftgroups.errors import (
     DomainNotPartition,
     EqualSymbols,
     FollowerMismatch,
+    ImageNotPartition,
     InadmissiblePair,
     InadmissibleWord,
 )
@@ -70,6 +71,28 @@ def test_validate_rejects_empty_and_inadmissible_words():
         validate_table(G, [((), (1,))])
     with pytest.raises(InadmissibleWord):
         validate_table(G, [((2, 2), (1,)), ((1,), (2,))])
+
+
+def test_validate_rejects_a_repeated_target_word():
+    """Both [1.2] and [2] go into [2], so the map is not a bijection."""
+    with pytest.raises(ImageNotPartition, match=r"^word \(2,\) repeats$"):
+        validate_table(FULL2, [((1, 1), (1,)), ((1, 2), (2,)), ((2,), (2,))])
+
+
+@pytest.mark.parametrize("matrix", MATRICES)
+def test_validate_rejects_every_copied_target(matrix):
+    """Random valid tables, plain or padded, with one entry's target
+    copied onto another entry: always refused, naming the repeated word."""
+    rng = random.Random(29)
+    for _ in range(60):
+        table = random_table(matrix, rng)
+        entries = [e for entry in table.entries
+                   for e in pad_entry(matrix, entry, rng.randint(0, 1))]
+        i, j = rng.sample(range(len(entries)), 2)
+        entries[i] = (entries[i][0], entries[j][1])
+        with pytest.raises(ImageNotPartition) as info:
+            validate_table(matrix, entries)
+        assert str(info.value) == f"word {entries[j][1]} repeats"
 
 
 def test_canonical_merges_padded_families():
