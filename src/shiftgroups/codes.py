@@ -74,6 +74,13 @@ def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) 
     return BlockCode(source, target, window, mapping, inverse_window, inverse_mapping)
 
 
+def _composite_windows(outer: BlockCode, inner: BlockCode):
+    """Each window of the composite length over ``inner.source``, in
+    lexicographic order, with the symbol ``outer after inner`` writes on it."""
+    for word in enumerate_words(inner.source, inner.window + outer.window - 1):
+        yield word, outer.apply_word(inner.apply_word(word))[0]
+
+
 def _count_windows(matrix: TransitionMatrix, m: int) -> int:
     """The number of admissible words of ``m >= 1`` symbols: the sum of
     the entries of ``A^(m-1)``, in O(m n^2) integer steps."""
@@ -101,9 +108,10 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
         if len(word) < window and i < len(keys) and keys[i][: len(word)] == word:
             stack.extend(reversed(source.extensions(word)))
             continue
+        word = list(word or (1,))  # windows have at least one symbol
         while len(word) < window:
-            word = source.extensions(word)[0]
-        raise NotAdmissibleImage(f"no image declared for window {word}")
+            word.append(source.successors(word[-1])[0])
+        raise NotAdmissibleImage(f"no image declared for window {tuple(word)}")
     if len(table) > _count_windows(source, window):
         stray = next(w for w in keys if len(w) != window or not source.is_admissible(w))
         raise NotAdmissibleImage(f"{stray} is not an admissible window of {window} symbols")
@@ -132,8 +140,7 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
     _check_block_map(source, target, window, code.symbol_map())
     _check_block_map(target, source, inverse_window, inverse.symbol_map())
     for first, second in ((code, inverse), (inverse, code)):
-        for word in enumerate_words(first.source, window + inverse_window - 1):
-            symbol = second.apply_word(first.apply_word(word))[0]
+        for word, symbol in _composite_windows(second, first):
             if symbol != word[0]:
                 raise NotInverse(
                     f"round trip sends the window {word} to {symbol}, not {word[0]}")
@@ -164,18 +171,10 @@ def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
         return inner
     if inner == identity_code(inner.source):
         return outer
-    window = inner.window + outer.window - 1
-    table = {
-        word: outer.apply_word(inner.apply_word(word))[0]
-        for word in enumerate_words(inner.source, window)
-    }
-    inner_inverse, outer_inverse = inner.inverse(), outer.inverse()
-    inv_window = outer.inverse_window + inner.inverse_window - 1
-    inv_table = {
-        word: inner_inverse.apply_word(outer_inverse.apply_word(word))[0]
-        for word in enumerate_words(outer.target, inv_window)
-    }
-    return _raw_code(inner.source, outer.target, window, table, inv_window, inv_table)
+    return _raw_code(inner.source, outer.target,
+                     inner.window + outer.window - 1, dict(_composite_windows(outer, inner)),
+                     outer.inverse_window + inner.inverse_window - 1,
+                     dict(_composite_windows(inner.inverse(), outer.inverse())))
 
 
 def higher_block_codes(matrix: TransitionMatrix, m: int):

@@ -55,7 +55,6 @@ from .transducer import (
     point_apply,
     precompose_shift,
     pullback,
-    transducer_equal,
 )
 
 DEFAULT_MAX_LEVEL = 6
@@ -274,8 +273,6 @@ def commutant_witness(h0: CoeMap, max_level: int = DEFAULT_MAX_LEVEL) -> TableEl
                 table = swap if level == 1 else conjugate_table_by_code(decode_code, swap)
                 after = stage_transducer(matrix, (table,) + h0.stages())
                 before = apply_table_stage(h0.transducer, table)
-                if transducer_equal(after, before):
-                    continue
                 if pointwise_difference(after, before) is not None:
                     return table
     raise SearchBudgetExceeded(

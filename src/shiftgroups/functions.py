@@ -176,20 +176,6 @@ def compose_shift(f: LocFun, times: int = 1) -> LocFun:
     return out
 
 
-def piecewise(matrix: TransitionMatrix, chunks) -> LocFun:
-    """Assemble a function from per-cylinder restrictions.
-
-    ``chunks`` is an iterable of ``(word, pieces)`` where the words form a
-    partition and each nested piece list covers that word's cylinder.
-    """
-    table: dict[Word, int] = {}
-    for _, pieces in chunks:
-        for w, v in pieces:
-            table[w] = v
-    partition(matrix, table.keys())
-    return canonical(matrix, table)
-
-
 def window_sum(f: LocFun, depth: int, word: Word, count: int):
     """Sum of ``f`` over the first ``count`` windows of ``word``, each
     ``depth = f.depth()`` symbols long; None while one fixes no piece.

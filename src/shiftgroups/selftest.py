@@ -43,7 +43,6 @@ from .functions import (
     equal,
     eval_at,
     indicator,
-    piecewise,
     restrict,
 )
 from .orbit import (
@@ -236,12 +235,12 @@ def _entrywise_gauge(tau: TableElement, f: LocFun) -> LocFun:
     """Per-entry phase exponent on the image partition."""
     matrix = tau.matrix
     inverse = invert(tau)
-    chunks = []
+    pieces = []
     for nu, mu in tau.entries:
         term = birkhoff(f, constant(matrix, len(mu))) - pullback_table(
             birkhoff(f, constant(matrix, len(nu))), inverse)
-        chunks.append((mu, restrict(term, mu)))
-    return piecewise(matrix, chunks)
+        pieces += restrict(term, mu)
+    return fn.make(matrix, pieces)
 
 
 def suite_gauge_weights(seed: int, cases: int) -> SuiteResult:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterable
 
-from .errors import (BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible,
-                     VerificationFailed)
+from .errors import BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible
 
 Word = tuple[int, ...]
 
@@ -326,41 +325,24 @@ def _check_antichain(parts: Iterable[Word]) -> None:
             raise BadPartition(f"{a} is a prefix of {b}")
 
 
-def _check_complete(matrix: TransitionMatrix, parts: Iterable[Word]) -> None:
-    # In sorted order the words with prefix ``child`` directly follow it,
-    # so some part extends ``child`` exactly when the first part at or
-    # after it does.
-    ordered = sorted(parts)
-    parts = frozenset(ordered)
-    stack: list[Word] = [EMPTY]
-    while stack:
-        node = stack.pop()
-        if node in parts:
-            continue
-        for child in matrix.extensions(node):
-            if child in parts:
-                continue
-            i = bisect_left(ordered, child)
-            if i == len(ordered) or ordered[i][: len(child)] != child:
-                raise BadPartition(f"no part covers sequences through {child}")
-            stack.append(child)
-
-
-def _is_partition(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> bool:
-    """Whether sorted ``parts`` are distinct, admissible, prefix-free and
-    complete, in one scan.
+def _first_gap(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> Word | None:
+    """None when sorted ``parts`` are distinct, admissible, prefix-free and
+    complete; otherwise the word where one scan stops.
 
     The members below a node of depth ``d`` form a contiguous run.  A member
     equal to the node must be the whole run; otherwise the run splits, in
     order, into one nonempty run per admissible next letter and nothing
-    else.  An explicit stack keeps deep words off the recursion limit.
+    else.  On an admissible prefix-free family only an empty letter run can
+    stop the scan, and its word is the first child, in the walk's order,
+    that no part covers.  An explicit stack keeps deep words off the
+    recursion limit.
     """
     stack = [(0, len(parts), 0)]
     while stack:
         lo, hi, d = stack.pop()
         if len(parts[lo]) == d:
             if hi - lo != 1:
-                return False
+                return parts[lo]
             continue
         i = lo
         for a in matrix.successors(parts[lo][d - 1]) if d else matrix.symbols():
@@ -368,32 +350,32 @@ def _is_partition(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> bool:
             while j < hi and parts[j][d] == a:
                 j += 1
             if j == i:
-                return False
+                return parts[lo][:d] + (a,)
             stack.append((i, j, d + 1))
             i = j
         if i != hi:
-            return False
-    return True
+            return parts[i][: d + 1]
+    return None
 
 
 def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
     """Validate a word family as a cylinder partition.
 
-    One scan of the sorted family decides.  Only when it rejects do the
+    One scan of the sorted family decides.  Only when it stops do the
     ordered checks run, to name the first failure: :class:`Inadmissible`
     for the first inadmissible part in sorted order, then
     :class:`BadPartition` for the first part that repeats or is a prefix
-    of the next, then for the first uncovered extension.
+    of the next, and else for the uncovered cylinder the scan stopped at.
     """
     parts = tuple(sorted(tuple(p) for p in parts))
     if not parts:
         raise BadPartition("a partition needs at least one part")
-    if not _is_partition(matrix, parts):
+    gap = _first_gap(matrix, parts)
+    if gap is not None:
         for p in parts:
             matrix.check_admissible(p)
         _check_antichain(parts)
-        _check_complete(matrix, parts)
-        raise VerificationFailed("partition scan rejected a family the checks accept")
+        raise BadPartition(f"no part covers sequences through {gap}")
     return CylinderPartition(matrix, parts)
 
 

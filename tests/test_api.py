@@ -1,8 +1,9 @@
 """Guards for what stays stable: the public names, no private
 cross-module imports inside the package, no chain-map imports under the
 cocycle and function layers, table validation only at the input
-boundary, one sibling merge under both canonical forms, and pointwise
-oracles that share no lookup kernel with what they check."""
+boundary, partition checks only in ``make`` and ``validate_table``, one
+sibling merge under both canonical forms, and pointwise oracles that
+share no lookup kernel with what they check."""
 
 import ast
 import pathlib
@@ -111,6 +112,14 @@ def test_only_parse_table_validates_tables():
     """Tables the library builds itself go through ``canonical_table``;
     only parsing input calls ``validate_table``."""
     assert callers_of("validate_table") == ["formats.parse_table"]
+
+
+def test_only_boundaries_validate_word_families():
+    """Word families are checked as partitions at two boundaries only:
+    ``make`` for functions and ``validate_table`` for both sides of a
+    table."""
+    assert callers_of("partition") == [
+        "functions.make", "tables.validate_table", "tables.validate_table"]
 
 
 def test_only_canonicalizers_merge():

@@ -276,22 +276,25 @@ def test_repeated_target_table_is_rejected_everywhere(tmp_path, capsys):
 
 
 def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
-    """A code on a window of 26 symbols that declares one image is refused
-    by name.  The child's address space is capped at 512 MB, which a list
-    of all 2^26 windows would overrun."""
+    """A code on a huge window that declares one image is refused by name.
+    The child's address space is capped at 512 MB, which a list of all
+    2^26 windows would overrun, and its CPU time at 10 s, which building
+    the missing window one tuple copy at a time would overrun."""
     (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
     (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
-    (tmp_path / "big.coe").write_text(
-        "coe F2.mks F2.mks\n"
-        "code 26 { 1 -> 1 } inverse 1 { 1 -> 1 2 -> 2 }\n", encoding="utf-8")
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+              "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
               "from shiftgroups import cli\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
-    result = run_python("-c", script, "psi", "big.coe", "chi2.fn", cwd=tmp_path)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr == f"error: no image declared for window {(1,) * 26}\n"
+    for window in (26, 100000):
+        (tmp_path / "big.coe").write_text(
+            "coe F2.mks F2.mks\n"
+            f"code {window} {{ 1 -> 1 }} inverse 1 {{ 1 -> 1 2 -> 2 }}\n", encoding="utf-8")
+        result = run_python("-c", script, "psi", "big.coe", "chi2.fn", cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: no image declared for window {(1,) * window}\n"
 
 
 def test_commutant_command(workdir):

@@ -55,14 +55,17 @@ and inverted the map at every level it tried.  The witness search's
 pullback through the level's decode code is checked against the pullback
 through the recoded chain map, and the search is held to the one chain
 map build of its re-check.  One table stage on a cached normal form is
-checked against the rebuild of all the stages.
+checked against the rebuild of all the stages, and the commutant search
+compares each candidate it tries with one ``difference_parts`` call.
 
-The one-scan ``partition`` and the ``validate_table`` that leaves its word
-checks to it are checked against the three ordered checks and the
-word-first body they replaced, on perturbed families and mutated tables:
-the same result, or an exception of the same type and message.  The
-one-step ``shift_point_n`` is checked against ``n`` calls of
-``shift_point``.
+The one-scan ``partition``, whose scan names the uncovered cylinder
+itself, and the ``validate_table`` that leaves its word checks to it are
+checked against ordered checks written here (admissibility, a neighbour
+scan for repeats and prefixes, then the ``any()``-scan completeness
+walk) and the word-first body they replaced, on perturbed families and
+mutated tables: the same result, or an exception of the same type and
+message.  The one-step ``shift_point_n`` is checked against ``n`` calls
+of ``shift_point``.
 """
 
 import itertools
@@ -135,8 +138,6 @@ from shiftgroups.selftest import (
 from shiftgroups.sft import (
     EMPTY,
     CylinderPartition,
-    _check_antichain,
-    _check_complete,
     canonicalize_point,
     enumerate_words,
     expand_to_depth,
@@ -220,15 +221,20 @@ def reference_check_complete(matrix, parts):
 
 
 def reference_partition(matrix, parts):
-    """The three ordered checks ``partition`` ran before its one scan, on
-    the family as given: a repeated word fails the antichain check."""
+    """The ordered checks ``partition`` ran before its one scan, on the
+    family as given, sharing no code with it: a repeated word fails the
+    neighbour scan."""
     parts = tuple(sorted(tuple(p) for p in parts))
     if not parts:
         raise BadPartition("a partition needs at least one part")
     for p in parts:
         matrix.check_admissible(p)
-    _check_antichain(parts)
-    _check_complete(matrix, parts)
+    for a, b in zip(parts, parts[1:]):
+        if a == b:
+            raise BadPartition(f"word {a} repeats")
+        if b[: len(a)] == a:
+            raise BadPartition(f"{a} is a prefix of {b}")
+    reference_check_complete(matrix, frozenset(parts))
     return CylinderPartition(matrix, parts)
 
 
@@ -901,20 +907,20 @@ def test_completeness_check_matches_reference(matrix):
             children = list(matrix.extensions(gone))
             parts.extend(c for c in children if rng.random() < 0.5)
         expected = check_message(reference_check_complete, matrix, parts)
-        assert check_message(_check_complete, matrix, parts) == expected
+        assert check_message(partition, matrix, parts) == expected
         if expected is not None:
             incomplete += 1
             with pytest.raises(BadPartition, match=re.escape(expected)):
                 partition(matrix, parts)
     assert incomplete > 100
     deep = comb(matrix, 300)
-    assert check_message(_check_complete, matrix, deep) is None
+    assert check_message(partition, matrix, deep) is None
     assert check_message(reference_check_complete, matrix, deep) is None
     for gone in (deep[0], deep[len(deep) // 2], deep[-1]):
         parts = [w for w in deep if w != gone]
         expected = check_message(reference_check_complete, matrix, parts)
         assert expected is not None
-        assert check_message(_check_complete, matrix, parts) == expected
+        assert check_message(partition, matrix, parts) == expected
 
 
 # -- one-scan validation ----------------------------------------------------------
@@ -1887,6 +1893,33 @@ def test_witness_search_builds_one_chain_map_per_witness(monkeypatch):
     for h in maps:
         assert witness_non_conjugacy(h) is not None
     assert len(calls) == len(maps)
+
+
+def test_commutant_search_compares_each_candidate_once(monkeypatch):
+    """Over the commutant corpus each candidate swap the search tries,
+    one ``apply_table_stage`` call from the search, is compared by one
+    ``difference_parts`` call, the separating one included."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(conjugacy, "apply_table_stage",
+                        counted("apply_table_stage", transducer.apply_table_stage))
+    wrapper = counted("difference_parts", transducer.difference_parts)
+    monkeypatch.setattr(transducer, "difference_parts", wrapper)
+    monkeypatch.setattr(conjugacy, "difference_parts", wrapper)
+    candidates = 0
+    for h0 in commutant_corpus():
+        calls.clear()
+        conjugacy.commutant_witness(h0)
+        tried = calls[calls.index("apply_table_stage"):] if "apply_table_stage" in calls else []
+        assert tried == ["apply_table_stage", "difference_parts"] * (len(tried) // 2)
+        candidates += len(tried) // 2
+    assert candidates > 0
 
 
 def test_table_stage_on_the_normal_form_matches_stage_rebuild():
