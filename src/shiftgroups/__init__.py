@@ -13,7 +13,6 @@ from .sft import (
     TransitionMatrix,
     canonicalize_point,
     enumerate_words,
-    higher_block,
     partition,
     refine,
     representative,
@@ -50,7 +49,8 @@ from .cocycles import (
     in_cocycle_group,
     rho,
 )
-from .codes import BlockCode, higher_block_codes, identity_code, make_code, relabel_code
+from .codes import (BlockCode, higher_block, higher_block_codes, identity_code, make_code,
+                    relabel_code)
 from .orbit import (
     CoeMap,
     check_xihg,

@@ -9,12 +9,11 @@ validation checks exactly that the two maps invert each other.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
-from .sft import EMPTY, Point, TransitionMatrix, Word, canonicalize_point, enumerate_words
+from .sft import Point, TransitionMatrix, Word, canonicalize_point, enumerate_words
 
 
 @dataclass(frozen=True)
@@ -81,39 +80,41 @@ def _composite_windows(outer: BlockCode, inner: BlockCode):
         yield word, outer.apply_word(inner.apply_word(word))[0]
 
 
-def _count_windows(matrix: TransitionMatrix, m: int) -> int:
-    """The number of admissible words of ``m >= 1`` symbols: the sum of
-    the entries of ``A^(m-1)``, in O(m n^2) integer steps."""
-    ending = [1] * matrix.n  # words of the current length, by last symbol
-    for _ in range(m - 1):
-        ending = [sum(ending[a - 1] for a in matrix.predecessors(b)) for b in matrix.symbols()]
-    return sum(ending)
-
-
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
                      window: int, table: dict[Word, int]) -> None:
     # The admissible windows in lexicographic order, going down only the
     # prefixes some declared key extends: the first prefix that none
     # extends leads to the first missing window, its least extension.
-    # Once every window is declared, the count tells whether a key strays.
+    # A node is the run of sorted keys extending it, split letter by letter,
+    # so each key symbol is read once.  After it, any key but a window strays.
     keys = sorted(table)
-    stack = [EMPTY]
+    node: list[int] = []  # the node's word, cut and extended as the walk moves
+    stack = [(0, len(keys), 0, ())]
     while stack:
-        word = stack.pop()
-        if len(word) == window and word in table:
-            if not 1 <= table[word] <= target.n:
-                raise NotAdmissibleImage(f"image of {word} is not a target symbol")
+        lo, hi, d, last = stack.pop()
+        node[d - len(last):] = last
+        if lo < hi and len(keys[lo]) == d == window:
+            if not 1 <= table[keys[lo]] <= target.n:
+                raise NotAdmissibleImage(f"image of {keys[lo]} is not a target symbol")
             continue
-        i = bisect_left(keys, word)
-        if len(word) < window and i < len(keys) and keys[i][: len(word)] == word:
-            stack.extend(reversed(source.extensions(word)))
-            continue
-        word = list(word or (1,))  # windows have at least one symbol
-        while len(word) < window:
-            word.append(source.successors(word[-1])[0])
-        raise NotAdmissibleImage(f"no image declared for window {tuple(word)}")
-    if len(table) > _count_windows(source, window):
-        stray = next(w for w in keys if len(w) != window or not source.is_admissible(w))
+        if lo == hi or d == window:
+            node = node or [1]  # windows have at least one symbol
+            while len(node) < window:
+                node.append(source.successors(node[-1])[0])
+            raise NotAdmissibleImage(f"no image declared for window {tuple(node)}")
+        i = lo + (len(keys[lo]) == d)  # a key as short as the node strays
+        children = []
+        for a in source.successors(node[-1]) if node else source.symbols():
+            while i < hi and keys[i][d] < a:
+                i += 1
+            j = i
+            while j < hi and keys[j][d] == a:
+                j += 1
+            children.append((i, j, d + 1, (a,)))
+            i = j
+        stack.extend(reversed(children))
+    stray = next((w for w in keys if len(w) != window or not source.is_admissible(w)), None)
+    if stray is not None:
         raise NotAdmissibleImage(f"{stray} is not an admissible window of {window} symbols")
     for word in enumerate_words(source, window + 1):
         a, b = table[word[:-1]], table[word[1:]]
@@ -201,3 +202,14 @@ def higher_block_codes(matrix: TransitionMatrix, m: int):
     decode_table = {(i,): w[0] for w, i in index.items()}
     encode = _raw_code(matrix, block_matrix, m, index, 1, decode_table)
     return block_matrix, encode, encode.inverse()
+
+
+def higher_block(matrix: TransitionMatrix, m: int):
+    """The m-block presentation with its encode / decode conjugacies.
+
+    Returns ``(block_matrix, encode, decode)`` where encode and decode map
+    points and are mutually inverse; see :func:`higher_block_codes`,
+    which builds the presentation.
+    """
+    block_matrix, encode, decode = higher_block_codes(matrix, m)
+    return block_matrix, encode.encode, decode.encode

@@ -20,6 +20,7 @@ which is exactly the group-level obstruction to conjugacy.
 
 The search reads ``h``'s cached stages and normal form; only
 :func:`check_witness` rebuilds the recoded chain map, to re-check.
+The commutant search reads block-level swaps as base cylinder swaps.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .sft import (
     representative,
     shift_point,
 )
-from .tables import TableElement, apply as table_apply, invert as table_invert, prefix_swap
+from .tables import (TableElement, apply as table_apply, block_swap_pairs, cylinder_swap,
+                     invert as table_invert, prefix_swap)
 from .transducer import (
     Transducer,
     apply_table_stage,
-    conjugate_table_by_code,
     difference_parts,
     is_identity_transducer,
     point_apply,
@@ -251,9 +252,10 @@ def commutant_witness(h0: CoeMap, max_level: int = DEFAULT_MAX_LEVEL) -> TableEl
     """A table that fails to commute with a self chain map.
 
     Returns None exactly when ``h0`` is the identity map (decided on the
-    normal form).  Otherwise searches prefix swaps at increasing block
-    levels, carried back to the base shift, in a fixed deterministic
-    order, and returns the first one whose two compositions with ``h0``
+    normal form).  Otherwise searches the prefix swaps of increasing block
+    levels, each read on the base shift as one cylinder swap
+    (:func:`tables.block_swap_pairs`), in a fixed deterministic order,
+    and returns the first one whose two compositions with ``h0``
     differ; the difference is re-verified at a concrete representative
     before returning.  ``table after h0`` is one more table stage on the
     cached normal form of ``h0``.
@@ -264,16 +266,11 @@ def commutant_witness(h0: CoeMap, max_level: int = DEFAULT_MAX_LEVEL) -> TableEl
         return None
     matrix = h0.source
     for level in range(1, max_level + 1):
-        block_matrix, _, decode_code = higher_block_codes(matrix, level)
-        for z1 in block_matrix.symbols():
-            for z2 in block_matrix.successors(z1):
-                if z1 == z2:
-                    continue
-                swap = prefix_swap(block_matrix, z1, z2)
-                table = swap if level == 1 else conjugate_table_by_code(decode_code, swap)
-                after = stage_transducer(matrix, (table,) + h0.stages())
-                before = apply_table_stage(h0.transducer, table)
-                if pointwise_difference(after, before) is not None:
-                    return table
+        for pair in block_swap_pairs(matrix, level):
+            table = cylinder_swap(matrix, *pair)
+            after = stage_transducer(matrix, (table,) + h0.stages())
+            before = apply_table_stage(h0.transducer, table)
+            if pointwise_difference(after, before) is not None:
+                return table
     raise SearchBudgetExceeded(
         "no prefix swap separates the compositions", max_level=max_level)

@@ -60,9 +60,11 @@ from .sft import TransitionMatrix, representative, refine_words, shift_point_n, 
 from .tables import (
     TableElement,
     apply as table_apply,
+    block_swap_pairs,
     cocycle_data,
     cocycle_data_from_entries,
     compose,
+    cylinder_swap,
     identity_table,
     invert,
     pad_entry,
@@ -165,14 +167,11 @@ def suite_group_laws(seed: int, cases: int) -> SuiteResult:
                 return SuiteResult("group-laws", False, f"identity on {name}")
             if compose(a, invert(a)) != ident or compose(invert(a), a) != ident:
                 return SuiteResult("group-laws", False, f"inverse on {name}")
-        for z1 in matrix.symbols():
-            for z2 in matrix.successors(z1):
-                if z1 == z2:
-                    continue
-                swap = prefix_swap(matrix, z1, z2)
-                swaps += 1
-                if compose(swap, swap) != ident:
-                    return SuiteResult("group-laws", False, f"involution on {name}")
+        for pair in block_swap_pairs(matrix, 1):
+            swap = cylinder_swap(matrix, *pair)
+            swaps += 1
+            if compose(swap, swap) != ident:
+                return SuiteResult("group-laws", False, f"involution on {name}")
     return SuiteResult("group-laws", True,
                        f"{cases} triples x {len(MATRICES)} matrices, {swaps} swaps")
 
@@ -371,10 +370,8 @@ def twisted_corpus() -> list[CoeMap]:
     """Twenty chains whose table twists break shift commutation."""
     out = []
     for _, matrix in MATRICES:
-        for z1 in matrix.symbols():
-            for z2 in matrix.successors(z1):
-                if z1 != z2:
-                    out.append(coe_from_chain([prefix_swap(matrix, z1, z2)]))
+        for pair in block_swap_pairs(matrix, 1):
+            out.append(coe_from_chain([cylinder_swap(matrix, *pair)]))
     block2g, encode2g, _ = higher_block_codes(GOLDEN_MEAN, 2)
     out.append(coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2), encode2g]))
     out.append(coe_from_chain([encode2g, prefix_swap(block2g, 2, 3)]))
@@ -427,10 +424,9 @@ def commutant_corpus() -> list[CoeMap]:
     """Ten non-identity self chain maps."""
     out = []
     for _, matrix in MATRICES:
-        for z1 in matrix.symbols():
-            for z2 in matrix.successors(z1):
-                if z1 != z2 and len(out) < 8:
-                    out.append(coe_from_chain([prefix_swap(matrix, z1, z2)]))
+        for pair in block_swap_pairs(matrix, 1):
+            if len(out) < 8:
+                out.append(coe_from_chain([cylinder_swap(matrix, *pair)]))
     block2, encode2, decode2 = higher_block_codes(GOLDEN_MEAN, 2)
     out.append(coe_from_chain([encode2, prefix_swap(block2, 2, 3), decode2]))
     out.append(coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2), encode2,

@@ -449,18 +449,3 @@ def expand_to_depth(matrix: TransitionMatrix, word: Word, depth: int) -> list[Wo
         out = [ext for w in out for ext in matrix.extensions(w)]
     return out
 
-
-# -- higher block presentation ---------------------------------------------
-
-
-def higher_block(matrix: TransitionMatrix, m: int):
-    """The m-block presentation with its encode / decode conjugacies.
-
-    Returns ``(block_matrix, encode, decode)`` where encode and decode map
-    points and are mutually inverse; see :func:`codes.higher_block_codes`,
-    which builds the presentation.
-    """
-    from .codes import higher_block_codes
-
-    block_matrix, encode, decode = higher_block_codes(matrix, m)
-    return block_matrix, encode.encode, decode.encode

@@ -31,7 +31,7 @@ from .errors import (
     InadmissibleWord,
     ShiftError,
 )
-from .functions import LocFun, canonical
+from .functions import LocFun, canonical, window_sum
 from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words,
                   merge_siblings, part_at, partition, prefix_of, prepend_point, refine_until,
                   shift_point_n)
@@ -192,6 +192,29 @@ def cocycle_data(table: TableElement) -> tuple[LocFun, LocFun, LocFun]:
     return cocycle_data_from_entries(table.matrix, table.entries)
 
 
+def cylinder_swap(matrix: TransitionMatrix, u: Word, v: Word) -> TableElement:
+    """The involution exchanging the cylinders of ``u`` and ``v``, fixing
+    everything else.  The words must be admissible and incomparable, with
+    last symbols that allow the same successors (not re-checked)."""
+    def image(word: Word):
+        if word in (u, v):
+            return v if word == u else u
+        return None if word in (u[:len(word)], v[:len(word)]) else word
+
+    return canonical_table(matrix, refine_until(matrix, [(EMPTY, ())], image))
+
+
+def block_swap_pairs(matrix: TransitionMatrix, level: int):
+    """The pairs ``(w a, w[1:] a)`` of level-``level`` words ``w`` and
+    successors ``a`` of ``w[-1]``, but not ``w[1:] a == w``, in block order:
+    on the base shift, the level's block presentation (the sliding window
+    recoding) swaps the blocks ``w`` and ``w[1:] a`` as these cylinders."""
+    for w in enumerate_words(matrix, level):
+        for a in matrix.successors(w[-1]):
+            if w[1:] + (a,) != w:
+                yield w + (a,), w[1:] + (a,)
+
+
 def prefix_swap(matrix: TransitionMatrix, z1: int, z2: int) -> TableElement:
     """The involution exchanging the cylinders of ``z1 z2`` and ``z2``.
 
@@ -202,23 +225,21 @@ def prefix_swap(matrix: TransitionMatrix, z1: int, z2: int) -> TableElement:
         raise EqualSymbols("swap needs two distinct symbols")
     if not (1 <= z1 <= matrix.n and 1 <= z2 <= matrix.n and matrix.entry(z1, z2)):
         raise InadmissiblePair(f"{z1} -> {z2} is not an admissible transition")
-    entries: list[Entry] = [((z1, z2), (z2,)), ((z2,), (z1, z2))]
-    for a in matrix.successors(z1):
-        if a != z2:
-            entries.append(((z1, a), (z1, a)))
-    for c in matrix.symbols():
-        if c not in (z1, z2):
-            entries.append(((c,), (c,)))
-    return canonical_table(matrix, entries)
+    return cylinder_swap(matrix, (z1, z2), (z2,))
 
 
 def pullback_table(f: LocFun, table: TableElement) -> LocFun:
-    """The function ``x -> f(tau(x))``."""
-    from .transducer import from_table, pullback
-
+    """The function ``x -> f(tau(x))``: each entry ``nu -> mu`` is refined
+    until the image prefix it determines fixes ``f``'s piece."""
     if f.matrix != table.matrix:
         raise ValueError("function and table live over different matrices")
-    return pullback(f, from_table(table))
+    depth = f.depth()
+
+    def value(word: Word, nu: Word, mu: Word):
+        return window_sum(f, depth, mu + word[len(nu):], 1)
+
+    roots = [(nu, (nu, mu)) for nu, mu in table.entries]
+    return canonical(table.matrix, dict(refine_until(table.matrix, roots, value)))
 
 
 def pad_entry(matrix: TransitionMatrix, entry: Entry, depth: int) -> list[Entry]:
@@ -234,15 +255,12 @@ def pad_entry(matrix: TransitionMatrix, entry: Entry, depth: int) -> list[Entry]
 
 
 def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> TableElement:
-    """Seeded random table: a product of transported prefix swaps.
+    """Seeded random table: a product of cylinder swaps.
 
-    Factors are prefix swaps taken at block levels up to
-    ``depth_budget - 1`` and carried back to the base shift, mixed with
+    Factors are the prefix swaps of block levels up to ``depth_budget -
+    1``, read on the base shift (:func:`block_swap_pairs`), mixed with
     same-length cylinder exchanges.  Deterministic for a fixed seed.
     """
-    from .codes import higher_block_codes
-    from .transducer import conjugate_table_by_code
-
     if depth_budget < 2:
         raise ValueError("depth budget must be >= 2")
     rng = random.Random(seed)
@@ -250,18 +268,8 @@ def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> Ta
     for _ in range(rng.randint(1, 3)):
         kind = rng.random()
         if kind < 0.6:
-            level = rng.randint(1, depth_budget - 1)
-            block_matrix, _, decode_code = higher_block_codes(matrix, level)
-            pairs = [
-                (z1, z2)
-                for z1 in block_matrix.symbols()
-                for z2 in block_matrix.successors(z1)
-                if z1 != z2
-            ]
-            z1, z2 = pairs[rng.randrange(len(pairs))]
-            factor = prefix_swap(block_matrix, z1, z2)
-            if level > 1:
-                factor = conjugate_table_by_code(decode_code, factor)
+            pairs = list(block_swap_pairs(matrix, rng.randint(1, depth_budget - 1)))
+            factor = cylinder_swap(matrix, *pairs[rng.randrange(len(pairs))])
         else:
             factor = _pair_exchange(matrix, depth_budget, rng)
         result = compose(factor, result)
@@ -280,7 +288,4 @@ def _pair_exchange(matrix: TransitionMatrix, depth_budget: int, rng) -> TableEle
     ]
     if not pairs:
         return identity_table(matrix)
-    a, b = pairs[rng.randrange(len(pairs))]
-    entries = [(w, w) for w in words if w not in (a, b)]
-    entries += [(a, b), (b, a)]
-    return canonical_table(matrix, entries)
+    return cylinder_swap(matrix, *pairs[rng.randrange(len(pairs))])

@@ -1,6 +1,6 @@
 """Guards for what stays stable: the public names, no private
-cross-module imports inside the package, no chain-map imports under the
-cocycle and function layers, table validation only at the input
+cross-module imports inside the package, layers that import only
+downward, table validation only at the input
 boundary, partition checks only in ``make`` and ``validate_table``, one
 sibling merge under both canonical forms, and pointwise oracles that
 share no lookup kernel with what they check."""
@@ -44,23 +44,42 @@ def test_no_private_cross_module_imports():
     assert found == []
 
 
-def test_cocycles_and_functions_build_on_no_maps():
-    """The cocycle and function layers sum windows themselves; they import
-    nothing from the chain-map layers ``transducer`` and ``codes``."""
+LAYERS = ("sft", "functions", "tables", "cocycles", "codes", "transducer", "orbit",
+          "conjugacy", "formats", "selftest", "cli")
+
+
+def package_modules(node):
+    """The package modules an import statement names, relative or not."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("shiftgroups.")]
+    module = node.module or ""
+    if not node.level:
+        package, _, module = module.partition(".")
+        if package != "shiftgroups":
+            return []
+    return [module.partition(".")[0]] if module else [alias.name for alias in node.names]
+
+
+def test_layers_import_only_downward():
+    """Every module is a layer, and every import of the package in a
+    layer, at any nesting depth, names ``errors`` or an earlier layer;
+    none sits in a function.  So the cocycle and function layers, which
+    sum windows themselves, import nothing from the chain-map layers
+    ``codes`` and ``transducer``."""
     package = pathlib.Path(shiftgroups.__file__).parent
+    assert {path.stem for path in package.glob("*.py")} == {
+        *LAYERS, "errors", "__init__", "__main__"}
     found = []
-    for name in ("cocycles", "functions"):
+    for rank, name in enumerate(LAYERS):
         tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                modules = ([node.module.rpartition(".")[2]] if node.module
-                           else [a.name for a in node.names])
-            elif isinstance(node, ast.Import):
-                modules = [a.name.rpartition(".")[2] for a in node.names]
-            else:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            found += [f"{name}.py:{node.lineno} {m}" for m in modules
-                      if m in ("transducer", "codes")]
+            if node not in tree.body:
+                found.append(f"{name}.py:{node.lineno} imports inside a block")
+            found += [f"{name}.py:{node.lineno} {module}" for module in package_modules(node)
+                      if module != "errors" and module not in LAYERS[:rank]]
     assert found == []
 
 

@@ -279,7 +279,9 @@ def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
     """A code on a huge window that declares one image is refused by name.
     The child's address space is capped at 512 MB, which a list of all
     2^26 windows would overrun, and its CPU time at 10 s, which building
-    the missing window one tuple copy at a time would overrun."""
+    the missing window one tuple copy at a time would overrun, and so
+    would a walk that copies the prefix of one 100000-symbol key at
+    every depth."""
     (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
     (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
     script = ("import resource, sys\n"
@@ -287,14 +289,16 @@ def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
               "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
               "from shiftgroups import cli\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
-    for window in (26, 100000):
+    for window, key in ((26, (1,)), (100000, (1,)), (100000, (1,) * 100000)):
+        missing = (1,) * window if len(key) < window else key[:-1] + (2,)
         (tmp_path / "big.coe").write_text(
             "coe F2.mks F2.mks\n"
-            f"code {window} {{ 1 -> 1 }} inverse 1 {{ 1 -> 1 2 -> 2 }}\n", encoding="utf-8")
+            f"code {window} {{ {'.'.join(map(str, key))} -> 1 }} "
+            "inverse 1 { 1 -> 1 2 -> 2 }\n", encoding="utf-8")
         result = run_python("-c", script, "psi", "big.coe", "chi2.fn", cwd=tmp_path)
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr == f"error: no image declared for window {(1,) * window}\n"
+        assert result.stderr == f"error: no image declared for window {missing}\n"
 
 
 def test_commutant_command(workdir):

@@ -58,6 +58,16 @@ map build of its re-check.  One table stage on a cached normal form is
 checked against the rebuild of all the stages, and the commutant search
 compares each candidate it tries with one ``difference_parts`` call.
 
+The swaps are checked against the transport they replaced: at block
+levels 1 to 5, the ``tables.cylinder_swap`` of each pair
+``tables.block_swap_pairs`` lists is the block presentation's prefix
+swap carried down through the decode code, in the same order, and
+``random_element`` and the commutant search call neither
+``higher_block_codes`` nor ``conjugate_table_by_code``.
+``tables.pullback_table``, one walk over the entries, is checked against
+the pullback through the table's transducer, and ``_pair_exchange``
+against its hand-built entry list.
+
 The one-scan ``partition``, whose scan names the uncovered cylinder
 itself, and the ``validate_table`` that leaves its word checks to it are
 checked against ordered checks written here (admissibility, a neighbour
@@ -72,6 +82,7 @@ import itertools
 import random
 from bisect import bisect_left
 import re
+import sys
 from operator import itemgetter
 
 import pytest
@@ -99,6 +110,7 @@ from shiftgroups.codes import (
     _check_block_map,
     _raw_code,
     compose_codes,
+    higher_block,
     higher_block_codes,
     identity_code,
     make_code,
@@ -142,7 +154,6 @@ from shiftgroups.sft import (
     enumerate_words,
     expand_to_depth,
     cylinder_run,
-    higher_block,
     part_at,
     partition,
     prefix_of,
@@ -156,7 +167,9 @@ from shiftgroups.sft import (
 )
 from shiftgroups.tables import (
     TableElement,
+    block_swap_pairs,
     compose,
+    cylinder_swap,
     identity_table,
     invert,
     pad_entry,
@@ -693,6 +706,28 @@ def reference_witness_level(h, z, max_level=DEFAULT_MAX_LEVEL):
             continue
         return level, pair, x_star
     return None
+
+
+def reference_block_swap(level, decode, z1, z2):
+    """The prefix swap of the blocks ``z1`` and ``z2`` carried down to the
+    base shift through the level's decode code, as ``random_element`` and
+    the commutant search built it before ``tables.cylinder_swap``; at
+    level 1 the blocks are the base symbols."""
+    swap = prefix_swap(decode.source, z1, z2)
+    return swap if level == 1 else conjugate_table_by_code(decode, swap)
+
+
+def reference_pair_exchange(matrix, depth_budget, rng):
+    """``tables._pair_exchange`` with its hand-built entry list."""
+    length = rng.randint(2, depth_budget)
+    words = enumerate_words(matrix, length)
+    pairs = [(a, b) for i, a in enumerate(words) for b in words[i + 1:]
+             if matrix.successors(a[-1]) == matrix.successors(b[-1])]
+    if not pairs:
+        return identity_table(matrix)
+    a, b = pairs[rng.randrange(len(pairs))]
+    entries = [(w, w) for w in words if w not in (a, b)] + [(a, b), (b, a)]
+    return tables.canonical_table(matrix, entries)
 
 
 # -- seeded inputs ----------------------------------------------------------------
@@ -1475,6 +1510,92 @@ def test_birkhoff_matches_tower_reference(matrix):
         f = random_function(matrix, rng)
         n = random_exponent(matrix, rng)
         assert fn.birkhoff(f, n) == reference_birkhoff(f, n)
+
+
+# -- cylinder swaps ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_cylinder_swap_matches_block_swap_transport(matrix):
+    """At levels 1 to 5, the ``cylinder_swap`` of each pair
+    ``block_swap_pairs`` lists is the block presentation's prefix swap
+    carried down through the decode code, pair by pair in block order."""
+    for level in range(1, 6):
+        block, _, decode = higher_block_codes(matrix, level)
+        expected = [reference_block_swap(level, decode, z1, z2)
+                    for z1 in block.symbols() for z2 in block.successors(z1) if z1 != z2]
+        got = [cylinder_swap(matrix, u, v) for u, v in block_swap_pairs(matrix, level)]
+        assert got == expected
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_pair_exchange_matches_entry_list_reference(matrix):
+    """The same draws give the same exchange as the hand-built entry list."""
+    for depth_budget in (2, 3, 4):
+        for seed in range(10):
+            assert (tables._pair_exchange(matrix, depth_budget, random.Random(seed))
+                    == reference_pair_exchange(matrix, depth_budget, random.Random(seed)))
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_pullback_table_matches_transducer_pullback(matrix):
+    """Seeded tables, plain and ``pad_entry``-padded: the same function as
+    the pullback through the table's transducer."""
+    rng = random.Random(73)
+    for _ in range(40):
+        tau = random_table(matrix, rng)
+        f = random_function(matrix, rng)
+        for table in (tau, padded(tau, rng)):
+            assert tables.pullback_table(f, table) == pullback(f, transducer.from_table(table))
+
+
+@pytest.mark.parametrize("k", [3, 30, 300])
+def test_pullback_table_matches_transducer_pullback_on_the_deep_exchange(k):
+    tau = deep_exchange(k)
+    rng = random.Random(k)
+    fs = [fn.indicator(FULL_TWO, (2,)), fn.indicator(FULL_TWO, (1,) * k),
+          *tables.cocycle_data(tau), *(random_function(FULL_TWO, rng) for _ in range(5))]
+    for f in fs:
+        assert tables.pullback_table(f, tau) == pullback(f, transducer.from_table(tau))
+
+
+def test_swaps_build_no_block_code_or_transport(monkeypatch):
+    """``random_element`` and ``commutant_witness`` build their swaps on
+    the base shift: neither calls ``higher_block_codes`` or
+    ``conjugate_table_by_code``, through any module's binding of them.
+    ``recode_source``, which does build a block code, shows the count
+    works."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    rng = random.Random(79)
+    maps = commutant_corpus() + [random_chain(m, rng) for _ in range(5) for _, m in MATRICES]
+    real = {"higher_block_codes": higher_block_codes,
+            "conjugate_table_by_code": conjugate_table_by_code}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.partition(".")[0] == "shiftgroups":
+            for name, function in real.items():
+                if getattr(module, name, None) is function:
+                    monkeypatch.setattr(module, name, counted(name, function))
+    recode_source(maps[0], 2)
+    assert "higher_block_codes" in calls
+    calls.clear()
+    for _, matrix in MATRICES:
+        for seed in range(20):
+            random_element(matrix, 3 + seed % 3, seed)
+    searched = 0
+    for h0 in maps:
+        if h0.source == h0.target:
+            conjugacy.commutant_witness(h0)
+            searched += 1
+    assert calls == []
+    assert searched > len(commutant_corpus())
+
 
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
+from shiftgroups.codes import higher_block
 from shiftgroups.errors import BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible
 from shiftgroups.sft import (
     canonicalize_point,
     enumerate_words,
-    higher_block,
     partition,
     refine,
     representative,
