@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .functions import LocFun, birkhoff, canonical, constant, eval_at, window_sum
 from .sft import Point, Word, refine_until, shift_point
-from .tables import TableElement, apply, cocycle_data
+from .tables import TableElement, apply
 
 
 def rho(f: LocFun, table: TableElement) -> LocFun:
@@ -91,9 +91,8 @@ def in_cocycle_group(table: TableElement, f: LocFun) -> bool:
 
 
 def in_af_group(table: TableElement) -> bool:
-    """Whether the exponent difference ``d`` vanishes identically."""
-    _, _, d = cocycle_data(table)
-    return d.is_zero()
+    """Whether the exponent difference ``d = |nu| - |mu|`` vanishes on every entry."""
+    return all(len(nu) == len(mu) for nu, mu in table.entries)
 
 
 def gauge_weight(table: TableElement, f: LocFun) -> LocFun:

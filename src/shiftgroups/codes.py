@@ -63,9 +63,6 @@ class BlockCode:
             self.mapping,
         )
 
-    def decode(self, point: Point) -> Point:
-        return self.inverse().encode(point)
-
 
 def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) -> BlockCode:
     mapping = tuple(sorted((tuple(w), int(s)) for w, s in dict(mapping).items()))

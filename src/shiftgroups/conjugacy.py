@@ -47,11 +47,12 @@ from .sft import (
     shift_point,
 )
 from .tables import (TableElement, apply as table_apply, block_swap_pairs, cylinder_swap,
-                     invert as table_invert, prefix_swap)
+                     prefix_swap)
 from .transducer import (
     Transducer,
     apply_table_stage,
     difference_parts,
+    inverse_stages,
     is_identity_transducer,
     point_apply,
     precompose_shift,
@@ -149,7 +150,7 @@ def _find_difference_point(h: CoeMap, seeds, max_depth: int) -> Point:
         if give_up_at is not None and len(word) > give_up_at:
             break
         preferred = _long_cycle_point(matrix, word)
-        if len(preferred.cycle) >= 2 and usable(preferred):
+        if usable(preferred):
             return preferred
         if fallback is None:
             plain = representative(matrix, word)
@@ -170,11 +171,13 @@ def _isolating_level(h: CoeMap, z: Point, w0: Point, max_level: int) -> int:
     pair of blocks nor the second block.  ``x`` is taken stage by stage
     through ``h``'s inverse stages, and the tests compare base words, so
     no block code is built."""
-    x = table_apply(table_invert(h.pre), h.core.decode(table_apply(table_invert(h.post), w0)))
-    zs, xs = z.prefix(max_level + 1), x.prefix(max_level + 1)
+    x = w0
+    for stage in inverse_stages(h.stages()):
+        x = table_apply(stage, x) if isinstance(stage, TableElement) else stage.encode(x)
     for level in range(1, max_level + 1):
-        pair, second = zs[:level + 1], zs[1:level + 1]
-        if zs[:level] != second and xs[:level + 1] != pair and xs[:level] != second:
+        pair, xs = z.prefix(level + 1), x.prefix(level + 1)
+        second = pair[1:]
+        if pair[:-1] != second and xs != pair and xs[:-1] != second:
             return level
     raise SearchBudgetExceeded(
         "no block level isolates the difference point", max_level=max_level)

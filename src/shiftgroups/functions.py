@@ -161,19 +161,16 @@ def equal(f: LocFun, g: LocFun) -> bool:
     return f.pieces == g.pieces
 
 
-def compose_shift(f: LocFun, times: int = 1) -> LocFun:
-    """The function ``x -> f(shift^times(x))``."""
-    out = f
-    for _ in range(times):
-        table: dict[Word, int] = {}
-        for w, v in out.pieces:
-            if not w:
-                table[w] = v
-                continue
-            for a in out.matrix.predecessors(w[0]):
-                table[(a,) + w] = v
-        out = canonical(out.matrix, table)
-    return out
+def compose_shift(f: LocFun) -> LocFun:
+    """The function ``x -> f(shift(x))``."""
+    table: dict[Word, int] = {}
+    for w, v in f.pieces:
+        if not w:
+            table[w] = v
+            continue
+        for a in f.matrix.predecessors(w[0]):
+            table[(a,) + w] = v
+    return canonical(f.matrix, table)
 
 
 def window_sum(f: LocFun, depth: int, word: Word, count: int):

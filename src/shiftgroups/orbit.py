@@ -7,11 +7,12 @@ locally constant exponents ``(k1, l1)``:
     shift_B^{k1(x)} ( h(shift_A(x)) ) = shift_B^{l1(x)} ( h(x) )
 
 and topological conjugacy is exactly the case where ``(0, 1)`` works.
-Chains are normalized to ``post-table . code . pre-table``; the cached
-transducer makes map equality decidable, and the cached ``(k1, l1)`` is
-read off its entries: the least valid pair on each part of the common
-refinement of the transducer and its precomposition with the shift
-(:func:`transducer.shift_exponents`).  That search is also the pair's
+Chains are normalized to ``post-table . code . pre-table``, the stage
+list that inverses and conjugated tables are built from (in
+:mod:`transducer`).  The cached transducer makes map equality decidable,
+and the cached ``(k1, l1)`` is read off its entries: the least valid pair
+on each part of the common refinement of the transducer and its
+precomposition with the shift (:func:`transducer.shift_exponents`).  That search is also the pair's
 one exact check: it re-reads the stored ``k`` on each part, so a formula
 bug cannot produce a silently wrong map.
 """
@@ -30,12 +31,11 @@ from .tables import (
     apply as table_apply,
     compose as table_compose,
     identity_table,
-    invert as table_invert,
 )
 from .transducer import (
     Transducer,
-    conjugate_table_by_code,
-    extract_table,
+    conjugate_by_stages,
+    inverse_stages,
     orbit_sum,
     post_shift,
     precompose_shift,
@@ -96,7 +96,7 @@ def _normalize_chain(source: TransitionMatrix, stages):
             if stage.source != current:
                 raise IncompatibleChain("code stage reads the wrong shift space")
             if post is not None:
-                post = conjugate_table_by_code(stage, post)
+                post = conjugate_by_stages((stage,), post)
             core = stage if core is None else compose_codes(stage, core)
             current = stage.target
         else:
@@ -157,8 +157,7 @@ def coe_apply(h: CoeMap, point: Point) -> Point:
 
 def coe_invert(h: CoeMap) -> CoeMap:
     """The inverse chain map, rebuilt and re-verified."""
-    return coe_from_chain(
-        (table_invert(h.post), h.core.inverse(), table_invert(h.pre)))
+    return coe_from_chain(inverse_stages(h.stages()))
 
 
 def coe_compose(outer: CoeMap, inner: CoeMap) -> CoeMap:
@@ -210,9 +209,7 @@ def conjugate_table(h: CoeMap, table: TableElement) -> TableElement:
     """The table of ``h . table . h^{-1}`` over the target shift."""
     if table.matrix != h.source:
         raise ValueError("table lives over the wrong shift space")
-    return extract_table(stage_transducer(h.target, (
-        table_invert(h.post), h.core.inverse(), table_invert(h.pre),
-        table, h.pre, h.core, h.post)))
+    return conjugate_by_stages(h.stages(), table)
 
 
 def check_xihg(h: CoeMap, table: TableElement, g: LocFun) -> bool:

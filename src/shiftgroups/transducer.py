@@ -10,7 +10,8 @@ exactly that: a core code plus entries ``(mu, alpha, r)`` meaning
 with the source words forming a complete prefix-free partition, sorted,
 so the entry above a word is one bisection (and ``r <= len(mu)`` until a
 shift is appended on the output side).  Stage application (one more
-table, one more code, a shift on either side) stays in this class, and
+table, one more code, a shift on either side), the inverse of a stage list
+and the conjugate of a table by one (:func:`conjugate_by_stages`) live here;
 equality of two maps with the same core is decidable by refining to a
 common partition and aligning the shifts of each pair of entries, which
 costs linear work in the shift exponent instead of a cylinder expansion.
@@ -37,7 +38,6 @@ from .sft import (
     TransitionMatrix,
     Word,
     cylinder_run,
-    enumerate_words,
     expand_to_depth,
     part_at,
     prefix_of,
@@ -46,7 +46,7 @@ from .sft import (
     refine_words,
     shift_point_n,
 )
-from .tables import TableElement, canonical_table
+from .tables import TableElement, canonical_table, invert
 
 Entry = tuple[Word, Word, int]
 _word = itemgetter(0)  # the leading word of an entry or a piece, which both sort by
@@ -143,6 +143,12 @@ def stage_transducer(source: TransitionMatrix, stages) -> Transducer:
     return t
 
 
+def inverse_stages(stages) -> tuple:
+    """The stages of the inverse map: in reverse order, each inverted."""
+    return tuple(invert(stage) if isinstance(stage, TableElement) else stage.inverse()
+                 for stage in reversed(stages))
+
+
 def precompose_shift(t: Transducer) -> Transducer:
     """The transducer of ``t after shift``."""
     out: list[Entry] = []
@@ -215,17 +221,15 @@ def pullback(g: LocFun, t: Transducer) -> LocFun:
 
 
 def cores_semantically_equal(c1: BlockCode, c2: BlockCode) -> bool:
-    """Same map on every point, decided on aligned windows."""
+    """Same map on every point: each admissible window, as the longer code's
+    ``mapping`` lists them, against the shorter code's image of its prefix."""
     if c1.source != c2.source or c1.target != c2.target:
         return False
     if c1.mapping == c2.mapping:
         return True
-    t1, t2 = c1.symbol_map(), c2.symbol_map()
-    length = max(c1.window, c2.window)
-    return all(
-        t1[w[: c1.window]] == t2[w[: c2.window]]
-        for w in enumerate_words(c1.source, length)
-    )
+    longer, shorter = (c1, c2) if c1.window >= c2.window else (c2, c1)
+    table, m = shorter.symbol_map(), shorter.window
+    return all(table[w[:m]] == symbol for w, symbol in longer.mapping)
 
 
 class _CylinderStream:
@@ -353,8 +357,7 @@ def is_identity_transducer(t: Transducer) -> bool:
     """Exact decision of whether the map is the identity.  Its core would
     then write each window's symbol at one offset, a shift power; only
     the power 0 is injective on a non-permutation shift."""
-    return (t.source == t.target
-            and cores_semantically_equal(t.core, identity_code(t.source))
+    return (cores_semantically_equal(t.core, identity_code(t.source))
             and transducer_equal(t, identity_transducer(t.source)))
 
 
@@ -364,8 +367,7 @@ def is_identity_transducer(t: Transducer) -> bool:
 def extract_table(t: Transducer) -> TableElement:
     """Read a prefix-exchange table off a transducer whose core streams
     each point unchanged (a first-symbol projection up to window size)."""
-    probe = identity_code(t.source)
-    if not (t.source == t.target and cores_semantically_equal(t.core, probe)):
+    if not cores_semantically_equal(t.core, identity_code(t.source)):
         raise ValueError("core is not the identity; the map is not a table")
 
     def image(mu: Word, alpha: Word, r: int):
@@ -376,7 +378,9 @@ def extract_table(t: Transducer) -> TableElement:
     return canonical_table(t.source, _refine_entries(t, image))
 
 
-def conjugate_table_by_code(code: BlockCode, table: TableElement) -> TableElement:
-    """Transport a table over the code's source to one over its target:
-    the table of ``code . table . code^{-1}``."""
-    return extract_table(stage_transducer(code.target, (code.inverse(), table, code)))
+def conjugate_by_stages(stages, table: TableElement) -> TableElement:
+    """The table of ``h . table . h^{-1}`` for the map ``h`` of a nonempty
+    stage tuple: ``table`` lives on its source, the result on its target."""
+    last = stages[-1]
+    target = last.matrix if isinstance(last, TableElement) else last.target
+    return extract_table(stage_transducer(target, inverse_stages(stages) + (table,) + stages))

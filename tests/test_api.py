@@ -2,8 +2,8 @@
 cross-module imports inside the package, layers that import only
 downward, table validation only at the input
 boundary, partition checks only in ``make`` and ``validate_table``, one
-sibling merge under both canonical forms, and pointwise oracles that
-share no lookup kernel with what they check."""
+sibling merge under both canonical forms, one conjugation routine, and
+pointwise oracles that share no lookup kernel with what they check."""
 
 import ast
 import pathlib
@@ -145,6 +145,12 @@ def test_only_canonicalizers_merge():
     """One sibling merge builds both canonical forms: functions with the
     same-value rule, tables with the entry rule."""
     assert callers_of("merge_siblings") == ["functions.canonical", "tables.canonical_table"]
+
+
+def test_one_conjugation_routine():
+    """Tables are read off a transducer in one place: the conjugation of a
+    table by a stage list, which serves one code and whole chain maps."""
+    assert callers_of("extract_table") == ["transducer.conjugate_by_stages"]
 
 
 def test_pointwise_oracles_share_no_lookup_kernel():

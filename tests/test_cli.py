@@ -18,6 +18,19 @@ from shiftgroups.tables import identity_table, prefix_swap
 G = validate_matrix([[1, 1], [1, 0]])
 
 
+CAPPED_CLI = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+              "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+              "from shiftgroups import cli\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def run_capped_cli(*args, cwd):
+    """Run the CLI in a child whose address space is capped at 512 MB and
+    whose CPU time is capped at 10 s."""
+    return run_python("-c", CAPPED_CLI, *args, cwd=cwd)
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "G.mks").write_text(format_matrix(G), encoding="utf-8")
@@ -180,6 +193,15 @@ def test_conjugacy_command(workdir):
     assert lines[-1].startswith("level ")
 
 
+def test_huge_level_budget_reads_only_the_levels_searched(workdir):
+    """The witness for ``tau0.coe`` is found at block level 2, so a level
+    budget of 10^8 under the 512 MB / 10 s caps prints the witness the
+    default budget prints, without reading 10^8 symbols of each point."""
+    result = run_capped_cli("conjugacy", "tau0.coe", "--max-level", "100000000", cwd=workdir)
+    assert result.returncode == 1
+    assert result.stdout == run_cli("conjugacy", "tau0.coe", cwd=workdir).stdout
+
+
 def test_conjugacy_budget_exit_code(workdir):
     result = run_cli("conjugacy", "tau0.coe", "--max-level", "1", cwd=workdir)
     assert result.returncode == 3
@@ -284,18 +306,13 @@ def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
     every depth."""
     (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
     (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
-              "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
-              "from shiftgroups import cli\n"
-              "sys.exit(cli.main(sys.argv[1:]))\n")
     for window, key in ((26, (1,)), (100000, (1,)), (100000, (1,) * 100000)):
         missing = (1,) * window if len(key) < window else key[:-1] + (2,)
         (tmp_path / "big.coe").write_text(
             "coe F2.mks F2.mks\n"
             f"code {window} {{ {'.'.join(map(str, key))} -> 1 }} "
             "inverse 1 { 1 -> 1 2 -> 2 }\n", encoding="utf-8")
-        result = run_python("-c", script, "psi", "big.coe", "chi2.fn", cwd=tmp_path)
+        result = run_capped_cli("psi", "big.coe", "chi2.fn", cwd=tmp_path)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: no image declared for window {missing}\n"

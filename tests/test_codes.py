@@ -25,7 +25,7 @@ from shiftgroups.tables import identity_table, invert, prefix_swap, random_eleme
 from shiftgroups.transducer import (
     apply_code_stage,
     apply_table_stage,
-    conjugate_table_by_code,
+    conjugate_by_stages,
     difference_parts,
     extract_table,
     from_table,
@@ -216,8 +216,8 @@ def test_conjugate_table_by_code_roundtrip():
         _, encode, _ = higher_block_codes(matrix, 2)
         for seed in range(5):
             tau = random_element(matrix, 3, seed)
-            moved = conjugate_table_by_code(encode, tau)
-            back = conjugate_table_by_code(encode.inverse(), moved)
+            moved = conjugate_by_stages((encode,), tau)
+            back = conjugate_by_stages((encode.inverse(),), moved)
             assert back == tau
 
 
@@ -267,7 +267,7 @@ def test_conjugate_table_by_code_pointwise():
     matrix = G
     _, encode, _ = higher_block_codes(matrix, 2)
     tau = random_element(matrix, 3, 9)
-    moved = conjugate_table_by_code(encode, tau)
+    moved = conjugate_by_stages((encode,), tau)
     from shiftgroups.tables import apply as table_apply
 
     for _ in range(25):

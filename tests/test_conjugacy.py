@@ -263,11 +263,11 @@ def test_conjugacy_is_the_trivial_exponent_pair():
 def test_identity_through_nontrivial_stages():
     """A four-stage chain composing to the identity map is recognized."""
     from shiftgroups.tables import invert
-    from shiftgroups.transducer import conjugate_table_by_code, is_identity_transducer
+    from shiftgroups.transducer import conjugate_by_stages, is_identity_transducer
 
     tau = prefix_swap(G, 1, 2)
     _, encode, decode = higher_block_codes(G, 2)
-    moved_inverse = conjugate_table_by_code(encode, invert(tau))
+    moved_inverse = conjugate_by_stages((encode,), invert(tau))
     h = coe_from_chain([tau, encode, moved_inverse, decode])
     assert is_identity_transducer(h.transducer)
     assert is_conjugacy(h)
@@ -277,13 +277,13 @@ def test_identity_through_nontrivial_stages():
 
 def test_witness_needs_deeper_recoding():
     """A twist buried at block level 3 still yields a checkable witness."""
-    from shiftgroups.transducer import conjugate_table_by_code
+    from shiftgroups.transducer import conjugate_by_stages
 
     block3, encode3, _ = higher_block_codes(G, 3)
     # swap two level-3 blocks, carried down to the base shift
     pair = next((z1, z2) for z1 in block3.symbols()
                 for z2 in block3.successors(z1) if z1 != z2)
-    deep_table = conjugate_table_by_code(encode3.inverse(), prefix_swap(block3, *pair))
+    deep_table = conjugate_by_stages((encode3.inverse(),), prefix_swap(block3, *pair))
     h = coe_from_chain([deep_table])
     assert not is_conjugacy(h)
     witness = witness_non_conjugacy(h)

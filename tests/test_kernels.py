@@ -63,7 +63,7 @@ levels 1 to 5, the ``tables.cylinder_swap`` of each pair
 ``tables.block_swap_pairs`` lists is the block presentation's prefix
 swap carried down through the decode code, in the same order, and
 ``random_element`` and the commutant search call neither
-``higher_block_codes`` nor ``conjugate_table_by_code``.
+``higher_block_codes`` nor ``conjugate_by_stages``.
 ``tables.pullback_table``, one walk over the entries, is checked against
 the pullback through the table's transducer, and ``_pair_exchange``
 against its hand-built entry list.
@@ -76,6 +76,16 @@ walk) and the word-first body they replaced, on perturbed families and
 mutated tables: the same result, or an exception of the same type and
 message.  The one-step ``shift_point_n`` is checked against ``n`` calls
 of ``shift_point``.
+
+The chain layer's one conjugation, ``transducer.conjugate_by_stages``, is
+checked against the one-code conjugation it replaced on a one-code tuple,
+and ``inverse_stages`` against the inverse stages written out by hand, on
+the chain corpora, seeded ``random_chain`` draws and higher-block codes.
+``cores_semantically_equal``, which reads the longer code's ``mapping``,
+is checked against the enumeration of every admissible window of the
+longer length on every ordered pair of those codes.  The preferred point
+of the difference-point search always has a cycle of at least two
+symbols: the cycle of ``_least_long_cycle``, rotated.
 """
 
 import itertools
@@ -121,6 +131,8 @@ from shiftgroups.conjugacy import (
     DEFAULT_MAX_LEVEL,
     _find_difference_point,
     _isolating_level,
+    _least_long_cycle,
+    _long_cycle_point,
     difference_locus,
     is_conjugacy,
     recode_source,
@@ -184,9 +196,12 @@ from shiftgroups.transducer import (
     _entries_agree_on,
     _shift_entry,
     apply_table_stage,
-    conjugate_table_by_code,
+    conjugate_by_stages,
+    cores_semantically_equal,
     difference_parts,
+    extract_table,
     identity_transducer,
+    inverse_stages,
     is_identity_transducer,
     post_shift,
     precompose_shift,
@@ -621,12 +636,33 @@ def reference_normalize_chain(source, stages):
             if core is None:
                 core, post = stage, identity_table(stage.target)
             else:
-                post = conjugate_table_by_code(stage, post)
+                post = reference_conjugate_table_by_code(stage, post)
                 core = reference_compose_codes(stage, core)
             current = stage.target
     if core is None:
         core, post = identity_code(current), identity_table(current)
     return pre, core, post
+
+
+def reference_conjugate_table_by_code(code, table):
+    """The one-code conjugation ``code . table . code^{-1}`` that
+    ``transducer.conjugate_by_stages`` replaced."""
+    return extract_table(stage_transducer(code.target, (code.inverse(), table, code)))
+
+
+def reference_cores_semantically_equal(c1, c2):
+    """``cores_semantically_equal`` listing every admissible window of the
+    longer window length."""
+    if c1.source != c2.source or c1.target != c2.target:
+        return False
+    if c1.mapping == c2.mapping:
+        return True
+    t1, t2 = c1.symbol_map(), c2.symbol_map()
+    length = max(c1.window, c2.window)
+    return all(
+        t1[w[: c1.window]] == t2[w[: c2.window]]
+        for w in enumerate_words(c1.source, length)
+    )
 
 
 def reference_block_rows(matrix, m):
@@ -714,7 +750,7 @@ def reference_block_swap(level, decode, z1, z2):
     the commutant search built it before ``tables.cylinder_swap``; at
     level 1 the blocks are the base symbols."""
     swap = prefix_swap(decode.source, z1, z2)
-    return swap if level == 1 else conjugate_table_by_code(decode, swap)
+    return swap if level == 1 else reference_conjugate_table_by_code(decode, swap)
 
 
 def reference_pair_exchange(matrix, depth_budget, rng):
@@ -1294,7 +1330,7 @@ def test_encode_matches_per_window_reference():
         for _ in range(20):
             x = random_point(code.source, rng, depth=6)
             assert code.encode(x) == reference_encode(code, x)
-            assert code.decode(code.encode(x)) == x
+            assert code.inverse().encode(code.encode(x)) == x
 
 
 def test_known_prefix_matches_streamed_reference():
@@ -1472,6 +1508,67 @@ def test_normalize_chain_matches_identity_composing_reference():
     assert min(codes.values()) >= 27
 
 
+def stage_codes():
+    """Identity codes, higher-block encode and decode codes at levels 1 to
+    3 with both their composites, and the cores of the chain corpora and
+    of seeded ``random_chain`` draws with their inverses, on the three
+    selftest matrices."""
+    codes = []
+    for _, matrix in MATRICES:
+        codes.append(identity_code(matrix))
+        for level in (1, 2, 3):
+            _, encode, decode = higher_block_codes(matrix, level)
+            codes += [encode, decode, compose_codes(decode, encode), compose_codes(encode, decode)]
+    for h in chain_maps():
+        codes += [h.core, h.core.inverse()]
+    return codes
+
+
+def test_cores_semantically_equal_matches_window_enumeration():
+    """Every ordered pair of the stage codes, whose keys are exactly their
+    admissible windows, against the enumeration of the longer windows."""
+    codes = stage_codes()
+    for code in codes:
+        assert [w for w, _ in code.mapping] == enumerate_words(code.source, code.window)
+    verdicts = {True: 0, False: 0}
+    for c1 in codes:
+        for c2 in codes:
+            verdict = cores_semantically_equal(c1, c2)
+            assert verdict == reference_cores_semantically_equal(c1, c2)
+            if c1.source == c2.source and c1.target == c2.target and c1.mapping != c2.mapping:
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) > 50
+
+
+def test_conjugate_by_stages_matches_one_code_reference():
+    """One code as a one-stage tuple conjugates each seeded table as the
+    old one-code conjugation did, and the inverse stages of every chain
+    map are the ones written out by hand."""
+    checked = 0
+    for code in stage_codes():
+        for seed in range(2):
+            tau = random_element(code.source, 3, seed)
+            assert conjugate_by_stages((code,), tau) == reference_conjugate_table_by_code(code, tau)
+            checked += 1
+    assert checked > 300
+    for h in commutation_chains():
+        assert inverse_stages(h.stages()) == (invert(h.post), h.core.inverse(), invert(h.pre))
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_long_cycle_point_has_the_least_long_cycle(matrix):
+    """Every word of up to six symbols: the preferred point lies in the
+    word's cylinder and its cycle is the least long cycle, rotated."""
+    cycle = _least_long_cycle(matrix)
+    rotations = {cycle[i:] + cycle[:i] for i in range(len(cycle))}
+    assert len(cycle) >= 2
+    for depth in range(7):
+        for word in enumerate_words(matrix, depth):
+            point = _long_cycle_point(matrix, word)
+            assert point.starts_with(word)
+            assert point.cycle in rotations
+
+
 # -- restriction of a refinement to a cylinder ------------------------------------
 
 
@@ -1562,7 +1659,7 @@ def test_pullback_table_matches_transducer_pullback_on_the_deep_exchange(k):
 def test_swaps_build_no_block_code_or_transport(monkeypatch):
     """``random_element`` and ``commutant_witness`` build their swaps on
     the base shift: neither calls ``higher_block_codes`` or
-    ``conjugate_table_by_code``, through any module's binding of them.
+    ``conjugate_by_stages``, through any module's binding of them.
     ``recode_source``, which does build a block code, shows the count
     works."""
     calls = []
@@ -1576,7 +1673,7 @@ def test_swaps_build_no_block_code_or_transport(monkeypatch):
     rng = random.Random(79)
     maps = commutant_corpus() + [random_chain(m, rng) for _ in range(5) for _, m in MATRICES]
     real = {"higher_block_codes": higher_block_codes,
-            "conjugate_table_by_code": conjugate_table_by_code}
+            "conjugate_by_stages": conjugate_by_stages}
     for module_name, module in sorted(sys.modules.items()):
         if module_name.partition(".")[0] == "shiftgroups":
             for name, function in real.items():
@@ -2058,7 +2155,7 @@ def test_table_stage_on_the_normal_form_matches_stage_rebuild():
                         continue
                     swap = prefix_swap(block, z1, z2)
                     t = (swap if level == 1 else
-                         conjugate_table_by_code(encode.inverse(), swap))
+                         conjugate_by_stages((encode.inverse(),), swap))
                     assert (apply_table_stage(h0.transducer, t)
                             == stage_transducer(src, h0.stages() + (t,)))
                     checked += 1
@@ -2108,7 +2205,7 @@ def test_group_operations_build_canonical_tables(matrix):
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_swaps_and_exchanges_build_canonical_tables(matrix):
     """``prefix_swap`` and ``_pair_exchange`` on the matrix and its block
-    presentations, and ``extract_table`` through ``conjugate_table_by_code``
+    presentations, and ``extract_table`` through ``conjugate_by_stages``
     in both directions."""
     rng = random.Random(67)
     for level in (1, 2, 3):
@@ -2119,15 +2216,15 @@ def test_swaps_and_exchanges_build_canonical_tables(matrix):
                     continue
                 swap = prefix_swap(block, z1, z2)
                 assert_canonical(swap)
-                back = conjugate_table_by_code(encode.inverse(), swap)
+                back = conjugate_by_stages((encode.inverse(),), swap)
                 assert_canonical(back)
-                assert conjugate_table_by_code(encode, back) == swap
+                assert conjugate_by_stages((encode,), back) == swap
     _, encode, _ = higher_block_codes(matrix, 2)
     for depth in (2, 3, 4):
         for _ in range(10):
             exchange = tables._pair_exchange(matrix, depth, rng)
             assert_canonical(exchange)
-            assert_canonical(conjugate_table_by_code(encode, exchange))
+            assert_canonical(conjugate_by_stages((encode,), exchange))
 
 
 def test_higher_block_codes_pass_make_code():
