@@ -4,11 +4,14 @@ All files are UTF-8 with LF line endings; ``#`` starts a comment and
 blank lines are ignored.  Words are dot-separated symbols with ``-`` for
 the empty word; points are ``u|w`` literals.  Writers emit canonical
 sorted forms only, and everything printed re-parses to an equal object.
+Symbols are read and written through one name lookup per matrix
+(:func:`_names`); :func:`tables.validate_table` sorts a table once.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 from .codes import make_code
 from .errors import FormatError
@@ -18,34 +21,43 @@ from .sft import Point, TransitionMatrix, Word, canonicalize_point, validate_mat
 from .tables import TableElement, validate_table
 
 
-def _content_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line
+def _content_lines(text: str, header: str | None = None) -> list[tuple[int, str]]:
+    """The numbered content lines, or with ``header`` the lines after that first line."""
+    lines = [(number, line) for number, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())]
+    if header is not None and (not lines or lines[0][1] != header):
+        raise FormatError(f"expected a {header!r} header", lines[0][0] if lines else None)
+    return lines if header is None else lines[1:]
 
 
 # -- words and points ---------------------------------------------------------
 
 
-def format_word(word: Word) -> str:
-    return ".".join(map(str, word)) if word else "-"
+@lru_cache(maxsize=64)
+def _names(n: int) -> dict:
+    """``a -> str(a)`` and ``str(a) -> a`` for ``1 <= a <= n``; shared, so read only."""
+    return {**{a: str(a) for a in range(1, n + 1)}, **{str(a): a for a in range(1, n + 1)}}
 
 
-def parse_word(text: str, line: int | None = None) -> Word:
+def format_word(word: Word, names: dict | None = None) -> str:
+    return ".".join(map(names.__getitem__ if names else str, word)) if word else "-"
+
+
+def parse_word(text: str, line: int | None = None, names: dict | None = None) -> Word:
     text = text.strip()
     if text == "-":
         return ()
     try:
-        return tuple(map(int, text.split(".")))
+        return tuple(map(names.__getitem__ if names else int, text.split(".")))
+    except KeyError:  # a name the matrix lacks, such as ``+1``: read it by ``int``
+        return parse_word(text, line)
     except ValueError:
         raise FormatError(f"bad word literal {text!r}", line)
 
 
 def format_point(point: Point) -> str:
-    u = ".".join(str(a) for a in point.transient)
-    w = ".".join(str(a) for a in point.cycle)
-    return f"{u}|{w}"
+    u = format_word(point.transient) if point.transient else ""
+    return f"{u}|{format_word(point.cycle)}"
 
 
 def parse_point(text: str, matrix: TransitionMatrix, line: int | None = None) -> Point:
@@ -69,7 +81,7 @@ def format_matrix(matrix: TransitionMatrix) -> str:
 
 def parse_matrix_grid(text: str) -> list[list[int]]:
     """The raw grid of a matrix file, before validation."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise FormatError("empty matrix file")
     number, header = lines[0]
@@ -102,22 +114,20 @@ def parse_matrix(text: str) -> TransitionMatrix:
 
 
 def format_function(f: LocFun) -> str:
+    names = _names(f.matrix.n)
     lines = ["function"]
-    lines += [f"{format_word(w)} {v}" for w, v in f.pieces]
+    lines += [f"{format_word(w, names)} {v}" for w, v in f.pieces]
     return "\n".join(lines) + "\n"
 
 
 def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "function":
-        raise FormatError("expected a 'function' header",
-                          lines[0][0] if lines else None)
+    names = _names(matrix.n)
     pieces = {}
-    for number, line in lines[1:]:
+    for number, line in _content_lines(text, "function"):
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(f"expected 'word value', got {line!r}", number)
-        word = parse_word(fields[0], number)
+        word = parse_word(fields[0], number, names)
         if word in pieces:
             raise FormatError(f"word {fields[0]} repeats", number)
         try:
@@ -131,22 +141,21 @@ def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
 
 
 def format_table(table: TableElement) -> str:
+    names = _names(table.matrix.n)
     lines = ["table"]
-    lines += [f"{format_word(nu)} -> {format_word(mu)}" for nu, mu in table.entries]
+    lines += [f"{format_word(nu, names)} -> {format_word(mu, names)}" for nu, mu in table.entries]
     return "\n".join(lines) + "\n"
 
 
 def parse_table(text: str, matrix: TransitionMatrix) -> TableElement:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "table":
-        raise FormatError("expected a 'table' header",
-                          lines[0][0] if lines else None)
+    names = _names(matrix.n)
     entries = []
-    for number, line in lines[1:]:
+    for number, line in _content_lines(text, "table"):
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
             raise FormatError(f"expected 'nu -> mu', got {line!r}", number)
-        entries.append((parse_word(fields[0], number), parse_word(fields[2], number)))
+        entries.append((parse_word(fields[0], number, names),
+                        parse_word(fields[2], number, names)))
     return validate_table(matrix, entries)
 
 
@@ -193,7 +202,7 @@ class _TokenStream:
         return self.tokens[min(self.at, len(self.tokens) - 1)][0] if self.tokens else None
 
 
-def _parse_block_map(stream: _TokenStream) -> dict[Word, int]:
+def _parse_block_map(stream: _TokenStream, names: dict) -> dict[Word, int]:
     stream.take("{")
     mapping: dict[Word, int] = {}
     while True:
@@ -201,7 +210,7 @@ def _parse_block_map(stream: _TokenStream) -> dict[Word, int]:
         if token == "}":
             stream.take()
             return mapping
-        word = parse_word(stream.take(), number)
+        word = parse_word(stream.take(), number, names)
         if word in mapping:
             raise FormatError(f"window {token} repeats", number)
         stream.take("->")
@@ -239,10 +248,10 @@ def parse_coe(text: str, directory: str = ".") -> CoeMap:
             if saw_code:
                 raise FormatError("exactly one code stage is allowed", number)
             window = stream.take_int()
-            mapping = _parse_block_map(stream)
+            mapping = _parse_block_map(stream, _names(source.n))
             stream.take("inverse")
             inverse_window = stream.take_int()
-            inverse_mapping = _parse_block_map(stream)
+            inverse_mapping = _parse_block_map(stream, _names(target.n))
             stages.append(make_code(source, target, window, mapping,
                                     inverse_window, inverse_mapping))
             saw_code = True

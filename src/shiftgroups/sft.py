@@ -316,15 +316,6 @@ class CylinderPartition:
         return part_at(self.parts, point, max(map(len, self.parts)))
 
 
-def _check_antichain(parts: Iterable[Word]) -> None:
-    seen = sorted(parts)
-    for a, b in zip(seen, seen[1:]):
-        if a == b:
-            raise BadPartition(f"word {a} repeats")
-        if b[: len(a)] == a:
-            raise BadPartition(f"{a} is a prefix of {b}")
-
-
 def _first_gap(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> Word | None:
     """None when sorted ``parts`` are distinct, admissible, prefix-free and
     complete; otherwise the word where one scan stops.
@@ -345,7 +336,7 @@ def _first_gap(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> Word | None
                 return parts[lo]
             continue
         i = lo
-        for a in matrix.successors(parts[lo][d - 1]) if d else matrix.symbols():
+        for a in matrix._successors[parts[lo][d - 1] - 1] if d else matrix.symbols():
             j = i
             while j < hi and parts[j][d] == a:
                 j += 1
@@ -361,20 +352,25 @@ def _first_gap(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> Word | None
 def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
     """Validate a word family as a cylinder partition.
 
-    One scan of the sorted family decides.  Only when it stops do the
-    ordered checks run, to name the first failure: :class:`Inadmissible`
-    for the first inadmissible part in sorted order, then
-    :class:`BadPartition` for the first part that repeats or is a prefix
-    of the next, and else for the uncovered cylinder the scan stopped at.
+    The family is sorted once, and one scan of it decides.  Only when it
+    stops do the ordered checks run, to name the first failure:
+    :class:`Inadmissible` for the first inadmissible part in sorted order,
+    then :class:`BadPartition` for the first part that repeats or is a
+    prefix of the next, and else for the uncovered cylinder the scan
+    stopped at.
     """
-    parts = tuple(sorted(tuple(p) for p in parts))
+    parts = tuple(sorted(map(tuple, parts)))
     if not parts:
         raise BadPartition("a partition needs at least one part")
     gap = _first_gap(matrix, parts)
     if gap is not None:
         for p in parts:
             matrix.check_admissible(p)
-        _check_antichain(parts)
+        for a, b in zip(parts, parts[1:]):
+            if a == b:
+                raise BadPartition(f"word {a} repeats")
+            if b[: len(a)] == a:
+                raise BadPartition(f"{a} is a prefix of {b}")
         raise BadPartition(f"no part covers sequences through {gap}")
     return CylinderPartition(matrix, parts)
 
@@ -393,14 +389,14 @@ def merge_siblings(matrix: TransitionMatrix, items, lift) -> tuple:
     completes, and each merge checks the family its parent completes.
     Returns the sorted items of the merged form.
     """
-    stack: list = []
+    successors, stack = matrix._successors, []
     for item in sorted(items):
         stack.append(item)
         while True:
             word, value = stack[-1]
             if not word:
                 break
-            letters = matrix.successors(word[-2]) if len(word) > 1 else matrix.symbols()
+            letters = successors[word[-2] - 1] if len(word) > 1 else matrix.symbols()
             size = len(letters)
             if word[-1] != letters[-1] or len(stack) < size:
                 break

@@ -73,56 +73,51 @@ class TableElement:
         return all(nu == mu for nu, mu in self.entries)
 
 
-def _check_words(matrix: TransitionMatrix, raw: list[Entry]) -> None:
-    """Raise :class:`InadmissibleWord` for the first empty or inadmissible
-    word, in entry order."""
-    for nu, mu in raw:
-        for word in (nu, mu):
-            if not word:
-                raise InadmissibleWord("table words must be nonempty")
-            if not matrix.is_admissible(word):
-                raise InadmissibleWord(f"word {word} is not admissible")
-
-
 def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
     """Validate raw ``(nu, mu)`` pairs and return the canonical table.
 
     Raises the first failure in this order: :class:`InadmissibleWord` for
     the first empty or inadmissible word in entry order (source before
-    target), :class:`DomainNotPartition` for a repeated source word and
-    then for the source words, :class:`ImageNotPartition` for the target
-    words (a repeated one included), :class:`FollowerMismatch` for the
-    first entry whose words allow different successors.
+    target), :class:`DomainNotPartition` for the first repeated source word
+    in entry order and then for the source words, :class:`ImageNotPartition`
+    for the target words (a repeated one included), :class:`FollowerMismatch`
+    for the first entry whose words allow different successors.
 
-    On valid input each word is checked once, by :func:`sft.partition`;
-    the entry-order word scan runs only after a check has failed.
+    The entries are sorted by source once, and :func:`sft.partition`
+    sorts the targets; the entry-order scans run after a failed check.
     """
     raw = [(tuple(nu), tuple(mu)) for nu, mu in entries]
-    table = {}
+    ordered = sorted(raw, key=_source)
     try:
-        for nu, mu in raw:
-            if nu in table:
-                raise DomainNotPartition(f"source word {nu} repeats")
-            table[nu] = mu
         try:
-            partition(matrix, table.keys())
+            partition(matrix, [nu for nu, _ in ordered])
         except BadPartition as exc:
             raise DomainNotPartition(str(exc)) from exc
         try:
-            partition(matrix, table.values())
+            partition(matrix, [mu for _, mu in raw])
         except BadPartition as exc:
             raise ImageNotPartition(str(exc)) from exc
     except ShiftError:
-        _check_words(matrix, raw)
+        for nu, mu in raw:
+            for word in (nu, mu):
+                if not word:
+                    raise InadmissibleWord("table words must be nonempty")
+                if not matrix.is_admissible(word):
+                    raise InadmissibleWord(f"word {word} is not admissible")
+        seen = set()
+        for nu, _ in raw:
+            if nu in seen:
+                raise DomainNotPartition(f"source word {nu} repeats")
+            seen.add(nu)
         raise
-    if EMPTY in table or EMPTY in table.values():
+    if len(raw) == 1 and EMPTY in raw[0]:
         # A partition holds an empty word only as its sole member, so both
-        # checks pass when the only source or every target is empty.
+        # checks pass a one-entry table whose source or target is empty.
         raise InadmissibleWord("table words must be nonempty")
-    for nu, mu in table.items():
+    for nu, mu in raw:
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
             raise FollowerMismatch(f"entry {nu} -> {mu} pairs different follower rows")
-    return canonical_table(matrix, table)
+    return canonical_table(matrix, ordered)
 
 
 def canonical_table(matrix: TransitionMatrix, entries) -> TableElement:
@@ -142,7 +137,7 @@ def canonical_table(matrix: TransitionMatrix, entries) -> TableElement:
             return None
         return mu[:-1]
 
-    return TableElement(matrix, merge_siblings(matrix, dict(entries).items(), lift))
+    return TableElement(matrix, merge_siblings(matrix, entries, lift))
 
 
 def identity_table(matrix: TransitionMatrix) -> TableElement:

@@ -1,8 +1,19 @@
-"""Text format round trips and parse failure reporting."""
+"""Text format round trips and parse failure reporting.
+
+The parsers read each word through a per-matrix name lookup; a copy of
+the per-field loop they replaced, which reads every symbol with ``int``,
+is kept below as the reference they must match on seeded and mangled
+texts.  The examples in README's "File formats" section must parse.
+"""
+
+import pathlib
+import random
+import re
 
 import pytest
 
-from shiftgroups.errors import FormatError
+from shiftgroups.codes import make_code
+from shiftgroups.errors import FormatError, ShiftError
 from shiftgroups.formats import (
     format_function,
     format_matrix,
@@ -17,9 +28,9 @@ from shiftgroups.formats import (
     parse_word,
 )
 from shiftgroups.functions import indicator, make
-from shiftgroups.orbit import coe_apply
+from shiftgroups.orbit import coe_apply, coe_from_chain
 from shiftgroups.sft import canonicalize_point, representative, validate_matrix
-from shiftgroups.tables import prefix_swap
+from shiftgroups.tables import prefix_swap, validate_table
 
 G = validate_matrix([[1, 1], [1, 0]])
 FULL2 = validate_matrix([[1, 1], [1, 1]])
@@ -184,3 +195,250 @@ def test_printed_forms_reparse_to_equal_objects():
                 word = exts[rng.randrange(len(exts))]
             point = representative(matrix, word)
             assert parse_point(format_point(point), matrix) == point
+
+
+# -- the per-field reference parser and the README examples ---------------------
+
+
+def reference_content_lines(text):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line
+
+
+def reference_parse_word(text, line=None):
+    """Symbol by symbol, through ``int``: the word parser before the
+    per-matrix name lookup."""
+    text = text.strip()
+    if text == "-":
+        return ()
+    try:
+        return tuple(map(int, text.split(".")))
+    except ValueError:
+        raise FormatError(f"bad word literal {text!r}", line)
+
+
+def reference_body(text, header):
+    lines = list(reference_content_lines(text))
+    if not lines or lines[0][1] != header:
+        raise FormatError(f"expected a {header!r} header", lines[0][0] if lines else None)
+    return lines[1:]
+
+
+def reference_parse_table(text, matrix):
+    entries = []
+    for number, line in reference_body(text, "table"):
+        fields = line.split()
+        if len(fields) != 3 or fields[1] != "->":
+            raise FormatError(f"expected 'nu -> mu', got {line!r}", number)
+        entries.append((reference_parse_word(fields[0], number),
+                        reference_parse_word(fields[2], number)))
+    return validate_table(matrix, entries)
+
+
+def reference_parse_function(text, matrix):
+    pieces = {}
+    for number, line in reference_body(text, "function"):
+        fields = line.split()
+        if len(fields) != 2:
+            raise FormatError(f"expected 'word value', got {line!r}", number)
+        word = reference_parse_word(fields[0], number)
+        if word in pieces:
+            raise FormatError(f"word {fields[0]} repeats", number)
+        try:
+            pieces[word] = int(fields[1])
+        except ValueError:
+            raise FormatError(f"bad integer {fields[1]!r}", number)
+    return make(matrix, pieces)
+
+
+def reference_parse_code(text, source, target):
+    """The one code stage of a chain file, token by token, each window
+    through :func:`reference_parse_word`; the matrix files are given."""
+    tokens = [(number, token) for number, line in reference_content_lines(text)
+              for token in line.replace("{", " { ").replace("}", " } ").split()]
+    at = 0
+
+    def take(expect=None):
+        nonlocal at
+        if at == len(tokens):
+            raise FormatError("unexpected end of file", tokens[-1][0] if tokens else None)
+        number, token = tokens[at]
+        at += 1
+        if expect is not None and token != expect:
+            raise FormatError(f"expected {expect!r}, got {token!r}", number)
+        return number, token
+
+    def take_int():
+        number, token = take()
+        try:
+            return int(token)
+        except ValueError:
+            raise FormatError(f"expected an integer, got {token!r}", number)
+
+    def block_map():
+        take("{")
+        mapping = {}
+        while True:
+            number, token = take()
+            if token == "}":
+                return mapping
+            word = reference_parse_word(token, number)
+            if word in mapping:
+                raise FormatError(f"window {token} repeats", number)
+            take("->")
+            mapping[word] = take_int()
+
+    for expect in ("coe", "A.mks", "B.mks", "code"):
+        take(expect)
+    window, mapping = take_int(), block_map()
+    take("inverse")
+    inverse_window, inverse_mapping = take_int(), block_map()
+    if at != len(tokens):
+        raise FormatError(f"unknown stage {tokens[at][1]!r}", tokens[at][0])
+    return coe_from_chain([make_code(source, target, window, mapping,
+                                     inverse_window, inverse_mapping)], source=source)
+
+
+# Symbol names that the name lookup does not hold, or holds as other
+# symbols: each must read as ``int`` reads it, or fail on the same line.
+ODD_NAMES = ["-", "+1", "01", "١", "1.-", "1..2", "1e3", "0", "7", "-1",
+             "1" * 20, "1" * 4400, "", " 2", "x"]
+
+
+def outcome_of(parse, *args):
+    """The parsed object, or the type and message of the error (which
+    carries the line)."""
+    try:
+        return parse(*args)
+    except (ShiftError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def mangled(text, rng, word_field):
+    """A text after one to three seeded edits of its lines: an odd symbol
+    name in a word, a comment, a blank line, a field too many or too few,
+    or a doubled ``->``."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(1, max(2, len(lines) - 1))
+        fields = lines[i].split()
+        kind = rng.randrange(7)
+        if kind < 3 and len(fields) > word_field:
+            symbols = fields[word_field].split(".")
+            symbols[rng.randrange(len(symbols))] = rng.choice(ODD_NAMES)
+            fields[word_field] = ".".join(symbols)
+            lines[i] = " ".join(fields)
+        elif kind == 3:
+            lines.insert(i, rng.choice(["# a comment", "", "   ", "  # indented"]))
+        elif kind == 4:
+            lines[i] += rng.choice([" # trailing", "\t"])
+        elif kind == 5 and fields:
+            if rng.random() < 0.5:
+                del fields[rng.randrange(len(fields))]
+            else:
+                fields.insert(rng.randrange(len(fields) + 1), rng.choice(["->", "1", "-"]))
+            lines[i] = " ".join(fields)
+        elif kind == 6:
+            lines[i] = lines[i].replace("->", "-> ->")
+    return "\n".join(lines)
+
+
+def mangled_code(encode, rng):
+    """The chain text of one block code stage, the forward map spread one
+    window a line, after one or two seeded edits of its windows: an odd
+    symbol name, a doubled ``->``, a dropped image, or a comment line."""
+    rows = [f"{format_word(w)} -> {s}" for w, s in encode.mapping]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(rows))
+        if len(rows[i].split()) != 3:
+            continue
+        word, _, image = rows[i].split()
+        kind = rng.randrange(5)
+        if kind < 2:
+            symbols = word.split(".")
+            symbols[rng.randrange(len(symbols))] = rng.choice(ODD_NAMES)
+            rows[i] = f"{'.'.join(symbols)} -> {image}"
+        elif kind == 2:
+            rows[i] = f"{word} -> -> {image}"
+        elif kind == 3:
+            rows[i] = f"{word} ->"
+        else:
+            rows.insert(i, rng.choice(["# a comment", "", "  # indented"]))
+    inverse = " ".join(f"{format_word(w)} -> {s}" for w, s in encode.inverse_mapping)
+    body = "\n".join(rows)
+    return f"coe A.mks B.mks\ncode 2 {{\n{body}\n}} inverse 1 {{ {inverse} }}\n"
+
+
+@pytest.mark.parametrize("matrix", [G, FULL2], ids=["golden-mean", "full-2"])
+def test_parsers_match_the_per_field_reference(matrix, tmp_path):
+    """Seeded table, function and chain texts, valid and mangled: each
+    parser returns what the per-field reference returns, or raises the
+    same error type and message on the same line."""
+    from shiftgroups.codes import higher_block_codes
+    from shiftgroups.selftest import random_function
+    from shiftgroups.tables import random_element
+
+    rng = random.Random(31)
+    block, encode, _ = higher_block_codes(matrix, 2)
+    (tmp_path / "A.mks").write_text(format_matrix(matrix), encoding="utf-8")
+    (tmp_path / "B.mks").write_text(format_matrix(block), encoding="utf-8")
+    z = representative(matrix, (1,))
+    seen = set()
+    for seed in range(120):
+        table_text = format_table(random_element(matrix, 3, seed))
+        function_text = format_function(random_function(matrix, rng))
+        cases = [(reference_parse_table, parse_table, text, matrix)
+                 for text in (table_text, mangled(table_text, rng, 0),
+                              mangled(table_text, rng, 2))]
+        cases += [(reference_parse_function, parse_function, text, matrix)
+                  for text in (function_text, mangled(function_text, rng, 0))]
+        for reference, parse, text, matrix_arg in cases:
+            expected = outcome_of(reference, text, matrix_arg)
+            assert outcome_of(parse, text, matrix_arg) == expected
+            seen.add(expected[0] if isinstance(expected, tuple) else parse.__name__)
+        code_text = mangled_code(encode, rng) if seed % 4 else format_chain(encode)
+        expected = outcome_of(reference_parse_code, code_text, matrix, block)
+        got = outcome_of(parse_coe, code_text, str(tmp_path))
+        if isinstance(expected, tuple):
+            assert got == expected
+            seen.add(expected[0])
+        else:
+            assert coe_apply(got, z) == coe_apply(expected, z) and got.target == block
+            seen.add("parse_coe")
+    assert {"parse_table", "parse_function", "parse_coe", FormatError} <= seen
+
+
+def format_chain(encode):
+    body = " ".join(f"{format_word(w)} -> {s}" for w, s in encode.mapping)
+    inverse = " ".join(f"{format_word(w)} -> {s}" for w, s in encode.inverse_mapping)
+    return f"coe A.mks B.mks\ncode 2 {{ {body} }} inverse 1 {{ {inverse} }}\n"
+
+
+def readme_examples():
+    """The ``text`` blocks of README's "File formats" section, in order."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## File formats", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"```text\n(.*?)```", section, flags=re.S)
+
+
+def test_readme_examples_parse(tmp_path):
+    """The matrix, function, table and chain examples of README's "File
+    formats" section parse, and the chain applies the example table."""
+    matrix_text, function_text, table_text, chain_text = readme_examples()
+    matrix = parse_matrix(matrix_text)
+    assert matrix == G
+    assert parse_function(function_text, matrix) == make(
+        G, {(1, 1): 0, (1, 2): 1, (2,): -1})
+    table = parse_table(table_text, matrix)
+    assert table == prefix_swap(G, 1, 2)
+    (tmp_path / "G.mks").write_text(matrix_text, encoding="utf-8")
+    (tmp_path / "tau0.tbl").write_text(table_text, encoding="utf-8")
+    chain = parse_coe(chain_text, str(tmp_path))
+    from shiftgroups.tables import apply
+
+    for word in ((1, 1), (1, 2), (2,)):
+        z = representative(G, word)
+        assert coe_apply(chain, z) == apply(table, z)

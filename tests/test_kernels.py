@@ -292,7 +292,7 @@ def reference_validate_table(matrix, entries):
     for nu, mu in table.items():
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
             raise FollowerMismatch(f"entry {nu} -> {mu} pairs different follower rows")
-    return tables.canonical_table(matrix, table)
+    return tables.canonical_table(matrix, table.items())
 
 
 def reference_shift_point_n(point, n):
@@ -1018,8 +1018,11 @@ def test_partition_scan_matches_ordered_checks(matrix):
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_validate_table_matches_word_first_reference(matrix):
-    """Mutated padded random tables and mutated comb tables: the same
-    table, or the same first error."""
+    """Mutated padded random tables and mutated comb tables, each also in a
+    shuffled order: the same table, or the same first error.  The first
+    inadmissible word, repeated source and follower mismatch are named in
+    entry order, so the shuffled copies catch a check that names them in
+    sorted order instead."""
     rng = random.Random(79)
     deep = comb(matrix, 300)
     cases = [[(EMPTY, EMPTY)], [(EMPTY, EMPTY), ((1,), EMPTY)],
@@ -1029,6 +1032,10 @@ def test_validate_table_matches_word_first_reference(matrix):
         entries = padded(random_element(matrix, 3, seed), rng).entries
         cases += [list(entries), mutated(matrix, entries, rng)]
     cases += [mutated(matrix, cases[3 + i % 2], rng) for i in range(20)]
+    for entries in list(cases):
+        entries = list(entries)
+        rng.shuffle(entries)
+        cases.append(entries)
     seen = set()
     for entries in cases:
         expected = outcome(reference_validate_table, matrix, entries)
@@ -1080,7 +1087,7 @@ def test_merge_entries_matches_fixpoint_reference(matrix):
                 entries[nu] = mu
         entries = shuffled(entries, rng)
         expected = reference_merge_entries(matrix, dict(entries))
-        assert tables.canonical_table(matrix, entries).entries == tuple(sorted(expected.items()))
+        assert tables.canonical_table(matrix, entries.items()).entries == tuple(sorted(expected.items()))
         assert sorted(expected.items()) == list(tau.entries)
 
 
@@ -1101,7 +1108,7 @@ def test_merges_match_fixpoint_reference_on_deep_combs(matrix):
     entries = {w: w for w in deep}
     assert sorted(reference_merge_entries(matrix, dict(entries)).items()) == list(
         identity_table(matrix).entries)
-    assert tables.canonical_table(matrix, entries) == identity_table(matrix)
+    assert tables.canonical_table(matrix, entries.items()) == identity_table(matrix)
 
 
 def test_merges_match_fixpoint_reference_on_single_letter_families():
@@ -1117,10 +1124,10 @@ def test_merges_match_fixpoint_reference_on_single_letter_families():
         assert fn.canonical(GOLDEN_MEAN, values).pieces == (((1,), 0), ((2,), 1))
         entries = {(1,): (1,), **{w: w for w in under}}
         assert reference_merge_entries(GOLDEN_MEAN, dict(entries)) == {(1,): (1,), (2,): (2,)}
-        assert tables.canonical_table(GOLDEN_MEAN, entries) == identity_table(GOLDEN_MEAN)
+        assert tables.canonical_table(GOLDEN_MEAN, entries.items()) == identity_table(GOLDEN_MEAN)
     exchange = {(1, 1): (2, 1), (1, 2): (1, 2), (2, 1): (1, 1)}
     assert reference_merge_entries(GOLDEN_MEAN, dict(exchange)) == exchange
-    assert tables.canonical_table(GOLDEN_MEAN, exchange).entries == tuple(exchange.items())
+    assert tables.canonical_table(GOLDEN_MEAN, exchange.items()).entries == tuple(exchange.items())
 
 
 # -- prefix lookups --------------------------------------------------------------
