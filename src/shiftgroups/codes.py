@@ -77,6 +77,23 @@ def _composite_windows(outer: BlockCode, inner: BlockCode):
         yield word, outer.apply_word(inner.apply_word(word))[0]
 
 
+def _window_name(source: TransitionMatrix, node: list[int], window: int) -> str:
+    """The least window extending ``node`` (or ``1``) by least successors, past 64
+    symbols by its ends and length, read off the walk's cycle once it repeats."""
+    seq, seen = list(node) or [1], {}
+    while len(seq) < window and seq[-1] not in seen:
+        seen[seq[-1]] = len(seq) - 1
+        seq.append(source.successors(seq[-1])[0])
+    start = seen.get(seq[-1], 0)
+    ends = range(window) if window <= 64 else (0, 1, 2, 3, *range(window - 4, window))
+    symbols = [seq[p] if p < len(seq) else seq[start + (p - start) % (len(seq) - 1 - start)]
+               for p in ends]
+    if window <= 64:
+        return str(tuple(symbols))
+    head, tail = (", ".join(map(str, part)) for part in (symbols[:4], symbols[4:]))
+    return f"({head}, ..., {tail}) of {window} symbols"
+
+
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
                      window: int, table: dict[Word, int]) -> None:
     # The admissible windows in lexicographic order, going down only the
@@ -95,10 +112,8 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
                 raise NotAdmissibleImage(f"image of {keys[lo]} is not a target symbol")
             continue
         if lo == hi or d == window:
-            node = node or [1]  # windows have at least one symbol
-            while len(node) < window:
-                node.append(source.successors(node[-1])[0])
-            raise NotAdmissibleImage(f"no image declared for window {tuple(node)}")
+            raise NotAdmissibleImage(
+                f"no image declared for window {_window_name(source, node, window)}")
         i = lo + (len(keys[lo]) == d)  # a key as short as the node strays
         children = []
         for a in source.successors(node[-1]) if node else source.symbols():

@@ -10,16 +10,17 @@ and topological conjugacy is exactly the case where ``(0, 1)`` works.
 Chains are normalized to ``post-table . code . pre-table``, the stage
 list that inverses and conjugated tables are built from (in
 :mod:`transducer`).  The cached transducer makes map equality decidable,
-and the cached ``(k1, l1)`` is read off its entries: the least valid pair
-on each part of the common refinement of the transducer and its
-precomposition with the shift (:func:`transducer.shift_exponents`).  That search is also the pair's
-one exact check: it re-reads the stored ``k`` on each part, so a formula
-bug cannot produce a silently wrong map.
+and ``(k1, l1)`` is found on its first read, then cached: the least valid
+pair on each part of the common refinement of the transducer and its
+precomposition with the shift (:func:`transducer.shift_exponents`).  That
+search is also the pair's one exact check: it re-reads the kept ``k`` on
+each part, so a formula bug cannot hand a caller a silently wrong pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .codes import BlockCode, compose_codes, identity_code
 from .cocycles import rho
@@ -52,17 +53,27 @@ class CoeMap:
 
     ``pre`` acts on the source shift, then ``core`` recodes, then
     ``post`` acts on the target shift.  ``transducer`` is the cached
-    normal form of the composite and ``(k1, l1)`` its verified
-    shift-matching exponents, least on each part of the common refinement
-    of ``transducer`` and ``transducer after shift``.
+    normal form of the composite.  Its shift-matching exponents ``(k1, l1)``,
+    not fields, are found and checked on the first read: least on each part
+    of the common refinement of ``transducer`` and ``transducer after shift``.
     """
 
     pre: TableElement
     core: BlockCode
     post: TableElement
     transducer: Transducer
-    k1: LocFun
-    l1: LocFun
+
+    @cached_property
+    def _exponents(self) -> tuple[LocFun, LocFun]:
+        return shift_exponents(self.transducer)
+
+    @property
+    def k1(self) -> LocFun:
+        return self._exponents[0]
+
+    @property
+    def l1(self) -> LocFun:
+        return self._exponents[1]
 
     @property
     def source(self) -> TransitionMatrix:
@@ -125,14 +136,14 @@ def _fold_stage_data(k: LocFun, l: LocFun, stage_k: LocFun, stage_l: LocFun,
 
 
 def coe_from_chain(stages, source: TransitionMatrix | None = None) -> CoeMap:
-    """Build, normalize, and verify a chain map.
+    """Build and normalize a chain map.
 
     ``stages`` lists tables and codes in application order; any number of
     codes is allowed (they fold into one).  ``source`` is only needed for
     an empty chain.  Raises :class:`IncompatibleChain` on mismatched
-    stages; :class:`VerificationFailed` from :func:`shift_exponents`, where
-    the exponents get their exact check, signals a library bug, not bad
-    input.
+    stages.  The exponents get their exact check on the first read of
+    ``k1`` or ``l1``, which raises :class:`VerificationFailed` there; it
+    signals a library bug, not bad input.
     """
     stages = list(stages)
     if source is None:
@@ -141,9 +152,7 @@ def coe_from_chain(stages, source: TransitionMatrix | None = None) -> CoeMap:
         first = stages[0]
         source = first.matrix if isinstance(first, TableElement) else first.source
     pre, core, post = _normalize_chain(source, stages)
-
-    t = stage_transducer(source, (pre, core, post))
-    return CoeMap(pre, core, post, t, *shift_exponents(t))
+    return CoeMap(pre, core, post, stage_transducer(source, (pre, core, post)))
 
 
 def identity_coe(matrix: TransitionMatrix) -> CoeMap:
@@ -156,7 +165,7 @@ def coe_apply(h: CoeMap, point: Point) -> Point:
 
 
 def coe_invert(h: CoeMap) -> CoeMap:
-    """The inverse chain map, rebuilt and re-verified."""
+    """The inverse chain map, rebuilt from the inverse stages."""
     return coe_from_chain(inverse_stages(h.stages()))
 
 

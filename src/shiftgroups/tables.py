@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
@@ -47,16 +48,21 @@ class TableElement:
     Build instances with :func:`validate_table` (validating) or
     :func:`canonical_table` (trusting entries the library built), not
     directly.  Lookups bisect a source-sorted copy of the entries (a linear
-    sort when they are sorted already), so unsorted entries work too.
+    sort when they are sorted already), built on the first lookup, so
+    unsorted entries work too and tables only formatted never sort.
     """
 
     matrix: TransitionMatrix
     entries: tuple[Entry, ...]
 
-    def __post_init__(self) -> None:
-        # Not fields, so ``==``, ``hash`` and ``repr`` see only the fields above.
-        object.__setattr__(self, "_by_source", tuple(sorted(self.entries)))
-        object.__setattr__(self, "_depth", max(len(nu) for nu, _ in self.entries))
+    # Not fields, so ``==``, ``hash`` and ``repr`` see only the fields above.
+    @cached_property
+    def _by_source(self) -> tuple[Entry, ...]:
+        return tuple(sorted(self.entries))
+
+    @cached_property
+    def _depth(self) -> int:
+        return max(len(nu) for nu, _ in self.entries)
 
     @property
     def domain_words(self) -> tuple[Word, ...]:

@@ -2,8 +2,9 @@
 cross-module imports inside the package, layers that import only
 downward, table validation only at the input
 boundary, partition checks only in ``make`` and ``validate_table``, one
-sibling merge under both canonical forms, one conjugation routine, and
-pointwise oracles that share no lookup kernel with what they check."""
+sibling merge under both canonical forms, one conjugation routine,
+pointwise oracles that share no lookup kernel with what they check, and
+chain-map exponents searched only on their first read."""
 
 import ast
 import pathlib
@@ -151,6 +152,12 @@ def test_one_conjugation_routine():
     """Tables are read off a transducer in one place: the conjugation of a
     table by a stage list, which serves one code and whole chain maps."""
     assert callers_of("extract_table") == ["transducer.conjugate_by_stages"]
+
+
+def test_exponents_are_searched_only_on_read():
+    """``shift_exponents`` runs in one place, the cached pair behind a
+    chain map's ``k1`` and ``l1``: a build never searches it."""
+    assert callers_of("shift_exponents") == ["orbit.CoeMap._exponents"]
 
 
 def test_pointwise_oracles_share_no_lookup_kernel():

@@ -300,14 +300,20 @@ def test_repeated_target_table_is_rejected_everywhere(tmp_path, capsys):
 def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
     """A code on a huge window that declares one image is refused by name.
     The child's address space is capped at 512 MB, which a list of all
-    2^26 windows would overrun, and its CPU time at 10 s, which building
-    the missing window one tuple copy at a time would overrun, and so
-    would a walk that copies the prefix of one 100000-symbol key at
-    every depth."""
+    2^26 windows would overrun, and so would building the missing window
+    of 10^8 symbols; its CPU time is capped at 10 s, which building the
+    missing window one tuple copy at a time would overrun, and so would a
+    walk that copies the prefix of one 100000-symbol key at every depth.
+    A missing window past 64 symbols is named by its first and last four
+    symbols and its length."""
     (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
     (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
-    for window, key in ((26, (1,)), (100000, (1,)), (100000, (1,) * 100000)):
-        missing = (1,) * window if len(key) < window else key[:-1] + (2,)
+    ones = "1, 1, 1, 1"
+    for window, key, missing in (
+            (26, (1,), (1,) * 26),
+            (100000, (1,), f"({ones}, ..., {ones}) of 100000 symbols"),
+            (100000, (1,) * 100000, f"({ones}, ..., 1, 1, 1, 2) of 100000 symbols"),
+            (10 ** 8, (1,), f"({ones}, ..., {ones}) of 100000000 symbols")):
         (tmp_path / "big.coe").write_text(
             "coe F2.mks F2.mks\n"
             f"code {window} {{ {'.'.join(map(str, key))} -> 1 }} "

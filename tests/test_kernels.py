@@ -27,10 +27,17 @@ successor and predecessor lists equal to the row and column scans.
 per-part minimization that ``orbit.coe_from_chain`` ran before it: the
 same ``l1 - k1``, a ``k1`` never larger, and one that is least on every
 part of its refinement.  Its read of the kept ``k`` on each part is the
-pair's one exact check: a failing kernel or a bisection that hands back
-one candidate too low raises ``VerificationFailed``, also under ``-O``,
-and a chain map build makes ``t after shift`` once and no whole-map
-comparison.  Its agreement checks, which read one core stream
+pair's one exact check, run on the first read of ``k1`` or ``l1`` and
+not at the build: a failing kernel or a bisection that hands back one
+candidate too low raises ``VerificationFailed`` there, also under
+``-O``, where ``shiftgroups psi`` exits 2 and ``pullback`` exits 0.  A
+build with reads of both makes ``t after shift`` once and no whole-map
+comparison; a build alone makes none.  The pair is searched at most once
+per map: never for a loaded map pulled back through or in the commutant
+search, once however often ``psi`` runs, and once in the witness search,
+not for the recoded map its check builds.  It is ``shift_exponents`` of
+the transducer, and reading it leaves ``==``, ``hash`` and ``repr``
+alone.  Its agreement checks, which read one core stream
 per cylinder, are checked against the window sets the old
 ``_entries_agree_on`` rebuilt from position 1 on every call, and so are
 the stream's reads inside a part, across its end and past it, and
@@ -40,7 +47,8 @@ The chain-map builds are checked against the bodies they replaced:
 ``make_code`` against the one that read its round trips off two composite
 codes (the same code, or the same exception type and message), the
 window-map check against the one that listed every admissible window
-first,
+first, and its name for a missing window against the window grown one
+least successor at a time (past 64 symbols, its ends and length),
 ``compose_codes`` against the window-by-window build with and without an
 identity side, and ``orbit._normalize_chain`` against the fold that
 composed every table stage with an identity table.
@@ -88,6 +96,7 @@ of the difference-point search always has a cycle of at least two
 symbols: the cycle of ``_least_long_cycle``, rotated.
 """
 
+import dataclasses
 import itertools
 import random
 from bisect import bisect_left
@@ -118,6 +127,7 @@ from shiftgroups.errors import (
 )
 from shiftgroups.codes import (
     _check_block_map,
+    _window_name,
     _raw_code,
     compose_codes,
     higher_block,
@@ -138,7 +148,15 @@ from shiftgroups.conjugacy import (
     recode_source,
     witness_non_conjugacy,
 )
+from shiftgroups.formats import (
+    format_function,
+    format_matrix,
+    format_table,
+    format_word,
+    load_coe,
+)
 from shiftgroups.orbit import (
+    CoeMap,
     _normalize_chain,
     coe_apply,
     coe_from_chain,
@@ -206,6 +224,7 @@ from shiftgroups.transducer import (
     post_shift,
     precompose_shift,
     pullback,
+    shift_exponents,
     transducer_equal,
 )
 
@@ -1456,6 +1475,36 @@ def test_block_map_check_matches_listing_reference():
     assert min(seen.values()) > 10
 
 
+def test_long_missing_window_is_named_by_its_ends():
+    """The missing window the block-map check names is its node grown one
+    least successor at a time to the full window.  Up to 64 symbols it is
+    named in full; past that by its first and last four symbols and its
+    length, read off the eventually periodic least-successor walk, which
+    on the matrices below runs into cycles of length 1, 2 and 3, after a
+    lead-in or none, from nodes of every depth."""
+    lead_in = validate_matrix([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                               [0, 1, 0, 0, 1], [1, 0, 0, 0, 0]])
+    rng = random.Random(61)
+    named = 0
+    for matrix in [m for _, m in MATRICES] + [lead_in]:
+        for window in [*range(1, 70), 100, 1000, 1001, 1002]:
+            for depth in {0, min(2, window), window - 1, window, rng.randint(0, window)}:
+                node = [rng.choice(matrix.symbols())] if depth else [1]
+                while len(node) < depth:
+                    node.append(rng.choice(matrix.successors(node[-1])))
+                grown = list(node)
+                while len(grown) < window:
+                    grown.append(matrix.successors(grown[-1])[0])
+                name = _window_name(matrix, node, window)
+                if window <= 64:
+                    assert name == str(tuple(grown))
+                else:
+                    ends = ", ".join(map(str, grown[:4] + ["..."] + grown[-4:]))
+                    assert name == f"({ends}) of {window} symbols"
+                    named += 1
+    assert named > 50
+
+
 def test_compose_codes_matches_window_by_window_reference():
     """The identity code on either side, which returns the other code as
     it is, and pairs the shortcut must not take: codes and their
@@ -1846,11 +1895,12 @@ def test_shift_exponents_are_least_per_part():
 
 def test_exponent_check_failure_is_named(monkeypatch):
     """With every agreement check failing, no candidate passes on the first
-    part: the build raises ``VerificationFailed`` naming it, not
-    ``IndexError``."""
+    part: the first read of ``k1`` after the build raises
+    ``VerificationFailed`` naming it, not ``IndexError``."""
     monkeypatch.setattr(transducer, "_entries_agree_on", lambda *args: False)
+    h = coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)])
     with pytest.raises(VerificationFailed, match=r"on the part \(1, 1, 1\)$"):
-        coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)])
+        h.k1
 
 
 def test_exponent_check_failure_is_named_under_python_O():
@@ -1859,7 +1909,7 @@ def test_exponent_check_failure_is_named_under_python_O():
               "from shiftgroups.selftest import GOLDEN_MEAN\n"
               "from shiftgroups.tables import prefix_swap\n"
               "transducer._entries_agree_on = lambda *args: False\n"
-              "orbit.coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)])\n")
+              "orbit.coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)]).k1\n")
     result = run_python("-O", "-c", script)
     assert result.returncode == 1
     assert result.stderr.splitlines()[-1] == (
@@ -1869,9 +1919,11 @@ def test_exponent_check_failure_is_named_under_python_O():
 
 def test_exponent_check_reads_the_kept_candidate(monkeypatch):
     """A bisection that hands back the candidate one below the least valid
-    one is caught by the read of the kept ``k`` on that part; where it
-    hands back the least, the map is built unchanged."""
+    one is caught by the read of the kept ``k`` on that part, at the first
+    read of ``k1``; where it hands back the least, the map and its
+    exponents come out unchanged."""
     maps = twisted_corpus()
+    pairs = [(h.k1, h.l1) for h in maps]  # found before the bisection is patched
     off = []
 
     def one_below(candidates, x, key):
@@ -1881,10 +1933,11 @@ def test_exponent_check_reads_the_kept_candidate(monkeypatch):
 
     monkeypatch.setattr(transducer, "bisect_left", one_below)
     caught = 0
-    for h in maps:
+    for h, pair in zip(maps, pairs):
         off.clear()
         try:
-            assert coe_from_chain(h.stages()) == h
+            rebuilt = coe_from_chain(h.stages())
+            assert (rebuilt, (rebuilt.k1, rebuilt.l1)) == (h, pair)
             assert not any(off)
         except VerificationFailed:
             assert off[-1]
@@ -1893,10 +1946,13 @@ def test_exponent_check_reads_the_kept_candidate(monkeypatch):
 
 
 def test_chain_map_build_checks_its_exponents_once(monkeypatch):
-    """Each ``coe_from_chain`` on the twisted corpus builds ``t after
-    shift`` once, in ``shift_exponents``, and builds no whole-map
-    comparison: no ``post_shift`` and no ``transducer_equal``."""
+    """Each ``coe_from_chain`` on the twisted corpus, with reads of both
+    ``k1`` and ``l1``, builds ``t after shift`` once, in
+    ``shift_exponents``, and builds no whole-map comparison: no
+    ``post_shift`` and no ``transducer_equal``.  The build alone builds
+    none of them."""
     maps = twisted_corpus()
+    pairs = [(h.k1, h.l1) for h in maps]  # found before the count starts
     calls = []
 
     def counted(name, real):
@@ -1909,11 +1965,147 @@ def test_chain_map_build_checks_its_exponents_once(monkeypatch):
         wrapper = counted(name, getattr(transducer, name))
         monkeypatch.setattr(transducer, name, wrapper)
         monkeypatch.setattr(orbit, name, wrapper)
-    for h in maps:
+    for h, pair in zip(maps, pairs):
         calls.clear()
-        assert coe_from_chain(h.stages()) == h
+        rebuilt = coe_from_chain(h.stages())
+        assert rebuilt == h
+        assert calls == []
+        assert (rebuilt.k1, rebuilt.l1) == pair
         assert calls == ["precompose_shift"]
 
+
+
+# -- exponents on first read ---------------------------------------------------
+
+
+def counted_shift_exponents(monkeypatch):
+    """The transducers ``orbit.shift_exponents`` runs on from here on."""
+    calls = []
+
+    def wrapper(t):
+        calls.append(t)
+        return shift_exponents(t)
+
+    monkeypatch.setattr(orbit, "shift_exponents", wrapper)
+    return calls
+
+
+def write_chain(directory, h):
+    """``h`` as ``h.coe`` with its matrix and table files; returns the path."""
+    def block_map(mapping):
+        return "{ " + " ".join(f"{format_word(w)} -> {a}" for w, a in mapping) + " }"
+
+    (directory / "A.mks").write_text(format_matrix(h.source), encoding="utf-8")
+    (directory / "B.mks").write_text(format_matrix(h.target), encoding="utf-8")
+    (directory / "pre.tbl").write_text(format_table(h.pre), encoding="utf-8")
+    (directory / "post.tbl").write_text(format_table(h.post), encoding="utf-8")
+    core = h.core
+    (directory / "h.coe").write_text(
+        "coe A.mks B.mks\npre-table pre.tbl\n"
+        f"code {core.window} {block_map(core.mapping)} "
+        f"inverse {core.inverse_window} {block_map(core.inverse_mapping)}\n"
+        "post-table post.tbl\n", encoding="utf-8")
+    return str(directory / "h.coe")
+
+
+def test_loaded_chain_map_pulls_back_without_exponents(tmp_path, monkeypatch):
+    """Loading a ``.coe`` file and pulling a function back through it, on
+    the two corpora, never searches the exponents."""
+    calls = counted_shift_exponents(monkeypatch)
+    for h in conjugacy_corpus() + twisted_corpus():
+        loaded = load_coe(write_chain(tmp_path, h))
+        assert loaded == h
+        g = fn.indicator(h.target, (h.target.symbols()[-1],))
+        assert pullback_map(g, loaded) == pullback(g, h.transducer)
+    assert calls == []
+
+
+def test_commutant_search_reads_no_exponents(monkeypatch):
+    """The commutant search decides on the normal form alone."""
+    calls = counted_shift_exponents(monkeypatch)
+    found = 0
+    for h0 in commutant_corpus():
+        found += conjugacy.commutant_witness(h0) is not None
+    assert found > 0
+    assert calls == []
+
+
+def test_psi_finds_exponents_once_per_map(monkeypatch):
+    """The first ``psi`` through a map searches its exponents once; a
+    second ``psi`` through the same map reads the cached pair."""
+    maps = conjugacy_corpus() + twisted_corpus()
+    calls = counted_shift_exponents(monkeypatch)
+    for h in maps:
+        g = fn.indicator(h.target, (h.target.symbols()[0],))
+        calls.clear()
+        first = psi(h, g)
+        assert calls == [h.transducer]
+        assert psi(h, g) == first
+        assert calls == [h.transducer]
+
+
+def test_witness_search_finds_exponents_for_h_only(monkeypatch):
+    """A twisted map's witness search, whose ``check_witness`` rebuilds
+    the recoded map, searches the exponents of ``h`` once and never those
+    of the recoded map."""
+    maps = twisted_corpus()
+    calls = counted_shift_exponents(monkeypatch)
+    for h in maps:
+        calls.clear()
+        witness = witness_non_conjugacy(h)
+        assert witness is not None
+        assert calls == [h.transducer]
+        assert conjugacy.check_witness(h, witness)
+        assert calls == [h.transducer]
+
+
+def test_exponents_on_read_match_shift_exponents():
+    """On the exponent chains, which hold both corpora, and more seeded
+    draws, the pair read off a chain map is ``shift_exponents`` of its
+    transducer, with the reference relations: the same ``l1 - k1`` as the
+    folded and minimized pair, and ``k1`` never larger."""
+    rng = random.Random(37)
+    maps = exponent_chains() + [random_chain(m, rng) for _, m in MATRICES for _ in range(10)]
+    for h in maps:
+        assert (h.k1, h.l1) == shift_exponents(h.transducer)
+        k, l = reference_shift_exponents(h)
+        assert h.l1 - h.k1 == l - k
+        assert (k - h.k1).min_value() >= 0
+
+
+def test_exponent_read_leaves_equality_hash_and_repr_alone():
+    """A map whose exponents were read and a rebuilt one whose exponents
+    were not compare equal, hash equal and print the same four fields,
+    and none of the three reads the rebuilt map's exponents."""
+    assert [f.name for f in dataclasses.fields(CoeMap)] == ["pre", "core", "post", "transducer"]
+    for h in chain_maps():
+        h.k1, h.l1
+        fresh = coe_from_chain(h.stages())
+        assert "_exponents" in vars(h)
+        assert fresh == h
+        assert hash(fresh) == hash(h)
+        assert repr(fresh) == repr(h)
+        assert "_exponents" not in vars(fresh)
+
+
+def test_failed_exponent_check_surfaces_at_psi_not_pullback(tmp_path):
+    """Under ``-O`` with every agreement check failing, ``psi`` exits 2
+    with the check's message and no traceback; ``pullback``, which reads
+    no exponents, exits 0."""
+    h = coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)])
+    path = write_chain(tmp_path, h)
+    (tmp_path / "g.fn").write_text(format_function(fn.indicator(GOLDEN_MEAN, (2,))),
+                                   encoding="utf-8")
+    script = ("import sys\n"
+              "from shiftgroups import cli, transducer\n"
+              "transducer._entries_agree_on = lambda *args: False\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    result = run_python("-O", "-c", script, "psi", path, "g.fn", cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: no shift-matching exponent pair checks on the part (1, 1, 1)\n")
+    result = run_python("-O", "-c", script, "pullback", path, "g.fn", cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == format_function(pullback_map(fn.indicator(GOLDEN_MEAN, (2,)), h))
 
 def reference_stream(matrix, core, part, upto):
     """The core's symbols at positions 1..upto over the cylinder of
