@@ -40,7 +40,7 @@ from .formats import (
 )
 from .orbit import psi, pullback_map
 from .selftest import run_selftest
-from .sft import EMPTY, refine_until, validate_matrix
+from .sft import EMPTY, validate_matrix, walk
 from .tables import apply as table_apply, compose as table_compose, invert as table_invert
 from .functions import constant, equal
 
@@ -134,8 +134,7 @@ def _cmd_words(args) -> int:
     matrix = load_matrix(args.matrix)
     if args.length < 0:
         raise ValueError("length must be >= 0")
-    # refine_until settles words depth first, in lexicographic order.
-    for word, _ in refine_until(matrix, [(EMPTY, ())], lambda w: len(w) == args.length or None):
+    for word, _ in walk(matrix, EMPTY, args.length):
         print(format_word(word))
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
-from .sft import Point, TransitionMatrix, Word, canonicalize_point, enumerate_words
+from .sft import EMPTY, Point, TransitionMatrix, Word, canonicalize_point, enumerate_words, walk
 
 
 @dataclass(frozen=True)
@@ -72,26 +72,35 @@ def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) 
 
 def _composite_windows(outer: BlockCode, inner: BlockCode):
     """Each window of the composite length over ``inner.source``, in
-    lexicographic order, with the symbol ``outer after inner`` writes on it."""
-    for word in enumerate_words(inner.source, inner.window + outer.window - 1):
-        yield word, outer.apply_word(inner.apply_word(word))[0]
+    lexicographic order, with the symbol ``outer after inner`` writes on it.
+    The walk looks each inner symbol up once per node (a node shorter than
+    the window matches no key), so a leaf's image is the outer window."""
+    table, m = inner._symbols, inner.window
+    for word, image in walk(inner.source, EMPTY, m + outer.window - 1,
+                            lambda path: table.get(tuple(path[-m:]))):
+        yield word, outer._symbols[image]
+
+
+def _word_name(at, length: int) -> str:
+    """The word ``at(0) .. at(length - 1)``: in full up to 64 symbols, past
+    that by its first and last four symbols and its length."""
+    if length <= 64:
+        return str(tuple(map(at, range(length))))
+    head, tail = (", ".join(str(at(p)) for p in part)
+                  for part in (range(4), range(length - 4, length)))
+    return f"({head}, ..., {tail}) of {length} symbols"
 
 
 def _window_name(source: TransitionMatrix, node: list[int], window: int) -> str:
-    """The least window extending ``node`` (or ``1``) by least successors, past 64
-    symbols by its ends and length, read off the walk's cycle once it repeats."""
+    """The least window extending ``node`` (or ``1``) by least successors, named
+    by :func:`_word_name`, read off the walk's cycle once it repeats."""
     seq, seen = list(node) or [1], {}
     while len(seq) < window and seq[-1] not in seen:
         seen[seq[-1]] = len(seq) - 1
         seq.append(source.successors(seq[-1])[0])
     start = seen.get(seq[-1], 0)
-    ends = range(window) if window <= 64 else (0, 1, 2, 3, *range(window - 4, window))
-    symbols = [seq[p] if p < len(seq) else seq[start + (p - start) % (len(seq) - 1 - start)]
-               for p in ends]
-    if window <= 64:
-        return str(tuple(symbols))
-    head, tail = (", ".join(map(str, part)) for part in (symbols[:4], symbols[4:]))
-    return f"({head}, ..., {tail}) of {window} symbols"
+    return _word_name(lambda p: seq[p] if p < len(seq) else
+                      seq[start + (p - start) % (len(seq) - 1 - start)], window)
 
 
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
@@ -127,9 +136,11 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
         stack.extend(reversed(children))
     stray = next((w for w in keys if len(w) != window or not source.is_admissible(w)), None)
     if stray is not None:
-        raise NotAdmissibleImage(f"{stray} is not an admissible window of {window} symbols")
-    for word in enumerate_words(source, window + 1):
-        a, b = table[word[:-1]], table[word[1:]]
+        raise NotAdmissibleImage(f"{_word_name(stray.__getitem__, len(stray))} "
+                                 f"is not an admissible window of {window} symbols")
+    # Each key is one window long by now, so a leaf's image is its two windows' symbols.
+    for word, (a, b) in walk(source, EMPTY, window + 1,
+                             lambda path: table.get(tuple(path[-window:]))):
         if not target.entry(a, b):
             raise NotAdmissibleImage(
                 f"windows of {word} map to the forbidden transition {a} -> {b}")
@@ -141,9 +152,10 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
 
     Both maps must be defined on exactly the admissible windows, produce
     admissible transitions, and compose to the identity in both
-    directions: one scan per direction, in lexicographic order, checks
-    that each window of the composite length ``window + inverse_window -
-    1`` goes round to its first symbol.
+    directions: one depth-first walk per direction, in lexicographic order,
+    checks that each window of the composite length ``window +
+    inverse_window - 1`` goes round to its first symbol.  The windows are
+    never listed, so memory stays O(``window + inverse_window``).
     """
     for name, value in (("window", window), ("inverse window", inverse_window)):
         if value < 1:
@@ -176,7 +188,9 @@ def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
     """The code ``outer after inner``; windows add up (minus one).
 
     Not validated as a conjugacy.  When one side is the identity code the
-    result is the other code, as it is.
+    result is the other code, as it is.  Otherwise each table is read off
+    the walk that :func:`make_code`'s round trip takes, one entry per
+    composite window.
     """
     if inner.target != outer.source:
         raise ValueError("codes do not chain")

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from collections import deque
+from itertools import count
 
 from .cocycles import in_cocycle_group, rho
 from .codes import higher_block_codes
@@ -35,16 +36,16 @@ from .errors import SearchBudgetExceeded, VerificationFailed
 from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on, restrict
 from .orbit import CoeMap, coe_apply, coe_from_chain, pullback_map, stage_transducer
 from .sft import (
+    EMPTY,
     Point,
     TransitionMatrix,
     Word,
     canonicalize_point,
-    enumerate_words,
-    expand_to_depth,
     primitive_root,
     refine_words,
     representative,
     shift_point,
+    walk,
 )
 from .tables import (TableElement, apply as table_apply, block_swap_pairs, cylinder_swap,
                      prefix_swap)
@@ -107,7 +108,7 @@ def recode_source(h: CoeMap, level: int):
 def _least_long_cycle(matrix: TransitionMatrix) -> Word:
     """Least primitive cycle word visiting at least two symbols."""
     for length in range(2, matrix.n + 2):
-        for word in enumerate_words(matrix, length):
+        for word, _ in walk(matrix, EMPTY, length):
             if matrix.entry(word[-1], word[0]) and primitive_root(word) == word:
                 return word
     raise AssertionError("an irreducible non-permutation graph has a long cycle")
@@ -116,15 +117,10 @@ def _least_long_cycle(matrix: TransitionMatrix) -> Word:
 def _long_cycle_point(matrix: TransitionMatrix, word: Word) -> Point:
     """Deterministic point of the cylinder whose cycle has length >= 2."""
     cycle = _least_long_cycle(matrix)
-    bridges = [()]
-    while True:
-        for bridge in bridges:
-            tail = word + bridge
-            last = tail[-1] if tail else None
-            if last is None or matrix.entry(last, cycle[0]):
+    for depth in count(len(word)):
+        for tail, _ in walk(matrix, word, depth):
+            if not tail or matrix.entry(tail[-1], cycle[0]):
                 return canonicalize_point(matrix, tail, cycle)
-        bridges = [b + (a,) for b in bridges
-                   for a in matrix.successors((word + b)[-1])]
 
 
 def _find_difference_point(h: CoeMap, seeds, max_depth: int) -> Point:
@@ -244,7 +240,7 @@ def pointwise_difference(t1: Transducer, t2: Transducer):
     matrix = t1.source
     for part in difference_parts(t1, t2):
         for depth in range(len(part), len(part) + _EXTRA_DEPTH + 1):
-            for word in expand_to_depth(matrix, part, depth):
+            for word, _ in walk(matrix, part, depth):
                 z = representative(matrix, word)
                 if point_apply(t1, z) != point_apply(t2, z):
                     return z

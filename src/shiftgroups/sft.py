@@ -9,6 +9,11 @@ stand-ins for that space:
 * complete prefix-free families of words, which partition the space into
   cylinders.
 
+Words are walked depth first, in lexicographic order, in two ways: the
+fixed-depth :func:`walk` yields the extensions of one length, and the
+settle-walk :func:`refine_until` refines each cylinder until its caller
+decides it, however deep that takes.
+
 Values attached to the parts of a partition are brought to canonical form
 by one sibling merge, :func:`merge_siblings`, whose caller says when a
 family may collapse into its parent.  Families are kept sorted, so a
@@ -299,6 +304,40 @@ def refine_until(matrix: TransitionMatrix, roots, decide):
             yield word, answer
 
 
+def walk(matrix: TransitionMatrix, word: Word, depth: int, symbol=None):
+    """``(w, image)`` for each admissible extension ``w`` of ``word`` that is
+    ``depth`` symbols long (``word`` alone at a depth up to ``len(word)``),
+    in lexicographic order.  ``image`` holds what ``symbol(path)`` returned,
+    less Nones, at the nodes below ``word`` on the way to ``w``.  Depth
+    first on one path and one image list, cut and extended in place, so
+    memory is O(``depth``); ``symbol`` runs once per node, and must not keep
+    or change ``path``, the walk's own list.
+    """
+    if depth <= len(word):
+        yield word, ()
+        return
+    successors, path, image = matrix._successors, list(word), []
+    # One (children, len(image) above them) pair per level below ``word``.
+    pending = [(iter(successors[word[-1] - 1] if word else matrix.symbols()), 0)]
+    while pending:
+        children, cut = pending[-1]
+        for a in children:
+            path.append(a)
+            if symbol is not None and (s := symbol(path)) is not None:
+                image.append(s)
+            if len(path) < depth:
+                pending.append((iter(successors[a - 1]), len(image)))
+                break
+            yield tuple(path), tuple(image)
+            path.pop()
+            del image[cut:]
+        else:
+            pending.pop()
+            if pending:
+                path.pop()
+                del image[pending[-1][1]:]
+
+
 @dataclass(frozen=True)
 class CylinderPartition:
     """Complete prefix-free family of admissible words, sorted.
@@ -439,9 +478,7 @@ def refine_words(matrix: TransitionMatrix, families: Iterable[Iterable[Word]]) -
 
 
 def expand_to_depth(matrix: TransitionMatrix, word: Word, depth: int) -> list[Word]:
-    """All admissible extensions of ``word`` up to the given length."""
-    out = [word]
-    while len(out[0]) < depth:
-        out = [ext for w in out for ext in matrix.extensions(w)]
-    return out
+    """The admissible extensions of ``word`` of length ``depth`` (``word``
+    alone when it is that long already), as a list (see :func:`walk`)."""
+    return [w for w, _ in walk(matrix, word, depth)]
 

@@ -35,7 +35,7 @@ from .errors import (
 from .functions import LocFun, canonical, window_sum
 from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words,
                   merge_siblings, part_at, partition, prefix_of, prepend_point, refine_until,
-                  shift_point_n)
+                  shift_point_n, walk)
 
 Entry = tuple[Word, Word]
 _source = itemgetter(0)  # the source word of an entry, which entries sort by
@@ -210,10 +210,9 @@ def block_swap_pairs(matrix: TransitionMatrix, level: int):
     successors ``a`` of ``w[-1]``, but not ``w[1:] a == w``, in block order:
     on the base shift, the level's block presentation (the sliding window
     recoding) swaps the blocks ``w`` and ``w[1:] a`` as these cylinders."""
-    for w in enumerate_words(matrix, level):
-        for a in matrix.successors(w[-1]):
-            if w[1:] + (a,) != w:
-                yield w + (a,), w[1:] + (a,)
+    for word, _ in walk(matrix, EMPTY, level + 1):
+        if word[1:] != word[:-1]:
+            yield word, word[1:]
 
 
 def prefix_swap(matrix: TransitionMatrix, z1: int, z2: int) -> TableElement:
@@ -245,14 +244,8 @@ def pullback_table(f: LocFun, table: TableElement) -> LocFun:
 
 def pad_entry(matrix: TransitionMatrix, entry: Entry, depth: int) -> list[Entry]:
     """Replace an entry by its sibling refinements, ``depth`` levels down."""
-    out = [entry]
-    for _ in range(depth):
-        out = [
-            (nu + (a,), mu + (a,))
-            for nu, mu in out
-            for a in matrix.successors(nu[-1])
-        ]
-    return out
+    nu, mu = entry
+    return [(w, mu + w[len(nu):]) for w, _ in walk(matrix, nu, len(nu) + depth)]
 
 
 def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> TableElement:

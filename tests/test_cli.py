@@ -324,6 +324,25 @@ def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
         assert result.stderr == f"error: no image declared for window {missing}\n"
 
 
+def test_long_stray_key_is_named_by_its_ends(tmp_path):
+    """A window-1 code with one more key of 100000 symbols is refused with
+    the key named by its first and last four symbols and its length, in a
+    message under 1 KB, from a child capped at 512 MB."""
+    (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
+    (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
+    key = ".".join(["1"] * 99999 + ["2"])
+    (tmp_path / "stray.coe").write_text(
+        "coe F2.mks F2.mks\n"
+        f"code 1 {{ 1 -> 1 2 -> 2 {key} -> 1 }} inverse 1 {{ 1 -> 1 2 -> 2 }}\n",
+        encoding="utf-8")
+    result = run_capped_cli("psi", "stray.coe", "chi2.fn", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: (1, 1, 1, 1, ..., 1, 1, 1, 2) of 100000 symbols "
+                             "is not an admissible window of 1 symbols\n")
+    assert len(result.stderr.encode()) < 1024
+
+
 def test_commutant_command(workdir):
     result = run_cli("commutant", "id.coe", cwd=workdir)
     assert result.returncode == 0

@@ -43,9 +43,13 @@ per cylinder, are checked against the window sets the old
 the stream's reads inside a part, across its end and past it, and
 ``difference_parts`` on cores that are equal maps with different windows.
 
-The chain-map builds are checked against the bodies they replaced:
+The depth-first ``sft.walk`` is checked against the breadth-first list
+it replaced, and its images against ``BlockCode.apply_word``.  The
+chain-map builds are checked against the bodies they replaced:
 ``make_code`` against the one that read its round trips off two composite
-codes (the same code, or the same exception type and message), the
+codes (the same code, or the same exception type and message, also with
+one image changed at the first or the last composite window of either
+round trip), with its memory flat in the number of windows, the
 window-map check against the one that listed every admissible window
 first, and its name for a missing window against the window grown one
 least successor at a time (past 64 symbols, its ends and length),
@@ -102,6 +106,7 @@ import random
 from bisect import bisect_left
 import re
 import sys
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -194,6 +199,7 @@ from shiftgroups.sft import (
     shift_point,
     shift_point_n,
     validate_matrix,
+    walk,
 )
 from shiftgroups.tables import (
     TableElement,
@@ -251,6 +257,14 @@ def reference_refine_words(matrix, families):
     for family in families:
         acc = reference_refine(acc, CylinderPartition(matrix, tuple(sorted(family))))
     return acc.parts
+
+
+def reference_expand_to_depth(matrix, word, depth):
+    """``sft.expand_to_depth`` as it was: breadth first, one list per level."""
+    out = [word]
+    while len(out[0]) < depth:
+        out = [ext for w in out for ext in matrix.extensions(w)]
+    return out
 
 
 def reference_check_complete(matrix, parts):
@@ -588,11 +602,11 @@ def reference_compose_codes(outer, inner):
         raise ValueError("codes do not chain")
     window = inner.window + outer.window - 1
     table = {word: outer.apply_word(inner.apply_word(word))[0]
-             for word in enumerate_words(inner.source, window)}
+             for word in reference_expand_to_depth(inner.source, EMPTY, window)}
     inner_inverse, outer_inverse = inner.inverse(), outer.inverse()
     inv_window = outer.inverse_window + inner.inverse_window - 1
     inv_table = {word: inner_inverse.apply_word(outer_inverse.apply_word(word))[0]
-                 for word in enumerate_words(outer.target, inv_window)}
+                 for word in reference_expand_to_depth(outer.target, EMPTY, inv_window)}
     return _raw_code(inner.source, outer.target, window, table, inv_window, inv_table)
 
 
@@ -618,7 +632,7 @@ def reference_make_code(source, target, window, mapping, inverse_window, inverse
 def reference_check_block_map(source, target, window, table):
     """``codes._check_block_map`` as it was: every admissible window listed
     before any key is compared with them."""
-    windows = enumerate_words(source, window)
+    windows = reference_expand_to_depth(source, EMPTY, window)
     for word in windows:
         if word not in table:
             raise NotAdmissibleImage(f"no image declared for window {word}")
@@ -627,7 +641,7 @@ def reference_check_block_map(source, target, window, table):
     if len(table) > len(windows):
         stray = min(set(table).difference(windows))
         raise NotAdmissibleImage(f"{stray} is not an admissible window of {window} symbols")
-    for word in enumerate_words(source, window + 1):
+    for word in reference_expand_to_depth(source, EMPTY, window + 1):
         a, b = table[word[:-1]], table[word[1:]]
         if not target.entry(a, b):
             raise NotAdmissibleImage(
@@ -1381,6 +1395,45 @@ def test_symbol_map_is_read_only():
     assert dict(encode.symbol_map()) == dict(encode.mapping)
 
 
+# -- word walks -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_walk_matches_breadth_first_reference(matrix):
+    """From every word of up to three symbols, to depths from one below its
+    length to four above: the same words in the same order, and no images
+    without ``symbol``.  A depth at or below the word's length yields the
+    word alone."""
+    cases = 0
+    words = [w for length in range(4) for w in reference_expand_to_depth(matrix, EMPTY, length)]
+    for word in words:
+        for depth in range(len(word) - 1, len(word) + 5):
+            pairs = list(walk(matrix, word, depth))
+            assert [w for w, _ in pairs] == reference_expand_to_depth(matrix, word, depth)
+            assert {image for _, image in pairs} == {()}
+            if depth <= len(word):
+                assert pairs == [(word, ())]
+            cases += 1
+    assert cases > 60
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        enumerate_words(matrix, -1)
+
+
+def test_walk_images_are_the_code_applied():
+    """With a code's window lookup as ``symbol``, at lengths ``window`` to
+    ``window + 3``: each leaf's image is the code applied to the leaf."""
+    leaves = 0
+    for code in codes_under_test():
+        table, m = code.symbol_map(), code.window
+        for depth in range(m, m + 4):
+            pairs = list(walk(code.source, EMPTY, depth,
+                              lambda path: table.get(tuple(path[-m:]))))
+            assert [w for w, _ in pairs] == reference_expand_to_depth(code.source, EMPTY, depth)
+            assert all(image == code.apply_word(w) for w, image in pairs)
+            leaves += len(pairs)
+    assert leaves > 3000
+
+
 # -- chain-map builds -------------------------------------------------------------
 
 
@@ -1419,6 +1472,57 @@ def test_make_code_matches_composite_reference():
             assert got == expected
             seen["accepted" if got == code else got[0]] += 1
     assert min(seen.values()) > 10
+    flips = 0
+    for code, maps, named in end_flips():
+        got, expected = code_outcome(code.source, code.target, code.window, *maps)
+        assert got == expected
+        assert got[0] is NotInverse and (named is None or named in got[1])
+        flips += 1
+    assert flips > 50
+
+
+def end_flips():
+    """For each code under test and each round trip, the outer map with its
+    image changed at the window the inner map writes on the first, then on
+    the last composite window, to each other symbol that the listing block
+    map check accepts: ``(code, (mapping, inverse_window, inverse_mapping),
+    named)``, where ``named`` starts the message's window when no earlier
+    composite window can fail first, and is None otherwise."""
+    for code in codes_under_test():
+        inverse = code.inverse()
+        for first, second in ((code, inverse), (inverse, code)):
+            windows = reference_expand_to_depth(
+                first.source, EMPTY, first.window + second.window - 1)
+            for word in (windows[0], windows[-1]):
+                read = first.apply_word(word)
+                for symbol in second.target.symbols():
+                    table = {**second.symbol_map(), read: symbol}
+                    try:
+                        reference_check_block_map(second.source, second.target, second.window,
+                                                  table)
+                    except NotAdmissibleImage:
+                        continue
+                    if symbol != second.symbol_map()[read]:
+                        maps = ((dict(code.mapping), code.inverse_window, table)
+                                if second is inverse
+                                else (table, code.inverse_window, dict(code.inverse_mapping)))
+                        first_named = second is inverse and word == windows[0]
+                        yield code, maps, f"window {word} to" if first_named else None
+
+
+def test_round_trip_lists_no_windows():
+    """``make_code`` on the identity written at window 7 on both sides of
+    the full 2-shift walks its 2 x 8192 composite windows of 13 symbols
+    with flat memory; a list of them alone takes about 2 MB."""
+    table = {w: w[0] for w in enumerate_words(FULL_TWO, 7)}
+    tracemalloc.start()
+    try:
+        code = make_code(FULL_TWO, FULL_TWO, 7, table, 7, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.symbol_map() == table
+    assert peak < 500_000
 
 
 def mutated_block_map(code, rng):
