@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
-from .sft import EMPTY, Point, TransitionMatrix, Word, canonicalize_point, enumerate_words, walk
+from .sft import (EMPTY, Point, TransitionMatrix, Word, canonicalize_point, enumerate_words,
+                  walk, word_name)
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,16 @@ def _composite_windows(outer: BlockCode, inner: BlockCode):
         yield word, outer._symbols[image]
 
 
-def _word_name(at, length: int) -> str:
-    """The word ``at(0) .. at(length - 1)``: in full up to 64 symbols, past
-    that by its first and last four symbols and its length."""
-    if length <= 64:
-        return str(tuple(map(at, range(length))))
-    head, tail = (", ".join(str(at(p)) for p in part)
-                  for part in (range(4), range(length - 4, length)))
-    return f"({head}, ..., {tail}) of {length} symbols"
-
-
 def _window_name(source: TransitionMatrix, node: list[int], window: int) -> str:
     """The least window extending ``node`` (or ``1``) by least successors, named
-    by :func:`_word_name`, read off the walk's cycle once it repeats."""
+    by :func:`word_name`, read off the walk's cycle once it repeats."""
     seq, seen = list(node) or [1], {}
     while len(seq) < window and seq[-1] not in seen:
         seen[seq[-1]] = len(seq) - 1
         seq.append(source.successors(seq[-1])[0])
     start = seen.get(seq[-1], 0)
-    return _word_name(lambda p: seq[p] if p < len(seq) else
-                      seq[start + (p - start) % (len(seq) - 1 - start)], window)
+    return word_name(lambda p: seq[p] if p < len(seq) else
+                     seq[start + (p - start) % (len(seq) - 1 - start)], window)
 
 
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
@@ -136,7 +127,7 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
         stack.extend(reversed(children))
     stray = next((w for w in keys if len(w) != window or not source.is_admissible(w)), None)
     if stray is not None:
-        raise NotAdmissibleImage(f"{_word_name(stray.__getitem__, len(stray))} "
+        raise NotAdmissibleImage(f"{word_name(stray)} "
                                  f"is not an admissible window of {window} symbols")
     # Each key is one window long by now, so a leaf's image is its two windows' symbols.
     for word, (a, b) in walk(source, EMPTY, window + 1,

@@ -63,6 +63,10 @@ class TransitionMatrix:
                 predecessors[j - 1].append(i)
         object.__setattr__(self, "_successors", successors)
         object.__setattr__(self, "_predecessors", tuple(map(tuple, predecessors)))
+        # partition's letter table, one row per letter before, row 0 at the start
+        # of a word: the letter after each allowed one, the first after 0, 0 after the last.
+        allowed = (tuple(self.symbols()),) + successors
+        object.__setattr__(self, "_after", tuple(dict(zip((0,) + r, r + (0,))) for r in allowed))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -85,7 +89,7 @@ class TransitionMatrix:
 
     def check_admissible(self, word: Word) -> None:
         if not self.is_admissible(word):
-            raise Inadmissible(f"word {word} is not admissible")
+            raise Inadmissible(f"word {word_name(word)} is not admissible")
 
     def extensions(self, word: Word) -> tuple[Word, ...]:
         """All one-symbol extensions ``word + (a,)`` that stay admissible."""
@@ -127,6 +131,17 @@ def validate_matrix(grid) -> TransitionMatrix:
     if all(sum(row) == 1 for row in rows):
         raise Permutation("all row sums are 1")
     return matrix
+
+
+def word_name(word, length: int | None = None) -> str:
+    """``word`` for a message: in full up to 64 symbols, past that by its first and
+    last four and its length.  With ``length``, ``word`` gives the symbol at each index."""
+    at, length = (word.__getitem__, len(word)) if length is None else (word, length)
+    if length <= 64:
+        return str(tuple(map(at, range(length))))
+    head, tail = (", ".join(str(at(p)) for p in part)
+                  for part in (range(4), range(length - 4, length)))
+    return f"({head}, ..., {tail}) of {length} symbols"
 
 
 def enumerate_words(matrix: TransitionMatrix, m: int) -> list[Word]:
@@ -355,62 +370,54 @@ class CylinderPartition:
         return part_at(self.parts, point, max(map(len, self.parts)))
 
 
-def _first_gap(matrix: TransitionMatrix, parts: tuple[Word, ...]) -> Word | None:
-    """None when sorted ``parts`` are distinct, admissible, prefix-free and
-    complete; otherwise the word where one scan stops.
-
-    The members below a node of depth ``d`` form a contiguous run.  A member
-    equal to the node must be the whole run; otherwise the run splits, in
-    order, into one nonempty run per admissible next letter and nothing
-    else.  On an admissible prefix-free family only an empty letter run can
-    stop the scan, and its word is the first child, in the walk's order,
-    that no part covers.  An explicit stack keeps deep words off the
-    recursion limit.
-    """
-    stack = [(0, len(parts), 0)]
-    while stack:
-        lo, hi, d = stack.pop()
-        if len(parts[lo]) == d:
-            if hi - lo != 1:
-                return parts[lo]
-            continue
-        i = lo
-        for a in matrix._successors[parts[lo][d - 1] - 1] if d else matrix.symbols():
-            j = i
-            while j < hi and parts[j][d] == a:
-                j += 1
-            if j == i:
-                return parts[lo][:d] + (a,)
-            stack.append((i, j, d + 1))
-            i = j
-        if i != hi:
-            return parts[i][: d + 1]
-    return None
-
-
 def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
     """Validate a word family as a cylinder partition.
 
-    The family is sorted once, and one scan of it decides.  Only when it
-    stops do the ordered checks run, to name the first failure:
-    :class:`Inadmissible` for the first inadmissible part in sorted order,
-    then :class:`BadPartition` for the first part that repeats or is a
-    prefix of the next, and else for the uncovered cylinder the scan
-    stopped at.
+    The family is sorted once and read in one pass.  Sorted, a complete
+    prefix-free family is the leaf order of a full prefix tree (equality in
+    Kraft's inequality): the first member is a chain of first letters; each
+    later one is the next cylinder after its predecessor (its trailing last
+    letters dropped, the letter before them stepped to its next successor)
+    followed only by first letters; after the last nothing is left to step.
+    Only a member that breaks this rule is checked, and the pass goes on
+    from it.  Named first is the first inadmissible member
+    (:class:`Inadmissible`), then the first repeat or prefix, then the first
+    uncovered cylinder (:class:`BadPartition`), each in sorted order.
     """
     parts = tuple(sorted(map(tuple, parts)))
     if not parts:
         raise BadPartition("a partition needs at least one part")
-    gap = _first_gap(matrix, parts)
-    if gap is not None:
-        for p in parts:
-            matrix.check_admissible(p)
-        for a, b in zip(parts, parts[1:]):
-            if a == b:
-                raise BadPartition(f"word {a} repeats")
-            if b[: len(a)] == a:
-                raise BadPartition(f"{a} is a prefix of {b}")
-        raise BadPartition(f"no part covers sequences through {gap}")
+    after = matrix._after
+    clash = gap = None
+    # The next member must read prev[:i], then s, then first letters; s is 0
+    # when nothing is left to step.  0 is no symbol: no member extends (0,).
+    prev, i, s = (0,), 0, after[0][0]
+    for word in parts:
+        e = s
+        if s and word[:i] == prev[:i]:
+            for b in word[i:]:
+                if b != e:
+                    break
+                e = after[b][0]
+            else:
+                e = None
+        if e is not None:
+            matrix.check_admissible(word)
+            if word[: len(prev)] == prev:
+                clash = clash or (f"word {word_name(word)} repeats" if word == prev else
+                                  f"{word_name(prev)} is a prefix of {word_name(word)}")
+            elif gap is None:  # where word leaves the rule, the expected letter's cylinder
+                j, e = i, s
+                while word[:i] == prev[:i] and word[j] == e:
+                    j, e = j + 1, after[e][0]
+                gap = prev[:i] + word[i:j] + (e,)
+        prev, i = word, len(word) - 1
+        while i > 0 and not after[word[i - 1]][word[i]]:
+            i -= 1
+        s = after[word[i - 1] if i > 0 else 0][word[i]] if word else 0
+    if clash or gap or s:
+        gap = word_name(gap or prev[:i] + (s,))
+        raise BadPartition(clash or f"no part covers sequences through {gap}")
     return CylinderPartition(matrix, parts)
 
 

@@ -35,7 +35,7 @@ from .errors import (
 from .functions import LocFun, canonical, window_sum
 from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words,
                   merge_siblings, part_at, partition, prefix_of, prepend_point, refine_until,
-                  shift_point_n, walk)
+                  shift_point_n, walk, word_name)
 
 Entry = tuple[Word, Word]
 _source = itemgetter(0)  # the source word of an entry, which entries sort by
@@ -109,11 +109,11 @@ def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
                 if not word:
                     raise InadmissibleWord("table words must be nonempty")
                 if not matrix.is_admissible(word):
-                    raise InadmissibleWord(f"word {word} is not admissible")
+                    raise InadmissibleWord(f"word {word_name(word)} is not admissible")
         seen = set()
         for nu, _ in raw:
             if nu in seen:
-                raise DomainNotPartition(f"source word {nu} repeats")
+                raise DomainNotPartition(f"source word {word_name(nu)} repeats")
             seen.add(nu)
         raise
     if len(raw) == 1 and EMPTY in raw[0]:
@@ -122,7 +122,8 @@ def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
         raise InadmissibleWord("table words must be nonempty")
     for nu, mu in raw:
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
-            raise FollowerMismatch(f"entry {nu} -> {mu} pairs different follower rows")
+            raise FollowerMismatch(
+                f"entry {word_name(nu)} -> {word_name(mu)} pairs different follower rows")
     return canonical_table(matrix, ordered)
 
 

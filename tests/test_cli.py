@@ -343,6 +343,25 @@ def test_long_stray_key_is_named_by_its_ends(tmp_path):
     assert len(result.stderr.encode()) < 1024
 
 
+def test_long_inadmissible_word_is_named_by_its_ends(workdir):
+    """A function file and a table file with one inadmissible word of
+    300002 symbols are refused with their usual exit codes, the word named
+    by its first and last four symbols and its length, in under 1 KB."""
+    word = ".".join(["1"] * 300000 + ["2", "2"])
+    name = "word (1, 1, 1, 1, ..., 1, 1, 2, 2) of 300002 symbols is not admissible"
+    (workdir / "long.fn").write_text(f"function\n1 0\n2 1\n{word} 1\n", encoding="utf-8")
+    result = run_capped_cli("member", "G.mks", "long.fn", "tau0.tbl", cwd=workdir)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {name}\n"
+    (workdir / "long.tbl").write_text(f"table\n1 -> 1\n2 -> 2\n{word} -> 1\n",
+                                      encoding="utf-8")
+    result = run_capped_cli("table", "check", "G.mks", "long.tbl", cwd=workdir)
+    assert result.returncode == 1
+    assert result.stdout == f"REJECTED InadmissibleWord: {name}\n"
+    assert result.stderr == ""
+
+
 def test_commutant_command(workdir):
     result = run_cli("commutant", "id.coe", cwd=workdir)
     assert result.returncode == 0

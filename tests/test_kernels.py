@@ -80,14 +80,17 @@ swap carried down through the decode code, in the same order, and
 the pullback through the table's transducer, and ``_pair_exchange``
 against its hand-built entry list.
 
-The one-scan ``partition``, whose scan names the uncovered cylinder
-itself, and the ``validate_table`` that leaves its word checks to it are
-checked against ordered checks written here (admissibility, a neighbour
-scan for repeats and prefixes, then the ``any()``-scan completeness
-walk) and the word-first body they replaced, on perturbed families and
+The one-pass ``partition``, which reads each sorted member against the
+next cylinder after its predecessor, and the ``validate_table`` that
+leaves its word checks to it are checked against ordered checks written
+here (admissibility, a neighbour scan for repeats and prefixes, then a
+preorder completeness walk that checks each node with an ``any()`` scan
+when it is popped, so it names the first uncovered cylinder in sorted
+order) and the word-first body they replaced, on perturbed families and
 mutated tables: the same result, or an exception of the same type and
-message.  The one-step ``shift_point_n`` is checked against ``n`` calls
-of ``shift_point``.
+message, with words past 64 symbols spelled by ``sft.word_name``.  The
+one-step ``shift_point_n`` is checked against ``n`` calls of
+``shift_point``.
 
 The chain layer's one conjugation, ``transducer.conjugate_by_stages``, is
 checked against the one-code conjugation it replaced on a one-code tuple,
@@ -200,6 +203,7 @@ from shiftgroups.sft import (
     shift_point_n,
     validate_matrix,
     walk,
+    word_name,
 )
 from shiftgroups.tables import (
     TableElement,
@@ -268,21 +272,20 @@ def reference_expand_to_depth(matrix, word, depth):
 
 
 def reference_check_complete(matrix, parts):
+    """The first uncovered cylinder in sorted order: a preorder walk that
+    checks each node when it is popped and pushes its children reversed."""
     stack = [EMPTY]
     while stack:
         node = stack.pop()
         if node in parts:
             continue
-        for child in matrix.extensions(node):
-            if child in parts:
-                continue
-            if not any(p[: len(child)] == child for p in parts):
-                raise BadPartition(f"no part covers sequences through {child}")
-            stack.append(child)
+        if not any(p[: len(node)] == node for p in parts):
+            raise BadPartition(f"no part covers sequences through {word_name(node)}")
+        stack.extend(reversed(matrix.extensions(node)))
 
 
 def reference_partition(matrix, parts):
-    """The ordered checks ``partition`` ran before its one scan, on the
+    """The ordered checks ``partition`` ran before its one pass, on the
     family as given, sharing no code with it: a repeated word fails the
     neighbour scan."""
     parts = tuple(sorted(tuple(p) for p in parts))
@@ -292,9 +295,9 @@ def reference_partition(matrix, parts):
         matrix.check_admissible(p)
     for a, b in zip(parts, parts[1:]):
         if a == b:
-            raise BadPartition(f"word {a} repeats")
+            raise BadPartition(f"word {word_name(a)} repeats")
         if b[: len(a)] == a:
-            raise BadPartition(f"{a} is a prefix of {b}")
+            raise BadPartition(f"{word_name(a)} is a prefix of {word_name(b)}")
     reference_check_complete(matrix, frozenset(parts))
     return CylinderPartition(matrix, parts)
 
@@ -308,11 +311,11 @@ def reference_validate_table(matrix, entries):
             if not word:
                 raise InadmissibleWord("table words must be nonempty")
             if not matrix.is_admissible(word):
-                raise InadmissibleWord(f"word {word} is not admissible")
+                raise InadmissibleWord(f"word {word_name(word)} is not admissible")
     table = {}
     for nu, mu in raw:
         if nu in table:
-            raise DomainNotPartition(f"source word {nu} repeats")
+            raise DomainNotPartition(f"source word {word_name(nu)} repeats")
         table[nu] = mu
     try:
         reference_partition(matrix, table.keys())
@@ -324,7 +327,8 @@ def reference_validate_table(matrix, entries):
         raise ImageNotPartition(str(exc)) from exc
     for nu, mu in table.items():
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
-            raise FollowerMismatch(f"entry {nu} -> {mu} pairs different follower rows")
+            raise FollowerMismatch(f"entry {word_name(nu)} -> {word_name(mu)} pairs different "
+                                   "follower rows")
     return tables.canonical_table(matrix, table.items())
 
 

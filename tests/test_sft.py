@@ -211,6 +211,27 @@ def test_partition_validation():
         partition(G, [(2, 2), (1,)])
 
 
+@pytest.mark.parametrize("matrix, parts, error, message", [
+    # Of several uncovered cylinders, the first in sorted order is named.
+    (FULL2, [(1, 1), (2, 2)], BadPartition, "no part covers sequences through (1, 2)"),
+    (FULL2, [(1, 1), (1, 2, 1)], BadPartition, "no part covers sequences through (1, 2, 2)"),
+    (TRIANGLE, [(1, 2), (3,)], BadPartition, "no part covers sequences through (1, 3)"),
+    (FULL2, [(2,)], BadPartition, "no part covers sequences through (1,)"),
+    (FULL2, [(1,), (2, 1)], BadPartition, "no part covers sequences through (2, 2)"),
+    # A repeat or a prefix is named before any gap, even one sorting first.
+    (FULL2, [(1, 1), (2,), (2,)], BadPartition, "word (2,) repeats"),
+    (FULL2, [(1, 1), (2,), (2, 1)], BadPartition, "(2,) is a prefix of (2, 1)"),
+    (G, [(), (1,), (1,)], BadPartition, "() is a prefix of (1,)"),
+    # An inadmissible member is named before any repeat, even one sorting first.
+    (G, [(1,), (1,), (2, 2)], Inadmissible, "word (2, 2) is not admissible"),
+    (G, [(1,), (1, 1), (2,), (3,)], Inadmissible, "word (3,) is not admissible"),
+])
+def test_partition_names_the_first_defect_of_the_first_kind(matrix, parts, error, message):
+    with pytest.raises(error) as info:
+        partition(matrix, parts)
+    assert str(info.value) == message
+
+
 def test_refine_examples():
     p = partition(G, [(1,), (2,)])
     q = partition(G, [(1, 1), (1, 2), (2,)])
