@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
 from .sft import (EMPTY, Point, TransitionMatrix, Word, canonicalize_point, enumerate_words,
-                  walk, word_name)
+                  family_defects, representative, walk, word_name)
 
 
 @dataclass(frozen=True)
@@ -82,51 +82,31 @@ def _composite_windows(outer: BlockCode, inner: BlockCode):
         yield word, outer._symbols[image]
 
 
-def _window_name(source: TransitionMatrix, node: list[int], window: int) -> str:
-    """The least window extending ``node`` (or ``1``) by least successors, named
-    by :func:`word_name`, read off the walk's cycle once it repeats."""
-    seq, seen = list(node) or [1], {}
-    while len(seq) < window and seq[-1] not in seen:
-        seen[seq[-1]] = len(seq) - 1
-        seq.append(source.successors(seq[-1])[0])
-    start = seen.get(seq[-1], 0)
-    return word_name(lambda p: seq[p] if p < len(seq) else
-                     seq[start + (p - start) % (len(seq) - 1 - start)], window)
+def _window_name(source: TransitionMatrix, word: Word, window: int) -> str:
+    """The least window extending ``word`` by least successors, named by
+    :func:`word_name`: the first ``window`` symbols of ``representative``'s point."""
+    point = representative(source, word)
+    return word_name(lambda p: point.symbol(p + 1), window)
 
 
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
                      window: int, table: dict[Word, int]) -> None:
-    # The admissible windows in lexicographic order, going down only the
-    # prefixes some declared key extends: the first prefix that none
-    # extends leads to the first missing window, its least extension.
-    # A node is the run of sorted keys extending it, split letter by letter,
-    # so each key symbol is read once.  After it, any key but a window strays.
+    # The declared admissible windows, sorted, go through partition's scan.
+    # No declared window extends the first cylinder it finds uncovered, so
+    # the cylinder's least extension is the first missing window, and sorts
+    # before a declared window exactly when the cylinder does.  Any other
+    # key strays.
     keys = sorted(table)
-    node: list[int] = []  # the node's word, cut and extended as the walk moves
-    stack = [(0, len(keys), 0, ())]
-    while stack:
-        lo, hi, d, last = stack.pop()
-        node[d - len(last):] = last
-        if lo < hi and len(keys[lo]) == d == window:
-            if not 1 <= table[keys[lo]] <= target.n:
-                raise NotAdmissibleImage(f"image of {keys[lo]} is not a target symbol")
-            continue
-        if lo == hi or d == window:
-            raise NotAdmissibleImage(
-                f"no image declared for window {_window_name(source, node, window)}")
-        i = lo + (len(keys[lo]) == d)  # a key as short as the node strays
-        children = []
-        for a in source.successors(node[-1]) if node else source.symbols():
-            while i < hi and keys[i][d] < a:
-                i += 1
-            j = i
-            while j < hi and keys[j][d] == a:
-                j += 1
-            children.append((i, j, d + 1, (a,)))
-            i = j
-        stack.extend(reversed(children))
-    stray = next((w for w in keys if len(w) != window or not source.is_admissible(w)), None)
-    if stray is not None:
+    windows = [w for w in keys if len(w) == window and source.is_admissible(w)]
+    gap = family_defects(source, windows)[1]
+    bad = next((w for w in windows if not 1 <= table[w] <= target.n), None)
+    if gap is not None and (bad is None or gap < bad):
+        raise NotAdmissibleImage(
+            f"no image declared for window {_window_name(source, gap, window)}")
+    if bad is not None:
+        raise NotAdmissibleImage(f"image of {word_name(bad)} is not a target symbol")
+    if len(windows) < len(keys):
+        stray = next(w for w in keys if len(w) != window or not source.is_admissible(w))
         raise NotAdmissibleImage(f"{word_name(stray)} "
                                  f"is not an admissible window of {window} symbols")
     # Each key is one window long by now, so a leaf's image is its two windows' symbols.

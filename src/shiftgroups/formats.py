@@ -39,6 +39,14 @@ def _names(n: int) -> dict:
     return {**{a: str(a) for a in range(1, n + 1)}, **{str(a): a for a in range(1, n + 1)}}
 
 
+def _literal_name(text: str) -> str:
+    """``text`` quoted for a message: in full up to 64 characters, past that by
+    its first and last eight and its length, as :func:`sft.word_name` names words."""
+    if len(text) <= 64:
+        return repr(text)
+    return f"{text[:8]!r}...{text[-8:]!r} of {len(text)} characters"
+
+
 def format_word(word: Word, names: dict | None = None) -> str:
     return ".".join(map(names.__getitem__ if names else str, word)) if word else "-"
 
@@ -52,7 +60,7 @@ def parse_word(text: str, line: int | None = None, names: dict | None = None) ->
     except KeyError:  # a name the matrix lacks, such as ``+1``: read it by ``int``
         return parse_word(text, line)
     except ValueError:
-        raise FormatError(f"bad word literal {text!r}", line)
+        raise FormatError(f"bad word literal {_literal_name(text)}", line)
 
 
 def format_point(point: Point) -> str:
@@ -63,7 +71,7 @@ def format_point(point: Point) -> str:
 def parse_point(text: str, matrix: TransitionMatrix, line: int | None = None) -> Point:
     text = text.strip()
     if "|" not in text:
-        raise FormatError(f"point literal {text!r} needs a '|'", line)
+        raise FormatError(f"point literal {_literal_name(text)} needs a '|'", line)
     u_text, w_text = text.split("|", 1)
     u = parse_word(u_text, line) if u_text else ()
     w = parse_word(w_text, line)

@@ -17,6 +17,7 @@ from operator import itemgetter
 
 from .errors import NegativeExponent
 from .sft import (
+    EMPTY,
     Point,
     TransitionMatrix,
     Word,
@@ -100,18 +101,12 @@ def zero(matrix: TransitionMatrix) -> LocFun:
 
 
 def indicator(matrix: TransitionMatrix, word: Word) -> LocFun:
-    """Characteristic function of the cylinder of ``word``."""
+    """Characteristic function of the cylinder of ``word``: the prefixes of
+    ``word`` are refined until each cylinder is ``word``'s or off it."""
     word = tuple(word)
     matrix.check_admissible(word)
-    if not word:
-        return constant(matrix, 1)
-    table: dict[Word, int] = {word: 1}
-    # Fill in the zero branches hanging off every proper prefix.
-    for i in range(len(word)):
-        for sibling in matrix.extensions(word[:i]):
-            if sibling != word[: i + 1]:
-                table[sibling] = 0
-    return canonical(matrix, table)
+    return canonical(matrix, dict(refine_until(matrix, [(EMPTY, ())], lambda w: (
+        1 if w == word else None if w == word[:len(w)] else 0))))
 
 
 def eval_at(f: LocFun, point: Point) -> int:

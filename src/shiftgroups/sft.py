@@ -14,6 +14,10 @@ fixed-depth :func:`walk` yields the extensions of one length, and the
 settle-walk :func:`refine_until` refines each cylinder until its caller
 decides it, however deep that takes.
 
+A sorted word family is read in one pass, :func:`family_defects`, which
+decides both whether it partitions the space and whether a block map
+declares every window.
+
 Values attached to the parts of a partition are brought to canonical form
 by one sibling merge, :func:`merge_siblings`, whose caller says when a
 family may collapse into its parent.  Families are kept sorted, so a
@@ -204,7 +208,7 @@ def canonicalize_point(matrix: TransitionMatrix, transient: Word, cycle: Word) -
     if not w:
         raise Inadmissible("cycle word must be nonempty")
     if not matrix.is_admissible(u + w + w):
-        raise Inadmissible(f"point {u}|{w} is not admissible")
+        raise Inadmissible(f"point {word_name(u)}|{word_name(w)} is not admissible")
     w = primitive_root(w)
     u = list(u)
     while u and u[-1] == w[-1]:
@@ -370,23 +374,21 @@ class CylinderPartition:
         return part_at(self.parts, point, max(map(len, self.parts)))
 
 
-def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
-    """Validate a word family as a cylinder partition.
+def family_defects(matrix: TransitionMatrix, parts) -> tuple[str | None, Word | None]:
+    """The first repeat-or-prefix message and the first uncovered cylinder of
+    a sorted word family, each in sorted order and None when there is none;
+    raises :class:`Inadmissible` at the first inadmissible member.
 
-    The family is sorted once and read in one pass.  Sorted, a complete
-    prefix-free family is the leaf order of a full prefix tree (equality in
-    Kraft's inequality): the first member is a chain of first letters; each
-    later one is the next cylinder after its predecessor (its trailing last
-    letters dropped, the letter before them stepped to its next successor)
-    followed only by first letters; after the last nothing is left to step.
-    Only a member that breaks this rule is checked, and the pass goes on
-    from it.  Named first is the first inadmissible member
-    (:class:`Inadmissible`), then the first repeat or prefix, then the first
-    uncovered cylinder (:class:`BadPartition`), each in sorted order.
+    One pass decides.  Sorted, a complete prefix-free family is the leaf
+    order of a full prefix tree (equality in Kraft's inequality): the first
+    member is a chain of first letters; each later one is the next cylinder
+    after its predecessor (its trailing last letters dropped, the letter
+    before them stepped to its next successor) followed only by first
+    letters; after the last nothing is left to step.  Only a member that
+    breaks this rule is checked, and the pass goes on from it.  No member
+    extends the uncovered cylinder, so over the sorted admissible windows of
+    a block map it leads to the first missing window, its least extension.
     """
-    parts = tuple(sorted(map(tuple, parts)))
-    if not parts:
-        raise BadPartition("a partition needs at least one part")
     after = matrix._after
     clash = gap = None
     # The next member must read prev[:i], then s, then first letters; s is 0
@@ -415,9 +417,23 @@ def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartit
         while i > 0 and not after[word[i - 1]][word[i]]:
             i -= 1
         s = after[word[i - 1] if i > 0 else 0][word[i]] if word else 0
-    if clash or gap or s:
-        gap = word_name(gap or prev[:i] + (s,))
-        raise BadPartition(clash or f"no part covers sequences through {gap}")
+    return clash, gap or (prev[:i] + (s,) if s else None)
+
+
+def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
+    """Validate a word family as a cylinder partition.
+
+    The family is sorted once and read in one pass (:func:`family_defects`).
+    Named first is the first inadmissible member (:class:`Inadmissible`),
+    then the first repeat or prefix, then the first uncovered cylinder
+    (:class:`BadPartition`), each in sorted order.
+    """
+    parts = tuple(sorted(map(tuple, parts)))
+    if not parts:
+        raise BadPartition("a partition needs at least one part")
+    clash, gap = family_defects(matrix, parts)
+    if clash or gap:
+        raise BadPartition(clash or f"no part covers sequences through {word_name(gap)}")
     return CylinderPartition(matrix, parts)
 
 

@@ -65,9 +65,11 @@ def package_modules(node):
 def test_layers_import_only_downward():
     """Every module is a layer, and every import of the package in a
     layer, at any nesting depth, names ``errors`` or an earlier layer;
-    none sits in a function.  So the cocycle and function layers, which
-    sum windows themselves, import nothing from the chain-map layers
-    ``codes`` and ``transducer``."""
+    none sits in a function, and none takes an underscore name from
+    another module, relative or absolute.  So the cocycle and function
+    layers, which sum windows themselves, import nothing from the
+    chain-map layers ``codes`` and ``transducer``, and a kernel two layers
+    share is public."""
     package = pathlib.Path(shiftgroups.__file__).parent
     assert {path.stem for path in package.glob("*.py")} == {
         *LAYERS, "errors", "__init__", "__main__"}
@@ -79,8 +81,12 @@ def test_layers_import_only_downward():
                 continue
             if node not in tree.body:
                 found.append(f"{name}.py:{node.lineno} imports inside a block")
-            found += [f"{name}.py:{node.lineno} {module}" for module in package_modules(node)
+            modules = package_modules(node)
+            found += [f"{name}.py:{node.lineno} {module}" for module in modules
                       if module != "errors" and module not in LAYERS[:rank]]
+            if modules and isinstance(node, ast.ImportFrom):
+                found += [f"{name}.py:{node.lineno} private {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
     assert found == []
 
 

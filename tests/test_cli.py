@@ -327,7 +327,8 @@ def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
 def test_long_stray_key_is_named_by_its_ends(tmp_path):
     """A window-1 code with one more key of 100000 symbols is refused with
     the key named by its first and last four symbols and its length, in a
-    message under 1 KB, from a child capped at 512 MB."""
+    message under 1 KB, from a child capped at 512 MB; so is a
+    window-100000 code whose one key has an image that is no target symbol."""
     (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
     (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
     key = ".".join(["1"] * 99999 + ["2"])
@@ -340,6 +341,16 @@ def test_long_stray_key_is_named_by_its_ends(tmp_path):
     assert result.stdout == ""
     assert result.stderr == ("error: (1, 1, 1, 1, ..., 1, 1, 1, 2) of 100000 symbols "
                              "is not an admissible window of 1 symbols\n")
+    assert len(result.stderr.encode()) < 1024
+    ones = ".".join(["1"] * 100000)
+    (tmp_path / "image.coe").write_text(
+        "coe F2.mks F2.mks\n"
+        f"code 100000 {{ {ones} -> 9 }} inverse 1 {{ 1 -> 1 2 -> 2 }}\n", encoding="utf-8")
+    result = run_capped_cli("psi", "image.coe", "chi2.fn", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: image of (1, 1, 1, 1, ..., 1, 1, 1, 1) of 100000 symbols "
+                             "is not a target symbol\n")
     assert len(result.stderr.encode()) < 1024
 
 

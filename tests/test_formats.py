@@ -15,6 +15,7 @@ import pytest
 from shiftgroups.codes import make_code
 from shiftgroups.errors import FormatError, ShiftError
 from shiftgroups.formats import (
+    _literal_name,
     format_function,
     format_matrix,
     format_point,
@@ -56,6 +57,41 @@ def test_point_literals():
     assert parse_point("1|2.1", FULL2) == canonicalize_point(FULL2, (), (1, 2))
     with pytest.raises(FormatError):
         parse_point("1.2", G)
+
+
+def test_long_literals_are_named_by_their_ends():
+    """A bad word literal or a point literal without ``|`` is quoted in full
+    up to 64 characters, past that by its first and last eight and its
+    length; an inadmissible point names each of its words past 64 symbols by
+    its first and last four and its length.  Read in-process, as the
+    literals are longer than one command-line argument may be."""
+    word = ".".join(["1"] * 300000 + ["x"])
+    short = ".".join(["1"] * 31 + ["x"])
+    for text, message in (
+            (short, f"bad word literal {short!r}"),
+            (word, f"bad word literal '1.1.1.1.'...'.1.1.1.x' of {len(word)} characters")):
+        with pytest.raises(FormatError) as info:
+            parse_word(text, 4)
+        assert str(info.value) == f"line 4: {message}"
+    word = word[:-2]
+    for text, message in (
+            ("1.2", "point literal '1.2' needs a '|'"),
+            (word, f"point literal '1.1.1.1.'...'.1.1.1.1' of {len(word)} characters "
+                   "needs a '|'")):
+        with pytest.raises(FormatError) as info:
+            parse_point(text, G)
+        assert str(info.value) == message
+    ones = "1, 1, 1, 1"
+    for text, message in (
+            ("2|2", "point (2,)|(2,) is not admissible"),
+            (f"{word}|2.2", f"point ({ones}, ..., {ones}) of 300000 symbols|(2, 2) "
+                            "is not admissible"),
+            (f"2.2|{word}", f"point (2, 2)|({ones}, ..., {ones}) of 300000 symbols "
+                            "is not admissible")):
+        with pytest.raises(ShiftError) as info:
+            parse_point(text, G)
+        assert str(info.value) == message
+        assert len(message) < 1024
 
 
 def test_matrix_roundtrip():
@@ -209,14 +245,15 @@ def reference_content_lines(text):
 
 def reference_parse_word(text, line=None):
     """Symbol by symbol, through ``int``: the word parser before the
-    per-matrix name lookup."""
+    per-matrix name lookup.  A bad literal is quoted as the parser quotes
+    it, by its ends past 64 characters."""
     text = text.strip()
     if text == "-":
         return ()
     try:
         return tuple(map(int, text.split(".")))
     except ValueError:
-        raise FormatError(f"bad word literal {text!r}", line)
+        raise FormatError(f"bad word literal {_literal_name(text)}", line)
 
 
 def reference_body(text, header):

@@ -1554,10 +1554,13 @@ def mutated_block_map(code, rng):
 
 
 def test_block_map_check_matches_listing_reference():
-    """Mutated window maps of the codes under test, and maps 12 symbols
-    wide on the full 2-shift with one key, all keys but one, or one stray
-    key: the same verdict, or the same message, as the check that listed
-    every admissible window first."""
+    """Mutated window maps of the codes under test; maps 12 symbols wide on
+    the full 2-shift with one key, all keys but one, or one stray key; empty
+    maps; keys shorter or longer than the window, or inadmissible and of its
+    length, next to a full map or in place of a missing window; and an image
+    that is no target symbol on the window just before, or just after, the
+    first missing one: the same verdict, or the same message, as the check
+    that listed every admissible window first."""
     rng = random.Random(101)
     cases = []
     for code in codes_under_test():
@@ -1568,6 +1571,18 @@ def test_block_map_check_matches_listing_reference():
               (FULL_TWO, FULL_TWO, 12, {**wide, (2,) * 13: 1})]
     for word in rng.sample(sorted(wide), 3):
         cases.append((FULL_TWO, FULL_TWO, 12, {w: a for w, a in wide.items() if w != word}))
+    golden = {w: w[0] for w in enumerate_words(GOLDEN_MEAN, 4)}
+    cases += [(FULL_TWO, FULL_TWO, 12, {}), (GOLDEN_MEAN, GOLDEN_MEAN, 4, {})]
+    for source, window, full in ((FULL_TWO, 12, wide), (GOLDEN_MEAN, 4, golden)):
+        listed = sorted(full)
+        for k in (1, rng.randrange(2, len(listed) - 2), len(listed) - 2):
+            missing = listed[k]
+            rest = {w: a for w, a in full.items() if w != missing}
+            strays = [missing[:-1], missing + (1,), missing[:-1] + (source.n + 1,), (2,) * window]
+            cases += [(source, source, window, {**table, stray: 1})
+                      for table in (full, rest) for stray in strays]
+            cases += [(source, source, window, {**rest, listed[k - 1]: 3}),
+                      (source, source, window, {**rest, listed[k + 1]: 0})]
     seen = {"accepted": 0, "no image": 0, "not a target symbol": 0,
             "not an admissible window": 0, "forbidden transition": 0}
     for source, target, window, table in cases:
