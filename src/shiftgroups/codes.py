@@ -9,6 +9,7 @@ validation checks exactly that the two maps invert each other.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -65,9 +66,14 @@ class BlockCode:
         )
 
 
+def _pairs(mapping):
+    """The ``(window, symbol)`` pairs of a dict, or the pairs as given, repeats kept."""
+    return mapping.items() if isinstance(mapping, Mapping) else mapping
+
+
 def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) -> BlockCode:
-    mapping = tuple(sorted((tuple(w), int(s)) for w, s in dict(mapping).items()))
-    inverse_mapping = tuple(sorted((tuple(w), int(s)) for w, s in dict(inverse_mapping).items()))
+    mapping = tuple(sorted((tuple(w), int(s)) for w, s in _pairs(mapping)))
+    inverse_mapping = tuple(sorted((tuple(w), int(s)) for w, s in _pairs(inverse_mapping)))
     return BlockCode(source, target, window, mapping, inverse_window, inverse_mapping)
 
 
@@ -90,15 +96,19 @@ def _window_name(source: TransitionMatrix, word: Word, window: int) -> str:
 
 
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
-                     window: int, table: dict[Word, int]) -> None:
-    # The declared admissible windows, sorted, go through partition's scan.
-    # No declared window extends the first cylinder it finds uncovered, so
-    # the cylinder's least extension is the first missing window, and sorts
-    # before a declared window exactly when the cylinder does.  Any other
-    # key strays.
-    keys = sorted(table)
+                     window: int, mapping) -> None:
+    # The declared admissible windows, sorted, go through partition's scan,
+    # which names the first repeated one.  No declared window extends the
+    # first cylinder it finds uncovered, so the cylinder's least extension
+    # is the first missing window, and sorts before a declared window
+    # exactly when the cylinder does.  Any other key strays.
+    pairs = _pairs(mapping)
+    keys = sorted(w for w, _ in pairs)
     windows = [w for w in keys if len(w) == window and source.is_admissible(w)]
-    gap = family_defects(source, windows)[1]
+    repeat, gap = family_defects(source, windows)
+    if repeat is not None:
+        raise NotAdmissibleImage(repeat)
+    table = dict(pairs)
     bad = next((w for w in windows if not 1 <= table[w] <= target.n), None)
     if gap is not None and (bad is None or gap < bad):
         raise NotAdmissibleImage(
@@ -121,7 +131,8 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
               mapping, inverse_window: int, inverse_mapping) -> BlockCode:
     """Validate a block map plus inverse as a conjugacy.
 
-    Both maps must be defined on exactly the admissible windows, produce
+    Each map, a ``{window: symbol}`` mapping or ``(window, symbol)`` pairs,
+    must declare every admissible window once and nothing else, produce
     admissible transitions, and compose to the identity in both
     directions: one depth-first walk per direction, in lexicographic order,
     checks that each window of the composite length ``window +
@@ -132,9 +143,9 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     code = _raw_code(source, target, window, mapping, inverse_window, inverse_mapping)
+    _check_block_map(source, target, window, code.mapping)
+    _check_block_map(target, source, inverse_window, code.inverse_mapping)
     inverse = code.inverse()
-    _check_block_map(source, target, window, code.symbol_map())
-    _check_block_map(target, source, inverse_window, inverse.symbol_map())
     for first, second in ((code, inverse), (inverse, code)):
         for word, symbol in _composite_windows(second, first):
             if symbol != word[0]:

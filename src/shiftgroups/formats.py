@@ -39,11 +39,12 @@ def _names(n: int) -> dict:
     return {**{a: str(a) for a in range(1, n + 1)}, **{str(a): a for a in range(1, n + 1)}}
 
 
-def _literal_name(text: str) -> str:
-    """``text`` quoted for a message: in full up to 64 characters, past that by
-    its first and last eight and its length, as :func:`sft.word_name` names words."""
+def _literal_name(text: str, short=repr) -> str:
+    """``text`` for a message: ``short(text)``, quoted by default, up to 64
+    characters, past that by its first and last eight and its length, as
+    :func:`sft.word_name` names words."""
     if len(text) <= 64:
-        return repr(text)
+        return short(text)
     return f"{text[:8]!r}...{text[-8:]!r} of {len(text)} characters"
 
 
@@ -95,11 +96,11 @@ def parse_matrix_grid(text: str) -> list[list[int]]:
     number, header = lines[0]
     fields = header.split()
     if len(fields) != 2 or fields[0] != "matrix":
-        raise FormatError(f"expected 'matrix N', got {header!r}", number)
+        raise FormatError(f"expected 'matrix N', got {_literal_name(header)}", number)
     try:
         n = int(fields[1])
     except ValueError:
-        raise FormatError(f"bad symbol count {fields[1]!r}", number)
+        raise FormatError(f"bad symbol count {_literal_name(fields[1])}", number)
     if len(lines) != n + 1:
         raise FormatError(f"expected {n} rows after the header", number)
     grid = []
@@ -107,7 +108,7 @@ def parse_matrix_grid(text: str) -> list[list[int]]:
         try:
             row = [int(v) for v in line.split()]
         except ValueError:
-            raise FormatError(f"bad matrix row {line!r}", number)
+            raise FormatError(f"bad matrix row {_literal_name(line)}", number)
         if len(row) != n:
             raise FormatError(f"expected {n} entries, got {len(row)}", number)
         grid.append(row)
@@ -134,14 +135,14 @@ def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
     for number, line in _content_lines(text, "function"):
         fields = line.split()
         if len(fields) != 2:
-            raise FormatError(f"expected 'word value', got {line!r}", number)
+            raise FormatError(f"expected 'word value', got {_literal_name(line)}", number)
         word = parse_word(fields[0], number, names)
         if word in pieces:
-            raise FormatError(f"word {fields[0]} repeats", number)
+            raise FormatError(f"word {_literal_name(fields[0], str)} repeats", number)
         try:
             pieces[word] = int(fields[1])
         except ValueError:
-            raise FormatError(f"bad integer {fields[1]!r}", number)
+            raise FormatError(f"bad integer {_literal_name(fields[1])}", number)
     return make_function(matrix, pieces)
 
 
@@ -161,7 +162,7 @@ def parse_table(text: str, matrix: TransitionMatrix) -> TableElement:
     for number, line in _content_lines(text, "table"):
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
-            raise FormatError(f"expected 'nu -> mu', got {line!r}", number)
+            raise FormatError(f"expected 'nu -> mu', got {_literal_name(line)}", number)
         entries.append((parse_word(fields[0], number, names),
                         parse_word(fields[2], number, names)))
     return validate_table(matrix, entries)
@@ -196,7 +197,7 @@ class _TokenStream:
         number, token = self.peek()
         self.at += 1
         if expect is not None and token != expect:
-            raise FormatError(f"expected {expect!r}, got {token!r}", number)
+            raise FormatError(f"expected {expect!r}, got {_literal_name(token)}", number)
         return token
 
     def take_int(self) -> int:
@@ -204,7 +205,7 @@ class _TokenStream:
         try:
             return int(self.take())
         except ValueError:
-            raise FormatError(f"expected an integer, got {token!r}", number)
+            raise FormatError(f"expected an integer, got {_literal_name(token)}", number)
 
     def line(self):
         return self.tokens[min(self.at, len(self.tokens) - 1)][0] if self.tokens else None
@@ -220,7 +221,7 @@ def _parse_block_map(stream: _TokenStream, names: dict) -> dict[Word, int]:
             return mapping
         word = parse_word(stream.take(), number, names)
         if word in mapping:
-            raise FormatError(f"window {token} repeats", number)
+            raise FormatError(f"window {_literal_name(token, str)} repeats", number)
         stream.take("->")
         mapping[word] = stream.take_int()
 
@@ -264,7 +265,7 @@ def parse_coe(text: str, directory: str = ".") -> CoeMap:
                                     inverse_window, inverse_mapping))
             saw_code = True
         else:
-            raise FormatError(f"unknown stage {token!r}", number)
+            raise FormatError(f"unknown stage {_literal_name(token)}", number)
     if not saw_code:
         raise FormatError("a chain file needs exactly one code stage", stream.line())
     return coe_from_chain(stages, source=source)
@@ -276,7 +277,7 @@ def _load(parser, directory, name, line, *args):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise FormatError(f"cannot read {name!r}: {exc}", line)
+        raise FormatError(f"cannot read {_literal_name(name)}: {exc.strerror}", line)
     return parser(text, *args)
 
 

@@ -12,6 +12,7 @@ Values are Python ints, hence unbounded.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -86,10 +87,15 @@ def canonical(matrix: TransitionMatrix, table: dict[Word, int]) -> LocFun:
 
 
 def make(matrix: TransitionMatrix, pieces) -> LocFun:
-    """Validate (partition completeness included) and canonicalize."""
-    table = {tuple(w): int(v) for w, v in dict(pieces).items()}
-    partition(matrix, table.keys())
-    return canonical(matrix, table)
+    """Validate (partition completeness included) and canonicalize.
+
+    ``pieces`` is a ``{word: value}`` mapping or ``(word, value)`` pairs; the
+    words go to :func:`sft.partition` as given, so a repeated word is refused.
+    """
+    pairs = [(tuple(w), int(v)) for w, v in (
+        pieces.items() if isinstance(pieces, Mapping) else pieces)]
+    partition(matrix, [w for w, _ in pairs])
+    return canonical(matrix, dict(pairs))
 
 
 def constant(matrix: TransitionMatrix, value: int) -> LocFun:

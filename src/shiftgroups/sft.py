@@ -16,7 +16,7 @@ decides it, however deep that takes.
 
 A sorted word family is read in one pass, :func:`family_defects`, which
 decides both whether it partitions the space and whether a block map
-declares every window.
+declares every window once.
 
 Values attached to the parts of a partition are brought to canonical form
 by one sibling merge, :func:`merge_siblings`, whose caller says when a
@@ -219,10 +219,7 @@ def canonicalize_point(matrix: TransitionMatrix, transient: Word, cycle: Word) -
 
 def shift_point(point: Point) -> Point:
     """Drop the first symbol: the image of the point under the shift map."""
-    u, w = point.transient, point.cycle
-    if u:
-        return canonicalize_point(point.matrix, u[1:], w)
-    return canonicalize_point(point.matrix, EMPTY, w[1:] + w[:1])
+    return shift_point_n(point, 1)
 
 
 def shift_point_n(point: Point, n: int) -> Point:

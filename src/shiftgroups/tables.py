@@ -24,16 +24,17 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
+    BadPartition,
     DomainNotPartition,
     EqualSymbols,
     FollowerMismatch,
     ImageNotPartition,
+    Inadmissible,
     InadmissiblePair,
     InadmissibleWord,
-    ShiftError,
 )
 from .functions import LocFun, canonical, window_sum
-from .sft import (EMPTY, BadPartition, Point, TransitionMatrix, Word, enumerate_words,
+from .sft import (EMPTY, Point, TransitionMatrix, Word, enumerate_words,
                   merge_siblings, part_at, partition, prefix_of, prepend_point, refine_until,
                   shift_point_n, walk, word_name)
 
@@ -82,45 +83,27 @@ class TableElement:
 def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
     """Validate raw ``(nu, mu)`` pairs and return the canonical table.
 
-    Raises the first failure in this order: :class:`InadmissibleWord` for
-    the first empty or inadmissible word in entry order (source before
-    target), :class:`DomainNotPartition` for the first repeated source word
-    in entry order and then for the source words, :class:`ImageNotPartition`
-    for the target words (a repeated one included), :class:`FollowerMismatch`
-    for the first entry whose words allow different successors.
-
-    The entries are sorted by source once, and :func:`sft.partition`
-    sorts the targets; the entry-order scans run after a failed check.
+    The entries are sorted by source once.  Raises the first failure in
+    this order: :class:`InadmissibleWord` for an empty word; then the
+    source words, then the target words, each through
+    :func:`sft.partition`, which names the first defect of a family in
+    sorted order (:class:`InadmissibleWord` for an inadmissible word,
+    :class:`DomainNotPartition` or :class:`ImageNotPartition` for a repeat,
+    a prefix or a gap); then :class:`FollowerMismatch` for the first entry
+    by source whose words allow different successors.  So the error does
+    not depend on the order of the entries.
     """
-    raw = [(tuple(nu), tuple(mu)) for nu, mu in entries]
-    ordered = sorted(raw, key=_source)
-    try:
-        try:
-            partition(matrix, [nu for nu, _ in ordered])
-        except BadPartition as exc:
-            raise DomainNotPartition(str(exc)) from exc
-        try:
-            partition(matrix, [mu for _, mu in raw])
-        except BadPartition as exc:
-            raise ImageNotPartition(str(exc)) from exc
-    except ShiftError:
-        for nu, mu in raw:
-            for word in (nu, mu):
-                if not word:
-                    raise InadmissibleWord("table words must be nonempty")
-                if not matrix.is_admissible(word):
-                    raise InadmissibleWord(f"word {word_name(word)} is not admissible")
-        seen = set()
-        for nu, _ in raw:
-            if nu in seen:
-                raise DomainNotPartition(f"source word {word_name(nu)} repeats")
-            seen.add(nu)
-        raise
-    if len(raw) == 1 and EMPTY in raw[0]:
-        # A partition holds an empty word only as its sole member, so both
-        # checks pass a one-entry table whose source or target is empty.
+    ordered = sorted(((tuple(nu), tuple(mu)) for nu, mu in entries), key=_source)
+    if not all(nu and mu for nu, mu in ordered):
         raise InadmissibleWord("table words must be nonempty")
-    for nu, mu in raw:
+    for side, error in ((0, DomainNotPartition), (1, ImageNotPartition)):
+        try:
+            partition(matrix, map(itemgetter(side), ordered))
+        except Inadmissible as exc:
+            raise InadmissibleWord(str(exc)) from exc
+        except BadPartition as exc:
+            raise error(str(exc)) from exc
+    for nu, mu in ordered:
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
             raise FollowerMismatch(
                 f"entry {word_name(nu)} -> {word_name(mu)} pairs different follower rows")

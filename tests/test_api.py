@@ -142,10 +142,19 @@ def test_only_parse_table_validates_tables():
 
 def test_only_boundaries_validate_word_families():
     """Word families are checked as partitions at two boundaries only:
-    ``make`` for functions and ``validate_table`` for both sides of a
-    table."""
-    assert callers_of("partition") == [
-        "functions.make", "tables.validate_table", "tables.validate_table"]
+    ``make`` for functions and ``validate_table``, from one call site, for
+    both sides of a table."""
+    assert callers_of("partition") == ["functions.make", "tables.validate_table"]
+
+
+def test_no_validator_rescans_words():
+    """Words are tested for admissibility one at a time only by the
+    block-map check (which sorts the stray keys out of its scan), by
+    ``check_admissible``, which every family scan calls, and by
+    ``canonicalize_point``: no validator scans words outside ``partition``."""
+    assert callers_of("is_admissible") == [
+        "codes._check_block_map", "codes._check_block_map",
+        "sft.TransitionMatrix.check_admissible", "sft.canonicalize_point"]
 
 
 def test_only_canonicalizers_merge():

@@ -1,5 +1,6 @@
 """End-to-end command line checks, including exit codes."""
 
+import errno
 import inspect
 import os
 import sys
@@ -328,7 +329,9 @@ def test_long_stray_key_is_named_by_its_ends(tmp_path):
     """A window-1 code with one more key of 100000 symbols is refused with
     the key named by its first and last four symbols and its length, in a
     message under 1 KB, from a child capped at 512 MB; so is a
-    window-100000 code whose one key has an image that is no target symbol."""
+    window-100000 code whose one key has an image that is no target symbol,
+    and a stage file name of 100000 characters is named by its first and
+    last eight characters and its length, once."""
     (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
     (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
     key = ".".join(["1"] * 99999 + ["2"])
@@ -351,6 +354,15 @@ def test_long_stray_key_is_named_by_its_ends(tmp_path):
     assert result.stdout == ""
     assert result.stderr == ("error: image of (1, 1, 1, 1, ..., 1, 1, 1, 1) of 100000 symbols "
                              "is not a target symbol\n")
+    assert len(result.stderr.encode()) < 1024
+    (tmp_path / "name.coe").write_text(
+        "coe F2.mks F2.mks\n"
+        f"pre-table {'t' * 100000}\n", encoding="utf-8")
+    result = run_capped_cli("psi", "name.coe", "chi2.fn", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: line 2: cannot read 'tttttttt'...'tttttttt' of 100000 "
+                             f"characters: {os.strerror(errno.ENAMETOOLONG)}\n")
     assert len(result.stderr.encode()) < 1024
 
 

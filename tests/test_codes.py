@@ -85,17 +85,23 @@ def test_make_code_rejects_forbidden_transitions():
 IDENTITY_1 = {(1,): 1, (2,): 2}
 
 
-@pytest.mark.parametrize("window, mapping, inverse, stray", [
-    (1, {**IDENTITY_1, (3,): 1}, IDENTITY_1, "(3,)"),
-    (2, {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 2}, IDENTITY_1, "(2, 2)"),
-    (1, IDENTITY_1, {**IDENTITY_1, (2, 1): 2}, "(2, 1)"),
-    (1, {**IDENTITY_1, (3,): 1, (0,): 2, (1, 1): 1}, IDENTITY_1, "(0,)"),
-], ids=["unknown-symbol", "inadmissible-window", "inverse-side", "first-in-sorted-order"])
-def test_make_code_rejects_stray_windows(window, mapping, inverse, stray):
+@pytest.mark.parametrize("window, mapping, inverse, message", [
+    (1, {**IDENTITY_1, (3,): 1}, IDENTITY_1, "(3,) is not an admissible window"),
+    (2, {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 2}, IDENTITY_1,
+     "(2, 2) is not an admissible window"),
+    (1, IDENTITY_1, {**IDENTITY_1, (2, 1): 2}, "(2, 1) is not an admissible window"),
+    (1, {**IDENTITY_1, (3,): 1, (0,): 2, (1, 1): 1}, IDENTITY_1,
+     "(0,) is not an admissible window"),
+    (1, [((1,), 2), ((1,), 1), ((2,), 2)], IDENTITY_1, "word (1,) repeats"),
+    (1, IDENTITY_1, [((2,), 2), ((1,), 1), ((2,), 2)], "word (2,) repeats"),
+], ids=["unknown-symbol", "inadmissible-window", "inverse-side", "first-in-sorted-order",
+        "repeated-window", "repeated-inverse-window"])
+def test_make_code_rejects_stray_windows(window, mapping, inverse, message):
     """A key that is not an admissible window of the declared length, on
-    either side, is named: the first such key in sorted order."""
-    message = re.escape(f"{stray} is not an admissible window")
-    with pytest.raises(NotAdmissibleImage, match=message):
+    either side, is named: the first such key in sorted order.  So is a
+    window declared twice in a list of pairs, which a dict of them would
+    hide."""
+    with pytest.raises(NotAdmissibleImage, match=re.escape(message)):
         make_code(G, G, window, mapping, 1, inverse)
 
 

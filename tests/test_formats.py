@@ -9,6 +9,7 @@ texts.  The examples in README's "File formats" section must parse.
 import pathlib
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -60,11 +61,13 @@ def test_point_literals():
 
 
 def test_long_literals_are_named_by_their_ends():
-    """A bad word literal or a point literal without ``|`` is quoted in full
-    up to 64 characters, past that by its first and last eight and its
-    length; an inadmissible point names each of its words past 64 symbols by
-    its first and last four and its length.  Read in-process, as the
-    literals are longer than one command-line argument may be."""
+    """A bad word literal or a point literal without ``|``, and a malformed
+    line, a bad field or a repeated word of a table, function or matrix
+    file, is quoted in full up to 64 characters, past that by its first and
+    last eight and its length; an inadmissible point names each of its
+    words past 64 symbols by its first and last four and its length.  Read
+    in-process, as the literals are longer than one command-line argument
+    may be."""
     word = ".".join(["1"] * 300000 + ["x"])
     short = ".".join(["1"] * 31 + ["x"])
     for text, message in (
@@ -90,6 +93,26 @@ def test_long_literals_are_named_by_their_ends():
                             "is not admissible")):
         with pytest.raises(ShiftError) as info:
             parse_point(text, G)
+        assert str(info.value) == message
+        assert len(message) < 1024
+    ones = ".".join(["1"] * 100000)
+    named = f"'1.1.1.1.'...'.1.1.1.1' of {len(ones)} characters"
+    table, function = (partial(parse, matrix=FULL2) for parse in (parse_table, parse_function))
+    for parse, text, message in (
+            (table, "table\n1 -> 1 2\n", "line 2: expected 'nu -> mu', got '1 -> 1 2'"),
+            (table, f"table\n{ones} -> 1 2\n",
+             "line 2: expected 'nu -> mu', got '1.1.1.1.'...'1 -> 1 2' of 200006 characters"),
+            (function, f"function\n{ones} 1 2\n",
+             "line 2: expected 'word value', got '1.1.1.1.'...'.1.1 1 2' of 200003 characters"),
+            (function, "function\n1 x\n", "line 2: bad integer 'x'"),
+            (function, f"function\n1 {ones}\n", f"line 2: bad integer {named}"),
+            (function, "function\n1 1\n1 2\n", "line 3: word 1 repeats"),
+            (function, f"function\n{ones} 1\n{ones} 2\n", f"line 3: word {named} repeats"),
+            (parse_matrix, "matrix 2\n1 1\n1 oops\n", "line 3: bad matrix row '1 oops'"),
+            (parse_matrix, f"matrix 2\n1 1\n{ones}\n", f"line 3: bad matrix row {named}"),
+            (parse_matrix, f"matrix {ones}\n", f"line 1: bad symbol count {named}")):
+        with pytest.raises(FormatError) as info:
+            parse(text)
         assert str(info.value) == message
         assert len(message) < 1024
 
@@ -268,7 +291,7 @@ def reference_parse_table(text, matrix):
     for number, line in reference_body(text, "table"):
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
-            raise FormatError(f"expected 'nu -> mu', got {line!r}", number)
+            raise FormatError(f"expected 'nu -> mu', got {_literal_name(line)}", number)
         entries.append((reference_parse_word(fields[0], number),
                         reference_parse_word(fields[2], number)))
     return validate_table(matrix, entries)
@@ -279,14 +302,14 @@ def reference_parse_function(text, matrix):
     for number, line in reference_body(text, "function"):
         fields = line.split()
         if len(fields) != 2:
-            raise FormatError(f"expected 'word value', got {line!r}", number)
+            raise FormatError(f"expected 'word value', got {_literal_name(line)}", number)
         word = reference_parse_word(fields[0], number)
         if word in pieces:
-            raise FormatError(f"word {fields[0]} repeats", number)
+            raise FormatError(f"word {_literal_name(fields[0], str)} repeats", number)
         try:
             pieces[word] = int(fields[1])
         except ValueError:
-            raise FormatError(f"bad integer {fields[1]!r}", number)
+            raise FormatError(f"bad integer {_literal_name(fields[1])}", number)
     return make(matrix, pieces)
 
 
@@ -304,7 +327,7 @@ def reference_parse_code(text, source, target):
         number, token = tokens[at]
         at += 1
         if expect is not None and token != expect:
-            raise FormatError(f"expected {expect!r}, got {token!r}", number)
+            raise FormatError(f"expected {expect!r}, got {_literal_name(token)}", number)
         return number, token
 
     def take_int():
@@ -312,7 +335,7 @@ def reference_parse_code(text, source, target):
         try:
             return int(token)
         except ValueError:
-            raise FormatError(f"expected an integer, got {token!r}", number)
+            raise FormatError(f"expected an integer, got {_literal_name(token)}", number)
 
     def block_map():
         take("{")
@@ -323,7 +346,7 @@ def reference_parse_code(text, source, target):
                 return mapping
             word = reference_parse_word(token, number)
             if word in mapping:
-                raise FormatError(f"window {token} repeats", number)
+                raise FormatError(f"window {_literal_name(token, str)} repeats", number)
             take("->")
             mapping[word] = take_int()
 
@@ -333,7 +356,7 @@ def reference_parse_code(text, source, target):
     take("inverse")
     inverse_window, inverse_mapping = take_int(), block_map()
     if at != len(tokens):
-        raise FormatError(f"unknown stage {tokens[at][1]!r}", tokens[at][0])
+        raise FormatError(f"unknown stage {_literal_name(tokens[at][1])}", tokens[at][0])
     return coe_from_chain([make_code(source, target, window, mapping,
                                      inverse_window, inverse_mapping)], source=source)
 

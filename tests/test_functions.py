@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from shiftgroups.errors import NegativeExponent
+from shiftgroups.errors import BadPartition, NegativeExponent
 from shiftgroups.functions import (
     birkhoff,
     birkhoff_at,
@@ -43,6 +43,14 @@ def random_point(matrix, rng, depth=4):
         extensions = matrix.extensions(word)
         word = extensions[rng.randrange(len(extensions))]
     return representative(matrix, word)
+
+
+def test_make_rejects_a_repeated_word():
+    """Pieces given as pairs reach the partition check as given, so a word
+    with two values is refused rather than keeping the last."""
+    assert make(FULL2, [((1,), 1), ((2,), 0)]) == indicator(FULL2, (1,))
+    with pytest.raises(BadPartition, match=r"^word \(1,\) repeats$"):
+        make(FULL2, [((1,), 1), ((1,), 2), ((2,), 0)])
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -86,11 +86,11 @@ leaves its word checks to it are checked against ordered checks written
 here (admissibility, a neighbour scan for repeats and prefixes, then a
 preorder completeness walk that checks each node with an ``any()`` scan
 when it is popped, so it names the first uncovered cylinder in sorted
-order) and the word-first body they replaced, on perturbed families and
-mutated tables: the same result, or an exception of the same type and
-message, with words past 64 symbols spelled by ``sft.word_name``.  The
-one-step ``shift_point_n`` is checked against ``n`` calls of
-``shift_point``.
+order), run family by family for tables, on perturbed families and
+mutated tables, each table also shuffled: the same result, or an exception
+of the same type and message, with words past 64 symbols spelled by
+``sft.word_name``.  The one-step ``shift_point_n``, which ``shift_point``
+is, is checked against ``n`` single shifts that each re-canonicalize.
 
 The chain layer's one conjugation, ``transducer.conjugate_by_stages``, is
 checked against the one-code conjugation it replaced on a one-code tuple,
@@ -303,38 +303,38 @@ def reference_partition(matrix, parts):
 
 
 def reference_validate_table(matrix, entries):
-    """``validate_table`` as it was: every word checked in entry order
-    first, then again by each ``partition`` call."""
+    """``validate_table``'s order of checks, sharing no code with
+    ``partition``: an empty word, then the source family and then the
+    target family through :func:`reference_partition`, then the first
+    follower mismatch by source."""
     raw = [(tuple(nu), tuple(mu)) for nu, mu in entries]
-    for nu, mu in raw:
-        for word in (nu, mu):
-            if not word:
-                raise InadmissibleWord("table words must be nonempty")
-            if not matrix.is_admissible(word):
-                raise InadmissibleWord(f"word {word_name(word)} is not admissible")
-    table = {}
-    for nu, mu in raw:
-        if nu in table:
-            raise DomainNotPartition(f"source word {word_name(nu)} repeats")
-        table[nu] = mu
+    if any(not word for entry in raw for word in entry):
+        raise InadmissibleWord("table words must be nonempty")
     try:
-        reference_partition(matrix, table.keys())
+        reference_partition(matrix, [nu for nu, _ in raw])
+    except Inadmissible as exc:
+        raise InadmissibleWord(str(exc)) from exc
     except BadPartition as exc:
         raise DomainNotPartition(str(exc)) from exc
     try:
-        reference_partition(matrix, table.values())
+        reference_partition(matrix, [mu for _, mu in raw])
+    except Inadmissible as exc:
+        raise InadmissibleWord(str(exc)) from exc
     except BadPartition as exc:
         raise ImageNotPartition(str(exc)) from exc
-    for nu, mu in table.items():
+    for nu, mu in sorted(raw):
         if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
             raise FollowerMismatch(f"entry {word_name(nu)} -> {word_name(mu)} pairs different "
                                    "follower rows")
-    return tables.canonical_table(matrix, table.items())
+    return tables.canonical_table(matrix, raw)
 
 
 def reference_shift_point_n(point, n):
+    """``n`` single shifts, each re-canonicalizing the point from scratch."""
     for _ in range(n):
-        point = shift_point(point)
+        u, w = point.transient, point.cycle
+        point = canonicalize_point(point.matrix, u[1:], w) if u else canonicalize_point(
+            point.matrix, EMPTY, w[1:] + w[:1])
     return point
 
 
@@ -1055,32 +1055,40 @@ def test_partition_scan_matches_ordered_checks(matrix):
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_validate_table_matches_word_first_reference(matrix):
-    """Mutated padded random tables and mutated comb tables, each also in a
-    shuffled order: the same table, or the same first error.  The first
-    inadmissible word, repeated source and follower mismatch are named in
-    entry order, so the shuffled copies catch a check that names them in
-    sorted order instead."""
+    """Mutated padded random tables and mutated comb tables: the same table,
+    or the same first error.  Each table's defects are named first in sorted
+    order, family by family, so a shuffled copy of each case gives exactly
+    the case's own outcome: a check that named a defect in entry order
+    would fail there."""
     rng = random.Random(79)
     deep = comb(matrix, 300)
+    ones = [((a,), (a,)) for a in matrix.symbols()]
+    gap_and_bad_target = [((1,), (1, 0))] + ones[1:-1]
+    crossed = [((a,), (matrix.n + 1 - a,)) for a in reversed(matrix.symbols())]
     cases = [[(EMPTY, EMPTY)], [(EMPTY, EMPTY), ((1,), EMPTY)],
              [((a,), EMPTY) for a in matrix.symbols()],
-             [(w, w) for w in deep], [(w, v) for w, v in zip(deep, reversed(deep))]]
+             [(w, w) for w in deep], [(w, v) for w, v in zip(deep, reversed(deep))],
+             gap_and_bad_target, ones + [ones[0]], crossed]
+    assert outcome(validate_table, matrix, gap_and_bad_target)[0] is DomainNotPartition
+    assert outcome(validate_table, matrix, ones + [ones[0]]) == (
+        DomainNotPartition, "word (1,) repeats")
     for seed in range(150):
         entries = padded(random_element(matrix, 3, seed), rng).entries
         cases += [list(entries), mutated(matrix, entries, rng)]
     cases += [mutated(matrix, cases[3 + i % 2], rng) for i in range(20)]
-    for entries in list(cases):
-        entries = list(entries)
-        rng.shuffle(entries)
-        cases.append(entries)
     seen = set()
     for entries in cases:
         expected = outcome(reference_validate_table, matrix, entries)
-        assert outcome(validate_table, matrix, entries) == expected
+        shuffled = list(entries)
+        rng.shuffle(shuffled)
+        for copy in (entries, shuffled):
+            assert outcome(validate_table, matrix, copy) == expected
+            assert outcome(reference_validate_table, matrix, copy) == expected
         seen.add(expected[0] if isinstance(expected, tuple) else "valid")
     assert seen >= {"valid", InadmissibleWord, DomainNotPartition, ImageNotPartition}
     if len(set(map(matrix.successors, matrix.symbols()))) > 1:
         assert FollowerMismatch in seen
+        assert outcome(validate_table, matrix, crossed)[0] is FollowerMismatch
 
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
