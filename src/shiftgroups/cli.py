@@ -37,6 +37,7 @@ from .formats import (
     load_table,
     parse_matrix_grid,
     parse_point,
+    read_text,
 )
 from .orbit import psi, pullback_map
 from .selftest import run_selftest
@@ -119,8 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.matrix, encoding="utf-8") as handle:
-        grid = parse_matrix_grid(handle.read())
+    grid = parse_matrix_grid(read_text(args.matrix))
     try:
         matrix = validate_matrix(grid)
     except (NotZeroOne, Reducible, Permutation) as exc:

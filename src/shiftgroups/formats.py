@@ -1,11 +1,11 @@
 """Text formats for matrices, words, points, functions, tables, chains.
 
-All files are UTF-8 with LF line endings; ``#`` starts a comment and
-blank lines are ignored.  Words are dot-separated symbols with ``-`` for
-the empty word; points are ``u|w`` literals.  Writers emit canonical
-sorted forms only, and everything printed re-parses to an equal object.
-Symbols are read and written through one name lookup per matrix
-(:func:`_names`); :func:`tables.validate_table` sorts a table once.
+All files are UTF-8 (:func:`read_text`) with LF or CRLF line endings;
+``#`` starts a comment and blank lines are ignored.  Words are
+dot-separated symbols with ``-`` for the empty word; points are ``u|w``
+literals.  Writers emit canonical sorted forms only, and everything
+printed re-parses to an equal object.  Word fields map one name lookup per
+matrix (:func:`_names`); a name it lacks goes to :func:`parse_word`.
 """
 
 from __future__ import annotations
@@ -48,18 +48,16 @@ def _literal_name(text: str, short=repr) -> str:
     return f"{text[:8]!r}...{text[-8:]!r} of {len(text)} characters"
 
 
-def format_word(word: Word, names: dict | None = None) -> str:
-    return ".".join(map(names.__getitem__ if names else str, word)) if word else "-"
+def format_word(word: Word) -> str:
+    return ".".join(map(str, word)) if word else "-"
 
 
-def parse_word(text: str, line: int | None = None, names: dict | None = None) -> Word:
+def parse_word(text: str, line: int | None = None) -> Word:
     text = text.strip()
     if text == "-":
         return ()
     try:
-        return tuple(map(names.__getitem__ if names else int, text.split(".")))
-    except KeyError:  # a name the matrix lacks, such as ``+1``: read it by ``int``
-        return parse_word(text, line)
+        return tuple(map(int, text.split(".")))
     except ValueError:
         raise FormatError(f"bad word literal {_literal_name(text)}", line)
 
@@ -123,20 +121,23 @@ def parse_matrix(text: str) -> TransitionMatrix:
 
 
 def format_function(f: LocFun) -> str:
-    names = _names(f.matrix.n)
+    name = _names(f.matrix.n).__getitem__
     lines = ["function"]
-    lines += [f"{format_word(w, names)} {v}" for w, v in f.pieces]
+    lines += [f"{'.'.join(map(name, w)) or '-'} {v}" for w, v in f.pieces]
     return "\n".join(lines) + "\n"
 
 
 def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
-    names = _names(matrix.n)
+    symbol = _names(matrix.n).__getitem__
     pieces = {}
     for number, line in _content_lines(text, "function"):
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(f"expected 'word value', got {_literal_name(line)}", number)
-        word = parse_word(fields[0], number, names)
+        try:
+            word = tuple(map(symbol, fields[0].split(".")))
+        except KeyError:  # not plain names: ``-``, ``+1`` or a bad literal
+            word = parse_word(fields[0], number)
         if word in pieces:
             raise FormatError(f"word {_literal_name(fields[0], str)} repeats", number)
         try:
@@ -150,21 +151,25 @@ def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
 
 
 def format_table(table: TableElement) -> str:
-    names = _names(table.matrix.n)
+    name = _names(table.matrix.n).__getitem__
     lines = ["table"]
-    lines += [f"{format_word(nu, names)} -> {format_word(mu, names)}" for nu, mu in table.entries]
+    lines += [f"{'.'.join(map(name, nu))} -> {'.'.join(map(name, mu))}"
+              for nu, mu in table.entries]
     return "\n".join(lines) + "\n"
 
 
 def parse_table(text: str, matrix: TransitionMatrix) -> TableElement:
-    names = _names(matrix.n)
+    symbol = _names(matrix.n).__getitem__
     entries = []
     for number, line in _content_lines(text, "table"):
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
             raise FormatError(f"expected 'nu -> mu', got {_literal_name(line)}", number)
-        entries.append((parse_word(fields[0], number, names),
-                        parse_word(fields[2], number, names)))
+        try:
+            entries.append((tuple(map(symbol, fields[0].split("."))),
+                            tuple(map(symbol, fields[2].split(".")))))
+        except KeyError:  # not plain names: ``-``, ``+1`` or a bad literal
+            entries.append((parse_word(fields[0], number), parse_word(fields[2], number)))
     return validate_table(matrix, entries)
 
 
@@ -219,7 +224,10 @@ def _parse_block_map(stream: _TokenStream, names: dict) -> dict[Word, int]:
         if token == "}":
             stream.take()
             return mapping
-        word = parse_word(stream.take(), number, names)
+        try:
+            word = tuple(map(names.__getitem__, stream.take().split(".")))
+        except KeyError:  # not plain names: ``-``, ``+1`` or a bad literal
+            word = parse_word(token, number)
         if word in mapping:
             raise FormatError(f"window {_literal_name(token, str)} repeats", number)
         stream.take("->")
@@ -271,31 +279,31 @@ def parse_coe(text: str, directory: str = ".") -> CoeMap:
     return coe_from_chain(stages, source=source)
 
 
+def read_text(path: str) -> str:
+    """A file's UTF-8 text, decoded in one step (``splitlines`` reads CRLF)."""
+    with open(path, "rb") as handle:
+        return handle.read().decode("utf-8")
+
+
 def _load(parser, directory, name, line, *args):
-    path = os.path.join(directory, name)
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = read_text(os.path.join(directory, name))
     except OSError as exc:
         raise FormatError(f"cannot read {_literal_name(name)}: {exc.strerror}", line)
     return parser(text, *args)
 
 
 def load_matrix(path: str) -> TransitionMatrix:
-    with open(path, encoding="utf-8") as handle:
-        return parse_matrix(handle.read())
+    return parse_matrix(read_text(path))
 
 
 def load_function(path: str, matrix: TransitionMatrix) -> LocFun:
-    with open(path, encoding="utf-8") as handle:
-        return parse_function(handle.read(), matrix)
+    return parse_function(read_text(path), matrix)
 
 
 def load_table(path: str, matrix: TransitionMatrix) -> TableElement:
-    with open(path, encoding="utf-8") as handle:
-        return parse_table(handle.read(), matrix)
+    return parse_table(read_text(path), matrix)
 
 
 def load_coe(path: str) -> CoeMap:
-    with open(path, encoding="utf-8") as handle:
-        return parse_coe(handle.read(), os.path.dirname(path) or ".")
+    return parse_coe(read_text(path), os.path.dirname(path) or ".")

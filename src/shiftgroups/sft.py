@@ -68,9 +68,11 @@ class TransitionMatrix:
         object.__setattr__(self, "_successors", successors)
         object.__setattr__(self, "_predecessors", tuple(map(tuple, predecessors)))
         # partition's letter table, one row per letter before, row 0 at the start
-        # of a word: the letter after each allowed one, the first after 0, 0 after the last.
+        # of a word: the letter after each allowed one, the first after 0, 0 after the last;
+        # refine_until pushes the same rows reversed.
         allowed = (tuple(self.symbols()),) + successors
         object.__setattr__(self, "_after", tuple(dict(zip((0,) + r, r + (0,))) for r in allowed))
+        object.__setattr__(self, "_reversed", tuple(r[::-1] for r in allowed))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -86,10 +88,9 @@ class TransitionMatrix:
 
     def is_admissible(self, word: Iterable[int]) -> bool:
         word = tuple(word)
-        if any(a < 1 or a > self.n for a in word):
+        if word and not (min(word) >= 1 and max(word) <= self.n):
             return False
-        successors = self._successors
-        return all(b in successors[a - 1] for a, b in zip(word, word[1:]))
+        return all(map(dict.__contains__, map(self._after.__getitem__, word[:-1]), word[1:]))
 
     def check_admissible(self, word: Word) -> None:
         if not self.is_admissible(word):
@@ -118,20 +119,20 @@ def validate_matrix(grid) -> TransitionMatrix:
             if v not in (0, 1):
                 raise NotZeroOne(f"entry {v!r} is not 0 or 1")
     matrix = TransitionMatrix(n, rows)
-    # Irreducible: every symbol reaches every symbol by a path of length
-    # >= 1.  Reachability is seeded with successors, not the vertex
-    # itself, so a loopless vertex never counts as reaching itself.
-    for i in matrix.symbols():
-        seen = set(matrix.successors(i))
+    # Irreducible: every symbol reaches every symbol by a path of length >= 1.
+    # Forward, then backward from 1 (seeded with its neighbours): once 1 reaches
+    # all, a symbol reaches all exactly when it reaches 1.
+    for backward, rows_of in enumerate((matrix._successors, matrix._predecessors)):
+        seen = set(rows_of[0])
         frontier = list(seen)
         while frontier:
-            a = frontier.pop()
-            for b in matrix.successors(a):
+            for b in rows_of[frontier.pop() - 1]:
                 if b not in seen:
                     seen.add(b)
                     frontier.append(b)
         if len(seen) != n:
-            raise Reducible(f"symbol {i} does not reach every symbol")
+            least = min(set(matrix.symbols()) - seen) if backward else 1
+            raise Reducible(f"symbol {least} does not reach every symbol")
     if all(sum(row) == 1 for row in rows):
         raise Permutation("all row sums are 1")
     return matrix
@@ -189,7 +190,9 @@ class Point:
         return w[(i - 1 - len(u)) % len(w)]
 
     def prefix(self, m: int) -> Word:
-        return tuple(self.symbol(i) for i in range(1, m + 1))
+        """The first ``m`` symbols: the transient and enough cycles, sliced."""
+        u, w = self.transient, self.cycle
+        return (u + w * -((len(u) - m) // len(w)))[:max(m, 0)]
 
     def starts_with(self, word: Word) -> bool:
         return self.prefix(len(word)) == word
@@ -310,12 +313,13 @@ def refine_until(matrix: TransitionMatrix, roots, decide):
     cylinder, depth first, from an explicit stack, so word depth is not
     bounded by the interpreter's recursion limit.
     """
-    stack = list(reversed(roots))
+    backwards, stack = matrix._reversed, list(reversed(roots))
     while stack:
         word, state = stack.pop()
         answer = decide(word, *state)
         if answer is None:
-            stack.extend((child, state) for child in reversed(matrix.extensions(word)))
+            for a in backwards[word[-1] if word else 0]:
+                stack.append((word + (a,), state))
         else:
             yield word, answer
 

@@ -13,7 +13,8 @@ every full sibling family ``(nu a -> mu a)`` over all admissible letters
 ``a`` collapsed to ``(nu -> mu)`` whenever ``nu`` and ``mu`` are nonempty
 and allow the same successors (:func:`sft.merge_siblings`) -- so ``==``
 decides equality in the group.  Sorted sources also make the entry above
-a word one bisection (:func:`sft.prefix_of`), for applying and composing.
+a word one bisection (:func:`sft.prefix_of`) and the entries below it one
+run (:func:`sft.cylinder_run`), for applying and composing with no walk.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     InadmissibleWord,
 )
 from .functions import LocFun, canonical, window_sum
-from .sft import (EMPTY, Point, TransitionMatrix, Word, enumerate_words,
+from .sft import (EMPTY, Point, TransitionMatrix, Word, cylinder_run, enumerate_words,
                   merge_siblings, part_at, partition, prefix_of, prepend_point, refine_until,
                   shift_point_n, walk, word_name)
 
@@ -143,19 +144,20 @@ def apply(table: TableElement, point: Point) -> Point:
 def compose(outer: TableElement, inner: TableElement) -> TableElement:
     """The table of ``outer after inner``, canonical.
 
-    Each inner entry is refined until its target word is deep enough to
-    select a unique outer entry, then the words are spliced.
+    The outer sources partition the space, so an inner target ``mu`` lies
+    in one, ``a -> b``, giving ``nu -> b + mu[len(a):]``, or else each outer
+    source ``mu c -> b`` of the sorted run under it gives ``nu c -> b``.
     """
     if outer.matrix != inner.matrix:
         raise ValueError("tables live over different matrices")
-
-    def splice(word: Word, nu: Word, mu: Word):
-        image = mu + word[len(nu):]
-        entry = outer.entry_at(image)
-        return None if entry is None else entry[1] + image[len(entry[0]):]
-
-    roots = [(nu, (nu, mu)) for nu, mu in inner.entries]
-    return canonical_table(inner.matrix, refine_until(inner.matrix, roots, splice))
+    by_source, entries = outer._by_source, []
+    for nu, mu in inner.entries:
+        above = outer.entry_at(mu)
+        if above is None:
+            entries += [(nu + a[len(mu):], b) for a, b in cylinder_run(by_source, mu, _source)]
+        else:
+            entries.append((nu, above[1] + mu[len(above[0]):]))
+    return canonical_table(inner.matrix, entries)
 
 
 def invert(table: TableElement) -> TableElement:

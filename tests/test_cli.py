@@ -398,6 +398,41 @@ def test_missing_file_is_input_error(workdir):
     assert run_cli("rho", "G.mks", "nope.fn", "tau0.tbl", cwd=workdir).returncode == 2
 
 
+def test_invalid_utf8_is_input_error_naming_the_byte(workdir):
+    """A file that is not UTF-8 exits 2, and the message names the bad byte
+    and its position, for a table and for the matrix ``validate`` reads."""
+    (workdir / "bad.tbl").write_bytes(b"table\n1 -> 2\n2 -> \xff1\n")
+    (workdir / "bad.mks").write_bytes(b"matrix 2\n1 1\n1 \xfe0\n")
+    result = run_cli("table", "check", "G.mks", "bad.tbl", cwd=workdir)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: 'utf-8' codec can't decode byte 0xff in position 18: "
+                             "invalid start byte\n")
+    result = run_cli("validate", "bad.mks", cwd=workdir)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: 'utf-8' codec can't decode byte 0xfe in position 15: "
+                             "invalid start byte\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("validate", "G.mks"),
+    ("table", "check", "G.mks", "tau0.tbl"),
+    ("table", "invert", "G.mks", "tau0.tbl"),
+    ("rho", "G.mks", "chi1.fn", "tau0.tbl"),
+    ("member", "G.mks", "one.fn", "tau0.tbl"),
+    ("psi", "tau0.coe", "chi1.fn"),
+])
+def test_crlf_files_read_like_their_lf_copies(workdir, args):
+    """Matrix, table, function and chain files with CRLF line ends give the
+    output of their LF copies."""
+    expected = run_cli(*args, cwd=workdir)
+    for path in list(workdir.iterdir()):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    result = run_cli(*args, cwd=workdir)
+    assert b"\r\n" in (workdir / "G.mks").read_bytes()
+    assert (result.returncode, result.stdout, result.stderr) == (
+        expected.returncode, expected.stdout, expected.stderr)
+
+
 def test_usage_error_exit_code(workdir):
     assert run_cli("frobnicate", cwd=workdir).returncode == 2
     assert run_cli("words", "G.mks", "-1", cwd=workdir).returncode == 2

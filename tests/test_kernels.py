@@ -101,6 +101,21 @@ is checked against the enumeration of every admissible window of the
 longer length on every ordered pair of those codes.  The preferred point
 of the difference-point search always has a cycle of at least two
 symbols: the cycle of ``_least_long_cycle``, rotated.
+
+The table path is checked against the per-node and per-word steps it
+dropped: ``tables.compose``, which reads the outer entry above each
+inner target or the sorted run below it, against the settle walk that
+refined each inner entry until its image selected one outer entry (on
+random elements, padded presentations, cylinder permutations up to
+length 6 and products of deep exchanges up to k = 50); the inline word
+reads of ``parse_table`` and ``parse_function`` against ``parse_word``
+on every field, with odd fields in every position (the same object, or
+the same error type, message and line); ``Point.prefix`` against the
+``symbol`` loop; ``is_admissible`` against the successor-row scan on
+every word up to length 4 with symbols out of range; ``validate_matrix``'s
+two reachability passes against the search from every symbol, and
+``refine_until``'s reversed letter rows against the ``extensions``
+walk, in yield order.
 """
 
 import dataclasses
@@ -109,6 +124,7 @@ import random
 from bisect import bisect_left
 import re
 import sys
+import time
 import tracemalloc
 from operator import itemgetter
 
@@ -117,18 +133,22 @@ from conftest import deep_exchange, run_python
 
 from shiftgroups import functions as fn
 from shiftgroups import conjugacy, orbit
-from shiftgroups import tables, transducer
+from shiftgroups import formats, tables, transducer
 from shiftgroups.cocycles import gauge_weight, rho, rho_at, rho_from_entries
 from shiftgroups.errors import (
     BadPartition,
     DomainNotPartition,
     FollowerMismatch,
     ImageNotPartition,
+    FormatError,
     Inadmissible,
     InadmissibleWord,
     IncompatibleChain,
     NotAdmissibleImage,
     NotInverse,
+    NotZeroOne,
+    Permutation,
+    Reducible,
     SearchBudgetExceeded,
     ShiftError,
     VerificationFailed,
@@ -162,6 +182,7 @@ from shiftgroups.formats import (
     format_table,
     format_word,
     load_coe,
+    parse_word,
 )
 from shiftgroups.orbit import (
     CoeMap,
@@ -2589,3 +2610,251 @@ def test_block_level_below_one_is_rejected(m):
         higher_block_codes(matrix, m)
     with pytest.raises(ValueError, match="block length must be >= 1"):
         higher_block(matrix, m)
+
+
+# -- table requests in C-level steps ------------------------------------------------
+
+
+def reference_compose(outer, inner):
+    """The settle walk ``compose`` ran before it read sorted runs: each inner
+    entry refined until its image selects one outer entry, then spliced."""
+    def splice(word, nu, mu):
+        image = mu + word[len(nu):]
+        entry = outer.entry_at(image)
+        return None if entry is None else entry[1] + image[len(entry[0]):]
+
+    roots = [(nu, (nu, mu)) for nu, mu in inner.entries]
+    return tables.canonical_table(inner.matrix, refine_until(inner.matrix, roots, splice))
+
+
+def cylinder_permutation(matrix, length, rng):
+    """A seeded permutation of the length-``length`` cylinders within
+    follower rows, left unmerged, as the benchmark builds it."""
+    rows = {}
+    for word in enumerate_words(matrix, length):
+        rows.setdefault(matrix.successors(word[-1]), []).append(word)
+    entries = []
+    for words in rows.values():
+        images = rng.sample(words, len(words))
+        entries += zip(words, images)
+    return TableElement(matrix, tuple(sorted(entries)))
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_compose_matches_settle_walk_reference(matrix):
+    """``compose`` reads the outer entry above each inner target, or the
+    sorted run below it; the walk it replaced gives the same table on
+    random elements, padded presentations and cylinder permutations at
+    lengths up to 6, in both orders."""
+    rng = random.Random(71)
+    for seed in range(30):
+        tau = random_element(matrix, 3, seed)
+        sigma = random_element(matrix, 4, seed + 500)
+        for a, b in ((tau, sigma), (sigma, tau), (padded(tau, rng), sigma), (tau, tau)):
+            assert compose(a, b) == reference_compose(a, b)
+    for length in range(1, 7):
+        for _ in range(3):
+            perm = cylinder_permutation(matrix, length, rng)
+            other = cylinder_permutation(matrix, rng.randint(1, length), rng)
+            tau = random_element(matrix, 3, rng.randrange(1 << 30))
+            for a, b in ((perm, tau), (tau, perm), (perm, other), (other, perm)):
+                product = compose(a, b)
+                assert product == reference_compose(a, b)
+                assert_canonical(product)
+
+
+def test_compose_matches_settle_walk_reference_on_deep_exchanges():
+    """``deep_exchange(k)`` squared is the identity for k up to 50, and
+    products of two different depths match the walk."""
+    identity = identity_table(FULL_TWO)
+    deep = {k: deep_exchange(k) for k in range(1, 51)}
+    for k, tau in deep.items():
+        assert compose(tau, tau) == reference_compose(tau, tau) == identity
+    for k, j in ((1, 50), (50, 1), (7, 3), (3, 7), (20, 49), (49, 20)):
+        assert compose(deep[k], deep[j]) == reference_compose(deep[k], deep[j])
+
+
+def reference_parse_fields(text, matrix, header):
+    """The table and function parsers before their inline name reads: each
+    word field through ``parse_word``."""
+    rows = []
+    for number, line in formats._content_lines(text, header):
+        fields = line.split()
+        if header == "table":
+            if len(fields) != 3 or fields[1] != "->":
+                raise FormatError(f"expected 'nu -> mu', got {formats._literal_name(line)}",
+                                  number)
+            rows.append((parse_word(fields[0], number), parse_word(fields[2], number)))
+            continue
+        if len(fields) != 2:
+            raise FormatError(f"expected 'word value', got {formats._literal_name(line)}",
+                              number)
+        word = parse_word(fields[0], number)
+        if word in dict(rows):
+            raise FormatError(f"word {formats._literal_name(fields[0], str)} repeats", number)
+        try:
+            rows.append((word, int(fields[1])))
+        except ValueError:
+            raise FormatError(f"bad integer {formats._literal_name(fields[1])}", number)
+    if header == "table":
+        return validate_table(matrix, rows)
+    return fn.make(matrix, dict(rows))
+
+
+def parse_outcome(parse, *args):
+    """The parsed object, or the type, message and line of the error."""
+    try:
+        return parse(*args)
+    except (ShiftError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_inline_word_reads_match_parse_word_reference(matrix):
+    """Each odd field, put in place of one word of a table or function file
+    on each of its lines, reads as ``parse_word`` reads it, or fails with
+    the same type, message and line."""
+    odd = ["-", "+1", "01", "0", str(matrix.n + 1), "1..2", ".1", "1.", "x", "1" * 20]
+    tau = random_element(matrix, 3, 5)
+    f = fn.indicator(matrix, matrix.extensions(matrix.extensions(EMPTY)[0])[-1])
+    checked = 0
+    for text, header, parse in ((format_table(tau), "table", formats.parse_table),
+                                (format_function(f), "function", formats.parse_function)):
+        lines = text.splitlines()
+        for i in range(1, len(lines)):
+            for field in odd:
+                for side in ((0, 2) if header == "table" else (0,)):
+                    fields = lines[i].split()
+                    fields[side] = field
+                    mangled = "\n".join(lines[:i] + [" ".join(fields)] + lines[i + 1:])
+                    expected = parse_outcome(reference_parse_fields, mangled, matrix, header)
+                    assert parse_outcome(parse, mangled, matrix) == expected
+                    checked += 1
+        assert parse(text, matrix) == reference_parse_fields(text, matrix, header)
+    assert checked > 50
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_point_prefix_matches_symbol_loop(matrix):
+    rng = random.Random(73)
+    for _ in range(60):
+        z = random_cycle_point(matrix, rng)
+        for m in range(-1, 3 * (len(z.transient) + len(z.cycle)) + 1):
+            assert z.prefix(m) == tuple(z.symbol(i) for i in range(1, m + 1))
+
+
+def reference_is_admissible(matrix, word):
+    """The row scan ``is_admissible`` ran before the letter table."""
+    word = tuple(word)
+    if any(a < 1 or a > matrix.n for a in word):
+        return False
+    return all(b in matrix.successors(a) for a, b in zip(word, word[1:]))
+
+
+def test_is_admissible_matches_row_scan():
+    """Every word up to length 4 over ``0..n+1`` on every small matrix, so
+    with symbols out of range on either side."""
+    for matrix in small_matrices():
+        letters = range(matrix.n + 2)
+        for length in range(5):
+            for word in itertools.product(letters, repeat=length):
+                assert matrix.is_admissible(word) == reference_is_admissible(matrix, word)
+        assert matrix.is_admissible(iter((1,) * 3)) == reference_is_admissible(matrix, (1,) * 3)
+
+
+def reference_validate_matrix(grid):
+    """The per-symbol reachability search ``validate_matrix`` ran before its
+    two passes from symbol 1."""
+    rows = tuple(tuple(row) for row in grid)
+    n = len(rows)
+    for row in rows:
+        for v in row:
+            if v not in (0, 1):
+                raise NotZeroOne(f"entry {v!r} is not 0 or 1")
+    successors = [tuple(j for j, bit in enumerate(row, 1) if bit) for row in rows]
+    for i in range(1, n + 1):
+        seen = set(successors[i - 1])
+        frontier = list(seen)
+        while frontier:
+            for b in successors[frontier.pop() - 1]:
+                if b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        if len(seen) != n:
+            raise Reducible(f"symbol {i} does not reach every symbol")
+    if all(sum(row) == 1 for row in rows):
+        raise Permutation("all row sums are 1")
+    return rows
+
+
+def matrix_verdict(check, grid):
+    try:
+        result = check(grid)
+    except ShiftError as exc:
+        return type(exc), str(exc)
+    return getattr(result, "rows", result)
+
+
+def test_validate_matrix_matches_per_symbol_search():
+    """Every 0/1 grid up to 3 x 3, every grid with one entry 2, and seeded
+    random grids from 4 x 4 to 8 x 8 of every density: the same verdict,
+    naming the same least symbol."""
+    grids = [[bits[i * n: (i + 1) * n] for i in range(n)]
+             for n in (1, 2, 3) for bits in itertools.product((0, 1), repeat=n * n)]
+    grids += [[[2 if (i, j) == (1, 0) else 1 for j in range(2)] for i in range(2)]]
+    rng = random.Random(79)
+    for _ in range(3000):
+        n, density = rng.randint(4, 8), rng.random()
+        grids.append([[int(rng.random() < density) for _ in range(n)] for _ in range(n)])
+    verdicts = set()
+    for grid in grids:
+        verdict = matrix_verdict(validate_matrix, grid)
+        assert verdict == matrix_verdict(reference_validate_matrix, grid)
+        verdicts.add(verdict if isinstance(verdict[0], type) else "valid")
+    assert {"valid", (NotZeroOne, "entry 2 is not 0 or 1"),
+            (Permutation, "all row sums are 1"),
+            (Reducible, "symbol 2 does not reach every symbol")} <= verdicts
+
+
+def test_validate_matrix_is_two_passes_at_n_400():
+    """A half-dense n = 400 matrix validates in well under half a second,
+    best of three; the per-symbol search, cubic in n, took about 1.4 s."""
+    rng = random.Random(89)
+    grid = [[int(rng.random() < 0.5) for _ in range(400)] for _ in range(400)]
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert validate_matrix(grid).n == 400
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5
+
+
+def reference_refine_until(matrix, roots, decide):
+    """The settle walk before it pushed reversed letter rows directly."""
+    stack = list(reversed(roots))
+    while stack:
+        word, state = stack.pop()
+        answer = decide(word, *state)
+        if answer is None:
+            stack.extend((child, state) for child in reversed(matrix.extensions(word)))
+        else:
+            yield word, answer
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_refine_until_matches_extension_walk(matrix):
+    """Indicator walks from the empty word and entry walks from table roots
+    yield the same cylinders in the same order."""
+    rng = random.Random(83)
+    for word in enumerate_words(matrix, 4):
+        decide = lambda w, word=word: 1 if w == word else None if w == word[:len(w)] else 0
+        roots = [(EMPTY, ())]
+        assert (list(refine_until(matrix, roots, decide))
+                == list(reference_refine_until(matrix, roots, decide)))
+    for seed in range(10):
+        tau = random_element(matrix, 4, seed)
+        depth = rng.randint(1, 4)
+        roots = [(nu, (mu,)) for nu, mu in tau.entries]
+        decide = lambda w, mu: (mu, w) if len(w) >= depth else None
+        assert (list(refine_until(matrix, roots, decide))
+                == list(reference_refine_until(matrix, roots, decide)))
