@@ -124,7 +124,7 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
                              lambda path: table.get(tuple(path[-window:]))):
         if not target.entry(a, b):
             raise NotAdmissibleImage(
-                f"windows of {word} map to the forbidden transition {a} -> {b}")
+                f"windows of {word_name(word)} map to the forbidden transition {a} -> {b}")
 
 
 def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
@@ -149,8 +149,8 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
     for first, second in ((code, inverse), (inverse, code)):
         for word, symbol in _composite_windows(second, first):
             if symbol != word[0]:
-                raise NotInverse(
-                    f"round trip sends the window {word} to {symbol}, not {word[0]}")
+                raise NotInverse(f"round trip sends the window {word_name(word)} "
+                                 f"to {symbol}, not {word[0]}")
     return code
 
 

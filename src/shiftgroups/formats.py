@@ -1,11 +1,11 @@
 """Text formats for matrices, words, points, functions, tables, chains.
 
-All files are UTF-8 (:func:`read_text`) with LF or CRLF line endings;
-``#`` starts a comment and blank lines are ignored.  Words are
-dot-separated symbols with ``-`` for the empty word; points are ``u|w``
-literals.  Writers emit canonical sorted forms only, and everything
-printed re-parses to an equal object.  Word fields map one name lookup per
-matrix (:func:`_names`); a name it lacks goes to :func:`parse_word`.
+All files are UTF-8, read unbuffered and decoded once (:func:`read_text`),
+with LF or CRLF line endings; ``#`` starts a comment and blank lines are
+ignored.  Words are dot-separated symbols with ``-`` for the empty word;
+points are ``u|w`` literals.  Writers emit canonical sorted forms only, and
+everything printed re-parses to an equal object.  Word fields map one name
+lookup per matrix (:func:`_names`); a name it lacks goes to :func:`parse_word`.
 """
 
 from __future__ import annotations
@@ -280,9 +280,17 @@ def parse_coe(text: str, directory: str = ".") -> CoeMap:
 
 
 def read_text(path: str) -> str:
-    """A file's UTF-8 text, decoded in one step (``splitlines`` reads CRLF)."""
-    with open(path, "rb") as handle:
-        return handle.read().decode("utf-8")
+    """A file's UTF-8 text, read unbuffered to the end and decoded in one step
+    (``splitlines`` reads CRLF); an ``OSError`` names the path, as ``open``'s does."""
+    fd, chunks = os.open(path, os.O_RDONLY), []
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory opens, but does not read
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode("utf-8")
 
 
 def _load(parser, directory, name, line, *args):

@@ -16,15 +16,15 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import NegativeExponent
+from .errors import BadPartition, NegativeExponent
 from .sft import (
     EMPTY,
     Point,
     TransitionMatrix,
     Word,
     cylinder_run,
+    family_error,
     merge_siblings,
-    partition,
     prefix_of,
     refine_until,
     refine_words,
@@ -83,19 +83,20 @@ def canonical(matrix: TransitionMatrix, table: dict[Word, int]) -> LocFun:
     A family merges when its members carry one value, which the parent
     takes (:func:`sft.merge_siblings`).
     """
-    return LocFun(matrix, merge_siblings(matrix, table.items(), _same_value))
+    return LocFun(matrix, merge_siblings(matrix, sorted(table.items(), key=_word), _same_value))
 
 
 def make(matrix: TransitionMatrix, pieces) -> LocFun:
     """Validate (partition completeness included) and canonicalize.
 
-    ``pieces`` is a ``{word: value}`` mapping or ``(word, value)`` pairs; the
-    words go to :func:`sft.partition` as given, so a repeated word is refused.
+    ``pieces`` is a ``{word: value}`` mapping or ``(word, value)`` pairs, sorted
+    once by word for the check and the merge; a repeated word is refused.
     """
-    pairs = [(tuple(w), int(v)) for w, v in (
-        pieces.items() if isinstance(pieces, Mapping) else pieces)]
-    partition(matrix, [w for w, _ in pairs])
-    return canonical(matrix, dict(pairs))
+    pairs = sorted(((tuple(w), int(v)) for w, v in (
+        pieces.items() if isinstance(pieces, Mapping) else pieces)), key=_word)
+    if error := family_error(matrix, [w for w, _ in pairs]):
+        raise BadPartition(error)
+    return LocFun(matrix, merge_siblings(matrix, pairs, _same_value))
 
 
 def constant(matrix: TransitionMatrix, value: int) -> LocFun:

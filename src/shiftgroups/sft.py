@@ -18,10 +18,10 @@ A sorted word family is read in one pass, :func:`family_defects`, which
 decides both whether it partitions the space and whether a block map
 declares every window once.
 
-Values attached to the parts of a partition are brought to canonical form
-by one sibling merge, :func:`merge_siblings`, whose caller says when a
-family may collapse into its parent.  Families are kept sorted, so a
-longest-prefix lookup is one bisection, :func:`prefix_of`.
+Values on the parts of a sorted partition reach canonical form by one sibling
+merge, :func:`merge_siblings`, whose caller says when a family may collapse
+into its parent; per-matrix rows answer its family questions.  Families stay
+sorted, so a longest-prefix lookup is one bisection, :func:`prefix_of`.
 
 Symbols are the integers ``1..n``.  Words are plain tuples of symbols; the
 empty tuple is the empty word.  All values here are immutable and all
@@ -67,12 +67,14 @@ class TransitionMatrix:
                 predecessors[j - 1].append(i)
         object.__setattr__(self, "_successors", successors)
         object.__setattr__(self, "_predecessors", tuple(map(tuple, predecessors)))
-        # partition's letter table, one row per letter before, row 0 at the start
-        # of a word: the letter after each allowed one, the first after 0, 0 after the last;
-        # refine_until pushes the same rows reversed.
-        allowed = (tuple(self.symbols()),) + successors
+        # Rows by the letter before, row 0 at the start of a word: the letter after
+        # each allowed one (0 before the first and after the last), the row reversed,
+        # an id shared by equal rows, and the row's last letter (0 if none) and size.
+        allowed, ids = (tuple(self.symbols()),) + successors, {}
         object.__setattr__(self, "_after", tuple(dict(zip((0,) + r, r + (0,))) for r in allowed))
         object.__setattr__(self, "_reversed", tuple(r[::-1] for r in allowed))
+        object.__setattr__(self, "_row_id", tuple(ids.setdefault(r, len(ids)) for r in allowed))
+        object.__setattr__(self, "_family", tuple((r[-1] if r else 0, len(r)) for r in allowed))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -421,47 +423,50 @@ def family_defects(matrix: TransitionMatrix, parts) -> tuple[str | None, Word | 
     return clash, gap or (prev[:i] + (s,) if s else None)
 
 
-def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
-    """Validate a word family as a cylinder partition.
-
-    The family is sorted once and read in one pass (:func:`family_defects`).
-    Named first is the first inadmissible member (:class:`Inadmissible`),
-    then the first repeat or prefix, then the first uncovered cylinder
-    (:class:`BadPartition`), each in sorted order.
-    """
-    parts = tuple(sorted(map(tuple, parts)))
+def family_error(matrix: TransitionMatrix, parts) -> str | None:
+    """The first defect of a sorted word family, in sorted order: a repeat or a
+    prefix, else an uncovered cylinder (:func:`family_defects`); None when it
+    partitions the space.  Raises :class:`Inadmissible` first, at the first
+    inadmissible member."""
     if not parts:
-        raise BadPartition("a partition needs at least one part")
+        return "a partition needs at least one part"
     clash, gap = family_defects(matrix, parts)
-    if clash or gap:
-        raise BadPartition(clash or f"no part covers sequences through {word_name(gap)}")
+    return clash or gap and f"no part covers sequences through {word_name(gap)}"
+
+
+def partition(matrix: TransitionMatrix, parts: Iterable[Word]) -> CylinderPartition:
+    """Validate a word family as a cylinder partition: sorted once and read in
+    one pass (:func:`family_error`), raising :class:`Inadmissible` or
+    :class:`BadPartition`."""
+    parts = tuple(sorted(map(tuple, parts)))
+    if error := family_error(matrix, parts):
+        raise BadPartition(error)
     return CylinderPartition(matrix, parts)
 
 
 def merge_siblings(matrix: TransitionMatrix, items, lift) -> tuple:
-    """Canonical form of ``(word, value)`` items whose words partition the
-    space: every full sibling family that lifts to one value collapses
-    into its parent, bottom up.
+    """Canonical form of ``(word, value)`` items, sorted by word, whose words
+    partition the space: every full sibling family that lifts to one value
+    collapses into its parent, bottom up.
 
     ``lift(word, value)`` is the value the parent of ``word`` would carry,
     or None when that member cannot merge.  A family merges when every
-    member lifts to the same value.  One stack pass over the sorted items
-    decides.  Everything under a word sorts directly after it, so once a
-    family's greatest member is on top, after its own subtree merged, the
-    family can only be the top items.  Each push checks the family it
-    completes, and each merge checks the family its parent completes.
-    Returns the sorted items of the merged form.
+    member lifts to the same value.  One stack pass decides, with no sort.
+    Everything under a word sorts directly after it, so once a family's
+    greatest member is on top, after its own subtree merged, the family can
+    only be the top items.  Each push checks the family it completes, and
+    each merge the family its parent completes, by the last letter and size
+    of the row after the letter before.  Returns the merged items, sorted.
     """
-    successors, stack = matrix._successors, []
-    for item in sorted(items):
+    family, stack = matrix._family, []
+    for item in items:
         stack.append(item)
         while True:
             word, value = stack[-1]
             if not word:
                 break
-            letters = successors[word[-2] - 1] if len(word) > 1 else matrix.symbols()
-            size = len(letters)
-            if word[-1] != letters[-1] or len(stack) < size:
+            last, size = family[word[-2] if len(word) > 1 else 0]
+            if word[-1] != last or len(stack) < size:
                 break
             up = lift(word, value)
             if up is None:

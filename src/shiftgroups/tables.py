@@ -25,7 +25,6 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
-    BadPartition,
     DomainNotPartition,
     EqualSymbols,
     FollowerMismatch,
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .functions import LocFun, canonical, window_sum
 from .sft import (EMPTY, Point, TransitionMatrix, Word, cylinder_run, enumerate_words,
-                  merge_siblings, part_at, partition, prefix_of, prepend_point, refine_until,
+                  family_error, merge_siblings, part_at, prefix_of, prepend_point, refine_until,
                   shift_point_n, walk, word_name)
 
 Entry = tuple[Word, Word]
@@ -49,9 +48,9 @@ class TableElement:
 
     Build instances with :func:`validate_table` (validating) or
     :func:`canonical_table` (trusting entries the library built), not
-    directly.  Lookups bisect a source-sorted copy of the entries (a linear
-    sort when they are sorted already), built on the first lookup, so
-    unsorted entries work too and tables only formatted never sort.
+    directly.  Lookups bisect the source-sorted entries: a canonical table's
+    own, which its merge left sorted, or for a table built directly from
+    unsorted entries a sorted copy, made on its first lookup.
     """
 
     matrix: TransitionMatrix
@@ -84,36 +83,38 @@ class TableElement:
 def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
     """Validate raw ``(nu, mu)`` pairs and return the canonical table.
 
-    The entries are sorted by source once.  Raises the first failure in
-    this order: :class:`InadmissibleWord` for an empty word; then the
-    source words, then the target words, each through
-    :func:`sft.partition`, which names the first defect of a family in
-    sorted order (:class:`InadmissibleWord` for an inadmissible word,
-    :class:`DomainNotPartition` or :class:`ImageNotPartition` for a repeat,
-    a prefix or a gap); then :class:`FollowerMismatch` for the first entry
-    by source whose words allow different successors.  So the error does
-    not depend on the order of the entries.
+    The entries are sorted by source once, and the targets once.  Raises
+    the first failure in this order: :class:`InadmissibleWord` for an empty
+    word; then the sorted sources, then the sorted targets, each read in one
+    pass (:func:`sft.family_error`) that names a family's first defect
+    (:class:`InadmissibleWord` for an inadmissible word, else
+    :class:`DomainNotPartition` or :class:`ImageNotPartition`); then
+    :class:`FollowerMismatch` for the first entry by source whose words
+    allow different successors.  So the error does not depend on the order
+    of the entries.
     """
     ordered = sorted(((tuple(nu), tuple(mu)) for nu, mu in entries), key=_source)
     if not all(nu and mu for nu, mu in ordered):
         raise InadmissibleWord("table words must be nonempty")
-    for side, error in ((0, DomainNotPartition), (1, ImageNotPartition)):
+    for words, error in (([nu for nu, _ in ordered], DomainNotPartition),
+                         (sorted(mu for _, mu in ordered), ImageNotPartition)):
         try:
-            partition(matrix, map(itemgetter(side), ordered))
+            message = family_error(matrix, words)
         except Inadmissible as exc:
             raise InadmissibleWord(str(exc)) from exc
-        except BadPartition as exc:
-            raise error(str(exc)) from exc
+        if message:
+            raise error(message)
+    row = matrix._row_id
     for nu, mu in ordered:
-        if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
+        if row[nu[-1]] != row[mu[-1]]:
             raise FollowerMismatch(
                 f"entry {word_name(nu)} -> {word_name(mu)} pairs different follower rows")
-    return canonical_table(matrix, ordered)
+    return _merged(matrix, ordered)
 
 
 def canonical_table(matrix: TransitionMatrix, entries) -> TableElement:
-    """Canonical table of ``(nu, mu)`` entries that already form a valid
-    table, without re-checking them.
+    """Canonical table of ``(nu, mu)`` entries, in any order, that already
+    form a valid table, without re-checking them.
 
     For tables the library built itself; input goes through
     :func:`validate_table`.  A family ``nu a -> mu a`` over all letters
@@ -121,14 +122,22 @@ def canonical_table(matrix: TransitionMatrix, entries) -> TableElement:
     ``mu`` are nonempty and allow the same successors
     (:func:`sft.merge_siblings`), so no entry word is ever empty.
     """
+    return _merged(matrix, sorted(entries, key=_source))
+
+
+def _merged(matrix: TransitionMatrix, ordered) -> TableElement:
+    """The canonical table of valid entries sorted by source; its merged
+    entries, sorted, serve its lookups as they are."""
+    row = matrix._row_id
+
     def lift(nu: Word, mu: Word) -> Word | None:
-        if len(mu) < 2 or len(nu) < 2 or nu[-1] != mu[-1]:
-            return None
-        if matrix.successors(nu[-2]) != matrix.successors(mu[-2]):
+        if len(mu) < 2 or len(nu) < 2 or nu[-1] != mu[-1] or row[nu[-2]] != row[mu[-2]]:
             return None
         return mu[:-1]
 
-    return TableElement(matrix, merge_siblings(matrix, entries, lift))
+    table = TableElement(matrix, merge_siblings(matrix, ordered, lift))
+    object.__setattr__(table, "_by_source", table.entries)
+    return table
 
 
 def identity_table(matrix: TransitionMatrix) -> TableElement:
@@ -259,12 +268,12 @@ def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> Ta
 def _pair_exchange(matrix: TransitionMatrix, depth_budget: int, rng) -> TableElement:
     """Exchange two same-length incomparable cylinders, identity elsewhere."""
     length = rng.randint(2, depth_budget)
-    words = enumerate_words(matrix, length)
+    words, row = enumerate_words(matrix, length), matrix._row_id
     pairs = [
         (a, b)
         for i, a in enumerate(words)
         for b in words[i + 1:]
-        if matrix.successors(a[-1]) == matrix.successors(b[-1])
+        if row[a[-1]] == row[b[-1]]
     ]
     if not pairs:
         return identity_table(matrix)

@@ -1,8 +1,9 @@
 """Guards for what stays stable: the public names, no private
 cross-module imports inside the package, layers that import only
 downward, table validation only at the input
-boundary, partition checks only in ``make`` and ``validate_table``, one
-sibling merge under both canonical forms, one conjugation routine,
+boundary, partition checks only at the input boundaries, one sibling
+merge under both canonical forms that neither sorts nor reads successor
+rows, successor rows read only where a row is walked, one conjugation routine,
 pointwise oracles that share no lookup kernel with what they check, and
 chain-map exponents searched only on their first read."""
 
@@ -10,6 +11,7 @@ import ast
 import pathlib
 
 import shiftgroups
+from shiftgroups import sft as sft_module
 
 PUBLIC_NAMES = [
     "BlockCode", "CoeMap", "CylinderPartition", "LocFun", "Point",
@@ -141,10 +143,14 @@ def test_only_parse_table_validates_tables():
 
 
 def test_only_boundaries_validate_word_families():
-    """Word families are checked as partitions at two boundaries only:
-    ``make`` for functions and ``validate_table``, from one call site, for
-    both sides of a table."""
-    assert callers_of("partition") == ["functions.make", "tables.validate_table"]
+    """Word families are checked as partitions at the input boundaries only:
+    ``make`` for functions, ``validate_table``, from one call site, for both
+    sides of a table, and the public ``partition``.  Each hands the one-pass
+    check words it sorted itself, so no library code calls ``partition``,
+    which sorts again."""
+    assert callers_of("family_error") == [
+        "functions.make", "sft.partition", "tables.validate_table"]
+    assert callers_of("partition") == []
 
 
 def test_no_validator_rescans_words():
@@ -159,8 +165,30 @@ def test_no_validator_rescans_words():
 
 def test_only_canonicalizers_merge():
     """One sibling merge builds both canonical forms: functions with the
-    same-value rule, tables with the entry rule."""
-    assert callers_of("merge_siblings") == ["functions.canonical", "tables.canonical_table"]
+    same-value rule, from ``canonical`` and from ``make``, which sorted its
+    pieces already, and tables with the entry rule, from one routine under
+    ``canonical_table`` and ``validate_table``, which sorted its entries."""
+    assert callers_of("merge_siblings") == [
+        "functions.canonical", "functions.make", "tables._merged"]
+    assert callers_of("_merged") == ["tables.validate_table", "tables.canonical_table"]
+
+
+def test_merge_neither_sorts_nor_reads_successor_rows():
+    """``merge_siblings`` takes its items sorted and answers each family
+    question with one lookup in the matrix's rows."""
+    tree = ast.parse(pathlib.Path(sft_module.__file__).read_text(encoding="utf-8"))
+    merge = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "merge_siblings")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(merge) if isinstance(node, ast.Call)}
+    assert called and not called & {"sorted", "sort", "successors"}
+
+
+def test_only_row_walks_read_successor_rows():
+    """``successors()`` serves only code that enumerates a row; follower
+    rows and sibling families are compared through the matrix's row ids."""
+    assert callers_of("successors") == [
+        "codes.higher_block_codes", "sft.representative", "transducer._CylinderStream.read"]
 
 
 def test_one_conjugation_routine():

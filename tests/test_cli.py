@@ -398,6 +398,25 @@ def test_missing_file_is_input_error(workdir):
     assert run_cli("rho", "G.mks", "nope.fn", "tau0.tbl", cwd=workdir).returncode == 2
 
 
+def test_unreadable_paths_are_input_errors_naming_them(workdir):
+    """A directory and a missing path exit 2 with no traceback: named in a
+    chain file, as ``cannot read '<name>': <strerror>``; on the command
+    line, by the ``OSError`` text, which names the path."""
+    (workdir / "dir.tbl").mkdir()
+    for name, code in (("dir.tbl", errno.EISDIR), ("gone.tbl", errno.ENOENT)):
+        (workdir / "bad.coe").write_text(
+            "coe G.mks G.mks\n"
+            "code 1 { 1 -> 1 2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n"
+            f"post-table {name}\n", encoding="utf-8")
+        result = run_cli("psi", "bad.coe", "chi1.fn", cwd=workdir)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: line 3: cannot read '{name}': {os.strerror(code)}\n"
+        for args in (("table", "check", "G.mks", name), ("validate", name)):
+            result = run_cli(*args, cwd=workdir)
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == f"error: [Errno {code}] {os.strerror(code)}: '{name}'\n"
+
+
 def test_invalid_utf8_is_input_error_naming_the_byte(workdir):
     """A file that is not UTF-8 exits 2, and the message names the bad byte
     and its position, for a table and for the matrix ``validate`` reads."""

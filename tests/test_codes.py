@@ -110,6 +110,29 @@ def test_make_code_rejects_wrong_inverse():
         make_code(FULL2, FULL2, 1, {(1,): 1, (2,): 2}, 1, {(1,): 2, (2,): 1})
 
 
+def test_long_window_messages_are_named_by_their_ends():
+    """On a 70-symbol cycle with one chord, where windows are few, a block
+    map of 65-symbol windows sent to one symbol, and the 65-block shift map
+    with the identity as its inverse, are refused with messages that name
+    their 66- and 65-symbol windows by their ends and length."""
+    n = 70
+    cycle = validate_matrix([[int(j == i % n + 1 or (i, j) == (n, 2)) for j in range(1, n + 1)]
+                             for i in range(1, n + 1)])
+    windows = enumerate_words(cycle, 65)
+    assert len(windows) < 200
+    identity = {(a,): a for a in cycle.symbols()}
+    with pytest.raises(NotAdmissibleImage) as forbidden:
+        make_code(cycle, cycle, 65, {w: 1 for w in windows}, 1, identity)
+    with pytest.raises(NotInverse) as round_trip:
+        make_code(cycle, cycle, 65, {w: w[1] for w in windows}, 1, identity)
+    assert str(forbidden.value) == ("windows of (1, 2, 3, 4, ..., 63, 64, 65, 66) of 66 "
+                                    "symbols map to the forbidden transition 1 -> 1")
+    assert str(round_trip.value) == ("round trip sends the window (1, 2, 3, 4, ..., 62, 63, "
+                                     "64, 65) of 65 symbols to 2, not 1")
+    for info in (forbidden, round_trip):
+        assert len(str(info.value).encode()) < 200
+
+
 def test_codes_commute_with_shift():
     rng = random.Random(3)
     for matrix in (G, FULL2, TRIANGLE):

@@ -22,12 +22,14 @@ from shiftgroups.formats import (
     format_point,
     format_table,
     format_word,
+    load_table,
     parse_coe,
     parse_function,
     parse_matrix,
     parse_point,
     parse_table,
     parse_word,
+    read_text,
 )
 from shiftgroups.functions import indicator, make
 from shiftgroups.orbit import coe_apply, coe_from_chain
@@ -153,6 +155,29 @@ def test_table_roundtrip():
     text = format_table(tau0)
     assert text == "table\n1.1 -> 1.1\n1.2 -> 2\n2 -> 1.2\n"
     assert parse_table(text, G) == tau0
+
+
+def test_empty_file_reads_as_empty_text(tmp_path):
+    path = tmp_path / "empty.tbl"
+    path.write_bytes(b"")
+    assert read_text(str(path)) == ""
+    with pytest.raises(FormatError, match="expected a 'table' header"):
+        load_table(str(path), G)
+
+
+def test_file_of_many_reads_loads_as_its_text_parses(tmp_path):
+    """A table file of over 300 KB, with a two-byte character at every
+    offset of a long comment, so reads end inside characters, reads whole
+    and loads as its text parses."""
+    tau = validate_table(FULL2, [((2,), (1,) * 400 + (2,)), ((1,) * 400 + (2,), (2,)),
+                                 ((1,) * 401, (1,) * 401)]
+                         + [((1,) * j + (2,), (1,) * j + (2,)) for j in range(1, 400)])
+    text = "# " + "\u00e9" * 30001 + "\n" + format_table(tau)
+    path = tmp_path / "deep.tbl"
+    path.write_bytes(text.encode("utf-8"))
+    assert path.stat().st_size > 300_000
+    assert read_text(str(path)) == text
+    assert load_table(str(path), FULL2) == parse_table(text, FULL2) == tau
 
 
 def test_comments_and_blank_lines_ignored():

@@ -82,7 +82,7 @@ against its hand-built entry list.
 
 The one-pass ``partition``, which reads each sorted member against the
 next cylinder after its predecessor, and the ``validate_table`` that
-leaves its word checks to it are checked against ordered checks written
+leaves its word checks to the same scan are checked against ordered checks written
 here (admissibility, a neighbour scan for repeats and prefixes, then a
 preorder completeness walk that checks each node with an ``any()`` scan
 when it is popped, so it names the first uncovered cylinder in sorted
@@ -116,6 +116,19 @@ every word up to length 4 with symbols out of range; ``validate_matrix``'s
 two reachability passes against the search from every symbol, and
 ``refine_until``'s reversed letter rows against the ``extensions``
 walk, in yield order.
+
+The input boundary is checked against the kernels it had before it
+sorted each family once and looked follower rows up: ``merge_siblings``
+with its own sort and each family read off ``successors()``, and
+``validate_table`` with ``partition`` on both sides and followers compared
+through ``successors()``, on random elements, padded presentations,
+cylinder permutations up to length 6 and deep exchanges up to k = 50,
+each also shuffled, and on tables with a repeat, a prefix, a gap, an
+inadmissible word or a follower mismatch (the same table, or the same
+exception type and message); ``functions.make`` likewise, repeated words
+included.  The row ids and sibling family rows are checked against
+``successors()`` on every 0/1 matrix up to 3 x 3, unvalidated ones with an
+empty row included.
 """
 
 import dataclasses
@@ -209,10 +222,12 @@ from shiftgroups.selftest import (
 from shiftgroups.sft import (
     EMPTY,
     CylinderPartition,
+    TransitionMatrix,
     canonicalize_point,
     enumerate_words,
     expand_to_depth,
     cylinder_run,
+    merge_siblings,
     part_at,
     partition,
     prefix_of,
@@ -2858,3 +2873,195 @@ def test_refine_until_matches_extension_walk(matrix):
         decide = lambda w, mu: (mu, w) if len(w) >= depth else None
         assert (list(refine_until(matrix, roots, decide))
                 == list(reference_refine_until(matrix, roots, decide)))
+
+
+# -- sorted-once families and looked-up rows ----------------------------------------
+
+
+def sorting_merge_siblings(matrix, items, lift):
+    """``merge_siblings`` before it took sorted items: its own sort, and each
+    family's letters read off ``successors()``."""
+    stack = []
+    for item in sorted(items):
+        stack.append(item)
+        while True:
+            word, value = stack[-1]
+            if not word:
+                break
+            letters = matrix.successors(word[-2]) if len(word) > 1 else tuple(matrix.symbols())
+            size = len(letters)
+            if word[-1] != letters[-1] or len(stack) < size:
+                break
+            up = lift(word, value)
+            if up is None:
+                break
+            parent = word[:-1]
+            if not all(w[:-1] == parent and lift(w, v) == up for w, v in stack[-size:-1]):
+                break
+            del stack[-size:]
+            stack.append((parent, up))
+    return tuple(stack)
+
+
+def successor_lift(matrix):
+    """The entry rule before row ids: parents' follower rows compared."""
+    def lift(nu, mu):
+        if len(mu) < 2 or len(nu) < 2 or nu[-1] != mu[-1]:
+            return None
+        if matrix.successors(nu[-2]) != matrix.successors(mu[-2]):
+            return None
+        return mu[:-1]
+    return lift
+
+
+def partition_validate_table(matrix, entries):
+    """``validate_table`` before its one sort per family: ``partition`` on
+    both sides, followers compared through ``successors()``, then the
+    sorting merge."""
+    ordered = sorted(((tuple(nu), tuple(mu)) for nu, mu in entries), key=itemgetter(0))
+    if not all(nu and mu for nu, mu in ordered):
+        raise InadmissibleWord("table words must be nonempty")
+    for side, error in ((0, DomainNotPartition), (1, ImageNotPartition)):
+        try:
+            partition(matrix, map(itemgetter(side), ordered))
+        except Inadmissible as exc:
+            raise InadmissibleWord(str(exc)) from exc
+        except BadPartition as exc:
+            raise error(str(exc)) from exc
+    for nu, mu in ordered:
+        if matrix.successors(nu[-1]) != matrix.successors(mu[-1]):
+            raise FollowerMismatch(
+                f"entry {word_name(nu)} -> {word_name(mu)} pairs different follower rows")
+    return TableElement(matrix, sorting_merge_siblings(matrix, ordered, successor_lift(matrix)))
+
+
+def partition_make(matrix, pieces):
+    """``functions.make`` before it sorted its pairs once: ``partition`` on
+    the words as given, then the sorting merge of a dict."""
+    pairs = [(tuple(w), int(v)) for w, v in (
+        pieces.items() if isinstance(pieces, dict) else pieces)]
+    partition(matrix, [w for w, _ in pairs])
+    return fn.LocFun(matrix, sorting_merge_siblings(matrix, dict(pairs).items(),
+                                                    lambda word, value: value))
+
+
+def defective_tables(matrix, entries, rng):
+    """One break of each kind in valid entries: a repeated entry, a source
+    that extends a member, a dropped entry, an inadmissible source and
+    target, a repeated target, a target that extends a member, and two
+    targets that end in letters with different rows exchanged."""
+    i = rng.randrange(len(entries))
+    nu, mu = entries[i]
+    rest = entries[:i] + entries[i + 1:]
+    longer = nu + (matrix.successors(nu[-1])[0],)
+    yield entries + [(nu, mu)]
+    yield entries + [(longer, longer)]
+    yield rest
+    if rest:
+        yield rest + [(nu, rng.choice(rest)[1])]
+    (first, _), *split = pad_entry(matrix, (nu, mu), 1)
+    yield rest + [(first, mu)] + split
+    yield rest + [(nu + (0,), mu)]
+    yield rest + [(nu, mu + (matrix.n + 1,))]
+    others = [j for j, (_, other) in enumerate(entries)
+              if matrix.successors(other[-1]) != matrix.successors(mu[-1])]
+    if others:
+        j = rng.choice(others)
+        crossed = list(entries)
+        crossed[i], crossed[j] = (nu, entries[j][1]), (entries[j][0], mu)
+        yield crossed
+
+
+def defect_kind(result):
+    """For an outcome that is an exception, its type and the partition
+    defect its message names; for a value, "valid"."""
+    if not isinstance(result, tuple):
+        return {"valid"}
+    kinds = {result[0]}
+    kinds.update(k for k in ("repeats", "is a prefix of", "no part covers") if k in result[1])
+    return kinds
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_validate_table_matches_partition_and_successor_reference(matrix):
+    """Random elements, padded presentations, cylinder permutations at
+    lengths 1 to 6 and, on the full 2-shift, deep exchanges up to k = 50,
+    each as built and shuffled, and each broken once per defect kind: the
+    same table, with its lookup order its own entries, or the same
+    exception type and message."""
+    rng = random.Random(89)
+    cases = []
+    for seed in range(40):
+        tau = random_element(matrix, 3, seed)
+        cases += [list(tau.entries), list(padded(tau, rng).entries)]
+    for length in range(1, 7):
+        cases += [list(cylinder_permutation(matrix, length, rng).entries) for _ in range(2)]
+    if matrix == FULL_TWO:
+        cases += [list(deep_exchange(k).entries) for k in range(1, 51)]
+        cases += [[e for entry in deep_exchange(k).entries for e in pad_entry(matrix, entry, 1)]
+                  for k in (2, 17, 50)]
+    cases += [broken for entries in cases[:40] for broken in defective_tables(matrix, entries, rng)]
+    seen = set()
+    for entries in cases:
+        expected = outcome(partition_validate_table, matrix, entries)
+        mixed = list(entries)
+        rng.shuffle(mixed)
+        for copy in (entries, mixed):
+            got = outcome(validate_table, matrix, copy)
+            assert got == expected
+            if isinstance(got, TableElement):
+                assert got._by_source is got.entries == tuple(sorted(got.entries))
+                assert tables.canonical_table(matrix, copy) == got
+        seen |= defect_kind(expected)
+    assert seen >= {"valid", "repeats", "is a prefix of", "no part covers", InadmissibleWord,
+                    DomainNotPartition, ImageNotPartition}
+    if len(set(map(matrix.successors, matrix.symbols()))) > 1:
+        assert FollowerMismatch in seen
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_make_matches_partition_and_sorting_merge_reference(matrix):
+    """Random piece tables as mappings and as shuffled pairs, perturbed
+    families and pairs with a word repeated, with the same or another
+    value: the same function, or the same exception type and message."""
+    rng = random.Random(97)
+    cases = []
+    for _ in range(150):
+        table = random_piece_table(matrix, rng)
+        pairs = list(table.items())
+        rng.shuffle(pairs)
+        word, value = rng.choice(pairs)
+        cases += [table, pairs, pairs + [(word, value)], pairs + [(word, value + 1)],
+                  [(w, rng.randint(-1, 1)) for w in perturbed(matrix, table, rng)]]
+    seen = set()
+    for pieces in cases:
+        expected = outcome(partition_make, matrix, pieces)
+        assert outcome(fn.make, matrix, pieces) == expected
+        seen |= defect_kind(expected)
+    assert seen >= {"valid", "repeats", "is a prefix of", "no part covers", Inadmissible}
+
+
+def test_rows_match_successors_on_every_small_matrix():
+    """On every 0/1 matrix up to 3 x 3, unvalidated ones with an empty row
+    included: two letters share a row id exactly when ``successors()`` (all
+    symbols for 0, the start of a word) gives them one row, and the family
+    row is that row's last letter and size, (0, 0) for an empty row.  A
+    merge on a matrix with an empty row reads it without failing."""
+    empty = 0
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=n * n):
+            matrix = TransitionMatrix(n, tuple(bits[i * n: (i + 1) * n] for i in range(n)))
+            rows = [tuple(matrix.symbols())] + [matrix.successors(a) for a in matrix.symbols()]
+            for a, row in enumerate(rows):
+                assert matrix._family[a] == ((row[-1], len(row)) if row else (0, 0))
+                for b, other in enumerate(rows):
+                    assert (matrix._row_id[a] == matrix._row_id[b]) == (row == other)
+            if not all(rows):
+                empty += 1
+                items = [((a,), 0) for a in matrix.symbols()]
+                assert merge_siblings(matrix, items, lambda word, value: value) == ((EMPTY, 0),)
+                assert merge_siblings(matrix, items[1:], lambda word, value: value) == tuple(
+                    items[1:])
+                below = [((a, 1), 0) for a in matrix.symbols() if not rows[a]]
+                assert merge_siblings(matrix, below, lambda word, value: value) == tuple(below)
+    assert empty > 100
