@@ -11,8 +11,8 @@ stand-ins for that space:
 
 Words are walked depth first, in lexicographic order, in two ways: the
 fixed-depth :func:`walk` yields the extensions of one length, and the
-settle-walk :func:`refine_until` refines each cylinder until its caller
-decides it, however deep that takes.
+settle-walk :func:`refine_until` refines each cylinder, however deep, until
+its caller decides it, stepping each child's state from its parent's.
 
 A sorted word family is read in one pass, :func:`family_defects`, which
 decides both whether it partitions the space and whether a block map
@@ -305,15 +305,15 @@ def cylinder_run(items, word: Word, key=None):
     return items[i: bisect_left(items, word + (inf,), i, key=key)]
 
 
-def refine_until(matrix: TransitionMatrix, roots, decide):
+def refine_until(matrix: TransitionMatrix, roots, decide, step=None):
     """Refine words until ``decide`` settles each cylinder.
 
     ``roots`` holds ``(word, state)`` pairs, ``state`` a tuple.
     ``decide(word, *state)`` returns None while the cylinder of ``word`` is
-    undecided; the walk then tries every admissible one-symbol extension
-    with the same state.  Yields ``(word, answer)`` for each settled
-    cylinder, depth first, from an explicit stack, so word depth is not
-    bounded by the interpreter's recursion limit.
+    undecided; the walk then tries every admissible one-symbol extension ``child``,
+    with the state ``step(child, *state)`` (the same state when there is no
+    ``step``).  Yields ``(word, answer)`` for each settled cylinder, depth first,
+    from an explicit stack, so word depth is not bounded by the recursion limit.
     """
     backwards, stack = matrix._reversed, list(reversed(roots))
     while stack:
@@ -321,7 +321,8 @@ def refine_until(matrix: TransitionMatrix, roots, decide):
         answer = decide(word, *state)
         if answer is None:
             for a in backwards[word[-1] if word else 0]:
-                stack.append((word + (a,), state))
+                child = word + (a,)
+                stack.append((child, state if step is None else step(child, *state)))
         else:
             yield word, answer
 

@@ -11,8 +11,10 @@ with the source words forming a complete prefix-free partition, sorted,
 so the entry above a word is one bisection (and ``r <= len(mu)`` until a
 shift is appended on the output side).  Stage application (one more
 table, one more code, a shift on either side), the inverse of a stage list
-and the conjugate of a table by one (:func:`conjugate_by_stages`) live here;
-equality of two maps with the same core is decidable by refining to a
+and the conjugate of a table by one (:func:`conjugate_by_stages`) live here.
+A stage, an orbit sum or a table is read in one walk from the entries whose
+nodes carry the target word they determine, one window longer per child.
+Equality of two maps with the same core is decidable by refining to a
 common partition and aligning the shifts of each pair of entries, which
 costs linear work in the shift exponent instead of a cylinder expansion.
 
@@ -75,17 +77,21 @@ class Transducer:
     def parts(self) -> tuple[Word, ...]:
         return tuple(mu for mu, _, _ in self.entries)
 
-    def known_prefix(self, mu: Word, alpha: Word, r: int) -> Word:
-        """Target symbols determined by ``mu``: alpha plus streamed ones."""
-        return alpha + self.core.apply_word(mu[r:])
-
     def entry_for(self, point: Point) -> Entry:
         return part_at(self.entries, point, self._depth, _word)
 
 
 def _refine_entries(t: Transducer, decide):
-    """:func:`sft.refine_until` from the entries, with state ``(alpha, r)``."""
-    return refine_until(t.source, [(mu, (alpha, r)) for mu, alpha, r in t.entries], decide)
+    """:func:`sft.refine_until` from the entries with state ``(known, alpha, r)``:
+    ``known``, the target word the cylinder determines, is ``alpha`` and the core's
+    stream past ``r``; a child adds the symbol of the window ending at its last letter."""
+    table, m = t.core.symbol_map(), t.core.window
+
+    def step(word: Word, known: Word, alpha: Word, r: int):
+        return (known + (table[word[-m:]],) if len(word) - r >= m else known), alpha, r
+
+    roots = [(mu, (alpha + t.core.apply_word(mu[r:]), alpha, r)) for mu, alpha, r in t.entries]
+    return refine_until(t.source, roots, decide, step)
 
 
 def identity_transducer(matrix: TransitionMatrix) -> Transducer:
@@ -102,8 +108,8 @@ def apply_table_stage(t: Transducer, table: TableElement) -> Transducer:
     if table.matrix != t.target:
         raise ValueError("table acts on the wrong shift space")
 
-    def rewrite(mu: Word, alpha: Word, r: int):
-        entry = table.entry_at(t.known_prefix(mu, alpha, r))
+    def rewrite(mu: Word, known: Word, alpha: Word, r: int):
+        entry = table.entry_at(known)
         if entry is None:
             return None
         nu, image = entry
@@ -121,9 +127,8 @@ def apply_code_stage(t: Transducer, code: BlockCode) -> Transducer:
         raise ValueError("code reads the wrong shift space")
     new_core = compose_codes(code, t.core)
 
-    def recode(mu: Word, alpha: Word, r: int):
+    def recode(mu: Word, known: Word, alpha: Word, r: int):
         needed = len(alpha) + code.window - 1 if alpha else 0
-        known = t.known_prefix(mu, alpha, r)
         if len(known) < needed:
             return None
         return code.apply_word(known[:needed]), r
@@ -191,9 +196,9 @@ def orbit_sum(g: LocFun, n: LocFun, t: Transducer) -> LocFun:
     """The function ``x -> sum of g over the first n(x) shifts of h(x)``
     for the map ``h`` of the transducer and locally constant ``n >= 0``.
 
-    Each cylinder is refined until the symbols it determines fix ``g``'s
-    piece at every one of the ``n`` positions; each position reads a
-    window of ``g.depth()`` symbols.
+    Each entry's cylinder is refined until it lies in one piece of ``n``
+    and the symbols it determines fix ``g``'s piece at every one of the
+    ``n`` positions; each position reads a window of ``g.depth()`` symbols.
     """
     if g.matrix != t.target:
         raise ValueError("function lives over the wrong shift space")
@@ -203,13 +208,11 @@ def orbit_sum(g: LocFun, n: LocFun, t: Transducer) -> LocFun:
         raise NegativeExponent("iterated-sum exponent takes a negative value")
     depth = g.depth()
 
-    def total(word: Word, alpha: Word, r: int, count: int):
-        return window_sum(g, depth, t.known_prefix(word, alpha, r), count)
+    def total(word: Word, known: Word, alpha: Word, r: int):
+        piece = prefix_of(n.pieces, word, _word)
+        return None if piece is None else window_sum(g, depth, known, piece[1])
 
-    roots = [(word, (alpha, r, count))
-             for mu, alpha, r in t.entries
-             for word, count in restrict(n, mu)]
-    return canonical(t.source, dict(refine_until(t.source, roots, total)))
+    return canonical(t.source, dict(_refine_entries(t, total)))
 
 
 def pullback(g: LocFun, t: Transducer) -> LocFun:
@@ -370,7 +373,7 @@ def extract_table(t: Transducer) -> TableElement:
     if not cores_semantically_equal(t.core, identity_code(t.source)):
         raise ValueError("core is not the identity; the map is not a table")
 
-    def image(mu: Word, alpha: Word, r: int):
+    def image(mu: Word, known: Word, alpha: Word, r: int):
         if r > len(mu):
             raise AssertionError("shift exceeds the part depth in a table map")
         return alpha + mu[r:] or None

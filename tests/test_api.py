@@ -197,6 +197,24 @@ def test_one_conjugation_routine():
     assert callers_of("extract_table") == ["transducer.conjugate_by_stages"]
 
 
+def test_one_way_to_a_target_word():
+    """A cylinder's target word is streamed through the core once, at each
+    entry of the transducer walk, which then extends it one window per
+    child; besides that, only point images and the code stage's own output
+    run ``apply_word``."""
+    assert callers_of("apply_word") == [
+        "codes.BlockCode.encode", "transducer._refine_entries",
+        "transducer.apply_code_stage.recode"]
+
+
+def test_one_settle_walk_per_transducer():
+    """Every transducer read (stages, orbit sums, table extraction) walks
+    through ``_refine_entries``, the one transducer caller of the settle-walk."""
+    assert callers_of("refine_until") == [
+        "cocycles.rho_from_entries", "functions.indicator", "functions.birkhoff",
+        "tables.cylinder_swap", "tables.pullback_table", "transducer._refine_entries"]
+
+
 def test_exponents_are_searched_only_on_read():
     """``shift_exponents`` runs in one place, the cached pair behind a
     chain map's ``k1`` and ``l1``: a build never searches it."""

@@ -115,7 +115,12 @@ the same error type, message and line); ``Point.prefix`` against the
 every word up to length 4 with symbols out of range; ``validate_matrix``'s
 two reachability passes against the search from every symbol, and
 ``refine_until``'s reversed letter rows against the ``extensions``
-walk, in yield order.
+walk, in yield order, with and without a per-child state step.  The
+target word each transducer walk carries, one window longer per child,
+is checked at every node a few levels below the entries against the
+word streamed from the root, on the chain transducers and their
+shifted forms, and the stages built on it against the stages that
+re-streamed each part at every node, entry for entry.
 
 The input boundary is checked against the kernels it had before it
 sorted each family once and looked follower rows up: ``merge_siblings``
@@ -510,7 +515,7 @@ def reference_pullback(g, t):
     out = {}
 
     def emit(mu, alpha, r):
-        piece = reference_longest_prefix(pieces, t.known_prefix(mu, alpha, r))
+        piece = reference_longest_prefix(pieces, reference_known_prefix(t, mu, alpha, r))
         if piece is not None:
             out[mu] = pieces[piece]
             return
@@ -1422,18 +1427,59 @@ def test_encode_matches_per_window_reference():
 
 
 def test_known_prefix_matches_streamed_reference():
-    """Entries of the chain transducers, and of their shifted forms, whose
-    shifts may exceed the part depth."""
+    """Every node up to three levels below the entries of the chain
+    transducers, and of their shifted forms, whose shifts may exceed the
+    part depth, carries the target word streamed from the root."""
     cases = 0
     for h in chain_maps():
         t = h.transducer
-        for u in (t, post_shift(t, h.k1), post_shift(precompose_shift(t), h.l1)):
-            for mu, alpha, r in u.entries:
-                for part in [mu, *u.source.extensions(mu)]:
-                    expected = reference_known_prefix(u, part, alpha, r)
-                    assert u.known_prefix(part, alpha, r) == expected
-                    cases += 1
-    assert cases > 1000
+        shifted = precompose_shift(t)
+        for u in (t, shifted, post_shift(t, h.k1), post_shift(shifted, h.l1)):
+            def check(word, known, alpha, r, u=u):
+                nonlocal cases
+                mu, entry_alpha, entry_r = prefix_of(u.entries, word, itemgetter(0))
+                assert (alpha, r) == (entry_alpha, entry_r)
+                assert known == reference_known_prefix(u, word, alpha, r)
+                cases += 1
+                return True if len(word) >= len(mu) + 3 else None
+
+            assert all(ok for _, ok in transducer._refine_entries(u, check))
+    assert cases > 10000
+
+
+def reference_stage_transducer(source, stages):
+    """``stage_transducer`` as it ran before its walks carried the target
+    word: every node streamed its part from the root again."""
+    t = identity_transducer(source)
+    for stage in stages:
+        def decide(mu, alpha, r, t=t, stage=stage):
+            known = reference_known_prefix(t, mu, alpha, r)
+            if isinstance(stage, TableElement):
+                entry = stage.entry_at(known)
+                if entry is None:
+                    return None
+                nu, image = entry
+                if len(nu) <= len(alpha):
+                    return image + alpha[len(nu):], r
+                return image, r + len(nu) - len(alpha)
+            needed = len(alpha) + stage.window - 1 if alpha else 0
+            return None if len(known) < needed else (stage.apply_word(known[:needed]), r)
+
+        core = t.core if isinstance(stage, TableElement) else compose_codes(stage, t.core)
+        roots = [(mu, (alpha, r)) for mu, alpha, r in t.entries]
+        t = Transducer(core, tuple(sorted(
+            (mu, *output) for mu, output in refine_until(source, roots, decide))))
+    return t
+
+
+def test_stages_match_root_streamed_reference():
+    """Entry for entry, on the chain corpora, the ``random_chain`` draws over
+    every matrix and the deep exchanges up to k = 50."""
+    chains = [h.stages() for h in chain_maps()]
+    chains += [_normalize_chain(FULL_TWO, [deep_exchange(k)]) for k in range(1, 51)]
+    for stages in chains:
+        source = stages[0].matrix
+        assert stage_transducer(source, stages) == reference_stage_transducer(source, stages)
 
 
 def test_symbol_map_is_read_only():
@@ -2844,22 +2890,25 @@ def test_validate_matrix_is_two_passes_at_n_400():
     assert best < 0.5
 
 
-def reference_refine_until(matrix, roots, decide):
-    """The settle walk before it pushed reversed letter rows directly."""
+def reference_refine_until(matrix, roots, decide, step=None):
+    """The settle walk before it pushed reversed letter rows directly,
+    with each child's state stepped from its parent's."""
     stack = list(reversed(roots))
     while stack:
         word, state = stack.pop()
         answer = decide(word, *state)
         if answer is None:
-            stack.extend((child, state) for child in reversed(matrix.extensions(word)))
+            stack.extend((child, state if step is None else step(child, *state))
+                         for child in reversed(matrix.extensions(word)))
         else:
             yield word, answer
 
 
 @pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
 def test_refine_until_matches_extension_walk(matrix):
-    """Indicator walks from the empty word and entry walks from table roots
-    yield the same cylinders in the same order."""
+    """Indicator walks from the empty word and entry walks from table roots,
+    with the same state for every child or an image word stepped one letter
+    per child, yield the same cylinders in the same order."""
     rng = random.Random(83)
     for word in enumerate_words(matrix, 4):
         decide = lambda w, word=word: 1 if w == word else None if w == word[:len(w)] else 0
@@ -2873,6 +2922,15 @@ def test_refine_until_matches_extension_walk(matrix):
         decide = lambda w, mu: (mu, w) if len(w) >= depth else None
         assert (list(refine_until(matrix, roots, decide))
                 == list(reference_refine_until(matrix, roots, decide)))
+
+        def image_at(w, nu, mu, image):
+            assert image == mu + w[len(nu):]
+            return image if len(w) >= depth else None
+
+        step = lambda child, nu, mu, image: (nu, mu, image + child[-1:])
+        roots = [(nu, (nu, mu, mu)) for nu, mu in tau.entries]
+        assert (list(refine_until(matrix, roots, image_at, step))
+                == list(reference_refine_until(matrix, roots, image_at, step)))
 
 
 # -- sorted-once families and looked-up rows ----------------------------------------
