@@ -203,7 +203,7 @@ def higher_block_codes(matrix: TransitionMatrix, m: int):
     rows = []
     for w in blocks:
         row = [0] * len(blocks)
-        for a in matrix.successors(w[-1]):
+        for a in matrix.followers[w[-1]]:
             row[index[w[1:] + (a,)] - 1] = 1
         rows.append(tuple(row))
     block_matrix = TransitionMatrix(len(blocks), tuple(rows))

@@ -20,8 +20,11 @@ declares every window once.
 
 Values on the parts of a sorted partition reach canonical form by one sibling
 merge, :func:`merge_siblings`, whose caller says when a family may collapse
-into its parent; per-matrix rows answer its family questions.  Families stay
-sorted, so a longest-prefix lookup is one bisection, :func:`prefix_of`.
+into its parent.  Each matrix keeps one table of follower rows,
+``TransitionMatrix.followers``, by the letter before (0 at the start of a
+word), with equal rows one tuple: the walks and the merge read its rows, and
+the table checks compare two rows with ``is``.  Families stay sorted, so a
+longest-prefix lookup is one bisection, :func:`prefix_of`.
 
 Symbols are the integers ``1..n``.  Words are plain tuples of symbols; the
 empty tuple is the empty word.  All values here are immutable and all
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import inf
 from typing import Iterable
 
@@ -49,32 +53,27 @@ class TransitionMatrix:
     An edge ``i -> j`` exists when ``rows[i-1][j-1] == 1``.  Use
     :func:`validate_matrix` to construct one; the constructor itself does
     not re-check the invariants.
+
+    ``followers[b]`` is the tuple of letters allowed after ``b`` and
+    ``followers[0]`` every symbol.  Equal rows are one tuple, so letters
+    share a row exactly when ``followers[a] is followers[b]``.  It is not a
+    field: ``==``, ``hash`` and ``repr`` see only ``n`` and ``rows``.
     """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        # Successor and predecessor rows, built once; they are not fields,
-        # so ``==``, ``hash`` and ``repr`` still see only ``n`` and ``rows``.
-        # The predecessor rows transpose the successor lists, so the
-        # n x n cells are read once, row by row.
-        successors = tuple(
-            tuple(j for j, bit in enumerate(row, 1) if bit) for row in self.rows)
-        predecessors: list[list[int]] = [[] for _ in self.rows]
-        for i, row in enumerate(successors, 1):
-            for j in row:
-                predecessors[j - 1].append(i)
-        object.__setattr__(self, "_successors", successors)
-        object.__setattr__(self, "_predecessors", tuple(map(tuple, predecessors)))
-        # Rows by the letter before, row 0 at the start of a word: the letter after
-        # each allowed one (0 before the first and after the last), the row reversed,
-        # an id shared by equal rows, and the row's last letter (0 if none) and size.
-        allowed, ids = (tuple(self.symbols()),) + successors, {}
-        object.__setattr__(self, "_after", tuple(dict(zip((0,) + r, r + (0,))) for r in allowed))
-        object.__setattr__(self, "_reversed", tuple(r[::-1] for r in allowed))
-        object.__setattr__(self, "_row_id", tuple(ids.setdefault(r, len(ids)) for r in allowed))
-        object.__setattr__(self, "_family", tuple((r[-1] if r else 0, len(r)) for r in allowed))
+        # Equal follower rows are interned into one tuple.  The letter table
+        # gives the letter after each allowed one, 0 before the first and after
+        # the last; the predecessor rows are the columns, read as rows.
+        symbols, interned = self.symbols(), {}
+        followers = tuple([interned.setdefault(r, r) for r in [
+            tuple(symbols), *[tuple(compress(symbols, row)) for row in self.rows]]])
+        object.__setattr__(self, "followers", followers)
+        object.__setattr__(self, "_after", tuple([dict(zip((0,) + r, r + (0,))) for r in followers]))
+        object.__setattr__(self, "_predecessors", tuple(
+            [tuple(compress(symbols, column)) for column in zip(*self.rows)]))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -83,7 +82,7 @@ class TransitionMatrix:
         return range(1, self.n + 1)
 
     def successors(self, a: int) -> tuple[int, ...]:
-        return self._successors[a - 1]
+        return self.followers[a]
 
     def predecessors(self, a: int) -> tuple[int, ...]:
         return self._predecessors[a - 1]
@@ -100,9 +99,7 @@ class TransitionMatrix:
 
     def extensions(self, word: Word) -> tuple[Word, ...]:
         """All one-symbol extensions ``word + (a,)`` that stay admissible."""
-        if not word:
-            return tuple((a,) for a in self.symbols())
-        return tuple(word + (a,) for a in self._successors[word[-1] - 1])
+        return tuple(word + (a,) for a in self.followers[word[-1] if word else 0])
 
 
 def validate_matrix(grid) -> TransitionMatrix:
@@ -124,11 +121,11 @@ def validate_matrix(grid) -> TransitionMatrix:
     # Irreducible: every symbol reaches every symbol by a path of length >= 1.
     # Forward, then backward from 1 (seeded with its neighbours): once 1 reaches
     # all, a symbol reaches all exactly when it reaches 1.
-    for backward, rows_of in enumerate((matrix._successors, matrix._predecessors)):
-        seen = set(rows_of[0])
+    for backward, row in enumerate((matrix.followers.__getitem__, matrix.predecessors)):
+        seen = set(row(1))
         frontier = list(seen)
         while frontier:
-            for b in rows_of[frontier.pop() - 1]:
+            for b in row(frontier.pop()):
                 if b not in seen:
                     seen.add(b)
                     frontier.append(b)
@@ -315,12 +312,12 @@ def refine_until(matrix: TransitionMatrix, roots, decide, step=None):
     ``step``).  Yields ``(word, answer)`` for each settled cylinder, depth first,
     from an explicit stack, so word depth is not bounded by the recursion limit.
     """
-    backwards, stack = matrix._reversed, list(reversed(roots))
+    followers, stack = matrix.followers, list(reversed(roots))
     while stack:
         word, state = stack.pop()
         answer = decide(word, *state)
         if answer is None:
-            for a in backwards[word[-1] if word else 0]:
+            for a in reversed(followers[word[-1] if word else 0]):
                 child = word + (a,)
                 stack.append((child, state if step is None else step(child, *state)))
         else:
@@ -339,9 +336,9 @@ def walk(matrix: TransitionMatrix, word: Word, depth: int, symbol=None):
     if depth <= len(word):
         yield word, ()
         return
-    successors, path, image = matrix._successors, list(word), []
+    followers, path, image = matrix.followers, list(word), []
     # One (children, len(image) above them) pair per level below ``word``.
-    pending = [(iter(successors[word[-1] - 1] if word else matrix.symbols()), 0)]
+    pending = [(iter(followers[word[-1] if word else 0]), 0)]
     while pending:
         children, cut = pending[-1]
         for a in children:
@@ -349,7 +346,7 @@ def walk(matrix: TransitionMatrix, word: Word, depth: int, symbol=None):
             if symbol is not None and (s := symbol(path)) is not None:
                 image.append(s)
             if len(path) < depth:
-                pending.append((iter(successors[a - 1]), len(image)))
+                pending.append((iter(followers[a]), len(image)))
                 break
             yield tuple(path), tuple(image)
             path.pop()
@@ -456,18 +453,19 @@ def merge_siblings(matrix: TransitionMatrix, items, lift) -> tuple:
     Everything under a word sorts directly after it, so once a family's
     greatest member is on top, after its own subtree merged, the family can
     only be the top items.  Each push checks the family it completes, and
-    each merge the family its parent completes, by the last letter and size
-    of the row after the letter before.  Returns the merged items, sorted.
+    each merge the family its parent completes: by the last letter of the
+    follower row of the letter before, then that row's size (an empty row
+    completes none).  Returns the merged items, sorted.
     """
-    family, stack = matrix._family, []
+    followers, stack = matrix.followers, []
     for item in items:
         stack.append(item)
         while True:
             word, value = stack[-1]
             if not word:
                 break
-            last, size = family[word[-2] if len(word) > 1 else 0]
-            if word[-1] != last or len(stack) < size:
+            row = followers[word[-2] if len(word) > 1 else 0]
+            if not row or word[-1] != row[-1] or len(stack) < (size := len(row)):
                 break
             up = lift(word, value)
             if up is None:

@@ -90,8 +90,8 @@ def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
     (:class:`InadmissibleWord` for an inadmissible word, else
     :class:`DomainNotPartition` or :class:`ImageNotPartition`); then
     :class:`FollowerMismatch` for the first entry by source whose words
-    allow different successors.  So the error does not depend on the order
-    of the entries.
+    allow different successors (two ``followers`` rows that are not one).
+    So the error does not depend on the order of the entries.
     """
     ordered = sorted(((tuple(nu), tuple(mu)) for nu, mu in entries), key=_source)
     if not all(nu and mu for nu, mu in ordered):
@@ -104,9 +104,9 @@ def validate_table(matrix: TransitionMatrix, entries) -> TableElement:
             raise InadmissibleWord(str(exc)) from exc
         if message:
             raise error(message)
-    row = matrix._row_id
+    row = matrix.followers
     for nu, mu in ordered:
-        if row[nu[-1]] != row[mu[-1]]:
+        if row[nu[-1]] is not row[mu[-1]]:
             raise FollowerMismatch(
                 f"entry {word_name(nu)} -> {word_name(mu)} pairs different follower rows")
     return _merged(matrix, ordered)
@@ -128,10 +128,10 @@ def canonical_table(matrix: TransitionMatrix, entries) -> TableElement:
 def _merged(matrix: TransitionMatrix, ordered) -> TableElement:
     """The canonical table of valid entries sorted by source; its merged
     entries, sorted, serve its lookups as they are."""
-    row = matrix._row_id
+    row = matrix.followers
 
     def lift(nu: Word, mu: Word) -> Word | None:
-        if len(mu) < 2 or len(nu) < 2 or nu[-1] != mu[-1] or row[nu[-2]] != row[mu[-2]]:
+        if len(mu) < 2 or len(nu) < 2 or nu[-1] != mu[-1] or row[nu[-2]] is not row[mu[-2]]:
             return None
         return mu[:-1]
 
@@ -268,12 +268,12 @@ def random_element(matrix: TransitionMatrix, depth_budget: int, seed: int) -> Ta
 def _pair_exchange(matrix: TransitionMatrix, depth_budget: int, rng) -> TableElement:
     """Exchange two same-length incomparable cylinders, identity elsewhere."""
     length = rng.randint(2, depth_budget)
-    words, row = enumerate_words(matrix, length), matrix._row_id
+    words, row = enumerate_words(matrix, length), matrix.followers
     pairs = [
         (a, b)
         for i, a in enumerate(words)
         for b in words[i + 1:]
-        if row[a[-1]] == row[b[-1]]
+        if row[a[-1]] is row[b[-1]]
     ]
     if not pairs:
         return identity_table(matrix)

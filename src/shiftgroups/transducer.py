@@ -267,12 +267,12 @@ class _CylinderStream:
             lead = min(self._inside, 1)
             tail = mu[self._inside - lead:]
             self._windows = {w[lead:] for w in expand_to_depth(self._matrix, tail, lead + m)}
-        successors = self._matrix.successors
+        followers = self._matrix.followers
         while len(symbols) < stop:
             windows = self._windows
             written = {table[w] for w in windows}
             symbols.append(written.pop() if len(written) == 1 else None)
-            self._windows = {w[1:] + (a,) for w in windows for a in successors(w[-1])}
+            self._windows = {w[1:] + (a,) for w in windows for a in followers[w[-1]]}
         return tuple(symbols[start:stop])
 
 

@@ -3,7 +3,8 @@ cross-module imports inside the package, layers that import only
 downward, table validation only at the input
 boundary, partition checks only at the input boundaries, one sibling
 merge under both canonical forms that neither sorts nor reads successor
-rows, successor rows read only where a row is walked, one conjugation routine,
+rows, follower rows read from the matrix's public ``followers`` table and no
+private matrix state read outside ``sft``, one conjugation routine,
 pointwise oracles that share no lookup kernel with what they check, and
 chain-map exponents searched only on their first read."""
 
@@ -185,10 +186,29 @@ def test_merge_neither_sorts_nor_reads_successor_rows():
 
 
 def test_only_row_walks_read_successor_rows():
-    """``successors()`` serves only code that enumerates a row; follower
-    rows and sibling families are compared through the matrix's row ids."""
-    assert callers_of("successors") == [
-        "codes.higher_block_codes", "sft.representative", "transducer._CylinderStream.read"]
+    """The kernels read follower rows straight from ``followers``, and two
+    rows are compared as ``followers`` rows, by identity, since equal rows
+    are one tuple; only ``representative``'s walk, one step per symbol of a
+    point, still calls ``successors()``."""
+    assert callers_of("successors") == ["sft.representative"]
+
+
+def test_no_module_reads_private_matrix_state():
+    """The names a validated matrix keeps beside its fields that start with
+    an underscore are read only inside ``sft``: every other module reads the
+    public ``followers`` table or a method."""
+    private = {name for name in vars(shiftgroups.validate_matrix([[1, 1], [1, 0]]))
+               if name.startswith("_")}
+    assert private
+    package = pathlib.Path(shiftgroups.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "sft":
+            continue
+        found += [f"{path.name}:{node.lineno} {node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute) and node.attr in private]
+    assert found == []
 
 
 def test_one_conjugation_routine():

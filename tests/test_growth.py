@@ -6,11 +6,15 @@ so a bound on them is exact on any machine, where a wall-time bound on a
 shared machine is flaky.
 """
 
+import dataclasses
+import random
+
 import pytest
 from conftest import deep_exchange
 
 from shiftgroups import codes
 from shiftgroups.orbit import coe_from_chain
+from shiftgroups.sft import validate_matrix
 
 
 @pytest.mark.parametrize("k", [25, 50, 100, 200])
@@ -35,3 +39,33 @@ def test_deep_swap_streams_each_window_once(k, monkeypatch):
     monkeypatch.setattr(codes.BlockCode, "apply_word", counted)
     coe_from_chain([deep_exchange(k)]).k1
     assert windows <= k * k // 2 + 4 * k
+
+
+def stored_entries(value):
+    """The entries a row table holds: a tuple's items (a row's items, for a
+    table of rows) and a dict's keys."""
+    if isinstance(value, dict):
+        return len(value)
+    if isinstance(value, tuple):
+        return sum(stored_entries(item) if isinstance(item, (tuple, dict)) else 1
+                   for item in value)
+    return 1
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_matrix_rows_are_linear_in_its_edges(n):
+    """The row tables a seeded half-dense n x n matrix with E edges keeps
+    beside its fields, counted with a shared row once per letter.
+
+    The follower rows (every symbol at the start of a word) hold n + E
+    letters, the letter table n + 1 + n + E keys and the predecessor rows E
+    letters: 3 * E + 3 * n + 1.  A second copy of the rows, reversed or
+    indexed another way, adds about E more and fails the bound.
+    """
+    rng = random.Random(n)
+    matrix = validate_matrix([[int(rng.random() < 0.5) for _ in range(n)] for _ in range(n)])
+    edges = sum(map(sum, matrix.rows))
+    fields = {field.name for field in dataclasses.fields(matrix)}
+    stored = sum(stored_entries(value) for name, value in vars(matrix).items()
+                 if name not in fields)
+    assert stored <= 3 * edges + 3 * (n + 1)

@@ -3101,19 +3101,31 @@ def test_make_matches_partition_and_sorting_merge_reference(matrix):
 
 def test_rows_match_successors_on_every_small_matrix():
     """On every 0/1 matrix up to 3 x 3, unvalidated ones with an empty row
-    included: two letters share a row id exactly when ``successors()`` (all
-    symbols for 0, the start of a word) gives them one row, and the family
-    row is that row's last letter and size, (0, 0) for an empty row.  A
-    merge on a matrix with an empty row reads it without failing."""
+    included: ``followers[0]`` is every symbol (the start of a word) and
+    ``followers[a]`` is the row of ``a`` read off the grid, as
+    ``successors(a)`` gives it; two letters' rows are one object exactly when
+    they are equal; and ``_after[b]`` steps through ``followers[b]`` from 0
+    to 0.  A merge on a matrix with an empty row reads it without failing."""
     empty = 0
     for n in (1, 2, 3):
         for bits in itertools.product((0, 1), repeat=n * n):
-            matrix = TransitionMatrix(n, tuple(bits[i * n: (i + 1) * n] for i in range(n)))
-            rows = [tuple(matrix.symbols())] + [matrix.successors(a) for a in matrix.symbols()]
+            grid = tuple(bits[i * n: (i + 1) * n] for i in range(n))
+            matrix = TransitionMatrix(n, grid)
+            rows = [tuple(range(1, n + 1))] + [
+                tuple(j for j in range(1, n + 1) if grid[a - 1][j - 1]) for a in range(1, n + 1)]
+            assert matrix.followers == tuple(rows)
+            assert matrix.followers[0] == tuple(matrix.symbols())
             for a, row in enumerate(rows):
-                assert matrix._family[a] == ((row[-1], len(row)) if row else (0, 0))
+                if a:
+                    assert matrix.followers[a] == matrix.successors(a)
                 for b, other in enumerate(rows):
-                    assert (matrix._row_id[a] == matrix._row_id[b]) == (row == other)
+                    assert (matrix.followers[a] is matrix.followers[b]) == (row == other)
+                letter, stepped = 0, []
+                for _ in range(len(row) + 1):
+                    letter = matrix._after[a][letter]
+                    stepped.append(letter)
+                assert stepped == [*row, 0]
+                assert len(matrix._after[a]) == len(row) + 1
             if not all(rows):
                 empty += 1
                 items = [((a,), 0) for a in matrix.symbols()]

@@ -1,5 +1,6 @@
 """Shift-space basics against brute-force oracles."""
 
+import dataclasses
 import itertools
 import random
 
@@ -44,6 +45,17 @@ def test_validate_accepts_golden_mean():
     assert m.n == 2
     assert m.successors(1) == (1, 2)
     assert m.successors(2) == (1,)
+
+
+def test_matrix_compares_and_prints_by_its_fields():
+    """Every stage compares matrices, so two matrices validated from one grid
+    are equal with one hash, and the row tables kept beside the fields show
+    neither in ``repr`` nor in ``dataclasses.fields``."""
+    grid = [[1, 1], [1, 0]]
+    m1, m2 = validate_matrix(grid), validate_matrix(grid)
+    assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
+    assert repr(m1) == "TransitionMatrix(n=2, rows=((1, 1), (1, 0)))"
+    assert [field.name for field in dataclasses.fields(m1)] == ["n", "rows"]
 
 
 def test_validate_rejects_permutation():
