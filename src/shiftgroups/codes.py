@@ -45,9 +45,8 @@ class BlockCode:
 
     def apply_word(self, word: Word) -> Word:
         """Target word read off a source word (one symbol per full window)."""
-        table = self._symbols
-        m = self.window
-        return tuple(table[word[i: i + m]] for i in range(len(word) - m + 1))
+        windows = zip(*[word[i:] for i in range(self.window)])
+        return tuple(map(self._symbols.__getitem__, windows))
 
     def encode(self, point: Point) -> Point:
         """Image of an eventually periodic point."""

@@ -4,8 +4,9 @@ All files are UTF-8, read unbuffered and decoded once (:func:`read_text`),
 with LF or CRLF line endings; ``#`` starts a comment and blank lines are
 ignored.  Words are dot-separated symbols with ``-`` for the empty word;
 points are ``u|w`` literals.  Writers emit canonical sorted forms only, and
-everything printed re-parses to an equal object.  Word fields map one name
-lookup per matrix (:func:`_names`); a name it lacks goes to :func:`parse_word`.
+everything printed re-parses to an equal object.  Word fields
+(:func:`_word_field`) map one name lookup per matrix (:func:`_names`); a
+name it lacks goes to :func:`parse_word`.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def parse_word(text: str, line: int | None = None) -> Word:
         raise FormatError(f"bad word literal {_literal_name(text)}", line)
 
 
+def _word_field(symbol, text: str, line: int | None) -> Word:
+    """A word field: one ``symbol`` lookup (a :func:`_names` entry) per name, or
+    :func:`parse_word` when it is not plain names (``-``, ``+1`` or a bad literal)."""
+    try:
+        return tuple(map(symbol, text.split(".")))
+    except KeyError:
+        return parse_word(text, line)
+
+
 def format_point(point: Point) -> str:
     u = format_word(point.transient) if point.transient else ""
     return f"{u}|{format_word(point.cycle)}"
@@ -104,7 +114,7 @@ def parse_matrix_grid(text: str) -> list[list[int]]:
     grid = []
     for number, line in lines[1:]:
         try:
-            row = [int(v) for v in line.split()]
+            row = list(map(int, line.split()))
         except ValueError:
             raise FormatError(f"bad matrix row {_literal_name(line)}", number)
         if len(row) != n:
@@ -134,10 +144,7 @@ def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(f"expected 'word value', got {_literal_name(line)}", number)
-        try:
-            word = tuple(map(symbol, fields[0].split(".")))
-        except KeyError:  # not plain names: ``-``, ``+1`` or a bad literal
-            word = parse_word(fields[0], number)
+        word = _word_field(symbol, fields[0], number)
         if word in pieces:
             raise FormatError(f"word {_literal_name(fields[0], str)} repeats", number)
         try:
@@ -165,11 +172,8 @@ def parse_table(text: str, matrix: TransitionMatrix) -> TableElement:
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
             raise FormatError(f"expected 'nu -> mu', got {_literal_name(line)}", number)
-        try:
-            entries.append((tuple(map(symbol, fields[0].split("."))),
-                            tuple(map(symbol, fields[2].split(".")))))
-        except KeyError:  # not plain names: ``-``, ``+1`` or a bad literal
-            entries.append((parse_word(fields[0], number), parse_word(fields[2], number)))
+        entries.append((_word_field(symbol, fields[0], number),
+                        _word_field(symbol, fields[2], number)))
     return validate_table(matrix, entries)
 
 
@@ -216,7 +220,7 @@ class _TokenStream:
         return self.tokens[min(self.at, len(self.tokens) - 1)][0] if self.tokens else None
 
 
-def _parse_block_map(stream: _TokenStream, names: dict) -> dict[Word, int]:
+def _parse_block_map(stream: _TokenStream, symbol) -> dict[Word, int]:
     stream.take("{")
     mapping: dict[Word, int] = {}
     while True:
@@ -224,10 +228,7 @@ def _parse_block_map(stream: _TokenStream, names: dict) -> dict[Word, int]:
         if token == "}":
             stream.take()
             return mapping
-        try:
-            word = tuple(map(names.__getitem__, stream.take().split(".")))
-        except KeyError:  # not plain names: ``-``, ``+1`` or a bad literal
-            word = parse_word(token, number)
+        word = _word_field(symbol, stream.take(), number)
         if word in mapping:
             raise FormatError(f"window {_literal_name(token, str)} repeats", number)
         stream.take("->")
@@ -265,10 +266,10 @@ def parse_coe(text: str, directory: str = ".") -> CoeMap:
             if saw_code:
                 raise FormatError("exactly one code stage is allowed", number)
             window = stream.take_int()
-            mapping = _parse_block_map(stream, _names(source.n))
+            mapping = _parse_block_map(stream, _names(source.n).__getitem__)
             stream.take("inverse")
             inverse_window = stream.take_int()
-            inverse_mapping = _parse_block_map(stream, _names(target.n))
+            inverse_mapping = _parse_block_map(stream, _names(target.n).__getitem__)
             stages.append(make_code(source, target, window, mapping,
                                     inverse_window, inverse_mapping))
             saw_code = True

@@ -114,6 +114,11 @@ def validate_matrix(grid) -> TransitionMatrix:
     if n < 1 or any(len(row) != n for row in rows):
         raise ValueError("grid must be square with n >= 1")
     for row in rows:
+        try:
+            if {0, 1}.issuperset(row):
+                continue
+        except TypeError:  # an unhashable entry; the loop names the first bad one
+            pass
         for v in row:
             if v not in (0, 1):
                 raise NotZeroOne(f"entry {v!r} is not 0 or 1")

@@ -20,10 +20,10 @@ costs linear work in the shift exponent instead of a cylinder expansion.
 
 Each such check reads the core stream over one cylinder: position ``p``
 holds the symbol the core writes at ``p`` on every point of the
-cylinder, or None where its points disagree.  The stream is computed
-once per cylinder, each position only once a read reaches it, and every
-check on that cylinder (each bisection step of :func:`shift_exponents`)
-reads it.
+cylinder, or None where its points disagree.  :func:`_stream` returns
+one run of positions as a tuple; each part is read once, between the
+two shifts its checks compare (every bisection step of
+:func:`shift_exponents` slices that one tuple).
 """
 
 from __future__ import annotations
@@ -235,60 +235,36 @@ def cores_semantically_equal(c1: BlockCode, c2: BlockCode) -> bool:
     return all(table[w[:m]] == symbol for w, symbol in longer.mapping)
 
 
-class _CylinderStream:
-    """The core stream over the cylinder of ``mu``, read by position.
-
-    Position ``p`` (from 1) holds the symbol the core writes at ``p`` on
-    every point of the cylinder, or None where its points disagree.  A
-    nonempty read computes each position up to its ``stop`` that no
-    earlier read reached.  A window inside ``mu`` is one lookup.  The
-    first read past those builds the set of windows the cylinder's points
-    show next, from the extensions of ``mu``'s last ``window`` symbols
-    (or all of a shorter ``mu``), then takes the follower step
-    ``w -> w[1:] + (a,)``, which never needs to check ``mu`` again.
-    """
-
-    def __init__(self, matrix: TransitionMatrix, core: BlockCode, mu: Word) -> None:
-        self._matrix = matrix
-        self._table = core.symbol_map()
-        self._window = core.window
-        self._mu = mu
-        self._inside = max(len(mu) - core.window + 1, 0)  # positions read off ``mu``
-        self._symbols: list[int | None] = []
-        self._windows: set[Word] | None = None
-
-    def read(self, start: int, stop: int) -> tuple[int | None, ...]:
-        """The symbols at positions ``start + 1 .. stop``."""
-        if stop <= start:
-            return ()
-        symbols, table, m, mu = self._symbols, self._table, self._window, self._mu
-        symbols.extend(table[mu[p: p + m]] for p in range(len(symbols), min(stop, self._inside)))
-        if len(symbols) < stop and self._windows is None:
-            lead = min(self._inside, 1)
-            tail = mu[self._inside - lead:]
-            self._windows = {w[lead:] for w in expand_to_depth(self._matrix, tail, lead + m)}
-        followers = self._matrix.followers
-        while len(symbols) < stop:
-            windows = self._windows
-            written = {table[w] for w in windows}
-            symbols.append(written.pop() if len(written) == 1 else None)
-            self._windows = {w[1:] + (a,) for w in windows for a in followers[w[-1]]}
-        return tuple(symbols[start:stop])
+def _stream(matrix: TransitionMatrix, core: BlockCode, mu: Word, start: int, stop: int) -> tuple:
+    """The core's symbols at positions ``start + 1 .. stop`` over the cylinder
+    of ``mu``, each None where the cylinder's points disagree.  The windows
+    inside ``mu`` are read in one step; past them, the set of windows the
+    points show next (the extensions of ``mu``'s last ``window`` symbols, or
+    all of a shorter ``mu``) takes the follower step ``w -> w[1:] + (a,)``."""
+    table, m = core.symbol_map(), core.window
+    symbols = list(map(table.__getitem__, zip(*[mu[start + i: stop + i] for i in range(m)])))
+    inside = max(len(mu) - m + 1, 0)  # positions read off ``mu``
+    if stop > max(start, inside):
+        lead = min(inside, 1)
+        windows = {w[lead:] for w in expand_to_depth(matrix, mu[inside - lead:], lead + m)}
+        for p in range(inside, stop):
+            if p > inside:
+                windows = {w[1:] + (a,) for w in windows for a in matrix.followers[w[-1]]}
+            if p >= start:
+                written = {table[w] for w in windows}
+                symbols.append(written.pop() if len(written) == 1 else None)
+    return tuple(symbols)
 
 
-def _entries_agree_on(stream: _CylinderStream, a1: Word, r1: int, a2: Word, r2: int) -> bool:
-    """Exact equality of two same-core entry maps on one cylinder.
-
-    Aligned up to the larger shift, the shorter side's output must spell
-    the longer side's extra symbols, which happens exactly when the
-    cylinder's core ``stream`` holds them at the positions between the
-    two shifts: constant over the cylinder, with the right values.
-    """
+def _entries_agree_on(stream: tuple, start: int, a1: Word, r1: int, a2: Word, r2: int) -> bool:
+    """Exact equality of two same-core entry maps on one cylinder whose core
+    ``stream`` starts at position ``start + 1`` and runs past both shifts.
+    Aligned up to the larger shift, the shorter side's output must spell the
+    longer side's extra symbols: the stream holds them at the positions
+    between the two shifts, constant over the cylinder."""
     if r1 > r2:
         a1, r1, a2, r2 = a2, r2, a1, r1
-    if len(a1) + r2 - r1 != len(a2) or a2[: len(a1)] != a1:
-        return False
-    return stream.read(r1, r2) == a2[len(a1):]
+    return a1 + stream[r1 - start: r2 - start] == a2
 
 
 def _aligned(t1: Transducer, t2: Transducer, under: Word = ()):
@@ -309,14 +285,13 @@ def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[
     """
     if not cores_semantically_equal(t1.core, t2.core):
         raise ValueError("transducers have different cores; not comparable")
-    # One stream per part, from t1's core alone.  That is exact: the cores
-    # are semantically equal, and on an irreducible SFT every window in the
-    # stream's window set occurs on some point of the cylinder, so the
-    # symbols the stream reports are what the map writes there, whichever
-    # of the two equal cores built it.
+    # One stream per part, between its two shifts, from t1's core alone: exact,
+    # as on an irreducible SFT every window of the stream's window sets shows on
+    # some point of the cylinder, whichever of the two equal cores reads it.
     return tuple(sorted(
         part for part, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2, under)
-        if not _entries_agree_on(_CylinderStream(t1.source, t1.core, part), a1, r1, a2, r2)))
+        if not _entries_agree_on(_stream(t1.source, t1.core, part, min(r1, r2), max(r1, r2)),
+                                 min(r1, r2), a1, r1, a2, r2)))
 
 
 def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
@@ -331,19 +306,24 @@ def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
     ``k >= |b|`` and ``l >= |a|`` both sides are the bare stream from one
     offset, so bisection finds the least valid ``k`` below that bound.
 
-    The ``k`` kept on each part is read once more on its stream, the
-    pair's one exact check: :class:`VerificationFailed` names the part
-    when no candidate passes or the kept one fails (a library bug).
+    Each side's shift grows with ``k`` until both are ``max(q, r)`` at the
+    top candidate, so each part's stream is read once, from the smaller
+    shift at ``low`` to there, and every check slices it.  The ``k`` kept
+    is checked once more, the pair's one exact check:
+    :class:`VerificationFailed` names the part when no candidate passes or
+    the kept one fails (a library bug).
     """
     k_table, l_table = {}, {}
     for part, (_, a, r), (_, b, q) in _aligned(t, precompose_shift(t)):
         d = (q - len(b)) - (r - len(a))
-        stream = _CylinderStream(t.source, t.core, part)
+        low = max(0, -d)
+        start = min(_shift_entry(b, q, low)[1], _shift_entry(a, r, low + d)[1])
+        stream = _stream(t.source, t.core, part, start, max(q, r))
 
         def valid(k: int) -> bool:
-            return _entries_agree_on(stream, *_shift_entry(b, q, k), *_shift_entry(a, r, k + d))
+            return _entries_agree_on(stream, start, *_shift_entry(b, q, k),
+                                     *_shift_entry(a, r, k + d))
 
-        low = max(0, -d)
         candidates = range(low, max(len(b), len(a) - d, low) + 1)
         i = bisect_left(candidates, True, key=valid)
         if i == len(candidates) or not valid(candidates[i]):

@@ -5,8 +5,9 @@ boundary, partition checks only at the input boundaries, one sibling
 merge under both canonical forms that neither sorts nor reads successor
 rows, follower rows read from the matrix's public ``followers`` table and no
 private matrix state read outside ``sft``, one conjugation routine,
-pointwise oracles that share no lookup kernel with what they check, and
-chain-map exponents searched only on their first read."""
+pointwise oracles that share no lookup kernel with what they check,
+chain-map exponents searched only on their first read, and one class in
+the transducer layer."""
 
 import ast
 import pathlib
@@ -239,6 +240,15 @@ def test_exponents_are_searched_only_on_read():
     """``shift_exponents`` runs in one place, the cached pair behind a
     chain map's ``k1`` and ``l1``: a build never searches it."""
     assert callers_of("shift_exponents") == ["orbit.CoeMap._exponents"]
+
+
+def test_transducer_defines_one_class():
+    """The transducer layer's one class is the chain map it stores; a core
+    stream over a cylinder is a tuple that a function returns, not a cache."""
+    path = pathlib.Path(shiftgroups.__file__).parent / "transducer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == [
+        "Transducer"]
 
 
 def test_pointwise_oracles_share_no_lookup_kernel():

@@ -41,6 +41,32 @@ def test_deep_swap_streams_each_window_once(k, monkeypatch):
     assert windows <= k * k // 2 + 4 * k
 
 
+@pytest.mark.parametrize("k", [25, 50, 100, 200])
+def test_deep_swap_reads_each_part_stream_once(k, monkeypatch):
+    """The lookups through ``BlockCode.symbol_map()`` while the ``k1`` of the
+    chain map of ``deep_exchange(k)`` is read.
+
+    Each part's core stream is read once, between the least and the
+    greatest shift its bisection compares, so what is left, about k * k / 2
+    lookups, is the width of the output words the parts compare.  Reading
+    every part from position 1 (458 lookups at k = 25, 21108 at k = 200)
+    fails the bound.
+    """
+    h = coe_from_chain([deep_exchange(k)])
+    lookups = 0
+    symbol_map = codes.BlockCode.symbol_map
+
+    class Counted(dict):
+        def __getitem__(self, window):
+            nonlocal lookups
+            lookups += 1
+            return dict.__getitem__(self, window)
+
+    monkeypatch.setattr(codes.BlockCode, "symbol_map", lambda code: Counted(symbol_map(code)))
+    h.k1
+    assert lookups <= k * k // 2 + 4 * k
+
+
 def stored_entries(value):
     """The entries a row table holds: a tuple's items (a row's items, for a
     table of rows) and a dict's keys."""

@@ -37,11 +37,12 @@ per map: never for a loaded map pulled back through or in the commutant
 search, once however often ``psi`` runs, and once in the witness search,
 not for the recoded map its check builds.  It is ``shift_exponents`` of
 the transducer, and reading it leaves ``==``, ``hash`` and ``repr``
-alone.  Its agreement checks, which read one core stream
+alone.  Its agreement checks, which slice one core stream
 per cylinder, are checked against the window sets the old
 ``_entries_agree_on`` rebuilt from position 1 on every call, and so are
-the stream's reads inside a part, across its end and past it, and
-``difference_parts`` on cores that are equal maps with different windows.
+``_stream``'s reads inside a part, across its end and past it, and
+``difference_parts`` on cores that are equal maps with different windows;
+every check reads inside its part's stream.
 
 The depth-first ``sft.walk`` is checked against the breadth-first list
 it replaced, and its images against ``BlockCode.apply_word``.  The
@@ -138,6 +139,7 @@ empty row included.
 
 import dataclasses
 import itertools
+import math
 import random
 from bisect import bisect_left
 import re
@@ -261,9 +263,9 @@ from shiftgroups.tables import (
 from shiftgroups.transducer import (
     Transducer,
     _aligned,
-    _CylinderStream,
     _entries_agree_on,
     _shift_entry,
+    _stream,
     apply_table_stage,
     conjugate_by_stages,
     cores_semantically_equal,
@@ -1528,6 +1530,34 @@ def test_walk_images_are_the_code_applied():
     assert leaves > 3000
 
 
+def reference_apply_word(code, word):
+    """One window slice and lookup per position, as ``apply_word`` read a word."""
+    table, m = code.symbol_map(), code.window
+    return tuple(table[word[i: i + m]] for i in range(len(word) - m + 1))
+
+
+def test_apply_word_matches_per_window_reference():
+    """Every word over ``0..n`` up to length ``window + 3`` on every code
+    under test, admissible or not, so also words shorter than a window: the
+    same image, or a ``KeyError`` naming the same first missing window."""
+    outcomes = {"image": 0, "missing": 0}
+    for code in codes_under_test():
+        letters = range(code.source.n + 1)
+        for length in range(code.window + 4):
+            for word in itertools.product(letters, repeat=length):
+                try:
+                    expected = reference_apply_word(code, word)
+                except KeyError as exc:
+                    with pytest.raises(KeyError) as raised:
+                        code.apply_word(word)
+                    assert raised.value.args == exc.args
+                    outcomes["missing"] += 1
+                    continue
+                assert code.apply_word(word) == expected
+                outcomes["image"] += 1
+    assert min(outcomes.values()) > 1000
+
+
 # -- chain-map builds -------------------------------------------------------------
 
 
@@ -2352,10 +2382,12 @@ def test_cylinder_stream_verdicts_match_window_set_reference():
     """Every candidate ``k`` of the bisection, up to 2 past its top, on
     every part of the refinement of ``t`` and ``t after shift``, on the
     exponent chains and the deep-swap pre-tables up to k = 30; on the
-    k = 300 one, three candidates on every fifth part.  Each part's one
-    stream also reads ranges inside the part, straddling its end and past
-    it, in one shuffled order with the candidates, against the symbols of
-    the reference window sets."""
+    k = 300 one, three candidates on every fifth part.  Each part's
+    verdicts slice one stream, from the smaller shift of the least
+    candidate to the larger of the greatest; ``_stream`` also reads ranges
+    inside the part, straddling its end and past it (an empty range reads
+    nothing), in one shuffled order with the candidates, against the
+    symbols of the reference window sets."""
     rng = random.Random(89)
     chains = [(h, False) for h in exponent_chains()]
     chains += [(coe_from_chain([deep_exchange(k)]), k == 300) for k in (3, 10, 30, 300)]
@@ -2374,20 +2406,50 @@ def test_cylinder_stream_verdicts_match_window_set_reference():
             spans = stream_ranges(max(len(part) - t.core.window + 1, 0), rng)
             reads = [("verdict", k) for k in candidates] + spans
             rng.shuffle(reads)
+            sides = {k: (*_shift_entry(b, q, k), *_shift_entry(a, r, k + d)) for k in candidates}
+            first, last = sides[min(candidates)], sides[max(candidates)]
+            start, stop = min(first[1], first[3]), max(last[1], last[3])
             expected = reference_stream(t.source, t.core, part,
-                                        max(stop for _, (_, stop) in spans))
-            stream = _CylinderStream(t.source, t.core, part)
+                                        max(stop, *(stop for _, (_, stop) in spans)))
+            stream = _stream(t.source, t.core, part, start, stop)
+            assert stream == tuple(expected[start:stop])
             for kind, arg in reads:
                 if kind != "verdict":
-                    assert stream.read(*arg) == tuple(expected[arg[0]: arg[1]])
+                    assert _stream(t.source, t.core, part, *arg) == tuple(expected[arg[0]: arg[1]])
                     ranges[kind] += 1
                     continue
-                sides = (*_shift_entry(b, q, arg), *_shift_entry(a, r, arg + d))
-                verdict = _entries_agree_on(stream, *sides)
-                assert verdict == reference_entries_agree_on(t.source, t.core, t.core, part, *sides)
+                verdict = _entries_agree_on(stream, start, *sides[arg])
+                assert verdict == reference_entries_agree_on(t.source, t.core, t.core, part,
+                                                             *sides[arg])
                 verdicts[verdict] += 1
     assert min(verdicts.values()) > 500
     assert min(ranges.values()) > 500
+
+
+def test_every_exponent_check_reads_inside_its_stream(monkeypatch):
+    """Each agreement check of ``shift_exponents``, and of ``difference_parts``
+    between ``shift^k1 . h . shift`` and ``shift^l1 . h``, slices its part's one
+    stream between the two shifts it compares, so no slice comes back short:
+    on the exponent chains and the deep swaps up to k = 300, with the
+    exponents unchanged and the two maps equal."""
+    chains = [*exponent_chains(), *(coe_from_chain([deep_exchange(k)]) for k in (3, 10, 30, 300))]
+    expected = [(h.k1, h.l1) for h in chains]
+    agree, reads = transducer._entries_agree_on, 0
+
+    def checked(stream, start, a1, r1, a2, r2):
+        nonlocal reads
+        assert start <= min(r1, r2) <= max(r1, r2) <= start + len(stream)
+        reads += 1
+        return agree(stream, start, a1, r1, a2, r2)
+
+    monkeypatch.setattr(transducer, "_entries_agree_on", checked)
+    for h, exponents in zip(chains, expected):
+        fresh = coe_from_chain(h.stages())
+        assert (fresh.k1, fresh.l1) == exponents
+        t = fresh.transducer
+        assert transducer_equal(post_shift(precompose_shift(t), fresh.k1),
+                                post_shift(t, fresh.l1))
+    assert reads > 1000
 
 
 def test_difference_parts_on_equal_cores_with_other_windows():
@@ -2875,6 +2937,27 @@ def test_validate_matrix_matches_per_symbol_search():
     assert {"valid", (NotZeroOne, "entry 2 is not 0 or 1"),
             (Permutation, "all row sums are 1"),
             (Reducible, "symbol 2 does not reach every symbol")} <= verdicts
+
+
+def test_zero_one_check_matches_per_cell_loop():
+    """Seeded 0/1 grids from 1 x 1 to 6 x 6 with one to three entries
+    replaced at seeded cells by ``2``, ``-1``, ``True``, ``1.0``, ``nan``,
+    ``None`` or a list: the row-at-a-time check gives the verdict of the
+    per-cell loop, naming the same first bad entry in row-major order, and
+    an unhashable entry goes to the loop."""
+    rng = random.Random(97)
+    odd = (2, -1, True, 1.0, math.nan, None, [1])
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        grid = [[int(rng.random() < 0.6) for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            grid[rng.randrange(n)][rng.randrange(n)] = rng.choice(odd)
+        verdict = matrix_verdict(validate_matrix, grid)
+        assert verdict == matrix_verdict(reference_validate_matrix, grid)
+        seen.add(verdict[1] if verdict[0] is NotZeroOne else "no bad entry")
+    assert seen == {"no bad entry", *(f"entry {v!r} is not 0 or 1"
+                                      for v in (2, -1, math.nan, None, [1]))}
 
 
 def test_validate_matrix_is_two_passes_at_n_400():
