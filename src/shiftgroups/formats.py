@@ -7,6 +7,17 @@ points are ``u|w`` literals.  Writers emit canonical sorted forms only, and
 everything printed re-parses to an equal object.  Word fields
 (:func:`_word_field`) map one name lookup per matrix (:func:`_names`); a
 name it lacks goes to :func:`parse_word`.
+
+Two process-wide memos skip re-reading text already read.  ``_WORDS``
+maps a word field's text, up to ``_WORD_TEXT_LIMIT`` characters, to its
+word; a word depends only on its text, as a name the lookup lacks is read
+by ``int``.  ``_MATRICES`` maps a matrix file's text, up to
+``_MATRIX_TEXT_LIMIT`` characters, to its validated matrix.  A memo that
+grows past its bound (``_WORD_MEMO_SIZE``, ``_MATRIX_MEMO_SIZE`` keys) is
+emptied (:func:`_remember`).  Only successful reads are stored, so every
+error is raised again, with its message and line, and tables, functions
+and chains are validated on every read.  Keys and values are immutable,
+so the memos are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,6 +40,29 @@ def _content_lines(text: str, header: str | None = None) -> list[tuple[int, str]
     if header is not None and (not lines or lines[0][1] != header):
         raise FormatError(f"expected a {header!r} header", lines[0][0] if lines else None)
     return lines if header is None else lines[1:]
+
+
+# -- parse memos --------------------------------------------------------------
+
+
+_WORD_TEXT_LIMIT = 64
+_WORD_MEMO_SIZE = 1 << 14
+_MATRIX_TEXT_LIMIT = 1 << 12
+_MATRIX_MEMO_SIZE = 32
+_WORDS: dict[str, Word] = {}
+_MATRICES: dict[str, TransitionMatrix] = {}
+
+
+def _remember(memo: dict, bound: int, key: str, value) -> None:
+    """Store ``key -> value``, then empty ``memo`` if it holds more than
+    ``bound`` keys.  Each store is followed by its own check, so a memo
+    holds at most ``bound`` keys whenever no store is under way, and at
+    most one more per thread inside a store.  No lock is taken: one costs
+    more than the store it would guard, and a race can only grow a memo
+    for that moment, never change a value."""
+    memo[key] = value
+    if len(memo) > bound:
+        memo.clear()
 
 
 # -- words and points ---------------------------------------------------------
@@ -64,12 +98,18 @@ def parse_word(text: str, line: int | None = None) -> Word:
 
 
 def _word_field(symbol, text: str, line: int | None) -> Word:
-    """A word field: one ``symbol`` lookup (a :func:`_names` entry) per name, or
-    :func:`parse_word` when it is not plain names (``-``, ``+1`` or a bad literal)."""
-    try:
-        return tuple(map(symbol, text.split(".")))
-    except KeyError:
-        return parse_word(text, line)
+    """A word field: its ``_WORDS`` entry, or else one ``symbol`` lookup (a
+    :func:`_names` entry) per name, or :func:`parse_word` when it is not
+    plain names (``-``, ``+1`` or a bad literal)."""
+    word = _WORDS.get(text)
+    if word is None:
+        try:
+            word = tuple(map(symbol, text.split(".")))
+        except KeyError:
+            word = parse_word(text, line)
+        if len(text) <= _WORD_TEXT_LIMIT:
+            _remember(_WORDS, _WORD_MEMO_SIZE, text, word)
+    return word
 
 
 def format_point(point: Point) -> str:
@@ -82,8 +122,9 @@ def parse_point(text: str, matrix: TransitionMatrix, line: int | None = None) ->
     if "|" not in text:
         raise FormatError(f"point literal {_literal_name(text)} needs a '|'", line)
     u_text, w_text = text.split("|", 1)
-    u = parse_word(u_text, line) if u_text else ()
-    w = parse_word(w_text, line)
+    symbol = _names(matrix.n).__getitem__
+    u = _word_field(symbol, u_text, line) if u_text else ()
+    w = _word_field(symbol, w_text, line)
     return canonicalize_point(matrix, u, w)
 
 
@@ -124,7 +165,15 @@ def parse_matrix_grid(text: str) -> list[list[int]]:
 
 
 def parse_matrix(text: str) -> TransitionMatrix:
-    return validate_matrix(parse_matrix_grid(text))
+    """The validated matrix of a file's text, through ``_MATRICES`` when the
+    text is short enough to keep."""
+    keep = len(text) <= _MATRIX_TEXT_LIMIT
+    matrix = _MATRICES.get(text) if keep else None
+    if matrix is None:
+        matrix = validate_matrix(parse_matrix_grid(text))
+        if keep:
+            _remember(_MATRICES, _MATRIX_MEMO_SIZE, text, matrix)
+    return matrix
 
 
 # -- functions ----------------------------------------------------------------

@@ -1,20 +1,26 @@
 """Text format round trips and parse failure reporting.
 
-The parsers read each word through a per-matrix name lookup; a copy of
-the per-field loop they replaced, which reads every symbol with ``int``,
-is kept below as the reference they must match on seeded and mangled
-texts.  The examples in README's "File formats" section must parse.
+The parsers read each word through a per-matrix name lookup and two
+process-wide memos; a copy of the per-field loop they replaced, which
+reads every symbol with ``int``, is kept below as the reference they must
+match on seeded and mangled texts, read once with the memos emptied and
+once through them.  The examples in README's "File formats" section must
+parse.
 """
 
 import pathlib
 import random
 import re
+import sys
+import threading
+import time
 from functools import partial
 
 import pytest
 
+from shiftgroups import formats
 from shiftgroups.codes import make_code
-from shiftgroups.errors import FormatError, ShiftError
+from shiftgroups.errors import FormatError, NotZeroOne, Reducible, ShiftError
 from shiftgroups.formats import (
     _literal_name,
     format_function,
@@ -26,6 +32,7 @@ from shiftgroups.formats import (
     parse_coe,
     parse_function,
     parse_matrix,
+    parse_matrix_grid,
     parse_point,
     parse_table,
     parse_word,
@@ -338,6 +345,21 @@ def reference_parse_function(text, matrix):
     return make(matrix, pieces)
 
 
+def reference_parse_point(text, matrix):
+    """A point literal, each word through :func:`reference_parse_word`."""
+    text = text.strip()
+    if "|" not in text:
+        raise FormatError(f"point literal {_literal_name(text)} needs a '|'")
+    u_text, w_text = text.split("|", 1)
+    u = reference_parse_word(u_text) if u_text else ()
+    return canonicalize_point(matrix, u, reference_parse_word(w_text))
+
+
+def reference_parse_matrix(text):
+    """A matrix file read past the memo: its grid, then validation."""
+    return validate_matrix(parse_matrix_grid(text))
+
+
 def reference_parse_code(text, source, target):
     """The one code stage of a chain file, token by token, each window
     through :func:`reference_parse_word`; the matrix files are given."""
@@ -401,6 +423,52 @@ def outcome_of(parse, *args):
         return type(exc), str(exc)
 
 
+def cold_then_warm(parse, *args):
+    """The outcome of ``parse`` with the parse memos emptied, once a second
+    read, through the memos the first one filled, is seen to equal it."""
+    formats._WORDS.clear()
+    formats._MATRICES.clear()
+    cold = outcome_of(parse, *args)
+    assert outcome_of(parse, *args) == cold
+    return cold
+
+
+def seeded_point_text(matrix, rng):
+    """A point literal: a seeded admissible point as printed, or after one
+    edit (an odd symbol name, a space at the bar, no bar), or two seeded
+    words over ``0 .. n + 1`` that need not be admissible."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        u, w = ([rng.randint(0, matrix.n + 1) for _ in range(rng.randint(low, 4))]
+                for low in (0, 1))
+        return f"{'.'.join(map(str, u))}|{format_word(tuple(w))}"
+    word = ()
+    for _ in range(rng.randint(0, 4)):
+        options = matrix.extensions(word)
+        word = options[rng.randrange(len(options))]
+    text = format_point(representative(matrix, word))
+    if kind == 0:
+        return text
+    if kind == 1:
+        return text.replace("|", rng.choice(["", " |", "| ", " | "]))
+    parts = text.split("|")
+    side = rng.randrange(2) if parts[0] else 1
+    symbols = parts[side].split(".")
+    symbols[rng.randrange(len(symbols))] = rng.choice(ODD_NAMES)
+    parts[side] = ".".join(symbols)
+    return "|".join(parts)
+
+
+def seeded_matrix_text(rng):
+    """A seeded 0/1 grid of 2 to 4 symbols as a matrix file, one in four with
+    an entry of 2: valid, or not 0/1, reducible or a permutation."""
+    n = rng.randint(2, 4)
+    grid = [[int(rng.random() < 0.6) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.25:
+        grid[rng.randrange(n)][rng.randrange(n)] = 2
+    return "\n".join([f"matrix {n}"] + [" ".join(map(str, row)) for row in grid]) + "\n"
+
+
 def mangled(text, rng, word_field):
     """A text after one to three seeded edits of its lines: an odd symbol
     name in a word, a comment, a blank line, a field too many or too few,
@@ -458,9 +526,11 @@ def mangled_code(encode, rng):
 
 @pytest.mark.parametrize("matrix", [G, FULL2], ids=["golden-mean", "full-2"])
 def test_parsers_match_the_per_field_reference(matrix, tmp_path):
-    """Seeded table, function and chain texts, valid and mangled: each
-    parser returns what the per-field reference returns, or raises the
-    same error type and message on the same line."""
+    """Seeded table, function, point, matrix and chain texts, valid and
+    mangled: each parser returns what the per-field reference returns, or
+    raises the same error type and message on the same line, both with the
+    parse memos emptied and read again through them; and once more, all
+    texts in turn through memos that every earlier text filled."""
     from shiftgroups.codes import higher_block_codes
     from shiftgroups.selftest import random_function
     from shiftgroups.tables import random_element
@@ -470,29 +540,135 @@ def test_parsers_match_the_per_field_reference(matrix, tmp_path):
     (tmp_path / "A.mks").write_text(format_matrix(matrix), encoding="utf-8")
     (tmp_path / "B.mks").write_text(format_matrix(block), encoding="utf-8")
     z = representative(matrix, (1,))
-    seen = set()
+    seen, read = set(), []
     for seed in range(120):
         table_text = format_table(random_element(matrix, 3, seed))
         function_text = format_function(random_function(matrix, rng))
+        matrix_text = seeded_matrix_text(rng)
         cases = [(reference_parse_table, parse_table, text, matrix)
                  for text in (table_text, mangled(table_text, rng, 0),
                               mangled(table_text, rng, 2))]
         cases += [(reference_parse_function, parse_function, text, matrix)
                   for text in (function_text, mangled(function_text, rng, 0))]
-        for reference, parse, text, matrix_arg in cases:
-            expected = outcome_of(reference, text, matrix_arg)
-            assert outcome_of(parse, text, matrix_arg) == expected
+        cases += [(reference_parse_point, parse_point, seeded_point_text(matrix, rng), matrix)
+                  for _ in range(2)]
+        cases += [(reference_parse_matrix, parse_matrix, text)
+                  for text in (matrix_text, mangled(matrix_text, rng, 0))]
+        for reference, parse, *args in cases:
+            expected = outcome_of(reference, *args)
+            assert cold_then_warm(parse, *args) == expected
             seen.add(expected[0] if isinstance(expected, tuple) else parse.__name__)
+            read.append((parse, args, expected))
         code_text = mangled_code(encode, rng) if seed % 4 else format_chain(encode)
         expected = outcome_of(reference_parse_code, code_text, matrix, block)
-        got = outcome_of(parse_coe, code_text, str(tmp_path))
+        got = cold_then_warm(parse_coe, code_text, str(tmp_path))
         if isinstance(expected, tuple):
             assert got == expected
             seen.add(expected[0])
         else:
             assert coe_apply(got, z) == coe_apply(expected, z) and got.target == block
             seen.add("parse_coe")
-    assert {"parse_table", "parse_function", "parse_coe", FormatError} <= seen
+        read.append((parse_coe, (code_text, str(tmp_path)), got))
+    for parse, args, outcome in read:
+        assert outcome_of(parse, *args) == outcome
+    assert {"parse_table", "parse_function", "parse_point", "parse_matrix", "parse_coe",
+            FormatError, NotZeroOne, Reducible} <= seen
+
+
+def test_parse_memos_are_bounded():
+    """The word memo holds at most ``_WORD_MEMO_SIZE`` fields, each of at
+    most 64 characters, after more distinct fields than that; the matrix
+    memo holds at most ``_MATRIX_MEMO_SIZE`` texts of at most
+    ``_MATRIX_TEXT_LIMIT`` characters, and a larger matrix text reads to
+    an equal matrix each time without being kept."""
+    symbol = formats._names(FULL2.n).__getitem__
+    formats._WORDS.clear()
+    most = 0
+    for i in range(formats._WORD_MEMO_SIZE + 100):
+        assert formats._word_field(symbol, str(i), None) == (i,)
+        most = max(most, len(formats._WORDS))
+    assert most == formats._WORD_MEMO_SIZE
+    kept, long = "1." * 31 + "11", "1." * 32 + "1"
+    assert (len(kept), len(long)) == (64, 65)
+    for text, word in ((kept, (1,) * 31 + (11,)), (long, (1,) * 33)) * 2:
+        assert formats._word_field(symbol, text, None) == word
+    assert kept in formats._WORDS and long not in formats._WORDS
+
+    text = format_matrix(G)
+    formats._MATRICES.clear()
+    for i in range(2 * formats._MATRIX_MEMO_SIZE + 3):
+        assert parse_matrix(text + f"# copy {i}\n") == G
+        assert len(formats._MATRICES) <= formats._MATRIX_MEMO_SIZE
+        assert all(len(key) <= formats._MATRIX_TEXT_LIMIT for key in formats._MATRICES)
+    rng = random.Random(400)
+    grid = [[int(rng.random() < 0.5) for _ in range(400)] for _ in range(400)]
+    text = "\n".join(["matrix 400"] + [" ".join(map(str, row)) for row in grid]) + "\n"
+    assert len(text) > formats._MATRIX_TEXT_LIMIT
+    first = parse_matrix(text)
+    assert parse_matrix(text) == first == validate_matrix(grid)
+    assert text not in formats._MATRICES
+
+
+class YieldingMemo(dict):
+    """A memo that lets other threads run before and after it reads its size,
+    so stores of several threads interleave with each other's checks."""
+
+    def __len__(self):
+        time.sleep(0)
+        size = dict.__len__(self)
+        time.sleep(0)
+        return size
+
+
+def test_parse_memos_hold_their_bound_under_threads(monkeypatch):
+    """Eight threads read overlapping word fields and matrix texts through
+    memos bounded at 8 and 2 keys that yield around each size check, while
+    the interpreter switches threads every microsecond: every read gives
+    its word or matrix, a watching thread never sees a memo more than one
+    key per reading thread past its bound, and once they are done each
+    memo is within its bound.  A memo that is never emptied breaks both."""
+    readers = 8
+    memos = {"_WORDS": (YieldingMemo(), 8), "_MATRICES": (YieldingMemo(), 2)}
+    for name, (memo, bound) in memos.items():
+        monkeypatch.setattr(formats, name, memo)
+    monkeypatch.setattr(formats, "_WORD_MEMO_SIZE", 8)
+    monkeypatch.setattr(formats, "_MATRIX_MEMO_SIZE", 2)
+    symbol = formats._names(FULL2.n).__getitem__
+    texts = [format_matrix(G) + f"# copy {i}\n" for i in range(5)]
+    wrong, most, done = [], {name: 0 for name in memos}, threading.Event()
+
+    def read(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            i = rng.randrange(40)
+            if formats._word_field(symbol, str(i), None) != (i,):
+                wrong.append(str(i))
+            if parse_matrix(texts[i % 5]) != G:
+                wrong.append(texts[i % 5])
+
+    def watch():
+        while not done.is_set():
+            for name, (memo, bound) in memos.items():
+                most[name] = max(most[name], dict.__len__(memo) - bound)
+
+    threads = [threading.Thread(target=read, args=(seed,)) for seed in range(readers)]
+    watcher = threading.Thread(target=watch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        watcher.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        watcher.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads + [watcher])
+    assert wrong == []
+    assert all(over <= readers for over in most.values())
+    assert all(dict.__len__(memo) <= bound for memo, bound in memos.values())
 
 
 def format_chain(encode):

@@ -7,14 +7,16 @@ shared machine is flaky.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 from conftest import deep_exchange
 
-from shiftgroups import codes
+from shiftgroups import codes, formats
 from shiftgroups.orbit import coe_from_chain
 from shiftgroups.sft import validate_matrix
+from shiftgroups.tables import validate_table
 
 
 @pytest.mark.parametrize("k", [25, 50, 100, 200])
@@ -95,3 +97,36 @@ def test_matrix_rows_are_linear_in_its_edges(n):
     stored = sum(stored_entries(value) for name, value in vars(matrix).items()
                  if name not in fields)
     assert stored <= 3 * edges + 3 * (n + 1)
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_table_text_is_read_into_words_once(length, monkeypatch):
+    """The name lookups (``_names`` conversions) while the text of a seeded
+    table on the full 2-shift, every word of ``length`` symbols sent to
+    another, is read twice with the parse memos emptied before the first.
+
+    The first read converts each distinct field once, at most
+    ``length * 2 ** length`` names; the second finds every field in the
+    word memo and converts none.  Without the memo the first read converts
+    both fields of every entry, twice the bound, and the second as many.
+    """
+    matrix = validate_matrix([[1, 1], [1, 1]])
+    words = list(itertools.product((1, 2), repeat=length))
+    images = random.Random(length).sample(words, len(words))
+    text = formats.format_table(validate_table(matrix, list(zip(words, images))))
+    names = formats._names
+    conversions = 0
+
+    class Counted(dict):
+        def __getitem__(self, name):
+            nonlocal conversions
+            conversions += 1
+            return dict.__getitem__(self, name)
+
+    monkeypatch.setattr(formats, "_names", lambda n: Counted(names(n)))
+    formats._WORDS.clear()
+    first = formats.parse_table(text, matrix)
+    assert 0 < conversions <= length * 2 ** length
+    conversions = 0
+    assert formats.parse_table(text, matrix) == first
+    assert conversions == 0
