@@ -5,6 +5,10 @@ target symbol per position (no memory, anticipation ``window - 1``), so
 it commutes with the shifts by construction.  Codes here are always
 homeomorphisms: each carries the symbol map of its inverse, and
 validation checks exactly that the two maps invert each other.
+
+Every code is kept at the least window of each map (a map that reads
+only its first ``m`` symbols is the same code at window ``m``), so two
+codes are the same map exactly when they are ``==``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ class BlockCode:
 
     ``mapping`` sends every admissible source window to a target symbol;
     ``inverse_mapping`` does the same in the other direction with its own
-    window length.
+    window length.  Build with :func:`make_code`, :func:`compose_codes` or
+    :func:`identity_code`, not directly; canonical (each map at its least
+    window), so equal codes are ``==``.
     """
 
     source: TransitionMatrix
@@ -70,10 +76,27 @@ def _pairs(mapping):
     return mapping.items() if isinstance(mapping, Mapping) else mapping
 
 
+def _sorted_pairs(mapping) -> tuple[tuple[Word, int], ...]:
+    return tuple(sorted((tuple(w), int(s)) for w, s in _pairs(mapping)))
+
+
+def _least_window(window: int, mapping):
+    """Sorted pairs of a map of every admissible window, at its least window:
+    while each two windows that differ only in their last symbol write one
+    symbol, drop that symbol (sound on an irreducible shift, where every word
+    extends).  Sorted windows give sorted prefixes, which a dict keeps."""
+    pairs = _sorted_pairs(mapping)
+    while window > 1:
+        shorter = {}
+        if any(shorter.setdefault(w[:-1], s) != s for w, s in pairs):
+            break
+        window, pairs = window - 1, tuple(shorter.items())
+    return window, pairs
+
+
 def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) -> BlockCode:
-    mapping = tuple(sorted((tuple(w), int(s)) for w, s in _pairs(mapping)))
-    inverse_mapping = tuple(sorted((tuple(w), int(s)) for w, s in _pairs(inverse_mapping)))
-    return BlockCode(source, target, window, mapping, inverse_window, inverse_mapping)
+    return BlockCode(source, target, *_least_window(window, mapping),
+                     *_least_window(inverse_window, inverse_mapping))
 
 
 def _composite_windows(outer: BlockCode, inner: BlockCode):
@@ -133,23 +156,25 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
     Each map, a ``{window: symbol}`` mapping or ``(window, symbol)`` pairs,
     must declare every admissible window once and nothing else, produce
     admissible transitions, and compose to the identity in both
-    directions: one depth-first walk per direction, in lexicographic order,
-    checks that each window of the composite length ``window +
-    inverse_window - 1`` goes round to its first symbol.  The windows are
+    directions.  Each map is kept at its least window, and one depth-first
+    walk per direction, in lexicographic order, checks that each composite
+    window of those goes round to its first symbol; a failure is named at
+    the declared length ``window + inverse_window - 1``.  The windows are
     never listed, so memory stays O(``window + inverse_window``).
     """
     for name, value in (("window", window), ("inverse window", inverse_window)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    mapping, inverse_mapping = _sorted_pairs(mapping), _sorted_pairs(inverse_mapping)
+    _check_block_map(source, target, window, mapping)
+    _check_block_map(target, source, inverse_window, inverse_mapping)
     code = _raw_code(source, target, window, mapping, inverse_window, inverse_mapping)
-    _check_block_map(source, target, window, code.mapping)
-    _check_block_map(target, source, inverse_window, code.inverse_mapping)
     inverse = code.inverse()
     for first, second in ((code, inverse), (inverse, code)):
         for word, symbol in _composite_windows(second, first):
             if symbol != word[0]:
-                raise NotInverse(f"round trip sends the window {word_name(word)} "
-                                 f"to {symbol}, not {word[0]}")
+                name = _window_name(first.source, word, window + inverse_window - 1)
+                raise NotInverse(f"round trip sends the window {name} to {symbol}, not {word[0]}")
     return code
 
 
@@ -166,12 +191,13 @@ def relabel_code(matrix: TransitionMatrix, target: TransitionMatrix, perm: dict[
 
 
 def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
-    """The code ``outer after inner``; windows add up (minus one).
+    """The code ``outer after inner``; windows add up (minus one) at most.
 
     Not validated as a conjugacy.  When one side is the identity code the
     result is the other code, as it is.  Otherwise each table is read off
     the walk that :func:`make_code`'s round trip takes, one entry per
-    composite window.
+    composite window, and kept at its least window, so a composite that is
+    the identity map is :func:`identity_code`.
     """
     if inner.target != outer.source:
         raise ValueError("codes do not chain")

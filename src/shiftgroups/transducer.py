@@ -223,18 +223,6 @@ def pullback(g: LocFun, t: Transducer) -> LocFun:
 # -- exact equality ---------------------------------------------------------
 
 
-def cores_semantically_equal(c1: BlockCode, c2: BlockCode) -> bool:
-    """Same map on every point: each admissible window, as the longer code's
-    ``mapping`` lists them, against the shorter code's image of its prefix."""
-    if c1.source != c2.source or c1.target != c2.target:
-        return False
-    if c1.mapping == c2.mapping:
-        return True
-    longer, shorter = (c1, c2) if c1.window >= c2.window else (c2, c1)
-    table, m = shorter.symbol_map(), shorter.window
-    return all(table[w[:m]] == symbol for w, symbol in longer.mapping)
-
-
 def _stream(matrix: TransitionMatrix, core: BlockCode, mu: Word, start: int, stop: int) -> tuple:
     """The core's symbols at positions ``start + 1 .. stop`` over the cylinder
     of ``mu``, each None where the cylinder's points disagree.  The windows
@@ -280,14 +268,14 @@ def _aligned(t1: Transducer, t2: Transducer, under: Word = ()):
 def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[Word, ...]:
     """Cylinders (within ``under``) where the two maps provably differ.
 
-    Requires semantically equal cores; the returned family is empty
-    exactly when the maps agree everywhere on the cylinder of ``under``.
+    Requires equal cores; the returned family is empty exactly when the
+    maps agree everywhere on the cylinder of ``under``.
     """
-    if not cores_semantically_equal(t1.core, t2.core):
+    if t1.core != t2.core:
         raise ValueError("transducers have different cores; not comparable")
-    # One stream per part, between its two shifts, from t1's core alone: exact,
-    # as on an irreducible SFT every window of the stream's window sets shows on
-    # some point of the cylinder, whichever of the two equal cores reads it.
+    # Codes are canonical, so equal maps are ``==`` cores.  One stream per part,
+    # between its two shifts, from that core: exact, as on an irreducible SFT
+    # every window of the stream's window sets shows on some point of the cylinder.
     return tuple(sorted(
         part for part, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2, under)
         if not _entries_agree_on(_stream(t1.source, t1.core, part, min(r1, r2), max(r1, r2)),
@@ -340,7 +328,7 @@ def is_identity_transducer(t: Transducer) -> bool:
     """Exact decision of whether the map is the identity.  Its core would
     then write each window's symbol at one offset, a shift power; only
     the power 0 is injective on a non-permutation shift."""
-    return (cores_semantically_equal(t.core, identity_code(t.source))
+    return (t.core == identity_code(t.source)
             and transducer_equal(t, identity_transducer(t.source)))
 
 
@@ -349,8 +337,8 @@ def is_identity_transducer(t: Transducer) -> bool:
 
 def extract_table(t: Transducer) -> TableElement:
     """Read a prefix-exchange table off a transducer whose core streams
-    each point unchanged (a first-symbol projection up to window size)."""
-    if not cores_semantically_equal(t.core, identity_code(t.source)):
+    each point unchanged: by canonical form, the window-1 identity code."""
+    if t.core != identity_code(t.source):
         raise ValueError("core is not the identity; the map is not a table")
 
     def image(mu: Word, known: Word, alpha: Word, r: int):

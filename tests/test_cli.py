@@ -21,15 +21,15 @@ G = validate_matrix([[1, 1], [1, 0]])
 
 CAPPED_CLI = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
-              "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+              "resource.setrlimit(resource.RLIMIT_CPU, ({cpu}, {cpu}))\n"
               "from shiftgroups import cli\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
-def run_capped_cli(*args, cwd):
+def run_capped_cli(*args, cwd, cpu_seconds=10):
     """Run the CLI in a child whose address space is capped at 512 MB and
-    whose CPU time is capped at 10 s."""
-    return run_python("-c", CAPPED_CLI, *args, cwd=cwd)
+    whose CPU time is capped at ``cpu_seconds`` (10 s unless given)."""
+    return run_python("-c", CAPPED_CLI.format(cpu=cpu_seconds), *args, cwd=cwd)
 
 
 @pytest.fixture
@@ -323,6 +323,26 @@ def test_huge_declared_window_is_refused_without_listing_it(tmp_path):
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"error: no image declared for window {missing}\n"
+
+
+def test_wide_identity_code_runs_at_its_least_windows(tmp_path):
+    """The identity on the full 2-shift declared at window 11 in both maps,
+    a file of about 111 KB, runs through ``psi`` in a child capped at 3 s
+    of CPU time, with the output of the same identity at window 1.  Both
+    maps read only their first symbol, so the round trips walk windows of
+    1 symbol, not the 2 x 2^21 windows of the declared composite length."""
+    (tmp_path / "F2.mks").write_text("matrix 2\n1 1\n1 1\n", encoding="utf-8")
+    (tmp_path / "chi2.fn").write_text("function\n1 0\n2 1\n", encoding="utf-8")
+    full = validate_matrix([[1, 1], [1, 1]])
+    for name, window in (("wide.coe", 11), ("narrow.coe", 1)):
+        body = " ".join(f"{format_word(w)} -> {w[0]}" for w in enumerate_words(full, window))
+        (tmp_path / name).write_text(
+            f"coe F2.mks F2.mks\ncode {window} {{ {body} }} inverse {window} {{ {body} }}\n",
+            encoding="utf-8")
+    assert (tmp_path / "wide.coe").stat().st_size > 100_000
+    result = run_capped_cli("psi", "wide.coe", "chi2.fn", cwd=tmp_path, cpu_seconds=3)
+    assert result.returncode == 0
+    assert result.stdout == run_cli("psi", "narrow.coe", "chi2.fn", cwd=tmp_path).stdout
 
 
 def test_long_stray_key_is_named_by_its_ends(tmp_path):

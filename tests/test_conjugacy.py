@@ -5,7 +5,7 @@ import random
 import pytest
 
 from shiftgroups.cocycles import in_cocycle_group
-from shiftgroups.codes import higher_block_codes, relabel_code
+from shiftgroups.codes import higher_block_codes, identity_code, make_code, relabel_code
 from shiftgroups.conjugacy import (
     Witness,
     check_witness,
@@ -25,7 +25,7 @@ from shiftgroups.orbit import (
     pullback_map,
     stage_transducer,
 )
-from shiftgroups.sft import representative, shift_point, validate_matrix
+from shiftgroups.sft import enumerate_words, representative, shift_point, validate_matrix
 from shiftgroups.tables import identity_table, prefix_swap, random_element
 from shiftgroups.transducer import point_apply
 
@@ -158,6 +158,21 @@ def test_witness_deterministic():
     a = witness_non_conjugacy(TAU0_CHAIN)
     b = witness_non_conjugacy(TAU0_CHAIN)
     assert (a.level, a.z, a.pair, a.g, a.tau0) == (b.level, b.z, b.pair, b.g, b.tau0)
+
+
+def test_witness_depends_on_the_map_not_its_declared_window():
+    """The identity declared at windows 1, 2 and 3, then the swap of
+    ``TAU0_CHAIN``: one map, so the identity code as core and the witness
+    of ``TAU0_CHAIN``, field for field."""
+    expected = witness_non_conjugacy(TAU0_CHAIN)
+    for window in (1, 2, 3):
+        table = {w: w[0] for w in enumerate_words(G, window)}
+        code = make_code(G, G, window, table, 1, {(1,): 1, (2,): 2})
+        h = coe_from_chain([code, prefix_swap(G, 1, 2)])
+        assert h.core == identity_code(G)
+        got = witness_non_conjugacy(h)
+        assert ((got.level, got.z, got.pair, got.g, got.tau0)
+                == (expected.level, expected.z, expected.pair, expected.g, expected.tau0))
 
 
 # -- commutant ----------------------------------------------------------------

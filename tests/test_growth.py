@@ -69,6 +69,32 @@ def test_deep_swap_reads_each_part_stream_once(k, monkeypatch):
     assert lookups <= k * k // 2 + 4 * k
 
 
+@pytest.mark.parametrize("window", [4, 5, 6, 7, 8, 9])
+def test_round_trips_walk_the_least_windows(window, monkeypatch):
+    """The composite windows ``make_code``'s round trips walk for the
+    identity on the full 2-shift declared at ``window`` in both maps.
+
+    Both maps read only their first symbol, so the code is kept at
+    windows 1 and 1, and each round trip walks the 2 windows of 1 symbol
+    whatever the declared window.  Walking the declared composite length
+    ``2 * window - 1`` covers 2 ** (2 * window) windows, 4x per step.
+    """
+    matrix = validate_matrix([[1, 1], [1, 1]])
+    table = {w: w[0] for w in itertools.product((1, 2), repeat=window)}
+    composite_windows = codes._composite_windows
+    walked = 0
+
+    def counted(outer, inner):
+        nonlocal walked
+        for item in composite_windows(outer, inner):
+            walked += 1
+            yield item
+
+    monkeypatch.setattr(codes, "_composite_windows", counted)
+    codes.make_code(matrix, matrix, window, table, window, table)
+    assert walked <= 2 * matrix.n
+
+
 def stored_entries(value):
     """The entries a row table holds: a tuple's items (a row's items, for a
     table of rows) and a dict's keys."""

@@ -41,22 +41,23 @@ alone.  Its agreement checks, which slice one core stream
 per cylinder, are checked against the window sets the old
 ``_entries_agree_on`` rebuilt from position 1 on every call, and so are
 ``_stream``'s reads inside a part, across its end and past it, and
-``difference_parts`` on cores that are equal maps with different windows;
-every check reads inside its part's stream.
+``difference_parts`` on a core rebuilt through a block round trip, which
+gives the same ``==`` core; every check reads inside its part's stream.
 
 The depth-first ``sft.walk`` is checked against the breadth-first list
 it replaced, and its images against ``BlockCode.apply_word``.  The
 chain-map builds are checked against the bodies they replaced:
 ``make_code`` against the one that read its round trips off two composite
-codes (the same code, or the same exception type and message, also with
+codes at the declared windows (the same code once trimmed by enumeration,
+or the same exception type and message, also with
 one image changed at the first or the last composite window of either
 round trip), with its memory flat in the number of windows, the
 window-map check against the one that listed every admissible window
 first, and its name for a missing window against the window grown one
 least successor at a time (past 64 symbols, its ends and length),
-``compose_codes`` against the window-by-window build with and without an
-identity side, and ``orbit._normalize_chain`` against the fold that
-composed every table stage with an identity table.
+``compose_codes`` against the window-by-window build, trimmed, with and
+without an identity side, and ``orbit._normalize_chain`` against the fold
+that composed every table stage with an identity table.
 
 The commutation answers read off the verified exponents are checked
 against the walks they replaced, on the three chain corpora and 60
@@ -97,9 +98,15 @@ The chain layer's one conjugation, ``transducer.conjugate_by_stages``, is
 checked against the one-code conjugation it replaced on a one-code tuple,
 and ``inverse_stages`` against the inverse stages written out by hand, on
 the chain corpora, seeded ``random_chain`` draws and higher-block codes.
-``cores_semantically_equal``, which reads the longer code's ``mapping``,
-is checked against the enumeration of every admissible window of the
-longer length on every ordered pair of those codes.  The preferred point
+Every code is kept at its least windows, so ``==`` on codes, which
+replaced the window-aware ``cores_semantically_equal``, is checked
+against that function's enumeration of every admissible window of the
+longer length on every ordered pair of those codes, with pairs that are
+one map built by two routes.  Every code ``compose_codes`` returns in a
+seeded run of the chain corpora, ``random_chain`` draws and the witness
+and commutant searches is its trim by enumeration (the least ``m`` such
+that every admissible window writes its ``m``-prefix's symbol), and no
+identity map is stored at a window above 1.  The preferred point
 of the difference-point search always has a cycle of at least two
 symbols: the cycle of ``_least_long_cycle``, rotated.
 
@@ -174,6 +181,7 @@ from shiftgroups.errors import (
     VerificationFailed,
 )
 from shiftgroups.codes import (
+    BlockCode,
     _check_block_map,
     _window_name,
     _raw_code,
@@ -191,6 +199,7 @@ from shiftgroups.conjugacy import (
     _isolating_level,
     _least_long_cycle,
     _long_cycle_point,
+    commutant_witness,
     difference_locus,
     is_conjugacy,
     recode_source,
@@ -268,7 +277,6 @@ from shiftgroups.transducer import (
     _stream,
     apply_table_stage,
     conjugate_by_stages,
-    cores_semantically_equal,
     difference_parts,
     extract_table,
     identity_transducer,
@@ -641,10 +649,35 @@ def reference_difference_parts(t1, t2):
         if not reference_entries_agree_on(t1.source, t1.core, t2.core, part, a1, r1, a2, r2)))
 
 
+def reference_code(source, target, window, mapping, inverse_window, inverse_mapping):
+    """A code with both maps sorted as declared, at the declared windows."""
+    return BlockCode(source, target, window, tuple(sorted(mapping.items())),
+                     inverse_window, tuple(sorted(inverse_mapping.items())))
+
+
+def reference_least_map(matrix, window, table):
+    """The least ``m`` such that every admissible window writes the symbol
+    of the first window with its ``m``-prefix, with the map on the prefixes."""
+    windows = enumerate_words(matrix, window)
+    for m in range(1, window + 1):
+        prefixes = {}
+        if all(prefixes.setdefault(w[:m], table[w]) == table[w] for w in windows):
+            return m, tuple(sorted(prefixes.items()))
+
+
+def reference_trim(code):
+    """``code`` with each map at its least window, found by enumeration."""
+    return BlockCode(code.source, code.target,
+                     *reference_least_map(code.source, code.window, code.symbol_map()),
+                     *reference_least_map(code.target, code.inverse_window,
+                                          code.inverse().symbol_map()))
+
+
 def reference_compose_codes(outer, inner):
     """Both tables of ``outer after inner`` rebuilt window by window, as
     ``compose_codes`` did before it returned the other side of an
-    identity code as it is."""
+    identity code as it is, and before codes were kept at their least
+    windows."""
     if inner.target != outer.source:
         raise ValueError("codes do not chain")
     window = inner.window + outer.window - 1
@@ -654,16 +687,18 @@ def reference_compose_codes(outer, inner):
     inv_window = outer.inverse_window + inner.inverse_window - 1
     inv_table = {word: inner_inverse.apply_word(outer_inverse.apply_word(word))[0]
                  for word in reference_expand_to_depth(outer.target, EMPTY, inv_window)}
-    return _raw_code(inner.source, outer.target, window, table, inv_window, inv_table)
+    return reference_code(inner.source, outer.target, window, table, inv_window, inv_table)
 
 
 def reference_make_code(source, target, window, mapping, inverse_window, inverse_mapping):
     """``make_code`` reading the round trips off the sorted mappings of the
-    two composites :func:`reference_compose_codes` builds."""
+    two composites :func:`reference_compose_codes` builds, at the declared
+    windows; the code it returns is untrimmed."""
     for name, value in (("window", window), ("inverse window", inverse_window)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    code = _raw_code(source, target, window, mapping, inverse_window, inverse_mapping)
+    code = reference_code(source, target, window, dict(mapping), inverse_window,
+                          dict(inverse_mapping))
     inverse = code.inverse()
     _check_block_map(source, target, window, code.symbol_map())
     _check_block_map(target, source, inverse_window, inverse.symbol_map())
@@ -731,8 +766,9 @@ def reference_conjugate_table_by_code(code, table):
 
 
 def reference_cores_semantically_equal(c1, c2):
-    """``cores_semantically_equal`` listing every admissible window of the
-    longer window length."""
+    """Whether two codes are the same map, as ``cores_semantically_equal``
+    decided it before codes were canonical, listing every admissible window
+    of the longer window length."""
     if c1.source != c2.source or c1.target != c2.target:
         return False
     if c1.mapping == c2.mapping:
@@ -1563,11 +1599,12 @@ def test_apply_word_matches_per_window_reference():
 
 def code_outcome(*args):
     """What ``make_code`` and its reference give for the same arguments: the
-    code, or the type and message of what they raise."""
+    code (the reference's after :func:`reference_trim`), or the type and
+    message of what they raise."""
     out = []
-    for check in (make_code, reference_make_code):
+    for check, trim in ((make_code, lambda code: code), (reference_make_code, reference_trim)):
         try:
-            out.append(check(*args))
+            out.append(trim(check(*args)))
         except (ShiftError, ValueError) as exc:
             out.append((type(exc), str(exc)))
     return out
@@ -1636,8 +1673,9 @@ def end_flips():
 
 def test_round_trip_lists_no_windows():
     """``make_code`` on the identity written at window 7 on both sides of
-    the full 2-shift walks its 2 x 8192 composite windows of 13 symbols
-    with flat memory; a list of them alone takes about 2 MB."""
+    the full 2-shift checks its declared maps and returns the identity
+    code with flat memory; a list of its 2 x 8192 declared composite
+    windows of 13 symbols alone takes about 2 MB."""
     table = {w: w[0] for w in enumerate_words(FULL_TWO, 7)}
     tracemalloc.start()
     try:
@@ -1645,7 +1683,7 @@ def test_round_trip_lists_no_windows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code.symbol_map() == table
+    assert code == identity_code(FULL_TWO)
     assert peak < 500_000
 
 
@@ -1751,9 +1789,10 @@ def test_long_missing_window_is_named_by_its_ends():
 def test_compose_codes_matches_window_by_window_reference():
     """The identity code on either side, which returns the other code as
     it is, and pairs the shortcut must not take: codes and their
-    inverses, the block round trip (the identity map with window 2), and
-    window-1 codes on the full 2-shift where only one of the two symbol
-    maps is the identity."""
+    inverses, the block round trip (the identity map, read off windows
+    of 2), and window-1 codes on the full 2-shift where only one of the two
+    symbol maps is the identity.  Each result is the window-by-window
+    composite trimmed to its least windows."""
     one_sided = _raw_code(FULL_TWO, FULL_TWO, 1, {(1,): 1, (2,): 2}, 1, {(1,): 2, (2,): 1})
     pairs = [(one_sided, one_sided), (one_sided.inverse(), one_sided.inverse())]
     for code in codes_under_test():
@@ -1770,7 +1809,7 @@ def test_compose_codes_matches_window_by_window_reference():
     shortcuts = 0
     for outer, inner in pairs:
         got = compose_codes(outer, inner)
-        assert got == reference_compose_codes(outer, inner)
+        assert got == reference_trim(reference_compose_codes(outer, inner))
         shortcuts += got is outer or got is inner
     assert compose_codes(one_sided, one_sided) == identity_code(FULL_TWO)
     assert 50 < shortcuts < len(pairs) - 50
@@ -1802,9 +1841,40 @@ def normalize_cases():
 def test_normalize_chain_matches_identity_composing_reference():
     codes = {0: 0, 1: 0, 2: 0}
     for source, stages in normalize_cases():
-        assert _normalize_chain(source, stages) == reference_normalize_chain(source, stages)
+        pre, core, post = reference_normalize_chain(source, stages)
+        assert _normalize_chain(source, stages) == (pre, reference_trim(core), post)
         codes[sum(not isinstance(stage, TableElement) for stage in stages)] += 1
     assert min(codes.values()) >= 27
+
+
+def test_composites_are_kept_at_their_least_windows(monkeypatch):
+    """Every code ``compose_codes`` returns while the chain corpora and
+    seeded ``random_chain`` draws are built, their exponents read and
+    their witness and commutant searches run is its trim by enumeration,
+    and none is the identity map stored at a window above 1."""
+    returned = []
+
+    def recorded(outer, inner):
+        returned.append(compose_codes(outer, inner))
+        return returned[-1]
+
+    monkeypatch.setattr(orbit, "compose_codes", recorded)
+    monkeypatch.setattr(transducer, "compose_codes", recorded)
+    for h in commutation_chains():
+        h.k1
+        try:
+            witness_non_conjugacy(h)
+            if h.source == h.target:
+                commutant_witness(h)
+        except SearchBudgetExceeded:
+            pass
+    identities = 0
+    for code in returned:
+        assert code == reference_trim(code)
+        if reference_cores_semantically_equal(code, identity_code(code.source)):
+            assert code.window == code.inverse_window == 1
+            identities += 1
+    assert len(returned) > 100 and identities > 10
 
 
 def stage_codes():
@@ -1823,18 +1893,26 @@ def stage_codes():
     return codes
 
 
-def test_cores_semantically_equal_matches_window_enumeration():
+def test_code_equality_matches_window_enumeration():
     """Every ordered pair of the stage codes, whose keys are exactly their
-    admissible windows, against the enumeration of the longer windows."""
+    admissible windows, and of each of them declared one symbol wider
+    through ``make_code``: ``==`` is the same map, by the enumeration of
+    the longer windows.  The block round trips, the identity read off
+    windows of 2 or 3, and the wider declarations are one map built by
+    two routes."""
     codes = stage_codes()
+    codes += [make_code(c.source, c.target, c.window + 1,
+                        {w: c.symbol_map()[w[:-1]] for w in enumerate_words(c.source, c.window + 1)},
+                        c.inverse_window, c.inverse().symbol_map())
+              for c in codes]
     for code in codes:
         assert [w for w, _ in code.mapping] == enumerate_words(code.source, code.window)
     verdicts = {True: 0, False: 0}
     for c1 in codes:
         for c2 in codes:
-            verdict = cores_semantically_equal(c1, c2)
+            verdict = c1 == c2
             assert verdict == reference_cores_semantically_equal(c1, c2)
-            if c1.source == c2.source and c1.target == c2.target and c1.mapping != c2.mapping:
+            if c1.source == c2.source and c1.target == c2.target and c1 is not c2:
                 verdicts[verdict] += 1
     assert min(verdicts.values()) > 50
 
@@ -2453,17 +2531,17 @@ def test_every_exponent_check_reads_inside_its_stream(monkeypatch):
 
 
 def test_difference_parts_on_equal_cores_with_other_windows():
-    """One side's core is widened by the 3-block round trip
-    ``compose_codes(decode, encode)``, a window-3 code equal to the
-    identity, so the two cores are one map with different windows; each
-    side builds the streams in turn, and the pair's exponents are also
+    """One side's core is composed with the 3-block round trip
+    ``compose_codes(decode, encode)``, the identity map read off windows
+    of 3, so the two cores are one map built by two routes and so ``==``;
+    each side builds the streams in turn, and the pair's exponents are also
     moved off by one so that parts differ, on either side of the shift."""
     cases = {"agree": 0, "differ": 0, "r1 > r2": 0}
     for h in chain_maps():
         t = h.transducer
         _, encode, decode = higher_block_codes(t.source, 3)
         widened = Transducer(compose_codes(t.core, compose_codes(decode, encode)), t.entries)
-        assert widened.core.window == t.core.window + 2
+        assert widened.core == t.core
         one = fn.constant(t.source, 1)
         for k, l in ((h.k1, h.l1), (h.k1 + one, h.l1), (h.k1, h.l1 + one)):
             for inner in (t, widened):
@@ -2502,14 +2580,16 @@ def test_commutation_matches_shift_pair_reference():
 
 
 def test_is_identity_transducer_matches_walk_reference():
-    """Each chain's transducer, the same map through a widened identity
-    core, and three identity maps: the bare one, a 2-block encode and
-    decode, and the chain's pre-table followed by its inverse."""
+    """Each chain's transducer, the same map with its core composed with
+    the 2-block round trip (which gives the core back), and three identity
+    maps: the bare one, a 2-block encode and decode, and the chain's
+    pre-table followed by its inverse."""
     verdicts = {True: 0, False: 0}
     for h in commutation_chains():
         t = h.transducer
         _, encode, decode = higher_block_codes(t.source, 2)
         widened = Transducer(compose_codes(t.core, compose_codes(decode, encode)), t.entries)
+        assert widened.core == t.core
         cases = [t, widened, identity_transducer(t.source),
                  stage_transducer(t.source, (encode, decode)),
                  stage_transducer(t.source, (h.pre, invert(h.pre)))]
