@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
-from .sft import (EMPTY, Point, TransitionMatrix, Word, canonicalize_point, enumerate_words,
+from .sft import (EMPTY, Point, TransitionMatrix, Word, canonical_point, enumerate_words,
                   family_defects, representative, walk, word_name)
 
 
@@ -58,7 +58,7 @@ class BlockCode:
         """Image of an eventually periodic point."""
         n_u = len(point.transient)
         image = self.apply_word(point.prefix(n_u + len(point.cycle) + self.window - 1))
-        return canonicalize_point(self.target, image[:n_u], image[n_u:])
+        return canonical_point(self.target, image[:n_u], image[n_u:])
 
     def inverse(self) -> "BlockCode":
         return BlockCode(

@@ -40,7 +40,7 @@ from .sft import (
     Point,
     TransitionMatrix,
     Word,
-    canonicalize_point,
+    canonical_point,
     primitive_root,
     refine_words,
     representative,
@@ -120,7 +120,7 @@ def _long_cycle_point(matrix: TransitionMatrix, word: Word) -> Point:
     for depth in count(len(word)):
         for tail, _ in walk(matrix, word, depth):
             if not tail or matrix.entry(tail[-1], cycle[0]):
-                return canonicalize_point(matrix, tail, cycle)
+                return canonical_point(matrix, tail, cycle)
 
 
 def _find_difference_point(h: CoeMap, seeds, max_depth: int) -> Point:

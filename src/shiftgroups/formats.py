@@ -1,23 +1,29 @@
 """Text formats for matrices, words, points, functions, tables, chains.
 
-All files are UTF-8, read unbuffered and decoded once (:func:`read_text`),
-with LF or CRLF line endings; ``#`` starts a comment and blank lines are
-ignored.  Words are dot-separated symbols with ``-`` for the empty word;
-points are ``u|w`` literals.  Writers emit canonical sorted forms only, and
-everything printed re-parses to an equal object.  Word fields
-(:func:`_word_field`) map one name lookup per matrix (:func:`_names`); a
-name it lacks goes to :func:`parse_word`.
+All files are UTF-8, with or without a leading byte order mark, read
+unbuffered and decoded once (:func:`read_text`), with LF or CRLF line
+endings; ``#`` starts a comment and blank lines are ignored.  Words are
+dot-separated symbols with ``-`` for the empty word; points are ``u|w``
+literals.  Writers emit canonical sorted forms only, and everything
+printed re-parses to an equal object.  Word fields (:func:`_word_field`)
+map one name lookup per matrix (:func:`_names`); a name it lacks goes to
+:func:`parse_word`.
 
-Two process-wide memos skip re-reading text already read.  ``_WORDS``
-maps a word field's text, up to ``_WORD_TEXT_LIMIT`` characters, to its
-word; a word depends only on its text, as a name the lookup lacks is read
-by ``int``.  ``_MATRICES`` maps a matrix file's text, up to
-``_MATRIX_TEXT_LIMIT`` characters, to its validated matrix.  A memo that
-grows past its bound (``_WORD_MEMO_SIZE``, ``_MATRIX_MEMO_SIZE`` keys) is
-emptied (:func:`_remember`).  Only successful reads are stored, so every
-error is raised again, with its message and line, and tables, functions
-and chains are validated on every read.  Keys and values are immutable,
-so the memos are safe to share across threads.
+Three process-wide memos skip re-reading text already read and re-joining
+names already joined.  ``_WORDS`` maps a word field's text, up to
+``_WORD_TEXT_LIMIT`` characters, to its word; a word depends only on its
+text, as a name the lookup lacks is read by ``int``.  ``_TEXTS`` maps such a
+word back to its text, and only when the text is the canonical spelling
+(every name a lookup hit), so the writers, which look each word up there
+first, print what they would have joined.  ``_MATRICES`` maps a matrix
+file's text, up to ``_MATRIX_TEXT_LIMIT`` characters, to its validated
+matrix.  A memo that grows past its bound (``_WORD_MEMO_SIZE`` keys for
+the two word memos, ``_MATRIX_MEMO_SIZE`` for matrices) is emptied
+(:func:`_remember`).  Only successful reads are stored, so every error is
+raised again, with its message and line, and tables, functions and
+chains are validated on every read; a point's transitions are checked
+once, where its text is read (:func:`sft.canonicalize_point`).  Keys and
+values are immutable, so the memos are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ _WORD_MEMO_SIZE = 1 << 14
 _MATRIX_TEXT_LIMIT = 1 << 12
 _MATRIX_MEMO_SIZE = 32
 _WORDS: dict[str, Word] = {}
+_TEXTS: dict[Word, str] = {}
 _MATRICES: dict[str, TransitionMatrix] = {}
 
 
@@ -84,7 +91,8 @@ def _literal_name(text: str, short=repr) -> str:
 
 
 def format_word(word: Word) -> str:
-    return ".".join(map(str, word)) if word else "-"
+    word = tuple(word)
+    return _TEXTS.get(word) or ".".join(map(str, word)) or "-"
 
 
 def parse_word(text: str, line: int | None = None) -> Word:
@@ -100,21 +108,24 @@ def parse_word(text: str, line: int | None = None) -> Word:
 def _word_field(symbol, text: str, line: int | None) -> Word:
     """A word field: its ``_WORDS`` entry, or else one ``symbol`` lookup (a
     :func:`_names` entry) per name, or :func:`parse_word` when it is not
-    plain names (``-``, ``+1`` or a bad literal)."""
+    plain names (``-``, ``+1`` or a bad literal).  Plain names are the
+    canonical spelling, which ``_TEXTS`` keeps for the writers."""
     word = _WORDS.get(text)
     if word is None:
         try:
-            word = tuple(map(symbol, text.split(".")))
+            word, spelled = tuple(map(symbol, text.split("."))), True
         except KeyError:
-            word = parse_word(text, line)
+            word, spelled = parse_word(text, line), False
         if len(text) <= _WORD_TEXT_LIMIT:
             _remember(_WORDS, _WORD_MEMO_SIZE, text, word)
+            if spelled:
+                _remember(_TEXTS, _WORD_MEMO_SIZE, word, text)
     return word
 
 
 def format_point(point: Point) -> str:
-    u = format_word(point.transient) if point.transient else ""
-    return f"{u}|{format_word(point.cycle)}"
+    u, w, text = point.transient, point.cycle, _TEXTS.get
+    return f"{text(u) or '.'.join(map(str, u))}|{text(w) or '.'.join(map(str, w))}"
 
 
 def parse_point(text: str, matrix: TransitionMatrix, line: int | None = None) -> Point:
@@ -180,9 +191,9 @@ def parse_matrix(text: str) -> TransitionMatrix:
 
 
 def format_function(f: LocFun) -> str:
-    name = _names(f.matrix.n).__getitem__
+    name, text = _names(f.matrix.n).__getitem__, _TEXTS.get
     lines = ["function"]
-    lines += [f"{'.'.join(map(name, w)) or '-'} {v}" for w, v in f.pieces]
+    lines += [f"{text(w) or '.'.join(map(name, w)) or '-'} {v}" for w, v in f.pieces]
     return "\n".join(lines) + "\n"
 
 
@@ -207,9 +218,9 @@ def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
 
 
 def format_table(table: TableElement) -> str:
-    name = _names(table.matrix.n).__getitem__
+    name, text = _names(table.matrix.n).__getitem__, _TEXTS.get
     lines = ["table"]
-    lines += [f"{'.'.join(map(name, nu))} -> {'.'.join(map(name, mu))}"
+    lines += [f"{text(nu) or '.'.join(map(name, nu))} -> {text(mu) or '.'.join(map(name, mu))}"
               for nu, mu in table.entries]
     return "\n".join(lines) + "\n"
 
@@ -330,8 +341,10 @@ def parse_coe(text: str, directory: str = ".") -> CoeMap:
 
 
 def read_text(path: str) -> str:
-    """A file's UTF-8 text, read unbuffered to the end and decoded in one step
-    (``splitlines`` reads CRLF); an ``OSError`` names the path, as ``open``'s does."""
+    """A file's UTF-8 text, read unbuffered to the end and decoded in one step,
+    less a leading byte order mark (``splitlines`` reads CRLF), so a bad byte
+    is named at its offset in the file; an ``OSError`` names the path, as
+    ``open``'s does."""
     fd, chunks = os.open(path, os.O_RDONLY), []
     try:
         while chunk := os.read(fd, 1 << 16):
@@ -340,7 +353,7 @@ def read_text(path: str) -> str:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         os.close(fd)
-    return b"".join(chunks).decode("utf-8")
+    return b"".join(chunks).decode("utf-8").removeprefix("\ufeff")
 
 
 def _load(parser, directory, name, line, *args):

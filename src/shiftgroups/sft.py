@@ -26,6 +26,13 @@ word), with equal rows one tuple: the walks and the merge read its rows, and
 the table checks compare two rows with ``is``.  Families stay sorted, so a
 longest-prefix lookup is one bisection, :func:`prefix_of`.
 
+Points, like tables and functions, have a validating and a trusted
+constructor.  :func:`canonicalize_point` checks a point's transitions once,
+where its text or a caller hands it in; :func:`canonical_point` only brings
+a point the library built itself to canonical form.  The shift, the table
+action, block codes and :func:`representative` build admissible points by
+construction, so they take the trusted one.
+
 Symbols are the integers ``1..n``.  Words are plain tuples of symbols; the
 empty tuple is the empty word.  All values here are immutable and all
 operations are pure, so everything is safe to share between threads.
@@ -179,7 +186,9 @@ class Point:
     Canonical means the cycle is primitive and the transient cannot be
     shortened by absorbing its last symbol into the cycle.  Two inputs
     describe the same infinite sequence exactly when their canonical
-    forms are equal, so ``==`` is sequence equality.
+    forms are equal, so ``==`` is sequence equality.  Build instances with
+    :func:`canonicalize_point` (validating) or :func:`canonical_point`
+    (trusting points the library built).
     """
 
     matrix: TransitionMatrix
@@ -188,6 +197,8 @@ class Point:
 
     def symbol(self, i: int) -> int:
         """The ``i``-th symbol, 1-indexed."""
+        if i < 1:
+            raise ValueError(f"symbol index {i} is not >= 1")
         u, w = self.transient, self.cycle
         if i <= len(u):
             return u[i - 1]
@@ -209,19 +220,32 @@ def canonicalize_point(matrix: TransitionMatrix, transient: Word, cycle: Word) -
     """Canonical point equal to the sequence transient cycle cycle ...
 
     Raises :class:`Inadmissible` when any transition inside or between
-    the two words (including the cycle wrap-around) is forbidden.
+    the two words (including the cycle wrap-around) is forbidden.  The
+    validating constructor, for points read or handed in; the library
+    builds its own through :func:`canonical_point`.
     """
     u, w = tuple(transient), tuple(cycle)
     if not w:
         raise Inadmissible("cycle word must be nonempty")
-    if not matrix.is_admissible(u + w + w):
+    if not matrix.is_admissible(u + w + w[:1]):
         raise Inadmissible(f"point {word_name(u)}|{word_name(w)} is not admissible")
-    w = primitive_root(w)
-    u = list(u)
-    while u and u[-1] == w[-1]:
-        u.pop()
-        w = w[-1:] + w[:-1]
-    return Point(matrix, tuple(u), w)
+    return canonical_point(matrix, u, w)
+
+
+def canonical_point(matrix: TransitionMatrix, transient: Word, cycle: Word) -> Point:
+    """Canonical point of an admissible transient and nonempty cycle, not
+    re-checked: the cycle's primitive root, with every last symbol of the
+    transient that the cycle, rotated back, repeats absorbed into it.
+
+    For points the library built itself; input goes through
+    :func:`canonicalize_point`.
+    """
+    w = primitive_root(cycle)
+    n, k = len(w), len(transient)
+    while k and transient[k - 1] == w[(k - len(transient) - 1) % n]:
+        k -= 1
+    r = (len(transient) - k) % n
+    return Point(matrix, transient[:k], w[n - r:] + w[:n - r])
 
 
 def shift_point(point: Point) -> Point:
@@ -246,8 +270,9 @@ def shift_point_n(point: Point, n: int) -> Point:
 
 
 def prepend_point(word: Word, point: Point) -> Point:
-    """The point ``word`` followed by the given point."""
-    return canonicalize_point(point.matrix, word + point.transient, point.cycle)
+    """The point ``word`` followed by the given point; ``word`` must lead into
+    it (not re-checked)."""
+    return canonical_point(point.matrix, word + point.transient, point.cycle)
 
 
 def representative(matrix: TransitionMatrix, word: Word) -> Point:
@@ -268,7 +293,7 @@ def representative(matrix: TransitionMatrix, word: Word) -> Point:
         nxt = matrix.successors(path[-1])[0]
         if nxt in path[forced:]:
             i = forced + path[forced:].index(nxt)
-            return canonicalize_point(matrix, tuple(path[:i]), tuple(path[i:]))
+            return canonical_point(matrix, tuple(path[:i]), tuple(path[i:]))
         path.append(nxt)
 
 

@@ -34,9 +34,9 @@ from .errors import (
     InadmissibleWord,
 )
 from .functions import LocFun, canonical, window_sum
-from .sft import (EMPTY, Point, TransitionMatrix, Word, cylinder_run, enumerate_words,
-                  family_error, merge_siblings, part_at, prefix_of, prepend_point, refine_until,
-                  shift_point_n, walk, word_name)
+from .sft import (EMPTY, Point, TransitionMatrix, Word, canonical_point, cylinder_run,
+                  enumerate_words, family_error, merge_siblings, part_at, prefix_of, refine_until,
+                  walk, word_name)
 
 Entry = tuple[Word, Word]
 _source = itemgetter(0)  # the source word of an entry, which entries sort by
@@ -145,9 +145,19 @@ def identity_table(matrix: TransitionMatrix) -> TableElement:
 
 
 def apply(table: TableElement, point: Point) -> Point:
-    """Image of a point: rewrite its matching source prefix."""
+    """Image of a point: rewrite its matching source prefix, in one step.
+
+    ``mu`` ends in a letter with the follower row of ``nu``'s last letter,
+    so ``mu y`` is admissible whenever ``nu y`` is, and nothing is
+    re-checked.  When the source ends inside the transient, what is left
+    of it still ends off the cycle, so the point is canonical as it is.
+    """
     nu, mu = table.entry_for(point)
-    return prepend_point(mu, shift_point_n(point, len(nu)))
+    u, w, n = point.transient, point.cycle, len(nu)
+    if n < len(u):
+        return Point(table.matrix, mu + u[n:], w)
+    r = (n - len(u)) % len(w)
+    return canonical_point(table.matrix, mu, w[r:] + w[:r])
 
 
 def compose(outer: TableElement, inner: TableElement) -> TableElement:

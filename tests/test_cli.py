@@ -437,6 +437,20 @@ def test_unreadable_paths_are_input_errors_naming_them(workdir):
             assert result.stderr == f"error: [Errno {code}] {os.strerror(code)}: '{name}'\n"
 
 
+def test_byte_order_mark_files_are_read(workdir):
+    """A matrix and a table file that start with a UTF-8 byte order mark
+    are read as without it: ``validate`` and ``table check`` accept them."""
+    bom = b"\xef\xbb\xbf"
+    for name in ("G.mks", "tau0.tbl"):
+        (workdir / f"bom-{name}").write_bytes(bom + (workdir / name).read_bytes())
+    result = run_cli("validate", "bom-G.mks", cwd=workdir)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "OK irreducible non-permutation n=2\n", "")
+    result = run_cli("table", "check", "bom-G.mks", "bom-tau0.tbl", cwd=workdir)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == run_cli("table", "check", "G.mks", "tau0.tbl", cwd=workdir).stdout
+
+
 def test_invalid_utf8_is_input_error_naming_the_byte(workdir):
     """A file that is not UTF-8 exits 2, and the message names the bad byte
     and its position, for a table and for the matrix ``validate`` reads."""

@@ -4,8 +4,9 @@ The parsers read each word through a per-matrix name lookup and two
 process-wide memos; a copy of the per-field loop they replaced, which
 reads every symbol with ``int``, is kept below as the reference they must
 match on seeded and mangled texts, read once with the memos emptied and
-once through them.  The examples in README's "File formats" section must
-parse.
+once through them.  The writers look each word's text up in a third memo,
+which the word reads fill with canonical spellings only.  The examples in
+README's "File formats" section must parse.
 """
 
 import pathlib
@@ -28,6 +29,9 @@ from shiftgroups.formats import (
     format_point,
     format_table,
     format_word,
+    load_coe,
+    load_function,
+    load_matrix,
     load_table,
     parse_coe,
     parse_function,
@@ -185,6 +189,44 @@ def test_file_of_many_reads_loads_as_its_text_parses(tmp_path):
     assert path.stat().st_size > 300_000
     assert read_text(str(path)) == text
     assert load_table(str(path), FULL2) == parse_table(text, FULL2) == tau
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    """A matrix, function, table or chain file that starts with a UTF-8 byte
+    order mark loads as the same file without it; a chain file's matrix and
+    table files may carry one too."""
+    files = {"G.mks": format_matrix(G), "one.fn": format_function(indicator(G, (1,))),
+             "tau0.tbl": format_table(prefix_swap(G, 1, 2)),
+             "tau0.coe": "coe G.mks G.mks\ncode 1 { 1 -> 1 2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n"
+                         "post-table tau0.tbl\n"}
+    loaded = {}
+    for bom in (b"", b"\xef\xbb\xbf"):
+        directory = tmp_path / f"bom{len(bom)}"
+        directory.mkdir()
+        for name, text in files.items():
+            (directory / name).write_bytes(bom + text.encode("utf-8"))
+        assert read_text(str(directory / "G.mks")) == files["G.mks"]
+        matrix = load_matrix(str(directory / "G.mks"))
+        loaded[bom] = (matrix, load_function(str(directory / "one.fn"), matrix),
+                       load_table(str(directory / "tau0.tbl"), matrix),
+                       load_coe(str(directory / "tau0.coe")))
+    assert loaded[b""] == loaded[b"\xef\xbb\xbf"]
+    assert loaded[b""][:3] == (G, indicator(G, (1,)), prefix_swap(G, 1, 2))
+
+
+def test_writers_print_canonical_names_after_odd_spellings():
+    """Words read from odd spellings (``+1``, ``01``) are printed by their
+    canonical names by every writer, never as they were read."""
+    formats._WORDS.clear()
+    formats._TEXTS.clear()
+    table = parse_table("table\n+1 -> 2\n2 -> 01\n", FULL2)
+    points = [parse_point(text, FULL2) for text in ("01|+1", "01|+2", "+2.01|01.+2")]
+    f = parse_function("function\n01 0\n+2 1\n", FULL2)
+    assert format_table(table) == "table\n1 -> 2\n2 -> 1\n"
+    assert [format_point(p) for p in points] == ["|1", "1|2", "2.1|1.2"]
+    assert format_function(f) == "function\n1 0\n2 1\n"
+    assert [format_word(w) for w in ((1,), (2, 1), ())] == ["1", "2.1", "-"]
+    assert all(text == ".".join(map(str, word)) for word, text in formats._TEXTS.items())
 
 
 def test_comments_and_blank_lines_ignored():
@@ -577,22 +619,26 @@ def test_parsers_match_the_per_field_reference(matrix, tmp_path):
 
 def test_parse_memos_are_bounded():
     """The word memo holds at most ``_WORD_MEMO_SIZE`` fields, each of at
-    most 64 characters, after more distinct fields than that; the matrix
+    most 64 characters, after more distinct fields than that, and the
+    writer memo as many words of those fields; the matrix
     memo holds at most ``_MATRIX_MEMO_SIZE`` texts of at most
     ``_MATRIX_TEXT_LIMIT`` characters, and a larger matrix text reads to
     an equal matrix each time without being kept."""
-    symbol = formats._names(FULL2.n).__getitem__
+    symbol = {str(a): a for a in range(1, formats._WORD_MEMO_SIZE + 101)}.__getitem__
     formats._WORDS.clear()
-    most = 0
+    formats._TEXTS.clear()
+    most = [0, 0]
     for i in range(formats._WORD_MEMO_SIZE + 100):
-        assert formats._word_field(symbol, str(i), None) == (i,)
-        most = max(most, len(formats._WORDS))
-    assert most == formats._WORD_MEMO_SIZE
+        assert formats._word_field(symbol, str(i + 1), None) == (i + 1,)
+        most = [max(most[0], len(formats._WORDS)), max(most[1], len(formats._TEXTS))]
+    assert most == [formats._WORD_MEMO_SIZE] * 2
     kept, long = "1." * 31 + "11", "1." * 32 + "1"
     assert (len(kept), len(long)) == (64, 65)
     for text, word in ((kept, (1,) * 31 + (11,)), (long, (1,) * 33)) * 2:
         assert formats._word_field(symbol, text, None) == word
+        assert format_word(word) == text
     assert kept in formats._WORDS and long not in formats._WORDS
+    assert formats._TEXTS[(1,) * 31 + (11,)] == kept and (1,) * 33 not in formats._TEXTS
 
     text = format_matrix(G)
     formats._MATRICES.clear()
@@ -626,14 +672,16 @@ def test_parse_memos_hold_their_bound_under_threads(monkeypatch):
     the interpreter switches threads every microsecond: every read gives
     its word or matrix, a watching thread never sees a memo more than one
     key per reading thread past its bound, and once they are done each
-    memo is within its bound.  A memo that is never emptied breaks both."""
+    memo is within its bound.  A memo that is never emptied breaks both.
+    The writer memo, bounded with the word memo, names each word as read."""
     readers = 8
-    memos = {"_WORDS": (YieldingMemo(), 8), "_MATRICES": (YieldingMemo(), 2)}
+    memos = {"_WORDS": (YieldingMemo(), 8), "_TEXTS": (YieldingMemo(), 8),
+             "_MATRICES": (YieldingMemo(), 2)}
     for name, (memo, bound) in memos.items():
         monkeypatch.setattr(formats, name, memo)
     monkeypatch.setattr(formats, "_WORD_MEMO_SIZE", 8)
     monkeypatch.setattr(formats, "_MATRIX_MEMO_SIZE", 2)
-    symbol = formats._names(FULL2.n).__getitem__
+    symbol = formats._names(40).__getitem__
     texts = [format_matrix(G) + f"# copy {i}\n" for i in range(5)]
     wrong, most, done = [], {name: 0 for name in memos}, threading.Event()
 
@@ -643,6 +691,8 @@ def test_parse_memos_hold_their_bound_under_threads(monkeypatch):
             i = rng.randrange(40)
             if formats._word_field(symbol, str(i), None) != (i,):
                 wrong.append(str(i))
+            if format_word((i,)) != str(i):
+                wrong.append((i,))
             if parse_matrix(texts[i % 5]) != G:
                 wrong.append(texts[i % 5])
 

@@ -13,10 +13,12 @@ import random
 import pytest
 from conftest import deep_exchange
 
-from shiftgroups import codes, formats
-from shiftgroups.orbit import coe_from_chain
-from shiftgroups.sft import validate_matrix
-from shiftgroups.tables import validate_table
+from shiftgroups import codes, formats, tables
+from shiftgroups.orbit import coe_apply, coe_from_chain
+from shiftgroups.selftest import (MATRICES, commutant_corpus, conjugacy_corpus, random_point,
+                                  twisted_corpus)
+from shiftgroups.sft import TransitionMatrix, validate_matrix
+from shiftgroups.tables import random_element, validate_table
 
 
 @pytest.mark.parametrize("k", [25, 50, 100, 200])
@@ -156,3 +158,73 @@ def test_table_text_is_read_into_words_once(length, monkeypatch):
     conversions = 0
     assert formats.parse_table(text, matrix) == first
     assert conversions == 0
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_read_table_is_written_with_no_name_joined(length, monkeypatch):
+    """The name lookups while a table read from its printed text is printed
+    again: every word's text comes from the writer memo the read filled,
+    so none is joined from names, and the text is the one read."""
+    matrix = validate_matrix([[1, 1], [1, 1]])
+    words = list(itertools.product((1, 2), repeat=length))
+    images = random.Random(length).sample(words, len(words))
+    text = formats.format_table(validate_table(matrix, list(zip(words, images))))
+    names = formats._names
+    conversions = 0
+
+    class Counted(dict):
+        def __getitem__(self, name):
+            nonlocal conversions
+            conversions += 1
+            return dict.__getitem__(self, name)
+
+    formats._WORDS.clear()
+    formats._TEXTS.clear()
+    table = formats.parse_table(text, matrix)
+    monkeypatch.setattr(formats, "_names", lambda n: Counted(names(n)))
+    assert formats.format_table(table) == text
+    assert conversions == 0
+
+
+def counted_walks(monkeypatch) -> list:
+    """A list that gets one item per ``TransitionMatrix.is_admissible`` call,
+    the walk every admissibility check makes."""
+    walks = []
+    is_admissible = TransitionMatrix.is_admissible
+
+    def counted(matrix, word):
+        walks.append(word)
+        return is_admissible(matrix, word)
+
+    monkeypatch.setattr(TransitionMatrix, "is_admissible", counted)
+    return walks
+
+
+@pytest.mark.parametrize("name, matrix", MATRICES, ids=[name for name, _ in MATRICES])
+def test_batch_points_are_checked_once_where_read(name, matrix, monkeypatch):
+    """The admissibility walks of one 32-point ``table apply`` batch on a
+    seeded depth-4 table: reading the points walks each once, and the table
+    action walks none, as its image of an admissible point is admissible.
+    Re-checking every image walks 32 more."""
+    rng = random.Random(len(name))
+    table = random_element(matrix, 4, len(name))
+    lines = [formats.format_point(random_point(matrix, rng, depth=6)) for _ in range(32)]
+    walks = counted_walks(monkeypatch)
+    points = [formats.parse_point(line, matrix) for line in lines]
+    assert len(walks) == 32
+    walks.clear()
+    images = [tables.apply(table, z) for z in points]
+    assert len(images) == 32 and walks == []
+
+
+def test_chain_maps_apply_with_no_walk(monkeypatch):
+    """The admissibility walks of ``coe_apply`` on the chain corpora, five
+    seeded points each: none.  Re-checking the image of every stage, two
+    table stages and the code, walks 3 per call."""
+    rng = random.Random(5)
+    maps = conjugacy_corpus() + twisted_corpus() + commutant_corpus()
+    cases = [(h, random_point(h.source, rng, depth=6)) for h in maps for _ in range(5)]
+    walks = counted_walks(monkeypatch)
+    for h, z in cases:
+        coe_apply(h, z)
+    assert walks == []

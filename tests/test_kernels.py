@@ -94,6 +94,19 @@ of the same type and message, with words past 64 symbols spelled by
 ``sft.word_name``.  The one-step ``shift_point_n``, which ``shift_point``
 is, is checked against ``n`` single shifts that each re-canonicalize.
 
+Points are checked once, where they are read.  The trusted
+``sft.canonical_point`` and the validating ``canonicalize_point`` are
+checked against the ``canonicalize_point`` they replaced, which checked
+``u + w + w`` and absorbed one symbol at a time, on pairs whose transient
+ends in copies of the cycle, repeated; the one-step ``tables.apply``
+against the shift, then the target word prepended through that
+reference, on random elements and padded presentations.  Every point
+that ``BlockCode.encode``, ``representative``,
+``conjugacy._long_cycle_point``, ``transducer.point_apply`` and
+``coe_apply`` build is one that the reference returns unchanged, and a
+bad point literal still raises ``Inadmissible`` with the message that
+names it, also under ``-O``.
+
 The chain layer's one conjugation, ``transducer.conjugate_by_stages``, is
 checked against the one-code conjugation it replaced on a one-code tuple,
 and ``inverse_stages`` against the inverse stages written out by hand, on
@@ -238,7 +251,9 @@ from shiftgroups.selftest import (
 from shiftgroups.sft import (
     EMPTY,
     CylinderPartition,
+    Point,
     TransitionMatrix,
+    canonical_point,
     canonicalize_point,
     enumerate_words,
     expand_to_depth,
@@ -1181,6 +1196,148 @@ def test_shift_point_n_matches_repeated_shift(matrix):
         for n in range(21):
             assert shift_point_n(x, n) == reference_shift_point_n(x, n)
     assert min(transients) == 0 and max(transients) > 5 and max(cycles) > 5
+
+
+# -- trusted points ----------------------------------------------------------------
+
+
+def reference_canonicalize_point(matrix, transient, cycle):
+    """``canonicalize_point`` before the trusted constructor split off: the
+    transitions of ``u + w + w`` checked, the cycle's shortest repeating
+    prefix, then the transient's last symbol absorbed one at a time while
+    it is the cycle's, the cycle rotated each time."""
+    u, w = tuple(transient), tuple(cycle)
+    if not w:
+        raise Inadmissible("cycle word must be nonempty")
+    if not matrix.is_admissible(u + w + w):
+        raise Inadmissible(f"point {word_name(u)}|{word_name(w)} is not admissible")
+    w = next(w[:p] for p in range(1, len(w) + 1) if w[:p] * (len(w) // p) == w)
+    u = list(u)
+    while u and u[-1] == w[-1]:
+        u.pop()
+        w = w[-1:] + w[:-1]
+    return Point(matrix, tuple(u), w)
+
+
+def reference_apply(table, point):
+    """The table action before its one-step rewrite: the shifted point, then
+    the target word prepended, re-checked and made canonical again."""
+    nu, mu = table.entry_for(point)
+    rest = shift_point_n(point, len(nu))
+    return reference_canonicalize_point(point.matrix, mu + rest.transient, rest.cycle)
+
+
+def assert_canonical_point(point):
+    """The reference check and canonical form return ``point`` as it is: it
+    is admissible and canonical."""
+    assert reference_canonicalize_point(point.matrix, point.transient, point.cycle) == point
+
+
+def absorbable_point(matrix, rng):
+    """An admissible ``(transient, cycle)`` pair that is not canonical: a
+    point's transient followed by whole and part copies of its cycle, and
+    that cycle, rotated to match, repeated."""
+    x = random_cycle_point(matrix, rng)
+    w, j = x.cycle, rng.randrange(len(x.cycle))
+    transient = x.transient + w * rng.randint(0, 2) + w[:j]
+    return transient, (w[j:] + w[:j]) * rng.randint(1, 3)
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_point_constructors_match_absorbing_reference(matrix):
+    rng = random.Random(89)
+    absorbed = 0
+    for _ in range(300):
+        transient, cycle = absorbable_point(matrix, rng)
+        expected = reference_canonicalize_point(matrix, transient, cycle)
+        assert canonical_point(matrix, transient, cycle) == expected
+        assert canonicalize_point(matrix, transient, cycle) == expected
+        absorbed += len(expected.transient) < len(transient)
+    assert absorbed > 100
+
+
+@pytest.mark.parametrize("matrix", [m for _, m in MATRICES], ids=MATRIX_IDS)
+def test_apply_matches_recanonicalizing_reference(matrix):
+    """``tables.apply`` on random elements and padded presentations, 50
+    seeded points each, with sources that end inside and past the
+    transient."""
+    rng = random.Random(97)
+    inside = set()
+    for seed in range(8):
+        tau = random_element(matrix, 3, seed)
+        for table in (tau, padded(tau, rng)):
+            for _ in range(50):
+                x = random_cycle_point(matrix, rng)
+                y = tables.apply(table, x)
+                assert y == reference_apply(table, x)
+                assert_canonical_point(y)
+                inside.add(len(table.entry_for(x)[0]) < len(x.transient))
+    assert inside == {True, False}
+
+
+def test_library_built_points_are_valid_and_canonical():
+    """The points the trusted constructor builds: ``BlockCode.encode`` on the
+    codes under test and the block codes of levels 1 to 3,
+    ``representative`` on every word up to length 4, ``_long_cycle_point``
+    on every word up to length 3, and ``transducer.point_apply`` and
+    ``coe_apply`` on the chain maps."""
+    rng = random.Random(101)
+    codes = codes_under_test()
+    for _, matrix in MATRICES:
+        for level in (1, 2, 3):
+            codes += higher_block_codes(matrix, level)[1:]
+        for length in range(5):
+            for word in enumerate_words(matrix, length):
+                assert_canonical_point(representative(matrix, word))
+                if length < 4:
+                    assert_canonical_point(_long_cycle_point(matrix, word))
+    for code in codes:
+        for _ in range(10):
+            assert_canonical_point(code.encode(random_cycle_point(code.source, rng)))
+    for h in chain_maps():
+        for _ in range(10):
+            x = random_cycle_point(h.source, rng)
+            assert_canonical_point(coe_apply(h, x))
+            assert_canonical_point(transducer.point_apply(h.transducer, x))
+
+
+BAD_POINTS = """
+from shiftgroups.errors import Inadmissible
+from shiftgroups.formats import parse_point
+from shiftgroups.selftest import GOLDEN_MEAN
+from shiftgroups.sft import canonicalize_point, representative
+calls = [(parse_point, text, GOLDEN_MEAN) for text in
+         ("2|2", "|1.2.2", "|2", "|2.1.2", "2|2.1", "3|1", "0|1", "1." * 80 + "2.2|1")]
+calls += [(canonicalize_point, GOLDEN_MEAN, (1,), ()), (representative, GOLDEN_MEAN, (2, 2))]
+for call, *args in calls:
+    try:
+        call(*args)
+    except Inadmissible as exc:
+        print(exc)
+"""
+
+BAD_POINT_MESSAGES = [
+    "point (2,)|(2,) is not admissible",
+    "point ()|(1, 2, 2) is not admissible",
+    "point ()|(2,) is not admissible",
+    "point ()|(2, 1, 2) is not admissible",
+    "point (2,)|(2, 1) is not admissible",
+    "point (3,)|(1,) is not admissible",
+    "point (0,)|(1,) is not admissible",
+    "point (1, 1, 1, 1, ..., 1, 1, 2, 2) of 82 symbols|(1,) is not admissible",
+    "cycle word must be nonempty",
+    "word (2, 2) is not admissible",
+]
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_bad_points_raise_with_their_messages(flags):
+    """Points whose transient, cycle, junction or wrap-around is forbidden,
+    or that hold a symbol out of range, still raise ``Inadmissible`` with
+    the message that names them, also under ``-O``."""
+    result = run_python(*flags, "-c", BAD_POINTS)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == BAD_POINT_MESSAGES
 
 
 # -- canonical merges -------------------------------------------------------------

@@ -136,6 +136,17 @@ def test_canonicalize_rejects_inadmissible():
         canonicalize_point(G, (), ())
 
 
+def test_symbol_index_below_one_is_named():
+    """``symbol`` is 1-indexed: an index below 1 raises a ``ValueError`` that
+    names it, where a transient was read from its end and a bare cycle
+    raised ``IndexError``."""
+    for point in (canonicalize_point(FULL2, (1,), (2,)), canonicalize_point(FULL2, (), (1, 2))):
+        assert unfold(point, 3) == [point.symbol(i) for i in (1, 2, 3)]
+        for i in (0, -1, -5):
+            with pytest.raises(ValueError, match=f"^symbol index {i} is not >= 1$"):
+                point.symbol(i)
+
+
 def test_canonical_equality_is_sequence_equality():
     rng = random.Random(11)
     for matrix in (G, FULL2, TRIANGLE):
