@@ -15,9 +15,9 @@ names already joined.  ``_WORDS`` maps a word field's text, up to
 text, as a name the lookup lacks is read by ``int``.  ``_TEXTS`` maps such a
 word back to its text, and only when the text is the canonical spelling
 (every name a lookup hit), so the writers, which look each word up there
-first, print what they would have joined.  ``_MATRICES`` maps a matrix
-file's text, up to ``_MATRIX_TEXT_LIMIT`` characters, to its validated
-matrix.  A memo that grows past its bound (``_WORD_MEMO_SIZE`` keys for
+first (:func:`_spelled`), print what they would have joined.
+``_MATRICES`` maps a matrix file's text, up to ``_MATRIX_TEXT_LIMIT``
+characters, to its validated matrix.  A memo that grows past its bound (``_WORD_MEMO_SIZE`` keys for
 the two word memos, ``_MATRIX_MEMO_SIZE`` for matrices) is emptied
 (:func:`_remember`).  Only successful reads are stored, so every error is
 raised again, with its message and line, and tables, functions and
@@ -90,9 +90,15 @@ def _literal_name(text: str, short=repr) -> str:
     return f"{text[:8]!r}...{text[-8:]!r} of {len(text)} characters"
 
 
+def _spelled(word: Word) -> str:
+    """A word's names joined by dots (``""`` for the empty word): its
+    ``_TEXTS`` entry, or else joined here.  Every writer spells words
+    through it."""
+    return _TEXTS.get(word) or ".".join(map(str, word))
+
+
 def format_word(word: Word) -> str:
-    word = tuple(word)
-    return _TEXTS.get(word) or ".".join(map(str, word)) or "-"
+    return _spelled(tuple(word)) or "-"
 
 
 def parse_word(text: str, line: int | None = None) -> Word:
@@ -124,8 +130,7 @@ def _word_field(symbol, text: str, line: int | None) -> Word:
 
 
 def format_point(point: Point) -> str:
-    u, w, text = point.transient, point.cycle, _TEXTS.get
-    return f"{text(u) or '.'.join(map(str, u))}|{text(w) or '.'.join(map(str, w))}"
+    return f"{_spelled(point.transient)}|{_spelled(point.cycle)}"
 
 
 def parse_point(text: str, matrix: TransitionMatrix, line: int | None = None) -> Point:
@@ -191,9 +196,8 @@ def parse_matrix(text: str) -> TransitionMatrix:
 
 
 def format_function(f: LocFun) -> str:
-    name, text = _names(f.matrix.n).__getitem__, _TEXTS.get
     lines = ["function"]
-    lines += [f"{text(w) or '.'.join(map(name, w)) or '-'} {v}" for w, v in f.pieces]
+    lines += [f"{_spelled(w) or '-'} {v}" for w, v in f.pieces]
     return "\n".join(lines) + "\n"
 
 
@@ -218,10 +222,8 @@ def parse_function(text: str, matrix: TransitionMatrix) -> LocFun:
 
 
 def format_table(table: TableElement) -> str:
-    name, text = _names(table.matrix.n).__getitem__, _TEXTS.get
     lines = ["table"]
-    lines += [f"{text(nu) or '.'.join(map(name, nu))} -> {text(mu) or '.'.join(map(name, mu))}"
-              for nu, mu in table.entries]
+    lines += [f"{_spelled(nu)} -> {_spelled(mu)}" for nu, mu in table.entries]
     return "\n".join(lines) + "\n"
 
 

@@ -162,28 +162,27 @@ def test_table_text_is_read_into_words_once(length, monkeypatch):
 
 @pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
 def test_read_table_is_written_with_no_name_joined(length, monkeypatch):
-    """The name lookups while a table read from its printed text is printed
-    again: every word's text comes from the writer memo the read filled,
-    so none is joined from names, and the text is the one read."""
+    """The writer memo's lookups while a table read from its printed text is
+    printed again: every word's text comes from the memo the read filled,
+    one hit per word and no miss, so none is joined from names, and the
+    text is the one read."""
     matrix = validate_matrix([[1, 1], [1, 1]])
     words = list(itertools.product((1, 2), repeat=length))
     images = random.Random(length).sample(words, len(words))
     text = formats.format_table(validate_table(matrix, list(zip(words, images))))
-    names = formats._names
-    conversions = 0
+    lookups = {True: 0, False: 0}
 
     class Counted(dict):
-        def __getitem__(self, name):
-            nonlocal conversions
-            conversions += 1
-            return dict.__getitem__(self, name)
+        def get(self, word, default=None):
+            text = dict.get(self, word, default)
+            lookups[text is not None] += 1
+            return text
 
     formats._WORDS.clear()
-    formats._TEXTS.clear()
+    monkeypatch.setattr(formats, "_TEXTS", Counted())
     table = formats.parse_table(text, matrix)
-    monkeypatch.setattr(formats, "_names", lambda n: Counted(names(n)))
     assert formats.format_table(table) == text
-    assert conversions == 0
+    assert lookups == {True: 2 * len(words), False: 0}
 
 
 def counted_walks(monkeypatch) -> list:
