@@ -14,16 +14,14 @@ codes are the same map exactly when they are ``==``.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
-from .sft import (EMPTY, Point, TransitionMatrix, Word, canonical_point, enumerate_words,
-                  family_defects, representative, walk, word_name)
+from .sft import (EMPTY, Point, TransitionMatrix, Value, Word, canonical_point,
+                  enumerate_words, family_defects, representative, walk, word_name)
 
 
-@dataclass(frozen=True)
-class BlockCode:
+class BlockCode(Value):
     """Sliding block conjugacy with an explicit inverse.
 
     ``mapping`` sends every admissible source window to a target symbol;

@@ -25,8 +25,6 @@ The commutant search reads block-level swaps as base cylinder swaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from collections import deque
 from itertools import count
 
@@ -39,6 +37,7 @@ from .sft import (
     EMPTY,
     Point,
     TransitionMatrix,
+    Value,
     Word,
     canonical_point,
     primitive_root,
@@ -65,8 +64,7 @@ DEFAULT_MAX_DEPTH = 12
 _EXTRA_DEPTH = 4  # levels below a difference cylinder that pointwise_difference probes
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """Certificate that a chain map does not commute with the shifts.
 
     All source-side data lives over the level-``level`` block recoding

@@ -166,6 +166,8 @@ def parse_matrix_grid(text: str) -> list[list[int]]:
         n = int(fields[1])
     except ValueError:
         raise FormatError(f"bad symbol count {_literal_name(fields[1])}", number)
+    if n < 1:
+        raise FormatError(f"symbol count {_literal_name(fields[1])} is below 1", number)
     if len(lines) != n + 1:
         raise FormatError(f"expected {n} rows after the header", number)
     grid = []

@@ -13,7 +13,6 @@ Values are Python ints, hence unbounded.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import BadPartition, NegativeExponent
@@ -21,6 +20,7 @@ from .sft import (
     EMPTY,
     Point,
     TransitionMatrix,
+    Value,
     Word,
     cylinder_run,
     family_error,
@@ -34,8 +34,7 @@ from .sft import (
 _word = itemgetter(0)  # the word of a piece, which pieces sort by
 
 
-@dataclass(frozen=True)
-class LocFun:
+class LocFun(Value):
     """Locally constant integer function, canonical form.
 
     ``pieces`` maps each part of a complete prefix-free partition to the

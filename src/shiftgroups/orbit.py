@@ -19,14 +19,13 @@ each part, so a formula bug cannot hand a caller a silently wrong pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .codes import BlockCode, compose_codes, identity_code
 from .cocycles import rho
 from .errors import IncompatibleChain, VerificationFailed
 from .functions import LocFun, equal
-from .sft import Point, TransitionMatrix
+from .sft import Point, TransitionMatrix, Value
 from .tables import (
     TableElement,
     apply as table_apply,
@@ -47,8 +46,7 @@ from .transducer import (
 )
 
 
-@dataclass(frozen=True)
-class CoeMap:
+class CoeMap(Value):
     """Orbit-matching homeomorphism in normalized chain form.
 
     ``pre`` acts on the source shift, then ``core`` recodes, then

@@ -13,7 +13,6 @@ test module; the latter pins the case counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import functions as fn
 from .cocycles import (
@@ -56,7 +55,8 @@ from .orbit import (
     pullback_map,
     stage_transducer,
 )
-from .sft import TransitionMatrix, representative, refine_words, shift_point_n, validate_matrix
+from .sft import (TransitionMatrix, Value, representative, refine_words, shift_point_n,
+                  validate_matrix)
 from .tables import (
     TableElement,
     apply as table_apply,
@@ -85,8 +85,7 @@ MATRICES = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Value):
     name: str
     ok: bool
     summary: str

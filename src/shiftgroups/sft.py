@@ -36,15 +36,18 @@ construction, so they take the trusted one.
 Symbols are the integers ``1..n``.  Words are plain tuples of symbols; the
 empty tuple is the empty word.  All values here are immutable and all
 operations are pure, so everything is safe to share between threads.
+
+Every value class of the package, here and in the layers above, derives
+from one small base, :class:`Value`: its fields are its annotations, and
+they alone make its ``==``, ``hash`` and ``repr``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import compress
 from math import inf
-from typing import Iterable
 
 from .errors import BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible
 
@@ -53,8 +56,56 @@ Word = tuple[int, ...]
 EMPTY: Word = ()
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class Value:
+    """Immutable value whose fields are its class body's annotations, in order.
+
+    A subclass is built from its fields, positionally; then its
+    ``__post_init__``, if it has one, runs.  ``==`` compares the fields of
+    two instances of one class (another class gets ``NotImplemented``),
+    ``hash`` is the hash of the fields' tuple and ``repr`` reads
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    :class:`AttributeError`.  What a subclass derives from its fields, set
+    through ``object.__setattr__`` or a ``cached_property``, is not a field:
+    ``==``, ``hash`` and ``repr`` never see it.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # ``__init__``, ``__eq__`` and ``__hash__`` are written out for the
+        # fields, as ``dataclasses`` writes a frozen class's: loops over the
+        # field names cost about twice as much.  ``__init__`` stores through
+        # ``object.__setattr__``; filling ``__dict__`` at once would make every
+        # field read slower.
+        super().__init_subclass__()
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        mine, theirs = ("".join(f"{side}.{name}, " for name in names)
+                        for side in ("self", "other"))
+        sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        methods = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):{sets}{post}\n"
+             "def __eq__(self, other):\n"
+             "    if other.__class__ is self.__class__:\n"
+             f"        return ({mine}) == ({theirs})\n"
+             "    return NotImplemented\n"
+             f"def __hash__(self):\n    return hash(({mine}))\n", methods)
+        for name in ("__init__", "__eq__", "__hash__"):
+            methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, methods[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TransitionMatrix(Value):
     """Validated irreducible, non-permutation 0/1 transition matrix.
 
     An edge ``i -> j`` exists when ``rows[i-1][j-1] == 1``.  Use
@@ -179,8 +230,7 @@ def primitive_root(word: Word) -> Word:
     return word
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Value):
     """Eventually periodic point ``transient . cycle^infinity``, canonical.
 
     Canonical means the cycle is primitive and the transient cannot be
@@ -388,8 +438,7 @@ def walk(matrix: TransitionMatrix, word: Word, depth: int, symbol=None):
                 del image[pending[-1][1]:]
 
 
-@dataclass(frozen=True)
-class CylinderPartition:
+class CylinderPartition(Value):
     """Complete prefix-free family of admissible words, sorted.
 
     Every allowed infinite sequence starts with exactly one member, so

@@ -20,7 +20,6 @@ run (:func:`sft.cylinder_run`), for applying and composing with no walk.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -34,16 +33,15 @@ from .errors import (
     InadmissibleWord,
 )
 from .functions import LocFun, canonical, window_sum
-from .sft import (EMPTY, Point, TransitionMatrix, Word, canonical_point, cylinder_run,
-                  enumerate_words, family_error, merge_siblings, part_at, prefix_of, refine_until,
-                  walk, word_name)
+from .sft import (EMPTY, Point, TransitionMatrix, Value, Word, canonical_point,
+                  cylinder_run, enumerate_words, family_error, merge_siblings, part_at, prefix_of,
+                  refine_until, walk, word_name)
 
 Entry = tuple[Word, Word]
 _source = itemgetter(0)  # the source word of an entry, which entries sort by
 
 
-@dataclass(frozen=True)
-class TableElement:
+class TableElement(Value):
     """Element of the continuous full group, as a canonical table.
 
     Build instances with :func:`validate_table` (validating) or

@@ -29,7 +29,6 @@ two shifts its checks compare (every bisection step of
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .codes import BlockCode, compose_codes, identity_code
@@ -38,6 +37,7 @@ from .functions import LocFun, canonical, constant, restrict, window_sum
 from .sft import (
     Point,
     TransitionMatrix,
+    Value,
     Word,
     cylinder_run,
     expand_to_depth,
@@ -54,8 +54,7 @@ Entry = tuple[Word, Word, int]
 _word = itemgetter(0)  # the leading word of an entry or a piece, which both sort by
 
 
-@dataclass(frozen=True)
-class Transducer:
+class Transducer(Value):
     """A chain map in normal form; every constructor sorts its entries by ``mu``."""
 
     core: BlockCode

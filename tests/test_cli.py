@@ -62,6 +62,16 @@ def test_child_imports_package_under_test(tmp_path):
     assert result.stdout == os.path.abspath(shiftgroups.__file__)
 
 
+def test_cli_starts_without_introspection_modules():
+    """Importing the command line loads none of ``dataclasses``, ``inspect``,
+    ``typing``, ``ast`` or ``dis``.  The child runs without ``site``, whose
+    ``.pth`` files may import ``typing`` themselves."""
+    result = run_python("-S", "-c", "import sys, shiftgroups.cli\n"
+                        "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'}"
+                        " & set(sys.modules)))")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def test_validate(workdir):
     result = run_cli("validate", "G.mks", cwd=workdir)
     assert result.returncode == 0
@@ -77,6 +87,15 @@ def test_validate_parse_error_is_input_error(workdir):
     result = run_cli("validate", "bad.mks", cwd=workdir)
     assert result.returncode == 2
     assert "line" in result.stderr
+
+
+def test_validate_symbol_count_below_one_is_input_error(workdir):
+    """``matrix 0`` and ``matrix -1`` stop at the header's line with exit 2."""
+    for count in ("0", "-1"):
+        (workdir / "empty.mks").write_text(f"matrix {count}\n", encoding="utf-8")
+        result = run_cli("validate", "empty.mks", cwd=workdir)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: line 1: symbol count '{count}' is below 1\n"
 
 
 def test_words(workdir):

@@ -145,6 +145,23 @@ def test_matrix_parse_errors_carry_lines():
     assert "line 2" in str(info.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty matrix file"),
+    ("matrix\n", "line 1: expected 'matrix N', got 'matrix'"),
+    ("table 2\n", "line 1: expected 'matrix N', got 'table 2'"),
+    ("matrix two\n1 1\n1 0\n", "line 1: bad symbol count 'two'"),
+    ("matrix 0\n", "line 1: symbol count '0' is below 1"),
+    ("matrix -1\n", "line 1: symbol count '-1' is below 1"),
+    ("matrix 2\n1 1\n", "line 1: expected 2 rows after the header"),
+])
+def test_matrix_bad_headers(text, message):
+    """A bad matrix header is one format error at line 1, a symbol count
+    below 1 included, before any row is read."""
+    with pytest.raises(FormatError) as info:
+        parse_matrix_grid(text)
+    assert str(info.value) == message
+
+
 def test_function_roundtrip():
     f = make(G, {(1, 1): 0, (1, 2): 2, (2,): 3})
     text = format_function(f)

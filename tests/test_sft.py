@@ -1,14 +1,15 @@
 """Shift-space basics against brute-force oracles."""
 
-import dataclasses
 import itertools
 import random
 
 import pytest
+from conftest import run_python
 
 from shiftgroups.codes import higher_block
 from shiftgroups.errors import BadPartition, Inadmissible, NotZeroOne, Permutation, Reducible
 from shiftgroups.sft import (
+    TransitionMatrix,
     canonicalize_point,
     enumerate_words,
     partition,
@@ -50,12 +51,13 @@ def test_validate_accepts_golden_mean():
 def test_matrix_compares_and_prints_by_its_fields():
     """Every stage compares matrices, so two matrices validated from one grid
     are equal with one hash, and the row tables kept beside the fields show
-    neither in ``repr`` nor in ``dataclasses.fields``."""
+    neither in ``repr`` nor in the class's field names."""
     grid = [[1, 1], [1, 0]]
     m1, m2 = validate_matrix(grid), validate_matrix(grid)
     assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
     assert repr(m1) == "TransitionMatrix(n=2, rows=((1, 1), (1, 0)))"
-    assert [field.name for field in dataclasses.fields(m1)] == ["n", "rows"]
+    assert TransitionMatrix._fields == ("n", "rows")
+    assert {"followers", "_after", "_predecessors"} <= set(vars(m1)) - {"n", "rows"}
 
 
 def test_validate_rejects_permutation():
@@ -323,3 +325,111 @@ def test_higher_block_conjugacy_laws(matrix, m):
         x = representative(matrix, word)
         assert decode(encode(x)) == x
         assert encode(shift_point(x)) == shift_point(encode(x))
+
+
+# One instance of each of the package's ten value classes, small enough to
+# print; run in process and in a ``python -O`` child.
+VALUES = """
+from shiftgroups.codes import identity_code
+from shiftgroups.conjugacy import Witness
+from shiftgroups.functions import indicator
+from shiftgroups.orbit import coe_from_chain
+from shiftgroups.selftest import SuiteResult
+from shiftgroups.sft import canonicalize_point, partition, validate_matrix
+from shiftgroups.tables import prefix_swap
+from shiftgroups.transducer import from_table
+
+G = validate_matrix([[1, 1], [1, 0]])
+TAU = prefix_swap(G, 1, 2)
+POINT = canonicalize_point(G, (2,), (1,))
+INSTANCES = [G, POINT, partition(G, [(1,), (2,)]), indicator(G, (1,)), TAU,
+             identity_code(G), from_table(TAU), coe_from_chain([TAU]),
+             Witness(2, POINT, (1, 2), indicator(G, (2,)), TAU),
+             SuiteResult("group-laws", True, "5 cases")]
+"""
+
+FROZEN = VALUES + """
+for value in INSTANCES:
+    for name in (*type(value)._fields, "extra"):
+        for change in (lambda: setattr(value, name, None), lambda: delattr(value, name)):
+            try:
+                change()
+            except AttributeError:
+                continue
+            print(type(value).__name__, name, "changed")
+print(len(INSTANCES), "frozen")
+"""
+
+FIELDS = {
+    "TransitionMatrix": ("n", "rows"),
+    "Point": ("matrix", "transient", "cycle"),
+    "CylinderPartition": ("matrix", "parts"),
+    "LocFun": ("matrix", "pieces"),
+    "TableElement": ("matrix", "entries"),
+    "BlockCode": ("source", "target", "window", "mapping", "inverse_window",
+                  "inverse_mapping"),
+    "Transducer": ("core", "entries"),
+    "CoeMap": ("pre", "core", "post", "transducer"),
+    "Witness": ("level", "z", "pair", "g", "tau0"),
+    "SuiteResult": ("name", "ok", "summary"),
+}
+
+# The repr of each instance no other test prints, ``{G}`` standing for the
+# matrix's.
+CODE = ("BlockCode(source={G}, target={G}, window=1, mapping=(((1,), 1), ((2,), 2)), "
+        "inverse_window=1, inverse_mapping=(((1,), 1), ((2,), 2)))")
+SWAP = "TableElement(matrix={G}, entries=(((1, 1), (1, 1)), ((1, 2), (2,)), ((2,), (1, 2))))"
+REPRS = {
+    "Point": "Point(matrix={G}, transient=(2,), cycle=(1,))",
+    "CylinderPartition": "CylinderPartition(matrix={G}, parts=((1,), (2,)))",
+    "LocFun": "LocFun(matrix={G}, pieces=(((1,), 1), ((2,), 0)))",
+    "BlockCode": CODE,
+    "CoeMap": (f"CoeMap(pre={SWAP}, core={CODE}, "
+               "post=TableElement(matrix={G}, entries=(((1,), (1,)), ((2,), (2,)))), "
+               f"transducer=Transducer(core={CODE}, "
+               "entries=(((1, 1), (1, 1), 2), ((1, 2), (2,), 2), ((2,), (1, 2), 1))))"),
+    "Witness": ("Witness(level=2, z=Point(matrix={G}, transient=(2,), cycle=(1,)), "
+                f"pair=(1, 2), g=LocFun(matrix={{G}}, pieces=(((1,), 0), ((2,), 1))), tau0={SWAP})"),
+    "SuiteResult": "SuiteResult(name='group-laws', ok=True, summary='5 cases')",
+}
+
+
+def value_instances():
+    namespace = {}
+    exec(VALUES, namespace)
+    return namespace["INSTANCES"]
+
+
+def test_values_keep_their_fields_and_nothing_else():
+    """Each value class's fields are its annotations, in order.  Rebuilt
+    from them, positionally, an instance is ``==`` with one hash; with one
+    field too few or too many it raises ``TypeError``; against an instance
+    of another class ``==`` is False, with no error; and ``repr`` names
+    the fields, as pinned."""
+    instances = value_instances()
+    assert {type(value).__name__: type(value)._fields for value in instances} == FIELDS
+    for value in instances:
+        kind = type(value)
+        fields = tuple(getattr(value, name) for name in kind._fields)
+        copy = kind(*fields)
+        assert copy is not value and copy == value and hash(copy) == hash(value)
+        assert repr(copy) == repr(value)
+        for wrong in (fields[:-1], fields + (None,)):
+            with pytest.raises(TypeError):
+                kind(*wrong)
+        for other in instances:
+            if other is not value:
+                assert (value == other, value != other) == (False, True)
+        assert value != fields
+    matrix = repr(instances[0])
+    printed = {type(value).__name__: repr(value).replace(matrix, "{G}") for value in instances}
+    assert {name: printed[name] for name in REPRS} == REPRS
+
+
+def test_values_refuse_assignment_and_deletion(capsys):
+    """Assigning or deleting a field, or any other attribute, of a value
+    raises ``AttributeError``, in process and in a ``python -O`` child."""
+    exec(FROZEN, {})
+    assert capsys.readouterr().out == "10 frozen\n"
+    child = run_python("-O", "-c", FROZEN)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "10 frozen\n", "")
