@@ -31,7 +31,7 @@ from itertools import count
 from .cocycles import in_cocycle_group, rho
 from .codes import higher_block_codes
 from .errors import SearchBudgetExceeded, VerificationFailed
-from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on, restrict
+from .functions import LocFun, compose_shift, constant, eval_at, indicator, is_zero_on, on_refinement
 from .orbit import CoeMap, coe_apply, coe_from_chain, pullback_map, stage_transducer
 from .sft import (
     EMPTY,
@@ -41,7 +41,6 @@ from .sft import (
     Word,
     canonical_point,
     primitive_root,
-    refine_words,
     representative,
     shift_point,
     walk,
@@ -55,7 +54,6 @@ from .transducer import (
     inverse_stages,
     is_identity_transducer,
     point_apply,
-    precompose_shift,
     pullback,
 )
 
@@ -84,13 +82,11 @@ def is_conjugacy(h: CoeMap) -> bool:
 
 
 def difference_locus(h: CoeMap) -> tuple[Word, ...]:
-    """Cylinders on which the two sides of the commutation differ: the
-    parts of the refinement of ``t`` and ``t after shift`` where the least
-    exponent pair is not ``(0, 1)``, in sorted order."""
-    t = h.transducer
-    parts = refine_words(t.source, [t.parts, precompose_shift(t).parts])
-    return tuple(part for part in parts
-                 if restrict(h.k1, part) != [(part, 0)] or restrict(h.l1, part) != [(part, 1)])
+    """Cylinders on which the two sides of the commutation differ, in
+    sorted order: the parts of the common refinement of ``(k1, l1)`` where
+    the pair is not ``(0, 1)``.  Read off the exponents alone, they are a
+    property of the map, not of how its stages were split."""
+    return tuple(part for part, pair in on_refinement(h.k1, h.l1) if pair != (0, 1))
 
 
 def recode_source(h: CoeMap, level: int):

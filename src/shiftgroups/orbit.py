@@ -9,8 +9,8 @@ locally constant exponents ``(k1, l1)``:
 and topological conjugacy is exactly the case where ``(0, 1)`` works.
 Chains are normalized to ``post-table . code . pre-table``, the stage
 list that inverses and conjugated tables are built from (in
-:mod:`transducer`).  The cached transducer makes map equality decidable,
-and ``(k1, l1)`` is found on its first read, then cached: the least valid
+:mod:`transducer`).  The cached transducer is canonical, so equal maps are
+``==``, and ``(k1, l1)`` is found on its first read, then cached: the least valid
 pair on each part of the common refinement of the transducer and its
 precomposition with the shift (:func:`transducer.shift_exponents`).  That
 search is also the pair's one exact check: it re-reads the kept ``k`` on
@@ -42,7 +42,6 @@ from .transducer import (
     pullback,
     shift_exponents,
     stage_transducer,
-    transducer_equal,
 )
 
 
@@ -185,7 +184,7 @@ def compose_cocycles(outer: CoeMap, inner: CoeMap) -> tuple[LocFun, LocFun]:
         raise IncompatibleChain("chain maps do not compose")
     k, l = _fold_stage_data(inner.k1, inner.l1, outer.k1, outer.l1, inner.transducer)
     composite = stage_transducer(inner.source, inner.stages() + outer.stages())
-    if not transducer_equal(post_shift(precompose_shift(composite), k), post_shift(composite, l)):
+    if post_shift(precompose_shift(composite), k) != post_shift(composite, l):
         raise VerificationFailed("composed exponents failed their exact check")
     return k, l
 

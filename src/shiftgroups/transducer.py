@@ -8,22 +8,20 @@ exactly that: a core code plus entries ``(mu, alpha, r)`` meaning
     on the cylinder of ``mu``:  h(x) = alpha . code-stream(shift^r(x))
 
 with the source words forming a complete prefix-free partition, sorted,
-so the entry above a word is one bisection (and ``r <= len(mu)`` until a
-shift is appended on the output side).  Stage application (one more
+so the entry above a word is one bisection.  Stage application (one more
 table, one more code, a shift on either side), the inverse of a stage list
 and the conjugate of a table by one (:func:`conjugate_by_stages`) live here.
 A stage, an orbit sum or a table is read in one walk from the entries whose
 nodes carry the target word they determine, one window longer per child.
-Equality of two maps with the same core is decidable by refining to a
-common partition and aligning the shifts of each pair of entries, which
-costs linear work in the shift exponent instead of a cylinder expansion.
 
-Each such check reads the core stream over one cylinder: position ``p``
-holds the symbol the core writes at ``p`` on every point of the
-cylinder, or None where its points disagree.  :func:`_stream` returns
-one run of positions as a tuple; each part is read once, between the
-two shifts its checks compare (every bisection step of
-:func:`shift_exponents` slices that one tuple).
+Every constructor builds through :func:`canonical_transducer`, so one map
+has one transducer and map equality is ``==``.  Where two maps differ,
+:func:`difference_parts` names the cylinders, aligning the shifts of each
+pair of entries on a common refinement.  Each such check reads the core
+stream over one cylinder: position ``p`` holds the symbol the core writes
+at ``p`` on every point of the cylinder, or None where its points
+disagree.  :func:`_stream` returns one run of positions as a tuple; each
+part is read once, between the two shifts its checks compare.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .sft import (
     Word,
     cylinder_run,
     expand_to_depth,
+    merge_siblings,
     part_at,
     prefix_of,
     prepend_point,
@@ -55,13 +54,13 @@ _word = itemgetter(0)  # the leading word of an entry or a piece, which both sor
 
 
 class Transducer(Value):
-    """A chain map in normal form; every constructor sorts its entries by ``mu``."""
+    """A chain map in normal form, built by :func:`canonical_transducer`:
+    entries sorted by ``mu`` and reduced, siblings with one output merged."""
 
     core: BlockCode
     entries: tuple[Entry, ...]
 
     def __post_init__(self) -> None:
-        # Not a field, so ``==``, ``hash`` and ``repr`` see only the fields.
         object.__setattr__(self, "_depth", max(len(mu) for mu, _, _ in self.entries))
 
     @property
@@ -93,13 +92,35 @@ def _refine_entries(t: Transducer, decide):
     return refine_until(t.source, roots, decide, step)
 
 
+def canonical_transducer(core: BlockCode, entries) -> Transducer:
+    """The canonical transducer of valid ``(mu, alpha, r)`` entries, in any
+    order, whose words partition the source; nothing is re-checked.
+
+    Each entry drops the last letter of ``alpha`` and one from ``r`` while the
+    core writes that letter at position ``r`` all over the cylinder (read off
+    ``mu`` when the window lies inside).  Siblings with one ``(alpha, r)`` then
+    merge (:func:`sft.merge_siblings`); the merged entry is reduced, as they were."""
+    matrix, table, m = core.source, core.symbol_map(), core.window
+
+    def reduced(mu: Word, alpha: Word, r: int):
+        n = len(alpha)
+        while n and r and alpha[n - 1] == (table[mu[r - 1: r - 1 + m]] if r - 1 + m <= len(mu)
+                                           else _stream(matrix, core, mu, r - 1, r)[0]):
+            n, r = n - 1, r - 1
+        return mu, (alpha[:n], r)
+
+    merged = merge_siblings(matrix, sorted(reduced(*entry) for entry in entries),
+                            lambda word, output: output)
+    return Transducer(core, tuple((mu, alpha, r) for mu, (alpha, r) in merged))
+
+
 def identity_transducer(matrix: TransitionMatrix) -> Transducer:
-    return Transducer(identity_code(matrix), (((), (), 0),))
+    return canonical_transducer(identity_code(matrix), (((), (), 0),))
 
 
 def from_table(table: TableElement) -> Transducer:
-    entries = tuple((nu, mu, len(nu)) for nu, mu in table.entries)
-    return Transducer(identity_code(table.matrix), tuple(sorted(entries)))
+    return canonical_transducer(identity_code(table.matrix),
+                                ((nu, mu, len(nu)) for nu, mu in table.entries))
 
 
 def apply_table_stage(t: Transducer, table: TableElement) -> Transducer:
@@ -108,41 +129,35 @@ def apply_table_stage(t: Transducer, table: TableElement) -> Transducer:
         raise ValueError("table acts on the wrong shift space")
 
     def rewrite(mu: Word, known: Word, alpha: Word, r: int):
-        entry = table.entry_at(known)
-        if entry is None:
+        if (entry := table.entry_at(known)) is None:
             return None
         nu, image = entry
-        if len(nu) <= len(alpha):
-            return image + alpha[len(nu):], r
-        return image, r + len(nu) - len(alpha)
+        return image + alpha[len(nu):], (r + len(nu) - len(alpha) if len(nu) > len(alpha) else r)
 
-    return Transducer(t.core, tuple(sorted(
-        (mu, *output) for mu, output in _refine_entries(t, rewrite))))
+    return canonical_transducer(t.core, (
+        (mu, *output) for mu, output in _refine_entries(t, rewrite)))
 
 
 def apply_code_stage(t: Transducer, code: BlockCode) -> Transducer:
     """The transducer of ``code after t``; cores compose."""
     if code.source != t.target:
         raise ValueError("code reads the wrong shift space")
-    new_core = compose_codes(code, t.core)
 
     def recode(mu: Word, known: Word, alpha: Word, r: int):
         needed = len(alpha) + code.window - 1 if alpha else 0
-        if len(known) < needed:
-            return None
-        return code.apply_word(known[:needed]), r
+        return None if len(known) < needed else (code.apply_word(known[:needed]), r)
 
-    return Transducer(new_core, tuple(sorted(
-        (mu, *output) for mu, output in _refine_entries(t, recode))))
+    return canonical_transducer(compose_codes(code, t.core), (
+        (mu, *output) for mu, output in _refine_entries(t, recode)))
 
 
 def stage_transducer(source: TransitionMatrix, stages) -> Transducer:
-    """The transducer of tables and codes applied in the given order."""
+    """The transducer of tables and codes applied in order; an identity stage is skipped."""
     t = identity_transducer(source)
     for stage in stages:
         if isinstance(stage, TableElement):
-            t = apply_table_stage(t, stage)
-        else:
+            t = t if stage.is_identity() else apply_table_stage(t, stage)
+        elif stage != identity_code(stage.source):
             t = apply_code_stage(t, stage)
     return t
 
@@ -155,12 +170,9 @@ def inverse_stages(stages) -> tuple:
 
 def precompose_shift(t: Transducer) -> Transducer:
     """The transducer of ``t after shift``."""
-    out: list[Entry] = []
-    for mu, alpha, r in t.entries:
-        heads = t.source.predecessors(mu[0]) if mu else t.source.symbols()
-        for a in heads:
-            out.append(((a,) + mu, alpha, r + 1))
-    return Transducer(t.core, tuple(sorted(out)))
+    return canonical_transducer(t.core, (
+        ((a,) + mu, alpha, r + 1) for mu, alpha, r in t.entries
+        for a in (t.source.predecessors(mu[0]) if mu else t.source.symbols())))
 
 
 def post_shift(t: Transducer, n: LocFun) -> Transducer:
@@ -169,18 +181,13 @@ def post_shift(t: Transducer, n: LocFun) -> Transducer:
         raise ValueError("exponent lives over the wrong shift space")
     if n.min_value() < 0:
         raise ValueError("shift exponent must be nonnegative")
-    return Transducer(t.core, tuple(sorted(
+    return canonical_transducer(t.core, (
         (word, *_shift_entry(alpha, r, n0))
-        for mu, alpha, r in t.entries
-        for word, n0 in restrict(n, mu))))
+        for mu, alpha, r in t.entries for word, n0 in restrict(n, mu)))
 
 
 def _shift_entry(alpha: Word, r: int, n: int) -> tuple[Word, int]:
-    """The output ``(alpha, r)`` of one entry after ``shift^n``.
-
-    The shift may exceed the part depth; only the equality machinery
-    consumes such entries, and it does not rely on ``r <= len(word)``.
-    """
+    """The output ``(alpha, r)`` of one entry after ``shift^n``; ``r`` may pass the word."""
     if n <= len(alpha):
         return alpha[n:], r
     return (), r + n - len(alpha)
@@ -245,10 +252,9 @@ def _stream(matrix: TransitionMatrix, core: BlockCode, mu: Word, start: int, sto
 
 def _entries_agree_on(stream: tuple, start: int, a1: Word, r1: int, a2: Word, r2: int) -> bool:
     """Exact equality of two same-core entry maps on one cylinder whose core
-    ``stream`` starts at position ``start + 1`` and runs past both shifts.
-    Aligned up to the larger shift, the shorter side's output must spell the
-    longer side's extra symbols: the stream holds them at the positions
-    between the two shifts, constant over the cylinder."""
+    ``stream`` starts at position ``start + 1`` and runs past both shifts:
+    aligned up to the larger shift, the shorter side's output must spell the
+    longer side's extra symbols, which the stream holds between the shifts."""
     if r1 > r2:
         a1, r1, a2, r2 = a2, r2, a1, r1
     return a1 + stream[r1 - start: r2 - start] == a2
@@ -265,16 +271,12 @@ def _aligned(t1: Transducer, t2: Transducer, under: Word = ()):
 
 
 def difference_parts(t1: Transducer, t2: Transducer, under: Word = ()) -> tuple[Word, ...]:
-    """Cylinders (within ``under``) where the two maps provably differ.
-
-    Requires equal cores; the returned family is empty exactly when the
-    maps agree everywhere on the cylinder of ``under``.
-    """
+    """Cylinders (within ``under``) where two same-core maps provably
+    differ: none exactly when they agree everywhere on ``under``."""
     if t1.core != t2.core:
         raise ValueError("transducers have different cores; not comparable")
-    # Codes are canonical, so equal maps are ``==`` cores.  One stream per part,
-    # between its two shifts, from that core: exact, as on an irreducible SFT
-    # every window of the stream's window sets shows on some point of the cylinder.
+    # One stream per part, between its two shifts: exact, as on an irreducible
+    # SFT every window of the stream's window sets shows on some point of the part.
     return tuple(sorted(
         part for part, (_, a1, r1), (_, a2, r2) in _aligned(t1, t2, under)
         if not _entries_agree_on(_stream(t1.source, t1.core, part, min(r1, r2), max(r1, r2)),
@@ -319,16 +321,14 @@ def shift_exponents(t: Transducer) -> tuple[LocFun, LocFun]:
     return canonical(t.source, k_table), canonical(t.source, l_table)
 
 
-def transducer_equal(t1: Transducer, t2: Transducer, under: Word = ()) -> bool:
-    return not difference_parts(t1, t2, under)
+def transducer_equal(t1: Transducer, t2: Transducer) -> bool:
+    """Map equality: transducers are canonical, so it is ``==``."""
+    return t1 == t2
 
 
 def is_identity_transducer(t: Transducer) -> bool:
-    """Exact decision of whether the map is the identity.  Its core would
-    then write each window's symbol at one offset, a shift power; only
-    the power 0 is injective on a non-permutation shift."""
-    return (t.core == identity_code(t.source)
-            and transducer_equal(t, identity_transducer(t.source)))
+    """Exact decision of whether the map is the identity, by canonical form."""
+    return t == identity_transducer(t.source)
 
 
 # -- table extraction -------------------------------------------------------
@@ -336,14 +336,14 @@ def is_identity_transducer(t: Transducer) -> bool:
 
 def extract_table(t: Transducer) -> TableElement:
     """Read a prefix-exchange table off a transducer whose core streams
-    each point unchanged: by canonical form, the window-1 identity code."""
+    each point unchanged: by canonical form, the window-1 identity code.
+    Each part is refined past its shift, which a merged entry's may pass,
+    so every image ends in its source's last letter."""
     if t.core != identity_code(t.source):
         raise ValueError("core is not the identity; the map is not a table")
 
     def image(mu: Word, known: Word, alpha: Word, r: int):
-        if r > len(mu):
-            raise AssertionError("shift exceeds the part depth in a table map")
-        return alpha + mu[r:] or None
+        return alpha + mu[r:] if r < len(mu) else None
 
     return canonical_table(t.source, _refine_entries(t, image))
 

@@ -1,11 +1,12 @@
 """Shared test helpers: start child Python processes on the package under test."""
 
 import os
+import random
 import subprocess
 import sys
 
 import shiftgroups
-from shiftgroups.selftest import FULL_TWO
+from shiftgroups.selftest import FULL_TWO, MATRICES, random_table
 from shiftgroups.tables import validate_table
 
 # The directory holding the ``shiftgroups`` package this process imported.
@@ -35,3 +36,13 @@ def deep_exchange(k):
     entries = [((2,), ones + (2,)), (ones + (2,), (2,)), (ones + (1,), ones + (1,))]
     entries += [((1,) * j + (2,), (1,) * j + (2,)) for j in range(1, k)]
     return validate_table(FULL_TWO, entries)
+
+
+def stage_split_pairs(seed, count=45):
+    """``count`` seeded ``(matrix, A, B)`` draws of two random tables, over the
+    three selftest matrices in turn: the map ``A``, then ``B``, can be written
+    as ``A``, a code, ``B`` or as the one table ``B A``."""
+    rng = random.Random(seed)
+    for i in range(count):
+        matrix = MATRICES[i % len(MATRICES)][1]
+        yield matrix, random_table(matrix, rng), random_table(matrix, rng)

@@ -166,12 +166,15 @@ def test_no_validator_rescans_words():
 
 
 def test_only_canonicalizers_merge():
-    """One sibling merge builds both canonical forms: functions with the
-    same-value rule, from ``canonical`` and from ``make``, which sorted its
-    pieces already, and tables with the entry rule, from one routine under
-    ``canonical_table`` and ``validate_table``, which sorted its entries."""
+    """One sibling merge builds all three canonical forms: functions with
+    the same-value rule, from ``canonical`` and from ``make``, which sorted
+    its pieces already, tables with the entry rule, from one routine under
+    ``canonical_table`` and ``validate_table``, which sorted its entries,
+    and transducers with the same-output rule, from
+    ``canonical_transducer``, which every transducer constructor calls."""
     assert callers_of("merge_siblings") == [
-        "functions.canonical", "functions.make", "tables._merged"]
+        "functions.canonical", "functions.make", "tables._merged",
+        "transducer.canonical_transducer"]
     assert callers_of("_merged") == ["tables.validate_table", "tables.canonical_table"]
 
 

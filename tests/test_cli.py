@@ -9,12 +9,12 @@ import tracemalloc
 import pytest
 
 import shiftgroups
-from conftest import deep_exchange, run_cli, run_python
+from conftest import deep_exchange, run_cli, run_python, stage_split_pairs
 from shiftgroups import cli
 from shiftgroups.formats import format_function, format_matrix, format_table, format_word
 from shiftgroups.functions import constant, indicator, make
 from shiftgroups.sft import enumerate_words, validate_matrix
-from shiftgroups.tables import identity_table, prefix_swap
+from shiftgroups.tables import compose, identity_table, prefix_swap
 
 G = validate_matrix([[1, 1], [1, 0]])
 
@@ -211,6 +211,28 @@ def test_conjugacy_command(workdir):
     assert "function" in lines
     assert "table" in lines
     assert lines[-1].startswith("level ")
+
+
+def test_conjugacy_output_ignores_the_stage_split(workdir):
+    """A chain file with ``A`` before the identity code and ``B`` after it,
+    and one with the single table ``B A`` before it, hold one map, so
+    ``conjugacy`` prints one witness for both, byte for byte (golden mean,
+    pair 15 of the seed-0 stage-split draws, whose two stage walks cut the
+    source into different parts)."""
+    matrix, a, b = list(stage_split_pairs(0))[15]
+    assert matrix == G
+    code = "code 1 { 1 -> 1 2 -> 2 } inverse 1 { 1 -> 1 2 -> 2 }\n"
+    for name, table in (("a", a), ("b", b), ("ba", compose(b, a))):
+        (workdir / f"{name}.tbl").write_text(format_table(table), encoding="utf-8")
+    (workdir / "split.coe").write_text(
+        "coe G.mks G.mks\npre-table a.tbl\n" + code + "post-table b.tbl\n", encoding="utf-8")
+    (workdir / "joined.coe").write_text(
+        "coe G.mks G.mks\npre-table ba.tbl\n" + code, encoding="utf-8")
+    split = run_cli("conjugacy", "split.coe", cwd=workdir)
+    joined = run_cli("conjugacy", "joined.coe", cwd=workdir)
+    assert (split.returncode, split.stderr) == (1, "")
+    assert (joined.returncode, joined.stdout, joined.stderr) == (1, split.stdout, "")
+    assert split.stdout.startswith("WITNESS\n")
 
 
 def test_huge_level_budget_reads_only_the_levels_searched(workdir):

@@ -21,7 +21,7 @@ from shiftgroups.sft import (
     shift_point,
     validate_matrix,
 )
-from shiftgroups.tables import identity_table, invert, prefix_swap, random_element
+from shiftgroups.tables import cylinder_swap, identity_table, invert, prefix_swap, random_element
 from shiftgroups.transducer import (
     apply_code_stage,
     apply_table_stage,
@@ -238,6 +238,26 @@ def test_extract_table_roundtrip():
         for seed in range(5):
             tau = random_element(matrix, 3, seed)
             assert extract_table(from_table(tau)) == tau
+
+
+def test_extract_table_where_a_merged_shift_passes_its_word():
+    """Over the shift where ``2`` is always followed by ``3``, whose follower
+    row ``1`` shares, the swap of ``2 3`` and ``1`` has the entry ``2 3 -> 1``:
+    on the cylinder of ``2``, write ``1`` and stream from position 2.  Its
+    one-member family merges, so the canonical entry's shift passes its word,
+    and the table is still read back, also after a round trip through a
+    chain map and its conjugation by the identity."""
+    from shiftgroups.orbit import coe_from_chain, conjugate_table
+
+    matrix = validate_matrix([[1, 1, 0], [0, 0, 1], [1, 1, 0]])
+    tau = cylinder_swap(matrix, (2, 3), (1,))
+    t = from_table(tau)
+    assert t.entries == (((1,), (2, 3), 1), ((2,), (1,), 2), ((3,), (), 0))
+    assert extract_table(t) == tau
+    h = coe_from_chain([tau])
+    assert h.transducer == t
+    assert conjugate_table(coe_from_chain([identity_code(matrix)]), tau) == tau
+    assert conjugate_table(h, tau) == tau
 
 
 def test_conjugate_table_by_code_roundtrip():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import stage_split_pairs
 
 from shiftgroups.cocycles import in_cocycle_group
 from shiftgroups.codes import higher_block_codes, identity_code, make_code, relabel_code
@@ -26,7 +27,7 @@ from shiftgroups.orbit import (
     stage_transducer,
 )
 from shiftgroups.sft import enumerate_words, representative, shift_point, validate_matrix
-from shiftgroups.tables import identity_table, prefix_swap, random_element
+from shiftgroups.tables import compose, identity_table, prefix_swap, random_element
 from shiftgroups.transducer import point_apply
 
 G = validate_matrix([[1, 1], [1, 0]])
@@ -348,10 +349,10 @@ TWISTED_WITNESS_DIGESTS = (
     "4a7cd186d069c71cd9ddfcd6f0f1e3dc63426be3c3fbd0e1816de69b8640f0bc",
     "ba4c618a43ff96c87f2f7930be9f0f4b4d10b27ee10b27a3773c619e316e246a",
     "ccc3a3de223f29f89362f8c2ef466213db203a9a1b15325c523a894f2907899e",
-    "06329d61a441a4c5fa4612ff79693ce8cb801aaf296b4a1c520d2ce0da41498d",
-    "06329d61a441a4c5fa4612ff79693ce8cb801aaf296b4a1c520d2ce0da41498d",
-    "d8b809ab46af88929a831bf30b8789bef119be45359957dfc52c7efc8e71bbc0",
-    "feeda8e996a7f94b04074a88326e18e3e6e46901a87f74e72248dc05cbe6d95a",
+    "d9cd99a273f8f644f8ce819cd16ae1b46c18749d2164a9a8dd4e87a781cfad8b",
+    "d9cd99a273f8f644f8ce819cd16ae1b46c18749d2164a9a8dd4e87a781cfad8b",
+    "c30fbc46f26e31b6282cd9567ef3de5685d3fa8b7afe76849acff916a1298b50",
+    "e48e725fd90e3e8f5dd84c1c2fc4710470b7d3f56d3051bff13b403c9e79c2c8",
     "41180f326bc6375333f508560ac8bb82b1546b6e321ecca50727a91e2332c62c",
     "58d1af9a7eaf0cdb5ab1ef8b65da0d4beec43b69f036ad936cc2d7f82c0f839a",
     "0d0b67b26242c3dfd038438c9b6524a3284ad49b04d400f5aeec4cb77c7f2949",
@@ -375,12 +376,41 @@ COMMUTANT_TABLE_DIGESTS = (
 
 def test_witness_outputs_match_golden_digests():
     """Every twisted-corpus witness and every commutant-corpus table is
-    the one pinned here, field for field."""
+    the one pinned here, field for field; each witness passes its exact
+    check and certifies the subgroup obstruction."""
     from shiftgroups.formats import format_table
     from shiftgroups.selftest import commutant_corpus, twisted_corpus
 
-    witnesses = tuple(sha256(format_witness(witness_non_conjugacy(h)))
-                      for h in twisted_corpus())
+    witnesses = []
+    for h in twisted_corpus():
+        witness = witness_non_conjugacy(h)
+        assert check_witness(h, witness)
+        h_level, _ = recode_source(h, witness.level)
+        balanced = witness.g - compose_shift(witness.g)
+        assert in_cocycle_group(witness.tau0, psi(h_level, balanced)) != in_cocycle_group(
+            witness.tau0, pullback_map(balanced, h_level))
+        witnesses.append(sha256(format_witness(witness)))
+    witnesses = tuple(witnesses)
     tables = tuple(sha256(format_table(commutant_witness(h0))) for h0 in commutant_corpus())
     assert witnesses == TWISTED_WITNESS_DIGESTS
     assert tables == COMMUTANT_TABLE_DIGESTS
+
+
+# -- one map, one witness ---------------------------------------------------------
+
+
+def test_stage_splits_give_one_transducer_and_one_witness():
+    """One map written as ``A``, the identity code, ``B`` and as the one
+    table ``B A``, on 45 seeded pairs for each seed 0 to 7 over the three
+    selftest matrices: one transducer, ``==``, and one witness (or None
+    for both), since the witness search reads only the map."""
+    witnesses = 0
+    for seed in range(8):
+        for matrix, a, b in stage_split_pairs(seed):
+            split = coe_from_chain([a, identity_code(matrix), b])
+            joined = coe_from_chain([compose(b, a)])
+            assert split.transducer == joined.transducer
+            witness = witness_non_conjugacy(split)
+            assert witness == witness_non_conjugacy(joined)
+            witnesses += witness is not None
+    assert witnesses > 100

@@ -13,11 +13,12 @@ import pytest
 from conftest import deep_exchange
 
 from shiftgroups import codes, formats, tables
+from shiftgroups.codes import identity_code
 from shiftgroups.orbit import coe_apply, coe_from_chain
 from shiftgroups.selftest import (MATRICES, commutant_corpus, conjugacy_corpus, random_point,
                                   twisted_corpus)
 from shiftgroups.sft import TransitionMatrix, validate_matrix
-from shiftgroups.tables import random_element, validate_table
+from shiftgroups.tables import compose, random_element, validate_table
 
 
 @pytest.mark.parametrize("k", [25, 50, 100, 200])
@@ -227,3 +228,21 @@ def test_chain_maps_apply_with_no_walk(monkeypatch):
     for h, z in cases:
         coe_apply(h, z)
     assert walks == []
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7, 8])
+def test_stage_splits_give_one_transducer(s):
+    """``s`` seeded tables with the identity code after each position in
+    turn, on every selftest matrix: every split is ``==`` to the one-table
+    chain of the composite, entry for entry, so the entry count does not
+    grow with the number of stages a map is split into."""
+    rng = random.Random(s)
+    for _, matrix in MATRICES:
+        factors = [random_element(matrix, 3, rng.randrange(1 << 30)) for _ in range(s)]
+        composite = factors[0]
+        for factor in factors[1:]:
+            composite = compose(factor, composite)
+        expected = coe_from_chain([composite]).transducer
+        for i in range(1, s + 1):
+            split = coe_from_chain(factors[:i] + [identity_code(matrix)] + factors[i:])
+            assert split.transducer == expected

@@ -62,7 +62,8 @@ that composed every table stage with an identity table.
 The commutation answers read off the verified exponents are checked
 against the walks they replaced, on the three chain corpora and 60
 seeded ``random_chain`` draws: ``is_conjugacy`` and ``difference_locus``
-against the equality of ``t after shift`` and ``shift after t``,
+(the points it covers) against the equality of ``t after shift`` and
+``shift after t``,
 ``is_identity_transducer`` against the walk that settled each entry's
 output word, and the witness level search against the loop that recoded
 and inverted the map at every level it tried.  The witness search's
@@ -141,7 +142,17 @@ target word each transducer walk carries, one window longer per child,
 is checked at every node a few levels below the entries against the
 word streamed from the root, on the chain transducers and their
 shifted forms, and the stages built on it against the stages that
-re-streamed each part at every node, entry for entry.
+re-streamed each part at every node, entry for entry once the reference
+is brought to canonical form.
+
+Transducers are canonical.  The unmerged stage walk and the unmerged
+shifts on either side are kept here as references, and on pairs of
+them (one map split into stages two ways, a chain's walk against its
+library transducer, the two sides of the commutation at ``(k1, l1)``
+and with ``k1`` one higher, a map against itself followed by a swap of
+two deep cylinders) the canonical forms are ``==`` exactly when the
+reference finds no part where the pair differs.  Every transducer the
+library builds is its own canonical form, its entries given in any order.
 
 The input boundary is checked against the kernels it had before it
 sorted each family once and looked follower rows up: ``merge_siblings``
@@ -168,7 +179,7 @@ import tracemalloc
 from operator import itemgetter
 
 import pytest
-from conftest import deep_exchange, run_python
+from conftest import deep_exchange, run_python, stage_split_pairs
 
 from shiftgroups import functions as fn
 from shiftgroups import conjugacy, orbit
@@ -290,9 +301,11 @@ from shiftgroups.transducer import (
     _shift_entry,
     _stream,
     apply_table_stage,
+    canonical_transducer,
     conjugate_by_stages,
     difference_parts,
     extract_table,
+    from_table,
     identity_transducer,
     inverse_stages,
     is_identity_transducer,
@@ -592,7 +605,7 @@ def reference_minimize_pair(t, k, l):
         for drop in range(min(kv, lv), 0, -1):
             lhs = post_shift(shifted, fn.constant(k.matrix, kv - drop))
             rhs = post_shift(t, fn.constant(k.matrix, lv - drop))
-            if transducer_equal(lhs, rhs, under=part):
+            if not difference_parts(lhs, rhs, part):
                 best = drop
                 break
         k_table[part], l_table[part] = kv - best, lv - best
@@ -814,14 +827,31 @@ def reference_rho_from_entries(f, table, entries):
         reference_birkhoff(f, k_on_image), table)
 
 
+def reference_precompose_shift(t):
+    """``precompose_shift`` as it ran before canonical transducers: each
+    entry under every letter that may precede it, kept as it comes."""
+    return Transducer(t.core, tuple(sorted(
+        ((a,) + mu, alpha, r + 1) for mu, alpha, r in t.entries
+        for a in (t.source.predecessors(mu[0]) if mu else t.source.symbols()))))
+
+
+def reference_post_shift(t, n):
+    """``post_shift`` as it ran before canonical transducers: each entry
+    cut to the pieces of ``n`` and shifted, kept as it comes."""
+    return Transducer(t.core, tuple(sorted(
+        (word, *_shift_entry(alpha, r, n0))
+        for mu, alpha, r in t.entries for word, n0 in restrict(n, mu))))
+
+
 def reference_shift_pair(t):
-    """``t after shift`` and ``shift after t``, as two transducers."""
-    return precompose_shift(t), post_shift(t, fn.constant(t.source, 1))
+    """``t after shift`` and ``shift after t``, as two transducers built
+    without canonical forms."""
+    return reference_precompose_shift(t), reference_post_shift(t, fn.constant(t.source, 1))
 
 
 def reference_is_conjugacy(h):
     """``is_conjugacy`` as the equality of the two sides of the commutation."""
-    return transducer_equal(*reference_shift_pair(h.transducer))
+    return not difference_parts(*reference_shift_pair(h.transducer))
 
 
 def reference_difference_locus(h):
@@ -1560,7 +1590,7 @@ def test_difference_parts_lookup_matches_restriction():
     """The per-part entry lookups of ``_aligned`` against the old
     ``_restriction`` scan, on every part of the two-side refinement."""
     cases = 0
-    for h in chain_maps():
+    for h in exponent_chains():
         lhs = post_shift(precompose_shift(h.transducer), h.k1)
         rhs = post_shift(h.transducer, h.l1)
         aligned = list(_aligned(lhs, rhs))
@@ -1667,13 +1697,16 @@ def reference_stage_transducer(source, stages):
 
 
 def test_stages_match_root_streamed_reference():
-    """Entry for entry, on the chain corpora, the ``random_chain`` draws over
-    every matrix and the deep exchanges up to k = 50."""
+    """Entry for entry, once the reference is brought to canonical form, on
+    the chain corpora, the ``random_chain`` draws over every matrix and the
+    deep exchanges up to k = 50."""
     chains = [h.stages() for h in chain_maps()]
     chains += [_normalize_chain(FULL_TWO, [deep_exchange(k)]) for k in range(1, 51)]
     for stages in chains:
         source = stages[0].matrix
-        assert stage_transducer(source, stages) == reference_stage_transducer(source, stages)
+        expected = reference_stage_transducer(source, stages)
+        assert stage_transducer(source, stages) == canonical_transducer(expected.core,
+                                                                        expected.entries)
 
 
 def test_symbol_map_is_read_only():
@@ -2360,12 +2393,12 @@ def test_shift_exponents_are_least_per_part():
         shifted = precompose_shift(t)
         for part in refine_words(t.source, [t.parts, shifted.parts]):
             [(_, k)], [(_, l)] = restrict(h.k1, part), restrict(h.l1, part)
-            assert transducer_equal(post_shift(shifted, fn.constant(t.source, k)),
-                                    post_shift(t, fn.constant(t.source, l)), under=part)
+            assert not difference_parts(post_shift(shifted, fn.constant(t.source, k)),
+                                        post_shift(t, fn.constant(t.source, l)), part)
             if min(k, l) > 0:
                 lhs = post_shift(shifted, fn.constant(t.source, k - 1))
                 rhs = post_shift(t, fn.constant(t.source, l - 1))
-                assert not transducer_equal(lhs, rhs, under=part)
+                assert difference_parts(lhs, rhs, part)
                 lowered += 1
     assert lowered > 100
 
@@ -2426,8 +2459,7 @@ def test_chain_map_build_checks_its_exponents_once(monkeypatch):
     """Each ``coe_from_chain`` on the twisted corpus, with reads of both
     ``k1`` and ``l1``, builds ``t after shift`` once, in
     ``shift_exponents``, and builds no whole-map comparison: no
-    ``post_shift`` and no ``transducer_equal``.  The build alone builds
-    none of them."""
+    ``post_shift``.  The build alone builds neither."""
     maps = twisted_corpus()
     pairs = [(h.k1, h.l1) for h in maps]  # found before the count starts
     calls = []
@@ -2438,7 +2470,7 @@ def test_chain_map_build_checks_its_exponents_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("precompose_shift", "post_shift", "transducer_equal"):
+    for name in ("precompose_shift", "post_shift"):
         wrapper = counted(name, getattr(transducer, name))
         monkeypatch.setattr(transducer, name, wrapper)
         monkeypatch.setattr(orbit, name, wrapper)
@@ -2691,10 +2723,12 @@ def test_difference_parts_on_equal_cores_with_other_windows():
     ``compose_codes(decode, encode)``, the identity map read off windows
     of 3, so the two cores are one map built by two routes and so ``==``;
     each side builds the streams in turn, and the pair's exponents are also
-    moved off by one so that parts differ, on either side of the shift."""
+    moved off by one so that parts differ, on either side of the shift.  The
+    sides are built without canonical forms, so that agreeing entries also
+    carry different shifts."""
     cases = {"agree": 0, "differ": 0, "r1 > r2": 0}
     for h in chain_maps():
-        t = h.transducer
+        t = reference_stage_transducer(h.source, h.stages())
         _, encode, decode = higher_block_codes(t.source, 3)
         widened = Transducer(compose_codes(t.core, compose_codes(decode, encode)), t.entries)
         assert widened.core == t.core
@@ -2702,8 +2736,8 @@ def test_difference_parts_on_equal_cores_with_other_windows():
         for k, l in ((h.k1, h.l1), (h.k1 + one, h.l1), (h.k1, h.l1 + one)):
             for inner in (t, widened):
                 outer = widened if inner is t else t
-                lhs = post_shift(precompose_shift(inner), k)
-                rhs = post_shift(outer, l)
+                lhs = reference_post_shift(reference_precompose_shift(inner), k)
+                rhs = reference_post_shift(outer, l)
                 for t1, t2 in ((lhs, rhs), (rhs, lhs)):
                     expected = reference_difference_parts(t1, t2)
                     assert difference_parts(t1, t2) == expected
@@ -2726,13 +2760,89 @@ def commutation_chains():
 
 def test_commutation_matches_shift_pair_reference():
     """``is_conjugacy`` and ``difference_locus``, read off ``(k1, l1)``,
-    against the equality walk of the two sides of the commutation."""
+    against the equality walk of the two sides of the commutation.  The
+    locus lists the parts of the exponents' refinement and the reference
+    the parts of the two sides', so they are compared as the points they
+    cover: the same parts of the common refinement of all four."""
     verdicts = {True: 0, False: 0}
+    fewer = 0
     for h in commutation_chains():
         assert is_conjugacy(h) == reference_is_conjugacy(h)
-        assert difference_locus(h) == reference_difference_locus(h)
+        locus, expected = difference_locus(h), reference_difference_locus(h)
+        sides = reference_shift_pair(h.transducer)
+        common = refine_words(h.source, [h.k1.parts, h.l1.parts, *(t.parts for t in sides)])
+        assert ([p for p in common if prefix_of(locus, p) is not None]
+                == [p for p in common if prefix_of(expected, p) is not None])
         verdicts[is_conjugacy(h)] += 1
+        fewer += len(locus) < len(expected)
     assert min(verdicts.values()) > 10
+    assert fewer > 0
+
+
+# -- canonical transducers ---------------------------------------------------------
+
+
+def deep_swap(matrix):
+    """The swap of the last pair of cylinders that ``block_swap_pairs`` lists at level 5."""
+    *_, pair = block_swap_pairs(matrix, 5)
+    return cylinder_swap(matrix, *pair)
+
+
+def canonical_pairs():
+    """Pairs of same-core transducers built without canonical forms: one map
+    split into stages two ways (45 pairs for each seed 0 to 7), and for each
+    commutation chain its stage walk against its library transducer, the two
+    sides of the commutation at ``(k1, l1)`` and with ``k1`` one higher, and
+    the map against itself followed by a swap of two deep cylinders."""
+    for seed in range(8):
+        for matrix, a, b in stage_split_pairs(seed):
+            yield (reference_stage_transducer(matrix, (a, identity_code(matrix), b)),
+                   reference_stage_transducer(matrix, (compose(b, a),)))
+    for h in commutation_chains():
+        raw = reference_stage_transducer(h.source, h.stages())
+        shifted = reference_precompose_shift(raw)
+        yield raw, h.transducer
+        yield reference_post_shift(shifted, h.k1), reference_post_shift(raw, h.l1)
+        yield (reference_post_shift(shifted, h.k1 + fn.constant(h.source, 1)),
+               reference_post_shift(raw, h.l1))
+        yield raw, reference_stage_transducer(h.source, h.stages() + (deep_swap(h.target),))
+
+
+def test_canonical_transducers_are_equal_exactly_for_equal_maps():
+    """``==`` on the canonical forms of each pair against the reference's
+    verdict that no part of the pair's common refinement differs.  The
+    golden-mean forms include entries whose word ends in ``2``, whose
+    follower row holds one letter, and whose shift reaches or passes it."""
+    verdicts = {True: 0, False: 0}
+    reach = {"at": 0, "past": 0}
+    for t1, t2 in canonical_pairs():
+        c1, c2 = (canonical_transducer(t.core, t.entries) for t in (t1, t2))
+        equal = not reference_difference_parts(t1, t2)
+        assert (c1 == c2) == equal
+        verdicts[equal] += 1
+        if t1.source == GOLDEN_MEAN:
+            for mu, _, r in c1.entries + c2.entries:
+                if mu[-1:] == (2,) and r >= len(mu):
+                    reach["at" if r == len(mu) else "past"] += 1
+    assert min(verdicts.values()) > 200
+    assert min(reach.values()) > 10
+
+
+def test_library_transducers_are_canonical():
+    """Each transducer the library builds, its entries given in any order,
+    comes back unchanged from ``canonical_transducer``."""
+    built = 0
+    for h in commutation_chains():
+        t = h.transducer
+        shifted = precompose_shift(t)
+        for u in (t, shifted, post_shift(t, h.l1), post_shift(shifted, h.k1),
+                  post_shift(shifted, h.k1 + fn.constant(h.source, 1)),
+                  apply_table_stage(t, deep_swap(h.target)), from_table(h.pre),
+                  identity_transducer(h.source), stage_transducer(h.source, (h.pre, h.core))):
+            assert canonical_transducer(u.core, u.entries) == u
+            assert canonical_transducer(u.core, reversed(u.entries)) == u
+            built += 1
+    assert built > 900
 
 
 def test_is_identity_transducer_matches_walk_reference():

@@ -387,7 +387,7 @@ REPRS = {
     "CoeMap": (f"CoeMap(pre={SWAP}, core={CODE}, "
                "post=TableElement(matrix={G}, entries=(((1,), (1,)), ((2,), (2,)))), "
                f"transducer=Transducer(core={CODE}, "
-               "entries=(((1, 1), (1, 1), 2), ((1, 2), (2,), 2), ((2,), (1, 2), 1))))"),
+               "entries=(((1, 1), (), 0), ((1, 2), (), 1), ((2,), (1,), 0))))"),
     "Witness": ("Witness(level=2, z=Point(matrix={G}, transient=(2,), cycle=(1,)), "
                 f"pair=(1, 2), g=LocFun(matrix={{G}}, pieces=(((1,), 0), ((2,), 1))), tau0={SWAP})"),
     "SuiteResult": "SuiteResult(name='group-laws', ok=True, summary='5 cases')",
