@@ -8,12 +8,13 @@ validation checks exactly that the two maps invert each other.
 
 Every code is kept at the least window of each map (a map that reads
 only its first ``m`` symbols is the same code at window ``m``), so two
-codes are the same map exactly when they are ``==``.
+codes are the same map exactly when they are ``==``.  Each matrix keeps its
+identity code beside its follower rows, built on the first
+:func:`identity_code` call and not a field.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import NotAdmissibleImage, NotInverse
@@ -69,21 +70,18 @@ class BlockCode(Value):
         )
 
 
-def _pairs(mapping):
-    """The ``(window, symbol)`` pairs of a dict, or the pairs as given, repeats kept."""
-    return mapping.items() if isinstance(mapping, Mapping) else mapping
-
-
 def _sorted_pairs(mapping) -> tuple[tuple[Word, int], ...]:
-    return tuple(sorted((tuple(w), int(s)) for w, s in _pairs(mapping)))
+    """The ``(window, symbol)`` pairs of a mapping, or the pairs as given
+    with repeats kept, sorted: the form the block-map check and the trim read."""
+    pairs = mapping.items() if hasattr(mapping, "items") else mapping
+    return tuple(sorted([(tuple(w), int(s)) for w, s in pairs]))
 
 
-def _least_window(window: int, mapping):
+def _least_window(window: int, pairs):
     """Sorted pairs of a map of every admissible window, at its least window:
     while each two windows that differ only in their last symbol write one
     symbol, drop that symbol (sound on an irreducible shift, where every word
     extends).  Sorted windows give sorted prefixes, which a dict keeps."""
-    pairs = _sorted_pairs(mapping)
     while window > 1:
         shorter = {}
         if any(shorter.setdefault(w[:-1], s) != s for w, s in pairs):
@@ -93,6 +91,7 @@ def _least_window(window: int, mapping):
 
 
 def _raw_code(source, target, window, mapping, inverse_window, inverse_mapping) -> BlockCode:
+    """The code of two valid maps, each given as sorted pairs, at its least windows."""
     return BlockCode(source, target, *_least_window(window, mapping),
                      *_least_window(inverse_window, inverse_mapping))
 
@@ -116,15 +115,13 @@ def _window_name(source: TransitionMatrix, word: Word, window: int) -> str:
 
 
 def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
-                     window: int, mapping) -> None:
-    # The declared admissible windows, sorted, go through partition's scan,
-    # which names the first repeated one.  No declared window extends the
-    # first cylinder it finds uncovered, so the cylinder's least extension
-    # is the first missing window, and sorts before a declared window
-    # exactly when the cylinder does.  Any other key strays.
-    pairs = _pairs(mapping)
-    keys = sorted(w for w, _ in pairs)
-    windows = [w for w in keys if len(w) == window and source.is_admissible(w)]
+                     window: int, pairs) -> None:
+    # The declared admissible windows of the sorted pairs go through
+    # partition's scan, which names the first repeated one.  No declared
+    # window extends the first cylinder it finds uncovered, so the cylinder's
+    # least extension is the first missing window, and sorts before a
+    # declared window exactly when the cylinder does.  Any other key strays.
+    windows = [w for w, _ in pairs if len(w) == window and source.is_admissible(w)]
     repeat, gap = family_defects(source, windows)
     if repeat is not None:
         raise NotAdmissibleImage(repeat)
@@ -135,16 +132,19 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
             f"no image declared for window {_window_name(source, gap, window)}")
     if bad is not None:
         raise NotAdmissibleImage(f"image of {word_name(bad)} is not a target symbol")
-    if len(windows) < len(keys):
-        stray = next(w for w in keys if len(w) != window or not source.is_admissible(w))
+    if len(windows) < len(pairs):
+        stray = next(w for w, _ in pairs if len(w) != window or not source.is_admissible(w))
         raise NotAdmissibleImage(f"{word_name(stray)} "
                                  f"is not an admissible window of {window} symbols")
-    # Each key is one window long by now, so a leaf's image is its two windows' symbols.
-    for word, (a, b) in walk(source, EMPTY, window + 1,
-                             lambda path: table.get(tuple(path[-window:]))):
-        if not target.entry(a, b):
-            raise NotAdmissibleImage(
-                f"windows of {word_name(word)} map to the forbidden transition {a} -> {b}")
+    # Each key is an admissible window by now, so the transitions are the
+    # images of ``u`` and ``u[1:] + (c,)`` for each follower ``c`` of
+    # ``u[-1]`` (the rows of higher_block_codes), met in the order of ``u + (c,)``.
+    rows, follow = target.rows, source.followers
+    for u, a in pairs:
+        for c in follow[u[-1]]:
+            if not rows[a - 1][(b := table[u[1:] + (c,)]) - 1]:
+                raise NotAdmissibleImage(f"windows of {word_name(u + (c,))} "
+                                         f"map to the forbidden transition {a} -> {b}")
 
 
 def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
@@ -154,7 +154,10 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
     Each map, a ``{window: symbol}`` mapping or ``(window, symbol)`` pairs,
     must declare every admissible window once and nothing else, produce
     admissible transitions, and compose to the identity in both
-    directions.  Each map is kept at its least window, and one depth-first
+    directions.  Each map is sorted once, and its check and trim read the
+    sorted pairs; a window ``u`` and each follower ``c`` of its last symbol
+    must write an allowed transition on ``u`` and ``u[1:] + (c,)``, the rows
+    of :func:`higher_block_codes`.  Each map is kept at its least window, and one depth-first
     walk per direction, in lexicographic order, checks that each composite
     window of those goes round to its first symbol; a failure is named at
     the declared length ``window + inverse_window - 1``.  The windows are
@@ -177,8 +180,15 @@ def make_code(source: TransitionMatrix, target: TransitionMatrix, window: int,
 
 
 def identity_code(matrix: TransitionMatrix) -> BlockCode:
-    table = {(a,): a for a in matrix.symbols()}
-    return _raw_code(matrix, matrix, 1, table, 1, table)
+    """The identity code of ``matrix``, built on the first call and then kept
+    on the matrix as ``identity_code``, beside its follower rows (not a field)."""
+    try:
+        return matrix.identity_code
+    except AttributeError:
+        table = tuple(((a,), a) for a in matrix.symbols())
+        code = BlockCode(matrix, matrix, 1, table, 1, table)
+        object.__setattr__(matrix, "identity_code", code)
+        return code
 
 
 def relabel_code(matrix: TransitionMatrix, target: TransitionMatrix, perm: dict[int, int]) -> BlockCode:
@@ -204,9 +214,9 @@ def compose_codes(outer: BlockCode, inner: BlockCode) -> BlockCode:
     if inner == identity_code(inner.source):
         return outer
     return _raw_code(inner.source, outer.target,
-                     inner.window + outer.window - 1, dict(_composite_windows(outer, inner)),
+                     inner.window + outer.window - 1, tuple(_composite_windows(outer, inner)),
                      outer.inverse_window + inner.inverse_window - 1,
-                     dict(_composite_windows(inner.inverse(), outer.inverse())))
+                     tuple(_composite_windows(inner.inverse(), outer.inverse())))
 
 
 def higher_block_codes(matrix: TransitionMatrix, m: int):
@@ -231,7 +241,8 @@ def higher_block_codes(matrix: TransitionMatrix, m: int):
         rows.append(tuple(row))
     block_matrix = TransitionMatrix(len(blocks), tuple(rows))
     decode_table = {(i,): w[0] for w, i in index.items()}
-    encode = _raw_code(matrix, block_matrix, m, index, 1, decode_table)
+    encode = _raw_code(matrix, block_matrix, m, tuple(index.items()), 1,
+                       tuple(decode_table.items()))
     return block_matrix, encode, encode.inverse()
 
 

@@ -261,10 +261,10 @@ class _TokenStream:
         return self.at >= len(self.tokens)
 
     def peek(self):
-        if self.done():
-            last = self.tokens[-1][0] if self.tokens else None
-            raise FormatError("unexpected end of file", last)
-        return self.tokens[self.at]
+        try:
+            return self.tokens[self.at]
+        except IndexError:
+            raise FormatError("unexpected end of file", self.line()) from None
 
     def take(self, expect: str | None = None) -> str:
         number, token = self.peek()
@@ -275,8 +275,9 @@ class _TokenStream:
 
     def take_int(self) -> int:
         number, token = self.peek()
+        self.at += 1
         try:
-            return int(self.take())
+            return int(token)
         except ValueError:
             raise FormatError(f"expected an integer, got {_literal_name(token)}", number)
 

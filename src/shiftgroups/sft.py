@@ -116,6 +116,8 @@ class TransitionMatrix(Value):
     ``followers[0]`` every symbol.  Equal rows are one tuple, so letters
     share a row exactly when ``followers[a] is followers[b]``.  It is not a
     field: ``==``, ``hash`` and ``repr`` see only ``n`` and ``rows``.
+    Neither is ``identity_code``, the matrix's identity block code, which
+    :func:`codes.identity_code` builds on its first call and keeps here.
     """
 
     n: int

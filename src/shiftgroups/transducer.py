@@ -14,8 +14,12 @@ and the conjugate of a table by one (:func:`conjugate_by_stages`) live here.
 A stage, an orbit sum or a table is read in one walk from the entries whose
 nodes carry the target word they determine, one window longer per child.
 
-Every constructor builds through :func:`canonical_transducer`, so one map
-has one transducer and map equality is ``==``.  Where two maps differ,
+:func:`stage_transducer` reads a first table stage off the table's own
+entries (:func:`from_table`), with no walk, and refines that transducer
+by each later stage.  Every constructor builds through
+:func:`canonical_transducer`, so one map has one transducer and map
+equality is ``==``; ``t after shift`` is built once per transducer
+(:func:`precompose_shift`).  Where two maps differ,
 :func:`difference_parts` names the cylinders, aligning the shifts of each
 pair of entries on a common refinement.  Each such check reads the core
 stream over one cylinder: position ``p`` holds the symbol the core writes
@@ -27,6 +31,7 @@ part is read once, between the two shifts its checks compare.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from operator import itemgetter
 
 from .codes import BlockCode, compose_codes, identity_code
@@ -60,9 +65,6 @@ class Transducer(Value):
     core: BlockCode
     entries: tuple[Entry, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_depth", max(len(mu) for mu, _, _ in self.entries))
-
     @property
     def source(self) -> TransitionMatrix:
         return self.core.source
@@ -77,6 +79,18 @@ class Transducer(Value):
 
     def entry_for(self, point: Point) -> Entry:
         return part_at(self.entries, point, self._depth, _word)
+
+    # Not fields, so ``==``, ``hash`` and ``repr`` see only the fields above.
+    @cached_property
+    def _depth(self) -> int:
+        return max(len(mu) for mu, _, _ in self.entries)
+
+    @cached_property
+    def _shifted(self) -> "Transducer":
+        """:func:`precompose_shift`'s ``self after shift``."""
+        return canonical_transducer(self.core, (
+            ((a,) + mu, alpha, r + 1) for mu, alpha, r in self.entries
+            for a in (self.source.predecessors(mu[0]) if mu else self.source.symbols())))
 
 
 def _refine_entries(t: Transducer, decide):
@@ -97,21 +111,30 @@ def canonical_transducer(core: BlockCode, entries) -> Transducer:
     order, whose words partition the source; nothing is re-checked.
 
     Each entry drops the last letter of ``alpha`` and one from ``r`` while the
-    core writes that letter at position ``r`` all over the cylinder (read off
-    ``mu`` when the window lies inside).  Siblings with one ``(alpha, r)`` then
+    core writes that letter at position ``r`` all over the cylinder.  Past
+    ``mu`` the stream is read one position at a time.  Inside it, once the
+    last letter agrees, the common suffix of ``alpha`` and the core's word on
+    ``mu`` comes off at once: the whole run when it agrees, else the part a
+    bisection on suffix slices finds.  Siblings with one ``(alpha, r)`` then
     merge (:func:`sft.merge_siblings`); the merged entry is reduced, as they were."""
     matrix, table, m = core.source, core.symbol_map(), core.window
 
     def reduced(mu: Word, alpha: Word, r: int):
-        n = len(alpha)
-        while n and r and alpha[n - 1] == (table[mu[r - 1: r - 1 + m]] if r - 1 + m <= len(mu)
-                                           else _stream(matrix, core, mu, r - 1, r)[0]):
+        n, inside = len(alpha), max(len(mu) - m + 1, 0)  # positions read off ``mu``
+        while n and r > inside and alpha[n - 1] == _stream(matrix, core, mu, r - 1, r)[0]:
             n, r = n - 1, r - 1
+        if n and r and r <= inside and alpha[n - 1] == table[mu[r - 1:r - 1 + m]]:
+            j = min(n, r)
+            written = core.apply_word(mu[r - j:r - 1 + m])  # positions r - j + 1 .. r
+            if alpha[n - j:n] != written:
+                j = bisect_left(range(j), True, 1,
+                                key=lambda i: alpha[n - i - 1:n] != written[j - i - 1:])
+            n, r = n - j, r - j
         return mu, (alpha[:n], r)
 
-    merged = merge_siblings(matrix, sorted(reduced(*entry) for entry in entries),
+    merged = merge_siblings(matrix, sorted([reduced(*entry) for entry in entries]),
                             lambda word, output: output)
-    return Transducer(core, tuple((mu, alpha, r) for mu, (alpha, r) in merged))
+    return Transducer(core, tuple([(mu, alpha, r) for mu, (alpha, r) in merged]))
 
 
 def identity_transducer(matrix: TransitionMatrix) -> Transducer:
@@ -152,14 +175,19 @@ def apply_code_stage(t: Transducer, code: BlockCode) -> Transducer:
 
 
 def stage_transducer(source: TransitionMatrix, stages) -> Transducer:
-    """The transducer of tables and codes applied in order; an identity stage is skipped."""
-    t = identity_transducer(source)
+    """The transducer of tables and codes applied in order; an identity stage
+    is skipped.  A first table on ``source`` that changes the map is read
+    off its own entries (:func:`from_table`); every later stage refines
+    the transducer so far."""
+    t = None  # the identity, until a stage changes the map
     for stage in stages:
         if isinstance(stage, TableElement):
-            t = t if stage.is_identity() else apply_table_stage(t, stage)
+            if not stage.is_identity():
+                t = (from_table(stage) if t is None and stage.matrix == source
+                     else apply_table_stage(t or identity_transducer(source), stage))
         elif stage != identity_code(stage.source):
-            t = apply_code_stage(t, stage)
-    return t
+            t = apply_code_stage(t or identity_transducer(source), stage)
+    return t or identity_transducer(source)
 
 
 def inverse_stages(stages) -> tuple:
@@ -169,10 +197,8 @@ def inverse_stages(stages) -> tuple:
 
 
 def precompose_shift(t: Transducer) -> Transducer:
-    """The transducer of ``t after shift``."""
-    return canonical_transducer(t.core, (
-        ((a,) + mu, alpha, r + 1) for mu, alpha, r in t.entries
-        for a in (t.source.predecessors(mu[0]) if mu else t.source.symbols())))
+    """The transducer of ``t after shift``, built once per transducer."""
+    return t._shifted
 
 
 def post_shift(t: Transducer, n: LocFun) -> Transducer:

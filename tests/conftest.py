@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import shiftgroups
+from shiftgroups.formats import format_matrix, format_table, format_word
 from shiftgroups.selftest import FULL_TWO, MATRICES, random_table
 from shiftgroups.tables import validate_table
 
@@ -46,3 +47,21 @@ def stage_split_pairs(seed, count=45):
     for i in range(count):
         matrix = MATRICES[i % len(MATRICES)][1]
         yield matrix, random_table(matrix, rng), random_table(matrix, rng)
+
+
+def write_chain(directory, h):
+    """``h`` as ``h.coe`` with its matrix and table files; returns the path."""
+    def block_map(mapping):
+        return "{ " + " ".join(f"{format_word(w)} -> {a}" for w, a in mapping) + " }"
+
+    (directory / "A.mks").write_text(format_matrix(h.source), encoding="utf-8")
+    (directory / "B.mks").write_text(format_matrix(h.target), encoding="utf-8")
+    (directory / "pre.tbl").write_text(format_table(h.pre), encoding="utf-8")
+    (directory / "post.tbl").write_text(format_table(h.post), encoding="utf-8")
+    core = h.core
+    (directory / "h.coe").write_text(
+        "coe A.mks B.mks\npre-table pre.tbl\n"
+        f"code {core.window} {block_map(core.mapping)} "
+        f"inverse {core.inverse_window} {block_map(core.inverse_mapping)}\n"
+        "post-table post.tbl\n", encoding="utf-8")
+    return str(directory / "h.coe")

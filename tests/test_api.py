@@ -224,11 +224,12 @@ def test_one_conjugation_routine():
 def test_one_way_to_a_target_word():
     """A cylinder's target word is streamed through the core once, at each
     entry of the transducer walk, which then extends it one window per
-    child; besides that, only point images and the code stage's own output
-    run ``apply_word``."""
+    child; besides that, only point images, the code stage's own output and
+    the reduction of a canonical entry, which reads the core's word on the
+    entry's own word once to strip a common suffix, run ``apply_word``."""
     assert callers_of("apply_word") == [
         "codes.BlockCode.encode", "transducer._refine_entries",
-        "transducer.apply_code_stage.recode"]
+        "transducer.canonical_transducer.reduced", "transducer.apply_code_stage.recode"]
 
 
 def test_one_settle_walk_per_transducer():

@@ -8,17 +8,19 @@ shared machine is flaky.
 
 import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
-from conftest import deep_exchange
+from conftest import deep_exchange, write_chain
 
-from shiftgroups import codes, formats, tables
+from shiftgroups import codes, formats, sft, tables, transducer
 from shiftgroups.codes import identity_code
 from shiftgroups.orbit import coe_apply, coe_from_chain
 from shiftgroups.selftest import (MATRICES, commutant_corpus, conjugacy_corpus, random_point,
                                   twisted_corpus)
 from shiftgroups.sft import TransitionMatrix, validate_matrix
-from shiftgroups.tables import compose, random_element, validate_table
+from shiftgroups.tables import TableElement, compose, random_element, validate_table
 
 
 @pytest.mark.parametrize("k", [25, 50, 100, 200])
@@ -26,11 +28,11 @@ def test_deep_swap_streams_each_window_once(k, monkeypatch):
     """The windows that pass through ``BlockCode.apply_word`` while the chain
     map of ``deep_exchange(k)`` is built and its ``k1`` read.
 
-    The code stage writes each entry's target word through the code, about
-    k * k / 2 windows over the k + 2 entries; each entry of a walk streams
-    its part once, and its nodes extend that word without re-reading it.
-    Re-streaming each part from its root at every node costs about
-    3 * k * k / 2 windows and fails the bound.
+    The first table's reduction reads each entry's word through the code
+    once, about k * k / 2 windows over the k + 2 entries; each entry of a
+    walk streams its part once, and its nodes extend that word without
+    re-reading it.  Re-streaming each part from its root at every node costs
+    about 3 * k * k / 2 windows and fails the bound.
     """
     windows = 0
     apply_word = codes.BlockCode.apply_word
@@ -246,3 +248,58 @@ def test_stage_splits_give_one_transducer(s):
         for i in range(1, s + 1):
             split = coe_from_chain(factors[:i] + [identity_code(matrix)] + factors[i:])
             assert split.transducer == expected
+
+
+def test_chain_load_builds_and_walks_only_what_it_checks(tmp_path, monkeypatch):
+    """The identity codes, word walks and settle walks of ``load_coe`` on
+    every chain of the two corpora, written out, with the matrix memo
+    emptied first, so that each load reads its matrices afresh."""
+    maps = conjugacy_corpus() + twisted_corpus()
+    paths = []
+    for i, h in enumerate(maps):
+        (tmp_path / str(i)).mkdir()
+        paths.append(write_chain(tmp_path / str(i), h))
+    identities, walks, refines = Counter(), [], []
+    matrices = []  # keeps each counted matrix alive, so no two share an id
+    block_code, walk, refine_until = codes.BlockCode, sft.walk, transducer.refine_until
+
+    def counted_code(*fields):
+        if sys._getframe(1).f_code.co_name == "identity_code":
+            matrices.append(fields[0])
+            identities[id(fields[0])] += 1
+        return block_code(*fields)
+
+    def counted_walk(*args):
+        walks.append(sys._getframe(1).f_code.co_name)
+        return walk(*args)
+
+    def counted_refine(*args):
+        refines.append(args)
+        return refine_until(*args)
+
+    monkeypatch.setattr(codes, "BlockCode", counted_code)
+    for module in (sft, codes, tables):
+        monkeypatch.setattr(module, "walk", counted_walk)
+    monkeypatch.setattr(transducer, "refine_until", counted_refine)
+    formats._MATRICES.clear()
+    first_tables = 0
+    for h, path in zip(maps, paths):
+        walks.clear()
+        refines.clear()
+        assert formats.load_coe(path) == h
+        # Each load's code checks its two round trips, one walk each; the
+        # block-map checks, the stages and the reductions walk nothing.
+        assert walks == ["_composite_windows"] * 2
+        # Each stage that changes the map refines the transducer so far,
+        # except a first table, which is read off its own entries.
+        changing = [stage for stage in h.stages() if not (
+            stage.is_identity() if isinstance(stage, TableElement)
+            else stage == identity_code(stage.source))]
+        first_table = bool(changing) and isinstance(changing[0], TableElement)
+        assert len(refines) == len(changing) - first_table
+        first_tables += first_table
+    # Each matrix object builds its identity code at most once, however
+    # many stages, compositions and transducers ask for it.
+    assert identities and max(identities.values()) == 1
+    # 17 of the 40 chains start with a table that changes the map.
+    assert first_tables >= 10

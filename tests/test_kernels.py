@@ -53,11 +53,16 @@ or the same exception type and message, also with
 one image changed at the first or the last composite window of either
 round trip), with its memory flat in the number of windows, the
 window-map check against the one that listed every admissible window
-first, and its name for a missing window against the window grown one
+first and against the one that sorted its own keys and walked the
+``window + 1`` words for the transitions (seeded maps given as dicts and
+as pair lists, repeats included), and its name for a missing window against the window grown one
 least successor at a time (past 64 symbols, its ends and length),
 ``compose_codes`` against the window-by-window build, trimmed, with and
-without an identity side, and ``orbit._normalize_chain`` against the fold
-that composed every table stage with an identity table.
+without an identity side, ``orbit._normalize_chain`` against the fold
+that composed every table stage with an identity table, and
+``stage_transducer``, which reads a first table off its own entries,
+against the walk from the identity transducer, the wrong-matrix error
+included.
 
 The commutation answers read off the verified exponents are checked
 against the walks they replaced, on the three chain corpora and 60
@@ -172,6 +177,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left
+from collections.abc import Mapping
 import re
 import sys
 import time
@@ -179,7 +185,7 @@ import tracemalloc
 from operator import itemgetter
 
 import pytest
-from conftest import deep_exchange, run_python, stage_split_pairs
+from conftest import deep_exchange, run_python, stage_split_pairs, write_chain
 
 from shiftgroups import functions as fn
 from shiftgroups import conjugacy, orbit
@@ -208,6 +214,7 @@ from shiftgroups.codes import (
     _check_block_map,
     _window_name,
     _raw_code,
+    _sorted_pairs,
     compose_codes,
     higher_block,
     higher_block_codes,
@@ -230,9 +237,7 @@ from shiftgroups.conjugacy import (
 )
 from shiftgroups.formats import (
     format_function,
-    format_matrix,
     format_table,
-    format_word,
     load_coe,
     parse_word,
 )
@@ -268,6 +273,7 @@ from shiftgroups.sft import (
     enumerate_words,
     expand_to_depth,
     cylinder_run,
+    family_defects,
     merge_siblings,
     part_at,
     partition,
@@ -300,6 +306,7 @@ from shiftgroups.transducer import (
     _entries_agree_on,
     _shift_entry,
     _stream,
+    apply_code_stage,
     apply_table_stage,
     canonical_transducer,
     conjugate_by_stages,
@@ -727,8 +734,8 @@ def reference_make_code(source, target, window, mapping, inverse_window, inverse
     code = reference_code(source, target, window, dict(mapping), inverse_window,
                           dict(inverse_mapping))
     inverse = code.inverse()
-    _check_block_map(source, target, window, code.symbol_map())
-    _check_block_map(target, source, inverse_window, inverse.symbol_map())
+    _check_block_map(source, target, window, code.mapping)
+    _check_block_map(target, source, inverse_window, inverse.mapping)
     for composite in (reference_compose_codes(inverse, code),
                       reference_compose_codes(code, inverse)):
         for word, symbol in composite.mapping:
@@ -738,9 +745,9 @@ def reference_make_code(source, target, window, mapping, inverse_window, inverse
     return code
 
 
-def reference_check_block_map(source, target, window, table):
-    """``codes._check_block_map`` as it was: every admissible window listed
-    before any key is compared with them."""
+def reference_listing_check_block_map(source, target, window, table):
+    """``codes._check_block_map`` as it was first: every admissible window
+    listed before any key is compared with them."""
     windows = reference_expand_to_depth(source, EMPTY, window)
     for word in windows:
         if word not in table:
@@ -755,6 +762,35 @@ def reference_check_block_map(source, target, window, table):
         if not target.entry(a, b):
             raise NotAdmissibleImage(
                 f"windows of {word} map to the forbidden transition {a} -> {b}")
+
+
+def reference_check_block_map(source, target, window, mapping):
+    """``codes._check_block_map`` as it was before ``make_code`` handed it
+    sorted pairs: it takes a mapping or pairs, sorts the keys itself and
+    checks the transitions with a depth-``window + 1`` walk whose nodes
+    look their last ``window`` symbols up."""
+    pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
+    keys = sorted(w for w, _ in pairs)
+    windows = [w for w in keys if len(w) == window and source.is_admissible(w)]
+    repeat, gap = family_defects(source, windows)
+    if repeat is not None:
+        raise NotAdmissibleImage(repeat)
+    table = dict(pairs)
+    bad = next((w for w in windows if not 1 <= table[w] <= target.n), None)
+    if gap is not None and (bad is None or gap < bad):
+        raise NotAdmissibleImage(
+            f"no image declared for window {_window_name(source, gap, window)}")
+    if bad is not None:
+        raise NotAdmissibleImage(f"image of {word_name(bad)} is not a target symbol")
+    if len(windows) < len(keys):
+        stray = next(w for w in keys if len(w) != window or not source.is_admissible(w))
+        raise NotAdmissibleImage(f"{word_name(stray)} "
+                                 f"is not an admissible window of {window} symbols")
+    for word, (a, b) in walk(source, EMPTY, window + 1,
+                             lambda path: table.get(tuple(path[-window:]))):
+        if not target.entry(a, b):
+            raise NotAdmissibleImage(
+                f"windows of {word_name(word)} map to the forbidden transition {a} -> {b}")
 
 
 def reference_normalize_chain(source, stages):
@@ -1709,6 +1745,47 @@ def test_stages_match_root_streamed_reference():
                                                                         expected.entries)
 
 
+def reference_identity_start_stage_transducer(source, stages):
+    """``stage_transducer`` as it ran before its first table was read off
+    its entries: every stage refines the identity transducer onwards."""
+    t = identity_transducer(source)
+    for stage in stages:
+        if isinstance(stage, TableElement):
+            t = t if stage.is_identity() else apply_table_stage(t, stage)
+        elif stage != identity_code(stage.source):
+            t = apply_code_stage(t, stage)
+    return t
+
+
+def stage_outcome(build, source, stages):
+    try:
+        return build(source, stages)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_first_table_stage_matches_identity_start_reference():
+    """The stages of the two corpora, of 60 seeded ``random_chain`` draws and
+    of those draws with a ``pad_entry``-padded first table; then a first
+    table, changing the map or not, on another matrix than the source: the
+    same transducer, or the same ``ValueError``, as the walk from the
+    identity transducer."""
+    rng = random.Random(71)
+    draws = [random_chain(matrix, rng) for _, matrix in MATRICES for _ in range(20)]
+    chains = [(h.source, h.stages()) for h in conjugacy_corpus() + twisted_corpus() + draws]
+    chains += [(h.source, (padded(h.pre, rng),) + h.stages()[1:]) for h in draws]
+    for h in draws:
+        other = next(m for _, m in MATRICES if m != h.source)
+        chains += [(h.source, (table,) + h.stages())
+                   for table in (random_table(other, rng), identity_table(other))]
+    wrong = 0
+    for source, stages in chains:
+        got = stage_outcome(stage_transducer, source, stages)
+        assert got == stage_outcome(reference_identity_start_stage_transducer, source, stages)
+        wrong += got == (ValueError, "table acts on the wrong shift space")
+    assert wrong > 40
+
+
 def test_symbol_map_is_read_only():
     _, encode, _ = higher_block_codes(MATRICES[0][1], 2)
     with pytest.raises(TypeError):
@@ -1848,8 +1925,8 @@ def end_flips():
                 for symbol in second.target.symbols():
                     table = {**second.symbol_map(), read: symbol}
                     try:
-                        reference_check_block_map(second.source, second.target, second.window,
-                                                  table)
+                        reference_listing_check_block_map(second.source, second.target,
+                                                          second.window, table)
                     except NotAdmissibleImage:
                         continue
                     if symbol != second.symbol_map()[read]:
@@ -1934,15 +2011,81 @@ def test_block_map_check_matches_listing_reference():
             "not an admissible window": 0, "forbidden transition": 0}
     for source, target, window, table in cases:
         verdicts = []
-        for check in (_check_block_map, reference_check_block_map):
+        for check, pairs in ((_check_block_map, _sorted_pairs(table)),
+                             (reference_listing_check_block_map, table)):
             try:
-                verdicts.append(check(source, target, window, table))
+                verdicts.append(check(source, target, window, pairs))
             except NotAdmissibleImage as exc:
                 verdicts.append(str(exc))
         assert verdicts[0] == verdicts[1]
         kind = next((k for k in seen if verdicts[0] and k in verdicts[0]), "accepted")
         seen[kind] += 1
     assert min(seen.values()) > 10
+
+
+def edited_block_map(source, target, table, rng):
+    """The pairs of ``table`` after zero to two seeded edits, shuffled: a
+    window dropped or repeated (with its image or another), a stray key
+    (shorter, longer, or of the window's length and inadmissible or out of
+    range) or an image outside ``1..target.n``."""
+    pairs = list(table.items())
+    for _ in range(rng.randint(0, 2)):
+        word, image = rng.choice(pairs)
+        kind = rng.randrange(5)
+        if kind == 0:
+            pairs.remove((word, image))
+        elif kind == 1:
+            pairs.append((word, rng.choice((image, rng.randint(1, target.n)))))
+        elif kind == 2:
+            pairs.append((rng.choice((word[:-1], word + (rng.randint(1, source.n),))), 1))
+        elif kind == 3:
+            wrong = [a for a in range(source.n + 2) if a not in source.followers[word[-2]]
+                     ] if len(word) > 1 else [0, source.n + 1]
+            pairs.append((word[:-1] + (rng.choice(wrong),), rng.randint(1, target.n)))
+        else:
+            pairs[pairs.index((word, image))] = (word, rng.choice((0, target.n + 1, -1)))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def block_map_cases(rng):
+    """Seeded block maps over the selftest matrices at windows 1 to 3, each
+    with its target: the identity read off the first symbol of each window,
+    the block encode map onto the block presentation, and seeded images
+    into each selftest matrix, most with forbidden transitions; each edited
+    by :func:`edited_block_map`."""
+    for (_, source), window in itertools.product(MATRICES, (1, 2, 3)):
+        windows = enumerate_words(source, window)
+        block_matrix, encode, _ = higher_block_codes(source, window)
+        maps = [(source, {w: w[0] for w in windows}), (block_matrix, dict(encode.mapping))]
+        maps += [(target, {w: rng.randint(1, target.n) for w in windows})
+                 for _, target in MATRICES for _ in range(2)]
+        for target, table in maps:
+            for _ in range(8):
+                yield source, target, window, edited_block_map(source, target, table, rng)
+
+
+def test_block_map_check_matches_walk_reference():
+    """The sorted-pairs check, its transitions read off the follower rows of
+    each window, against the walk it replaced, on :func:`block_map_cases`
+    given as pair lists and as dicts: the same verdict, or the same type and
+    message.  Every kind of defect shows up, and repeats only in lists."""
+    rng = random.Random(113)
+    seen = {"accepted": 0, "repeats": 0, "no image": 0, "not a target symbol": 0,
+            "not an admissible window": 0, "forbidden transition": 0}
+    for source, target, window, pairs in block_map_cases(rng):
+        for given in (pairs, dict(pairs)):
+            verdicts = []
+            for check, arg in ((_check_block_map, _sorted_pairs(given)),
+                               (reference_check_block_map, given)):
+                try:
+                    verdicts.append(check(source, target, window, arg))
+                except ShiftError as exc:
+                    verdicts.append((type(exc), str(exc)))
+            assert verdicts[0] == verdicts[1]
+            kind = next((k for k in seen if verdicts[0] and k in verdicts[0][1]), "accepted")
+            seen[kind] += 1
+    assert min(seen.values()) > 20
 
 
 def test_long_missing_window_is_named_by_its_ends():
@@ -1982,7 +2125,8 @@ def test_compose_codes_matches_window_by_window_reference():
     of 2), and window-1 codes on the full 2-shift where only one of the two
     symbol maps is the identity.  Each result is the window-by-window
     composite trimmed to its least windows."""
-    one_sided = _raw_code(FULL_TWO, FULL_TWO, 1, {(1,): 1, (2,): 2}, 1, {(1,): 2, (2,): 1})
+    one_sided = _raw_code(FULL_TWO, FULL_TWO, 1, (((1,), 1), ((2,), 2)),
+                          1, (((1,), 2), ((2,), 1)))
     pairs = [(one_sided, one_sided), (one_sided.inverse(), one_sided.inverse())]
     for code in codes_under_test():
         pairs += [(code, identity_code(code.source)), (identity_code(code.target), code),
@@ -2497,24 +2641,6 @@ def counted_shift_exponents(monkeypatch):
 
     monkeypatch.setattr(orbit, "shift_exponents", wrapper)
     return calls
-
-
-def write_chain(directory, h):
-    """``h`` as ``h.coe`` with its matrix and table files; returns the path."""
-    def block_map(mapping):
-        return "{ " + " ".join(f"{format_word(w)} -> {a}" for w, a in mapping) + " }"
-
-    (directory / "A.mks").write_text(format_matrix(h.source), encoding="utf-8")
-    (directory / "B.mks").write_text(format_matrix(h.target), encoding="utf-8")
-    (directory / "pre.tbl").write_text(format_table(h.pre), encoding="utf-8")
-    (directory / "post.tbl").write_text(format_table(h.post), encoding="utf-8")
-    core = h.core
-    (directory / "h.coe").write_text(
-        "coe A.mks B.mks\npre-table pre.tbl\n"
-        f"code {core.window} {block_map(core.mapping)} "
-        f"inverse {core.inverse_window} {block_map(core.inverse_mapping)}\n"
-        "post-table post.tbl\n", encoding="utf-8")
-    return str(directory / "h.coe")
 
 
 def test_loaded_chain_map_pulls_back_without_exponents(tmp_path, monkeypatch):
