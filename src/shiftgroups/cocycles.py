@@ -56,8 +56,8 @@ def rho_from_entries(f: LocFun, table: TableElement, entries) -> LocFun:
 
     roots = []
     for nu, mu in ((tuple(nu), tuple(mu)) for nu, mu in entries):
-        shared = 0
-        while shared < min(len(nu), len(mu)) and nu[-1 - shared] == mu[-1 - shared]:
+        shared, bound = 0, min(len(nu), len(mu))
+        while shared < bound and nu[-1 - shared] == mu[-1 - shared]:
             shared += 1
         roots.append((nu, (len(nu), mu, shared)))
     return canonical(f.matrix, dict(refine_until(f.matrix, roots, decide)))

@@ -121,7 +121,13 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
     # window extends the first cylinder it finds uncovered, so the cylinder's
     # least extension is the first missing window, and sorts before a
     # declared window exactly when the cylinder does.  Any other key strays.
-    windows = [w for w, _ in pairs if len(w) == window and source.is_admissible(w)]
+    # A key is an admissible window when it is ``window`` letters long and each
+    # letter is in the follower row of the one before (the first, in row 0);
+    # ``all`` stops at the first miss, so only letters in range index a row.
+    follow = source.followers
+    fits = [len(w) == window and all(map(tuple.__contains__, map(follow.__getitem__, (0,) + w), w))
+            for w, _ in pairs]
+    windows = [w for (w, _), fit in zip(pairs, fits) if fit]
     repeat, gap = family_defects(source, windows)
     if repeat is not None:
         raise NotAdmissibleImage(repeat)
@@ -133,13 +139,13 @@ def _check_block_map(source: TransitionMatrix, target: TransitionMatrix,
     if bad is not None:
         raise NotAdmissibleImage(f"image of {word_name(bad)} is not a target symbol")
     if len(windows) < len(pairs):
-        stray = next(w for w, _ in pairs if len(w) != window or not source.is_admissible(w))
+        stray = pairs[fits.index(False)][0]
         raise NotAdmissibleImage(f"{word_name(stray)} "
                                  f"is not an admissible window of {window} symbols")
     # Each key is an admissible window by now, so the transitions are the
     # images of ``u`` and ``u[1:] + (c,)`` for each follower ``c`` of
     # ``u[-1]`` (the rows of higher_block_codes), met in the order of ``u + (c,)``.
-    rows, follow = target.rows, source.followers
+    rows = target.rows
     for u, a in pairs:
         for c in follow[u[-1]]:
             if not rows[a - 1][(b := table[u[1:] + (c,)]) - 1]:

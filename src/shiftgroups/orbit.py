@@ -15,6 +15,15 @@ pair on each part of the common refinement of the transducer and its
 precomposition with the shift (:func:`transducer.shift_exponents`).  That
 search is also the pair's one exact check: it re-reads the kept ``k`` on
 each part, so a formula bug cannot hand a caller a silently wrong pair.
+
+The potential transfer :func:`psi` reads no pair.  On a part of that
+refinement ``h(x) = a . S(shift^r x)`` and ``h(shift x) = b . S(shift^q x)``
+for the core stream ``S``; with ``d = (q - |b|) - (r - |a|)``, the window of
+``h(x)`` at every ``i >= i0 = max(|a|, |b| + d)`` is the window of
+``h(shift x)`` at ``i - d``.  Every valid pair has ``l1 - k1 = d``, so the
+windows past the cut ``i0`` cancel between the two sums, and the transfer is
+the sum over the first ``i0`` windows of ``h(x)`` minus the sum over the
+first ``i0 - d`` of ``h(shift x)`` (:func:`transducer.transfer_sum`).
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .transducer import (
     pullback,
     shift_exponents,
     stage_transducer,
+    transfer_sum,
 )
 
 
@@ -203,12 +213,14 @@ def psi(h: CoeMap, g: LocFun) -> LocFun:
     The value at ``x`` is the ``g``-sum over the first ``l1(x)`` target
     shifts of ``h(x)`` minus the sum over the first ``k1(x)`` target
     shifts of ``h(shift x)``; additive in ``g`` and independent of the
-    exponent pair choice.
+    exponent pair choice.  The windows past the cut ``i0`` on ``h(x)``, and
+    past ``i0 - d`` on ``h(shift x)``, are one core stream read from one
+    offset and cancel (see the module docstring), so the sums stop there,
+    in one walk, and no exponent pair is searched or read.
     """
     if g.matrix != h.target:
         raise ValueError("potential lives over the wrong shift space")
-    t = h.transducer
-    return orbit_sum(g, h.l1, t) - orbit_sum(g, h.k1, precompose_shift(t))
+    return transfer_sum(g, h.transducer)
 
 
 def conjugate_table(h: CoeMap, table: TableElement) -> TableElement:

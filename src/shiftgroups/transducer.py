@@ -12,7 +12,9 @@ so the entry above a word is one bisection.  Stage application (one more
 table, one more code, a shift on either side), the inverse of a stage list
 and the conjugate of a table by one (:func:`conjugate_by_stages`) live here.
 A stage, an orbit sum or a table is read in one walk from the entries whose
-nodes carry the target word they determine, one window longer per child.
+nodes carry the target word they determine, one window longer per child;
+a potential transfer (:func:`transfer_sum`) walks the parts of ``t`` and
+``t after shift`` with both words.
 
 :func:`stage_transducer` reads a first table stage off the table's own
 entries (:func:`from_table`), with no walk, and refines that transducer
@@ -93,17 +95,29 @@ class Transducer(Value):
             for a in (self.source.predecessors(mu[0]) if mu else self.source.symbols())))
 
 
-def _refine_entries(t: Transducer, decide):
+def _refine_entries(t: Transducer, decide, also: Transducer | None = None):
     """:func:`sft.refine_until` from the entries with state ``(known, alpha, r)``:
     ``known``, the target word the cylinder determines, is ``alpha`` and the core's
-    stream past ``r``; a child adds the symbol of the window ending at its last letter."""
+    stream past ``r``; a child adds the symbol of the window ending at its last letter.
+    With ``also``, a transducer of the same core, the walk starts from the parts of
+    the two's common refinement (:func:`_aligned`) and the state is both sides'
+    ``(known, alpha, r)``, ``t``'s first, read off one stream from the lesser shift."""
     table, m = t.core.symbol_map(), t.core.window
 
     def step(word: Word, known: Word, alpha: Word, r: int):
         return (known + (table[word[-m:]],) if len(word) - r >= m else known), alpha, r
 
-    roots = [(mu, (alpha + t.core.apply_word(mu[r:]), alpha, r)) for mu, alpha, r in t.entries]
-    return refine_until(t.source, roots, decide, step)
+    def both(word: Word, known: Word, alpha: Word, r: int, known2: Word, alpha2: Word, r2: int):
+        return step(word, known, alpha, r) + step(word, known2, alpha2, r2)
+
+    aligned = None if also is None else list(_aligned(t, also))
+    entries = t.entries if aligned is None else [
+        (part, (), min(r, q)) for part, (_, _, r), (_, _, q) in aligned]
+    roots = [(mu, (alpha + t.core.apply_word(mu[r:]), alpha, r)) for mu, alpha, r in entries]
+    if aligned is not None:
+        roots = [(part, (a + stream[r - lead:], a, r, b + stream[q - lead:], b, q))
+                 for (part, (stream, _, lead)), (_, (_, a, r), (_, b, q)) in zip(roots, aligned)]
+    return refine_until(t.source, roots, decide, step if aligned is None else both)
 
 
 def canonical_transducer(core: BlockCode, entries) -> Transducer:
@@ -245,6 +259,33 @@ def orbit_sum(g: LocFun, n: LocFun, t: Transducer) -> LocFun:
         return None if piece is None else window_sum(g, depth, known, piece[1])
 
     return canonical(t.source, dict(_refine_entries(t, total)))
+
+
+def transfer_sum(g: LocFun, t: Transducer) -> LocFun:
+    """The function ``x -> sum of g over the first l(x) shifts of h(x) minus
+    the sum over the first k(x) shifts of h(shift x)`` for the map ``h`` of
+    the transducer and any valid exponent pair ``(k, l)``, read with no pair.
+
+    On a part of the common refinement of ``t`` and ``t after shift``,
+    ``h(x) = a . S(shift^r x)`` and ``h(shift x) = b . S(shift^q x)`` for the
+    core stream ``S``.  With ``d = (q - |b|) - (r - |a|)``, the window of ``h(x)``
+    at ``i >= i0 = max(|a|, |b| + d)`` is the window of ``h(shift x)`` at
+    ``i - d``, both read off one stream, and every valid pair has ``l - k = d``
+    and cancels the windows past ``l`` alike, so the sums stop at ``i0`` and
+    ``i0 - d``.  One walk refines each part until both sums are fixed.
+    """
+    if g.matrix != t.target:
+        raise ValueError("function lives over the wrong shift space")
+    depth = g.depth()
+
+    def total(word: Word, known: Word, a: Word, r: int, known2: Word, b: Word, q: int):
+        d = (q - len(b)) - (r - len(a))
+        cut = max(len(a), len(b) + d)
+        plus = window_sum(g, depth, known, cut)
+        minus = None if plus is None else window_sum(g, depth, known2, cut - d)
+        return None if minus is None else plus - minus
+
+    return canonical(t.source, dict(_refine_entries(t, total, precompose_shift(t))))
 
 
 def pullback(g: LocFun, t: Transducer) -> LocFun:

@@ -156,12 +156,12 @@ def test_only_boundaries_validate_word_families():
 
 
 def test_no_validator_rescans_words():
-    """Words are tested for admissibility one at a time only by the
-    block-map check (which sorts the stray keys out of its scan), by
+    """Words are tested for admissibility one at a time only by
     ``check_admissible``, which every family scan calls, and by
-    ``canonicalize_point``: no validator scans words outside ``partition``."""
+    ``canonicalize_point``; the block-map check sorts its stray keys out of
+    its scan by the follower rows its transition check reads: no validator
+    scans words outside ``partition``."""
     assert callers_of("is_admissible") == [
-        "codes._check_block_map", "codes._check_block_map",
         "sft.TransitionMatrix.check_admissible", "sft.canonicalize_point"]
 
 

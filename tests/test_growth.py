@@ -14,9 +14,10 @@ from collections import Counter
 import pytest
 from conftest import deep_exchange, write_chain
 
-from shiftgroups import codes, formats, sft, tables, transducer
+from shiftgroups import codes, formats, orbit, sft, tables, transducer
 from shiftgroups.codes import identity_code
-from shiftgroups.orbit import coe_apply, coe_from_chain
+from shiftgroups.functions import indicator
+from shiftgroups.orbit import coe_apply, coe_from_chain, psi
 from shiftgroups.selftest import (MATRICES, commutant_corpus, conjugacy_corpus, random_point,
                                   twisted_corpus)
 from shiftgroups.sft import TransitionMatrix, validate_matrix
@@ -71,6 +72,36 @@ def test_deep_swap_reads_each_part_stream_once(k, monkeypatch):
     monkeypatch.setattr(codes.BlockCode, "symbol_map", lambda code: Counted(symbol_map(code)))
     h.k1
     assert lookups <= k * k // 2 + 4 * k
+
+
+@pytest.mark.parametrize("k", [25, 50, 100, 200])
+def test_deep_swap_psi_sums_to_the_cut_with_no_exponents(k, monkeypatch):
+    """The ``g``-windows summed, counted at ``window_sum``, and the exponent
+    searches made while ``psi`` transfers a potential through the chain map
+    of ``deep_exchange(k)``.
+
+    ``psi`` reads no exponent pair.  Each part's sums stop at the cut past
+    which the windows of ``h(x)`` and ``h(shift x)`` agree; on the k parts
+    under ``2`` that is about k + 1 windows of ``h(x)``, summed again at each node
+    the walk settles, k * k + 9 * k windows in all, as many as the sums
+    along the least exponents read.  Summing one window past the cut on
+    each side fails the bound.
+    """
+    windows, searches = 0, []
+    window_sum = transducer.window_sum
+
+    def counted(f, depth, word, count):
+        nonlocal windows
+        windows += count
+        return window_sum(f, depth, word, count)
+
+    monkeypatch.setattr(transducer, "window_sum", counted)
+    for module in (orbit, transducer):
+        monkeypatch.setattr(module, "shift_exponents", searches.append)
+    h = coe_from_chain([deep_exchange(k)])
+    psi(h, indicator(h.target, (2,)))
+    assert searches == []
+    assert windows <= k * k + 10 * k
 
 
 @pytest.mark.parametrize("window", [4, 5, 6, 7, 8, 9])

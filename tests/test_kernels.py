@@ -7,8 +7,11 @@ that the sorted-order lookups ``sft.prefix_of``, ``sft.part_at`` and
 ``sft.cylinder_run`` replaced, the per-window code loops that
 ``BlockCode.apply_word`` replaced, and the ``compose_shift`` towers that
 the window sums of ``functions.window_sum`` replaced under ``birkhoff``,
-``rho`` and, inside ``transducer.orbit_sum``, under ``psi``, ``pullback``
-and the exponent fold.  ``rho`` is also checked on the deep exchange, on
+``rho`` and, inside ``transducer.orbit_sum``, under ``pullback`` and the
+exponent fold, and inside ``transducer.transfer_sum``, under ``psi``.
+``psi``, which stops each part's sums where the streams of ``h`` and
+``h after shift`` meet, is also checked against the sums along the
+verified exponents it read before.  ``rho`` is also checked on the deep exchange, on
 tables with unsorted entries, on padded presentations and on entries
 given as lists.  Each kernel must return exactly what
 its reference returns on seeded random inputs over every matrix of
@@ -30,11 +33,11 @@ part of its refinement.  Its read of the kept ``k`` on each part is the
 pair's one exact check, run on the first read of ``k1`` or ``l1`` and
 not at the build: a failing kernel or a bisection that hands back one
 candidate too low raises ``VerificationFailed`` there, also under
-``-O``, where ``shiftgroups psi`` exits 2 and ``pullback`` exits 0.  A
-build with reads of both makes ``t after shift`` once and no whole-map
-comparison; a build alone makes none.  The pair is searched at most once
-per map: never for a loaded map pulled back through or in the commutant
-search, once however often ``psi`` runs, and once in the witness search,
+``-O``, where ``shiftgroups conjugacy`` exits 2 and ``psi`` and
+``pullback`` exit 0.  A build with reads of both makes ``t after shift``
+once and no whole-map comparison; a build alone makes none.  The pair is
+searched at most once per map: never for a loaded map pulled back
+through, in the commutant search or by ``psi``, and once in the witness search,
 not for the recoded map its check builds.  It is ``shift_exponents`` of
 the transducer, and reading it leaves ``==``, ``hash`` and ``repr``
 alone.  Its agreement checks, which slice one core stream
@@ -316,6 +319,7 @@ from shiftgroups.transducer import (
     identity_transducer,
     inverse_stages,
     is_identity_transducer,
+    orbit_sum,
     post_shift,
     precompose_shift,
     pullback,
@@ -2503,6 +2507,29 @@ def test_orbit_sums_match_tower_references():
         assert orbit._fold_stage_data(h.k1, h.l1, stage_k, stage_l, t) == expected
 
 
+def reference_psi(h, g):
+    """``psi`` as it was before it cancelled the stream that ``h`` and ``h after
+    shift`` share: the ``g``-sum along the ``l1`` shifts of ``h(x)`` minus the
+    one along the ``k1`` shifts of ``h(shift x)``, the verified exponents."""
+    t = h.transducer
+    return orbit_sum(g, h.l1, t) - orbit_sum(g, h.k1, precompose_shift(t))
+
+
+def test_psi_matches_exponent_sum_reference():
+    """``psi``, whose sums stop on each part where the two streams meet,
+    against the sums along the verified exponents: on both corpora, 30
+    seeded ``random_chain`` draws per matrix and the deep swap at k = 25, 50
+    and 100, with ``g`` of depth 1 to 3."""
+    rng = random.Random(41)
+    maps = conjugacy_corpus() + twisted_corpus()
+    maps += [random_chain(matrix, rng) for _, matrix in MATRICES for _ in range(30)]
+    maps += [coe_from_chain([deep_exchange(k)]) for k in (25, 50, 100)]
+    for h in maps:
+        for depth in (1, 2, 3):
+            g = random_function(h.target, rng, depth)
+            assert psi(h, g) == reference_psi(h, g)
+
+
 # -- shift exponents --------------------------------------------------------------
 
 
@@ -2665,18 +2692,18 @@ def test_commutant_search_reads_no_exponents(monkeypatch):
     assert calls == []
 
 
-def test_psi_finds_exponents_once_per_map(monkeypatch):
-    """The first ``psi`` through a map searches its exponents once; a
-    second ``psi`` through the same map reads the cached pair."""
+def test_psi_searches_no_exponents(monkeypatch):
+    """``psi`` through a freshly built map, once or twice, searches no
+    exponents and leaves the pair unread."""
     maps = conjugacy_corpus() + twisted_corpus()
     calls = counted_shift_exponents(monkeypatch)
     for h in maps:
+        fresh = coe_from_chain(h.stages())
         g = fn.indicator(h.target, (h.target.symbols()[0],))
-        calls.clear()
-        first = psi(h, g)
-        assert calls == [h.transducer]
-        assert psi(h, g) == first
-        assert calls == [h.transducer]
+        first = psi(fresh, g)
+        assert psi(fresh, g) == first
+        assert "_exponents" not in vars(fresh)
+    assert calls == []
 
 
 def test_witness_search_finds_exponents_for_h_only(monkeypatch):
@@ -2723,24 +2750,25 @@ def test_exponent_read_leaves_equality_hash_and_repr_alone():
         assert "_exponents" not in vars(fresh)
 
 
-def test_failed_exponent_check_surfaces_at_psi_not_pullback(tmp_path):
-    """Under ``-O`` with every agreement check failing, ``psi`` exits 2
-    with the check's message and no traceback; ``pullback``, which reads
-    no exponents, exits 0."""
+def test_failed_exponent_check_surfaces_at_conjugacy_not_psi_or_pullback(tmp_path):
+    """Under ``-O`` with every agreement check failing, ``conjugacy``, which
+    reads the exponents, exits 2 with the check's message and no traceback;
+    ``psi`` and ``pullback``, which read none, exit 0."""
     h = coe_from_chain([prefix_swap(GOLDEN_MEAN, 1, 2)])
     path = write_chain(tmp_path, h)
-    (tmp_path / "g.fn").write_text(format_function(fn.indicator(GOLDEN_MEAN, (2,))),
-                                   encoding="utf-8")
+    g = fn.indicator(GOLDEN_MEAN, (2,))
+    (tmp_path / "g.fn").write_text(format_function(g), encoding="utf-8")
     script = ("import sys\n"
               "from shiftgroups import cli, transducer\n"
               "transducer._entries_agree_on = lambda *args: False\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
-    result = run_python("-O", "-c", script, "psi", path, "g.fn", cwd=tmp_path)
+    result = run_python("-O", "-c", script, "conjugacy", path, cwd=tmp_path)
     assert (result.returncode, result.stdout, result.stderr) == (
         2, "", "error: no shift-matching exponent pair checks on the part (1, 1, 1)\n")
-    result = run_python("-O", "-c", script, "pullback", path, "g.fn", cwd=tmp_path)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == format_function(pullback_map(fn.indicator(GOLDEN_MEAN, (2,)), h))
+    for command, expected in (("psi", psi(h, g)), ("pullback", pullback_map(g, h))):
+        result = run_python("-O", "-c", script, command, path, "g.fn", cwd=tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == format_function(expected)
 
 def reference_stream(matrix, core, part, upto):
     """The core's symbols at positions 1..upto over the cylinder of
